@@ -99,3 +99,50 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a 64 over the little-endian `to_bits()` of every logit, in order.
+fn fnv64_of_logits(logits: &[quq_tensor::Tensor]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for t in logits {
+        for v in t.data() {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+const GOLDEN_W6A6: u64 = 0x196d_fb2b_2dea_2800;
+const GOLDEN_W8A8: u64 = 0x1532_7d25_1d6e_45db;
+
+/// Golden bits: the integer logits of `test_config`, model seed 33, two
+/// images (image seed 7), hashed. The constants were captured on the tree
+/// *before* the SIMD encoder and the per-call code tables landed, so this
+/// is the one test that sees a drift every forward of one build shares
+/// (the benchmark's oracle is computed by the same build and cannot).
+/// They depend on the host libm only through model synthesis and
+/// calibration (x86-64 Linux here).
+#[test]
+fn integer_logits_match_golden_bits() {
+    for (cfg, golden) in [
+        (PtqConfig::full_w6a6(), GOLDEN_W6A6),
+        (PtqConfig::full_w8a8(), GOLDEN_W8A8),
+    ] {
+        let (model, tables) = setup(cfg, 33);
+        let imgs = images(&model, 2, 7);
+        let mut be = IntegerBackend::new(&tables);
+        let solo: Vec<_> = imgs
+            .iter()
+            .map(|img| model.forward(img, &mut be).unwrap())
+            .collect();
+        assert_eq!(
+            fnv64_of_logits(&solo),
+            golden,
+            "integer logits drifted from the recorded bits ({:#018x})",
+            fnv64_of_logits(&solo)
+        );
+        let batched = model.forward_batch(&imgs, &mut be).unwrap();
+        assert_eq!(fnv64_of_logits(&batched), golden, "batched forward drifted");
+    }
+}
