@@ -18,6 +18,7 @@
 //! hardware decoding unit sees.
 
 use crate::scheme::{QuqCode, QuqParams, SpaceLayout};
+use quq_tensor::linalg::isa::{self, EncodePlan, EncodeRange, EncodeSide};
 use quq_tensor::{I16Tensor, IntTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
@@ -133,19 +134,70 @@ impl Decoded {
     }
 }
 
+/// Packs a [`QuqCode`] into the low `p + 1` bits of a byte.
+fn pack_code(code: QuqCode, p: u32) -> u8 {
+    let mask = (1u16 << p) - 1;
+    let payload = (code.code as i16 as u16) & mask;
+    (((code.fine as u16) << p) | payload) as u8
+}
+
+/// Flattens a parameter set into the plain numbers the encoder kernels of
+/// [`quq_tensor::linalg::isa`] run on: per sign, the fine and the coarse
+/// subrange (scale and code bounds, or absent), plus the bytes
+/// [`QuqParams::quantize`] gives zero-nearest, NaN and ±∞.
+fn encode_plan(params: &QuqParams) -> EncodePlan {
+    let p = params.payload_bits();
+    let range = |delta: Option<f32>, codes: Option<(i32, i32)>| match delta.zip(codes) {
+        Some((delta, (lo, hi))) => EncodeRange {
+            delta,
+            lo: lo as f32,
+            hi: hi as f32,
+            penalty: 0.0,
+        },
+        None => EncodeRange::ABSENT,
+    };
+    let (fine, coarse) = (params.fine(), params.coarse());
+    let zero = params.nearest_to_zero();
+    EncodePlan {
+        neg: EncodeSide {
+            fine: range(fine.neg_delta(), fine.neg_code_range(p)),
+            coarse: range(coarse.neg_delta(), coarse.neg_code_range(p)),
+        },
+        pos: EncodeSide {
+            fine: range(fine.pos_delta(), fine.pos_code_range(p)),
+            coarse: range(coarse.pos_delta(), coarse.pos_code_range(p)),
+        },
+        payload_mask: ((1u16 << p) - 1) as u8,
+        fine_flag: 1 << p,
+        zero_byte: pack_code(zero, p),
+        zero_value: params.dequantize(zero),
+        zero_fine: zero.fine,
+        nan_byte: pack_code(zero, p),
+        pos_inf_byte: pack_code(params.extreme_code(true), p),
+        neg_inf_byte: pack_code(params.extreme_code(false), p),
+    }
+}
+
 /// Encoder/decoder between [`QuqCode`]s, QUB bytes, and [`Decoded`]
 /// integers for one tensor's parameter set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubCodec {
     params: QuqParams,
     fc: FcRegisters,
+    base_delta: f32,
+    plan: EncodePlan,
 }
 
 impl QubCodec {
-    /// Builds the codec for a parameter set.
+    /// Builds the codec for a parameter set: FC registers, base scale and
+    /// the encoder plan are derived here, once.
     pub fn new(params: QuqParams) -> Self {
-        let fc = FcRegisters::from_params(&params);
-        Self { params, fc }
+        Self {
+            params,
+            fc: FcRegisters::from_params(&params),
+            base_delta: params.base_delta(),
+            plan: encode_plan(&params),
+        }
     }
 
     /// The underlying parameters.
@@ -160,16 +212,13 @@ impl QubCodec {
 
     /// The base scale `Δ` shipped with the tensor.
     pub fn base_delta(&self) -> f32 {
-        self.params.base_delta()
+        self.base_delta
     }
 
     /// Packs a [`QuqCode`] into a *b*-bit QUB (stored in the low bits of a
     /// byte; for b = 8 the byte layout matches the paper exactly).
     pub fn encode(&self, code: QuqCode) -> u8 {
-        let p = self.params.payload_bits();
-        let mask = (1u16 << p) - 1;
-        let payload = (code.code as i16 as u16) & mask;
-        (((code.fine as u16) << p) | payload) as u8
+        pack_code(code, self.params.payload_bits())
     }
 
     /// Decodes a QUB into `(D, n_sh)` using only the byte and the FC
@@ -178,7 +227,9 @@ impl QubCodec {
         decode_qub(qub, self.fc, self.params.bits())
     }
 
-    /// Quantizes a real value straight to its QUB byte.
+    /// Quantizes a real value straight to its QUB byte, one element at a
+    /// time through [`QuqParams::quantize`] — the oracle
+    /// [`encode_slice`](Self::encode_slice) is tested against.
     pub fn quantize(&self, x: f32) -> u8 {
         self.encode(self.params.quantize(x))
     }
@@ -188,15 +239,28 @@ impl QubCodec {
         self.decode(qub).scaled() as f32 * self.base_delta()
     }
 
+    /// Encodes `src` into `dst`, one byte per value, with the SIMD kernel
+    /// [`isa::resolve`] selects (bit-identical to [`quantize`](Self::quantize)
+    /// on every ISA). Returns the kernel family that ran.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices differ in length.
+    pub fn encode_slice(&self, src: &[f32], dst: &mut [u8]) -> isa::Isa {
+        isa::encode_qub(&self.plan, src, dst)
+    }
+
     /// Encodes a whole tensor to QUB bytes (row-major, one byte per value).
     pub fn encode_tensor(&self, t: &Tensor) -> QubTensor {
         let _span = quq_obs::span("qub.encode");
+        let mut bytes = vec![0u8; t.len()];
+        self.encode_slice(t.data(), &mut bytes);
         QubTensor::new(
-            t.data().iter().map(|&x| self.quantize(x)).collect(),
+            bytes,
             t.shape().to_vec(),
             self.fc,
             self.params.bits(),
-            self.base_delta(),
+            self.base_delta,
         )
     }
 }
@@ -575,6 +639,31 @@ mod tests {
         for (a, b) in back.data().iter().zip(direct.data()) {
             assert!((a - b).abs() <= 1e-4 * b.abs().max(1.0), "{a} vs {b}");
         }
+    }
+
+    /// The SIMD path against the per-element oracle on a dense grid, in
+    /// every mode, and on the inputs that have no candidate of their own
+    /// in an all-negative layout (they take the near-zero byte).
+    #[test]
+    fn encode_tensor_matches_per_element_quantize() {
+        for bits in [4u32, 6, 8] {
+            for params in all_mode_params(bits) {
+                let codec = QubCodec::new(params);
+                let mut values: Vec<f32> = (-1500..1500).map(|i| i as f32 * 0.008).collect();
+                values.extend([0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+                let n = values.len();
+                let qt = codec.encode_tensor(&Tensor::from_vec(values.clone(), &[n]).unwrap());
+                let want: Vec<u8> = values.iter().map(|&x| codec.quantize(x)).collect();
+                assert_eq!(qt.bytes, want, "{params:?}");
+            }
+        }
+        let all_neg = QubCodec::new(all_mode_params(6)[2]);
+        let near_zero = all_neg.encode(QuqCode {
+            fine: true,
+            code: -1,
+        });
+        let t = Tensor::from_vec(vec![0.0, f32::NAN, f32::INFINITY], &[3]).unwrap();
+        assert_eq!(all_neg.encode_tensor(&t).bytes, [near_zero; 3]);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl SpaceLayout {
     }
 
     /// Code range `[lo, hi]` for negative-side values, given payload bits `p`.
-    fn neg_code_range(&self, p: u32) -> Option<(i32, i32)> {
+    pub(crate) fn neg_code_range(&self, p: u32) -> Option<(i32, i32)> {
         match self {
             SpaceLayout::Split { .. } => Some((-(1 << (p - 1)), -1)),
             SpaceLayout::MergedNeg { .. } => Some((-(1 << p), -1)),
@@ -72,7 +72,7 @@ impl SpaceLayout {
     }
 
     /// Code range `[lo, hi]` for non-negative values, given payload bits `p`.
-    fn pos_code_range(&self, p: u32) -> Option<(i32, i32)> {
+    pub(crate) fn pos_code_range(&self, p: u32) -> Option<(i32, i32)> {
         match self {
             SpaceLayout::Split { .. } => Some((0, (1 << (p - 1)) - 1)),
             SpaceLayout::MergedPos { .. } => Some((0, (1 << p) - 1)),
@@ -140,11 +140,12 @@ impl QuqParams {
     ///   paper's QUBs are at most a byte);
     /// * any scale factor is non-positive or non-finite;
     /// * the scale factors violate Eq. 4 (each must be `2^k · Δ_base` for
-    ///   integer `k` in `0..=`[`MAX_SHIFT`]);
-    /// * no space covers zero (every tensor must be able to encode 0);
-    /// * both spaces are merged to *different* signs than Mode D describes
-    ///   is fine, but both merged to the same side must share the side
-    ///   (Mode B).
+    ///   integer `k` in `0..=`[`MAX_SHIFT`]).
+    ///
+    /// Every pairing of layouts is accepted, including all-negative ones
+    /// (Mode B on non-positive data, where no code is exactly zero): there
+    /// `0.0`, NaN and every positive input map to the smallest-magnitude
+    /// negative code, fine `−1`.
     pub fn new(bits: u32, fine: SpaceLayout, coarse: SpaceLayout) -> Result<Self, InvalidParams> {
         if !(2..=8).contains(&bits) {
             return Err(InvalidParams(format!("bit-width {bits} outside 2..=8")));
@@ -154,16 +155,6 @@ impl QuqParams {
             if !(d.is_finite() && d > 0.0) {
                 return Err(InvalidParams(format!("non-positive scale factor {d}")));
             }
-        }
-        // Zero must be representable: fine-pos, coarse-pos, or any split.
-        if params.fine.pos_code_range(params.payload_bits()).is_none()
-            && params
-                .coarse
-                .pos_code_range(params.payload_bits())
-                .is_none()
-        {
-            // All-negative layouts (Mode B on non-positive data) are allowed;
-            // zero then maps to the smallest-magnitude negative code.
         }
         // Eq. 4: power-of-two ratios within the 3-bit shift budget.
         let base = params.base_delta();
@@ -202,23 +193,21 @@ impl QuqParams {
         self.coarse
     }
 
-    /// All present scale factors.
-    pub fn deltas(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(4);
-        for s in [&self.fine, &self.coarse] {
-            if let Some(d) = s.neg_delta() {
-                out.push(d);
-            }
-            if let Some(d) = s.pos_delta() {
-                out.push(d);
-            }
-        }
-        out
+    /// All present scale factors (two to four of them), without allocating.
+    pub fn deltas(&self) -> impl Iterator<Item = f32> {
+        [
+            self.fine.neg_delta(),
+            self.fine.pos_delta(),
+            self.coarse.neg_delta(),
+            self.coarse.pos_delta(),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// The shared base scale `Δ` of Eq. 4 (the smallest present scale).
     pub fn base_delta(&self) -> f32 {
-        self.deltas().into_iter().fold(f32::INFINITY, f32::min)
+        self.deltas().fold(f32::INFINITY, f32::min)
     }
 
     /// The mode this parameter set realizes (paper Fig. 4).
@@ -317,7 +306,7 @@ impl QuqParams {
     /// The code with the largest (positive) or smallest (negative)
     /// representable value; falls back to the near-zero code when the
     /// requested side is not covered.
-    fn extreme_code(&self, positive: bool) -> QuqCode {
+    pub(crate) fn extreme_code(&self, positive: bool) -> QuqCode {
         let p = self.payload_bits();
         let mut best: Option<(QuqCode, f32)> = None;
         for (is_fine, space) in [(true, &self.fine), (false, &self.coarse)] {
@@ -359,7 +348,7 @@ impl QuqParams {
     }
 
     /// The representable code closest to zero.
-    fn nearest_to_zero(&self) -> QuqCode {
+    pub(crate) fn nearest_to_zero(&self) -> QuqCode {
         let p = self.payload_bits();
         if self.fine.pos_code_range(p).is_some() {
             QuqCode {
@@ -688,6 +677,30 @@ mod tests {
         .unwrap();
         let c = p.quantize(-3.0);
         assert_eq!(p.dequantize(c), 0.0);
+    }
+
+    /// All-negative Mode B has no code for exactly zero. `new` accepts it,
+    /// and everything with no negative candidate — `0.0`, NaN, `+∞`, any
+    /// positive value — lands on the smallest-magnitude code, fine `−1`.
+    /// The encoder plan is derived from this behaviour.
+    #[test]
+    fn all_negative_mode_b_maps_the_uncovered_side_to_fine_minus_one() {
+        let p = QuqParams::new(
+            6,
+            SpaceLayout::MergedNeg { delta: 0.01 },
+            SpaceLayout::MergedNeg { delta: 0.08 },
+        )
+        .expect("all-negative layouts are valid");
+        assert_eq!(p.mode(), Mode::B);
+        let near_zero = QuqCode {
+            fine: true,
+            code: -1,
+        };
+        for x in [0.0, -0.0, f32::NAN, f32::INFINITY, 3.0] {
+            assert_eq!(p.quantize(x), near_zero, "{x}");
+        }
+        assert_eq!(p.dequantize(near_zero), -0.01);
+        assert_eq!(p.max_representable(), None);
     }
 
     #[test]

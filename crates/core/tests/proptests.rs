@@ -2,6 +2,37 @@
 
 use proptest::prelude::*;
 use quq_core::{relax, Pra, PraConfig, QubCodec, QuqParams, SpaceLayout};
+use quq_tensor::linalg::isa::{self, Isa};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Tests that pin `QUQ_FORCE_ISA` or `QUQ_TUNE` hold this lock while they
+/// do, and put back what they found: `scripts/check.sh` pins the ISA from
+/// outside, once per kernel, and that pin must outlive the first test.
+static ENV: Mutex<()> = Mutex::new(());
+
+struct EnvPin {
+    saved: [(&'static str, Option<String>); 2],
+    _lock: MutexGuard<'static, ()>,
+}
+
+fn pin_env() -> EnvPin {
+    let lock = ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    EnvPin {
+        saved: ["QUQ_FORCE_ISA", "QUQ_TUNE"].map(|k| (k, std::env::var(k).ok())),
+        _lock: lock,
+    }
+}
+
+impl Drop for EnvPin {
+    fn drop(&mut self) {
+        for (key, value) in &self.saved {
+            match value {
+                Some(v) => std::env::set_var(key, v),
+                None => std::env::remove_var(key),
+            }
+        }
+    }
+}
 
 fn sample_strategy() -> impl Strategy<Value = Vec<f32>> {
     // Mixture of a tight bulk and occasional outliers, arbitrary signs.
@@ -46,11 +77,11 @@ proptest! {
         // Representable range covers the calibration extremes (Algorithm 1
         // never shrinks a scale factor) up to rounding slack of one step.
         if let Some(hi) = params.max_representable() {
-            let slack = params.deltas().iter().copied().fold(0.0f32, f32::max);
+            let slack = params.deltas().fold(0.0f32, f32::max);
             prop_assert!(hi + slack >= max * 0.999, "hi {hi} < max {max}");
         }
         if let Some(lo) = params.min_representable() {
-            let slack = params.deltas().iter().copied().fold(0.0f32, f32::max);
+            let slack = params.deltas().fold(0.0f32, f32::max);
             prop_assert!(lo - slack <= min * 0.999 + 1e-12, "lo {lo} > min {min}");
         }
     }
@@ -62,7 +93,7 @@ proptest! {
         let lo = params.min_representable().unwrap_or(0.0);
         prop_assume!(x >= lo && x <= hi);
         let err = (x - params.fake_quantize(x)).abs();
-        let coarsest = params.deltas().iter().copied().fold(0.0f32, f32::max);
+        let coarsest = params.deltas().fold(0.0f32, f32::max);
         prop_assert!(err <= coarsest / 2.0 + 1e-5, "err {err} > Δmax/2 {}", coarsest / 2.0);
     }
 
@@ -264,7 +295,8 @@ proptest! {
         // exhaustively tuned tiles (QUQ_TUNE=full) must reproduce the
         // reference bytes, pooled and serial. scripts/check.sh re-runs
         // this test once per ISA with QUQ_FORCE_ISA pinned from outside.
-        for &isa in quq_tensor::linalg::isa::supported() {
+        let _pin = pin_env();
+        for &isa in isa::supported() {
             std::env::set_var("QUQ_FORCE_ISA", isa.name());
             for tune_mode in ["off", "full"] {
                 std::env::set_var("QUQ_TUNE", tune_mode);
@@ -283,8 +315,6 @@ proptest! {
                 );
             }
         }
-        std::env::remove_var("QUQ_FORCE_ISA");
-        std::env::remove_var("QUQ_TUNE");
     }
 
     #[test]
@@ -311,4 +341,130 @@ fn space_layout_accessors_are_consistent() {
     let m = SpaceLayout::MergedPos { delta: 0.1 };
     assert_eq!(m.neg_delta(), None);
     assert_eq!(m.pos_delta(), Some(0.1));
+}
+
+/// `x` moved `ulps` representable values along the real line (through
+/// zero and the denormals).
+fn nudge(x: f32, ulps: i32) -> f32 {
+    let flip = |i: i32| if i < 0 { i32::MIN.wrapping_sub(i) } else { i };
+    f32::from_bits(flip(flip(x.to_bits() as i32) + ulps) as u32)
+}
+
+/// The nine fine × coarse layout pairings (Modes A–D and their mirror
+/// images) at one bit-width and base scale.
+fn every_layout_pairing(bits: u32, base: f32) -> Vec<QuqParams> {
+    let layout = |variant: usize, sh: (i32, i32)| {
+        let delta = |k: i32| base * (k as f32).exp2();
+        match variant {
+            0 => SpaceLayout::Split {
+                neg: delta(sh.0),
+                pos: delta(sh.1),
+            },
+            1 => SpaceLayout::MergedNeg { delta: delta(sh.0) },
+            _ => SpaceLayout::MergedPos { delta: delta(sh.1) },
+        }
+    };
+    let mut out = Vec::new();
+    for fine in 0..3 {
+        for coarse in 0..3 {
+            out.push(QuqParams::new(bits, layout(fine, (0, 1)), layout(coarse, (4, 3))).unwrap());
+        }
+    }
+    out
+}
+
+/// Where an encoder can go wrong: every representable value, every
+/// midpoint between neighbours, every half-step of every scale around
+/// every value (the rounding ties of `x / Δ`), each ±3 ulp; then zeros,
+/// denormals, the largest floats, NaN and ±∞.
+fn encoder_probes(params: &QuqParams) -> Vec<f32> {
+    let points = params.quantization_points();
+    let mut centres = points.clone();
+    centres.extend(points.windows(2).map(|w| (w[0] + w[1]) / 2.0));
+    for d in params.deltas() {
+        centres.extend(points.iter().flat_map(|&v| [v - d / 2.0, v + d / 2.0]));
+    }
+    centres.extend([0.0, -0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE]);
+    centres.extend([f32::MAX, f32::MIN, 1e-42, -1e-42]);
+    let mut probes: Vec<f32> = centres
+        .iter()
+        .flat_map(|&c| (-3..=3).map(move |u| nudge(c, u)))
+        .collect();
+    probes.extend([f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+    probes
+}
+
+/// The SIMD encoder behind `encode_tensor` against the per-element
+/// `QubCodec::quantize`, byte for byte: Modes A–D, bits 2–8, six base
+/// scales, every kernel this host has, and every slice offset and length
+/// 0..40 (an element's byte must not depend on where the vector tail
+/// starts). `scripts/check.sh` re-runs it with `QUQ_FORCE_ISA` pinned.
+#[test]
+fn encoder_matches_quantize_bitwise_on_every_isa() {
+    let _pin = pin_env();
+    for bits in 2..=8 {
+        for base in [0.013f32, 0.1, 3.1e-4, 1.7, 0.03125, 57.3] {
+            for params in every_layout_pairing(bits, base) {
+                let codec = QubCodec::new(params);
+                let probes = encoder_probes(&params);
+                let want: Vec<u8> = probes.iter().map(|&x| codec.quantize(x)).collect();
+                // A window that mixes ordinary values with the specials.
+                let tail = probes.len() - 80;
+                for &which in isa::supported() {
+                    std::env::set_var("QUQ_FORCE_ISA", which.name());
+                    let mut got = vec![0u8; probes.len()];
+                    codec.encode_slice(&probes, &mut got);
+                    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                        panic!(
+                            "{}: x = {:e} ({:#010x}) encoded {:#04x}, quantize says {:#04x} ({params:?})",
+                            which.name(),
+                            probes[i],
+                            probes[i].to_bits(),
+                            got[i],
+                            want[i],
+                        );
+                    }
+                    // One scale per bit-width is enough for the slice sweep:
+                    // it tests where the tail starts, not the arithmetic.
+                    let offsets = if base == 0.013 { 0..40 } else { 0..0 };
+                    for off in offsets {
+                        for len in 0..40 {
+                            let (lo, hi) = (tail + off, tail + off + len);
+                            let mut part = vec![0u8; len];
+                            codec.encode_slice(&probes[lo..hi], &mut part);
+                            assert_eq!(part, want[lo..hi], "{} off {off}", which.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The kernel matrix is only worth running if pinning an ISA changes the
+/// kernel that encodes. `encode_slice` returns the family that ran: it
+/// must be the pinned one, for every ISA this host has and for the pin
+/// `scripts/check.sh` sets from outside.
+#[test]
+fn encoder_runs_the_kernel_of_the_pinned_isa() {
+    let _pin = pin_env();
+    let family = |pinned: Isa| match pinned {
+        Isa::Avx512Vnni => Isa::Avx512,
+        Isa::Neon => Isa::Scalar,
+        other => other,
+    };
+    let codec = QubCodec::new(QuqParams::uniform(8, 0.05).unwrap());
+    let src: Vec<f32> = (0..100).map(|i| (i as f32 - 50.0) * 0.07).collect();
+    let mut dst = vec![0u8; src.len()];
+    if let Ok(outside) = std::env::var("QUQ_FORCE_ISA") {
+        let pinned = Isa::parse(&outside).expect("QUQ_FORCE_ISA names an ISA");
+        assert_eq!(codec.encode_slice(&src, &mut dst), family(pinned));
+    }
+    for &pinned in isa::supported() {
+        std::env::set_var("QUQ_FORCE_ISA", pinned.name());
+        assert_eq!(isa::resolve(), pinned);
+        assert_eq!(codec.encode_slice(&src, &mut dst), family(pinned));
+    }
+    std::env::remove_var("QUQ_FORCE_ISA");
+    assert_eq!(codec.encode_slice(&src, &mut dst), family(isa::detect()));
 }

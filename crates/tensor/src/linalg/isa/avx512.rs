@@ -8,7 +8,12 @@
 //! add into one instruction; seeded from zero and widened on the same
 //! cadence it computes the identical exact value. Remainders below 32
 //! elements re-enter the portable [`super::scalar::tile`] body.
+//!
+//! The file also holds the AVX-512 QUB encoder ([`encode_qub`]), sixteen
+//! `f32` lanes per step with mask registers for the comparisons; see
+//! [`super::encode`] for what it computes and why it is exact.
 
+use super::encode::{EncodePlan, EncodeRange, EPS};
 use std::arch::x86_64::*;
 
 /// Widens the sixteen exact `i32` lanes of `s` and adds them to `acc`.
@@ -179,3 +184,113 @@ super::isa_block_family!(
     vnni_tile,
     "avx512f,avx512bw,avx512vnni"
 );
+
+/// `neg ? n : p` broadcast per lane.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn by_sign(neg: __mmask16, n: f32, p: f32) -> __m512 {
+    _mm512_mask_blend_ps(neg, _mm512_set1_ps(p), _mm512_set1_ps(n))
+}
+
+/// Nearest code of the sign-selected subrange (as integral floats), its
+/// penalized error and the magnitude of its value — the operations of
+/// [`super::encode`]'s scalar `candidate`, sixteen lanes at a time.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn encode_candidate(
+    x: __m512,
+    neg: __mmask16,
+    n: &EncodeRange,
+    p: &EncodeRange,
+) -> (__m512, __m512, __m512) {
+    let delta = by_sign(neg, n.delta, p.delta);
+    let q = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+        _mm512_div_ps(x, delta),
+    );
+    let c = _mm512_min_ps(
+        _mm512_max_ps(q, by_sign(neg, n.lo, p.lo)),
+        by_sign(neg, n.hi, p.hi),
+    );
+    let v = _mm512_mul_ps(c, delta);
+    let err = _mm512_add_ps(
+        _mm512_abs_ps(_mm512_sub_ps(x, v)),
+        by_sign(neg, n.penalty, p.penalty),
+    );
+    (c, err, _mm512_abs_ps(v))
+}
+
+/// `cand` beats `best` on error, or ties within [`EPS`] and `tie` holds.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn encode_better(cand_err: __m512, best_err: __m512, tie: __mmask16) -> __mmask16 {
+    let eps = _mm512_set1_ps(EPS);
+    let closer = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(cand_err, _mm512_sub_ps(best_err, eps));
+    let tied =
+        _mm512_cmp_ps_mask::<_CMP_LE_OQ>(_mm512_abs_ps(_mm512_sub_ps(cand_err, best_err)), eps);
+    closer | (tied & tie)
+}
+
+/// AVX-512 QUB encoder: whole groups of sixteen elements of `src` into
+/// `dst`; returns how many elements it encoded (the caller's scalar
+/// kernel takes the rest). Bit-identical to [`super::encode`]'s scalar
+/// kernel. Uses AVX-512F only, so it serves the VNNI entry as well.
+///
+/// # Safety
+///
+/// Caller must have verified AVX-512F+BW at runtime. Slices of unequal
+/// length are handled (the shorter bounds the work).
+#[target_feature(enable = "avx512f,avx512bw")]
+pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
+    debug_assert_eq!(src.len(), dst.len());
+    let n = src.len().min(dst.len()) / 16 * 16;
+    let zero = _mm512_setzero_ps();
+    let payload = _mm512_set1_epi32(plan.payload_mask as i32);
+    let fine_flag = _mm512_set1_epi32(plan.fine_flag as i32);
+    let zero_value = _mm512_set1_ps(plan.zero_value);
+    let zero_mag = _mm512_abs_ps(zero_value);
+    let zero_fine: __mmask16 = if plan.zero_fine { !0 } else { 0 };
+    let mut i = 0usize;
+    while i < n {
+        debug_assert!(i + 16 <= src.len() && i + 16 <= dst.len());
+        // SAFETY: `i + 16 <= n <= src.len()`; unaligned load.
+        let x = _mm512_loadu_ps(src.as_ptr().add(i));
+        let neg = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, zero);
+        let (cf, ef, mf) = encode_candidate(x, neg, &plan.neg.fine, &plan.pos.fine);
+        let (cc, ec, mc) = encode_candidate(x, neg, &plan.neg.coarse, &plan.pos.coarse);
+        let coarse_wins = encode_better(ec, ef, _mm512_cmp_ps_mask::<_CMP_LT_OQ>(mc, mf));
+        let be = _mm512_mask_blend_ps(coarse_wins, ef, ec);
+        let bm = _mm512_mask_blend_ps(coarse_wins, mf, mc);
+        let fine_byte =
+            _mm512_or_si512(_mm512_and_si512(_mm512_cvtps_epi32(cf), payload), fine_flag);
+        let coarse_byte = _mm512_and_si512(_mm512_cvtps_epi32(cc), payload);
+        let best = _mm512_mask_blend_epi32(coarse_wins, fine_byte, coarse_byte);
+        let ez = _mm512_abs_ps(_mm512_sub_ps(x, zero_value));
+        let zero_tie = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(zero_mag, bm)
+            | (_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(zero_mag, bm) & zero_fine & coarse_wins);
+        let zero_wins = encode_better(ez, be, zero_tie);
+        let mut out =
+            _mm512_mask_blend_epi32(zero_wins, best, _mm512_set1_epi32(plan.zero_byte as i32));
+        out = _mm512_mask_blend_epi32(
+            _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x),
+            out,
+            _mm512_set1_epi32(plan.nan_byte as i32),
+        );
+        out = _mm512_mask_blend_epi32(
+            _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(x, _mm512_set1_ps(f32::INFINITY)),
+            out,
+            _mm512_set1_epi32(plan.pos_inf_byte as i32),
+        );
+        out = _mm512_mask_blend_epi32(
+            _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(x, _mm512_set1_ps(f32::NEG_INFINITY)),
+            out,
+            _mm512_set1_epi32(plan.neg_inf_byte as i32),
+        );
+        // SAFETY: `i + 16 <= n <= dst.len()`; an unaligned 16-byte store.
+        _mm_storeu_si128(
+            dst.as_mut_ptr().add(i) as *mut __m128i,
+            _mm512_cvtepi32_epi8(out),
+        );
+        i += 16;
+    }
+    n
+}

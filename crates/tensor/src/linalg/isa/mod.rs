@@ -1,4 +1,5 @@
-//! Runtime ISA dispatch for the packed-i16 GEMM microkernels.
+//! Runtime ISA dispatch for the packed-i16 GEMM microkernels and the QUB
+//! encoder kernels ([`encode`]) — the one module that holds SIMD `unsafe`.
 //!
 //! Every kernel family here computes the same thing — a block of output
 //! rows of `A[m,k] · B[n,k]ᵀ` with exact `i64` accumulation — through the
@@ -24,6 +25,7 @@
 //! [`BlockFn`] pointer — workers never re-query CPUID or the
 //! environment.
 
+pub mod encode;
 pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
@@ -33,6 +35,7 @@ pub mod avx512;
 #[cfg(target_arch = "aarch64")]
 pub mod neon;
 
+pub use encode::{encode_qub, EncodePlan, EncodeRange, EncodeSide};
 use std::sync::OnceLock;
 
 /// One microkernel family. Ordering is preference: later variants are
