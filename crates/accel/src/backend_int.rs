@@ -16,9 +16,9 @@ use crate::intfunc;
 use quq_core::calib::{Coverage, Operand, ParamKey};
 use quq_core::dot;
 use quq_core::pipeline::PtqTables;
-use quq_core::qub::{QubCodec, QubTensor};
+use quq_core::qub::{preshift_lut, QubCodec, QubTensor};
 use quq_core::scheme::QuqParams;
-use quq_tensor::{linalg, IntTensor, Tensor};
+use quq_tensor::{linalg, IntTensor, Tensor, TensorError};
 use quq_vit::backend::{Backend, BackendError, OpSite, Result};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -150,39 +150,75 @@ impl<'a> IntegerBackend<'a> {
             .ok_or(BackendError::MissingParams(site))
     }
 
-    /// SFU load path: quantizes a float tensor to `(integers, scale)` where
-    /// value ≈ integer × scale — exactly what [`crate::sim::Qua::sfu_load`]
-    /// produces from a QUB stream.
-    fn sfu_quantize(&self, site: OpSite, operand: Operand, x: &Tensor) -> Result<(IntTensor, f32)> {
-        let params = self.act_params(site, operand)?;
-        let codec = QubCodec::new(params);
-        let qt = codec.encode_tensor(x);
-        Ok((qt.decode_scaled(), qt.base_delta))
+    /// Encodes an activation with the parameters calibrated for its site.
+    fn encode(&self, site: OpSite, operand: Operand, x: &Tensor) -> Result<QubTensor> {
+        Ok(QubCodec::new(self.act_params(site, operand)?).encode_tensor(x))
     }
+}
 
-    /// Integer GEMM `C = A·Bᵀ` over already-encoded QUB operands, returning
-    /// the rescaled float result. Runs on the pre-shifted packed kernel
-    /// ([`dot::matmul_nt_qub`]).
-    fn int_matmul_nt_qub(&self, qa: &QubTensor, qb: &QubTensor) -> Result<Tensor> {
-        let accs = dot::matmul_nt_qub(qa, qb);
-        let scale = qa.base_delta * qb.base_delta;
-        let data: Vec<f32> = accs.into_iter().map(|v| v as f32 * scale).collect();
-        Tensor::from_vec(data, &[qa.shape[0], qb.shape[0]]).map_err(BackendError::from)
-    }
+/// The integer every code byte of `q`'s quantizer decodes to (`D << n_sh`,
+/// Eq. 6/7), indexed by byte: the decoding unit's whole truth table.
+fn decoded_codes(q: &QubTensor) -> IntTensor {
+    let codes: Vec<i32> = preshift_lut(q.fc, q.bits)
+        .into_iter()
+        .map(i32::from)
+        .collect();
+    let len = codes.len();
+    IntTensor::from_vec(codes, &[len]).expect("sized")
+}
 
-    /// Integer GEMM `C = A·Bᵀ` encoding both operands fresh (the
-    /// activation × activation case: neither operand recurs across images).
-    fn int_matmul_nt(
-        &self,
-        a_params: QuqParams,
-        b_params: QuqParams,
-        a: &Tensor,
-        b: &Tensor,
-    ) -> Result<Tensor> {
-        let qa = QubCodec::new(a_params).encode_tensor(a);
-        let qb = QubCodec::new(b_params).encode_tensor(b);
-        self.int_matmul_nt_qub(&qa, &qb)
+/// A per-code table padded to 256 entries, so indexing it with a byte
+/// needs no bounds check. Bytes at or above `2^b` never leave the encoder.
+fn by_byte<T: Copy + Default>(per_code: &[T]) -> [T; 256] {
+    let mut table = [T::default(); 256];
+    table[..per_code.len()].copy_from_slice(per_code);
+    table
+}
+
+/// SFU load path: the integers `d = D << n_sh` behind a QUB stream —
+/// exactly what [`crate::sim::Qua::sfu_load`] produces — straight from the
+/// bytes through the decode table, in the shape the row kernel wants.
+fn sfu_load(q: &QubTensor, shape: &[usize]) -> IntTensor {
+    let table = by_byte(decoded_codes(q).data());
+    let ints = q.bytes.iter().map(|&b| table[b as usize]).collect();
+    IntTensor::from_vec(ints, shape).expect("encode keeps the element count")
+}
+
+/// Integer GEMM `C = A·Bᵀ` over encoded operands on the pre-shifted packed
+/// kernel ([`dot::matmul_nt_qub`]), with the rescale and the bias applied
+/// in one pass over the accumulators: `(acc as f32 * scale) + b`, the same
+/// two roundings as a rescale pass followed by a bias pass.
+fn gemm_nt(
+    qa: &QubTensor,
+    qb: &QubTensor,
+    bias: Option<&Tensor>,
+    shape: &[usize],
+) -> Result<Tensor> {
+    let n = qb.shape[0];
+    if let Some(b) = bias.filter(|b| b.rank() != 1 || b.len() != n) {
+        return Err(BackendError::from(TensorError::ShapeMismatch {
+            lhs: vec![qa.shape[0], n],
+            rhs: b.shape().to_vec(),
+        }));
     }
+    let accs = dot::matmul_nt_qub(qa, qb);
+    let scale = qa.base_delta * qb.base_delta;
+    let mut data = vec![0.0f32; accs.len()];
+    match bias {
+        Some(b) => {
+            for (orow, arow) in data.chunks_mut(n.max(1)).zip(accs.chunks(n.max(1))) {
+                for ((o, &v), &b) in orow.iter_mut().zip(arow).zip(b.data()) {
+                    *o = v as f32 * scale + b;
+                }
+            }
+        }
+        None => {
+            for (o, &v) in data.iter_mut().zip(&accs) {
+                *o = v as f32 * scale;
+            }
+        }
+    }
+    Tensor::from_vec(data, shape).map_err(BackendError::from)
 }
 
 impl Backend for IntegerBackend<'_> {
@@ -196,43 +232,51 @@ impl Backend for IntegerBackend<'_> {
         if !self.coverage().covers(site.kind) {
             return Ok(linalg::linear(x, w, bias)?);
         }
-        let a_params = self.act_params(site, Operand::Input)?;
         let w_params = self.weight_params(site)?;
-        // Flatten leading axes like linalg::linear does.
+        // Flatten leading axes like linalg::linear does: the bytes are laid
+        // out the same either way, only the shape tag changes.
         let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
-        let x2 = x.reshape(&[rows, cols]).map_err(BackendError::from)?;
+        let mut qa = self.encode(site, Operand::Input, x)?;
+        qa.shape = vec![rows, cols];
         let w_src = self.tables.original_weight(&site).unwrap_or(w);
         // Weights recur image after image: encode + panel-decode once.
         let qw = self.weights.get_or_encode(site, w_params, w_src);
-        let qa = QubCodec::new(a_params).encode_tensor(&x2);
-        let y = self.int_matmul_nt_qub(&qa, &qw)?;
-        let y = match bias {
-            Some(b) => y.add_bias(b).map_err(BackendError::from)?,
-            None => y,
-        };
         let mut shape = x.shape().to_vec();
         *shape.last_mut().expect("rank >= 1") = w.shape()[0];
-        y.into_reshape(&shape).map_err(BackendError::from)
+        gemm_nt(&qa, &qw, bias, &shape)
     }
 
     fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(linalg::matmul(a, b)?);
         }
-        let a_params = self.act_params(site, Operand::Input)?;
-        let b_params = self.act_params(site, Operand::InputB)?;
-        // A[m,k]·B[k,n] = A·(Bᵀ)ᵀ: feed Bᵀ to the NT kernel.
-        let bt = b.transpose().map_err(BackendError::from)?;
-        self.int_matmul_nt(a_params, b_params, a, &bt)
+        let &[k, n] = b.shape() else {
+            return Err(BackendError::from(TensorError::RankMismatch {
+                expected: 2,
+                actual: b.rank(),
+            }));
+        };
+        let qa = self.encode(site, Operand::Input, a)?;
+        let qb = self.encode(site, Operand::InputB, b)?;
+        // A[m,k]·B[k,n] = A·(Bᵀ)ᵀ: feed Bᵀ to the NT kernel. Transposing
+        // the code bytes moves a quarter of what transposing `b` would.
+        let mut bt = vec![0u8; qb.bytes.len()];
+        for (p, row) in qb.bytes.chunks(n.max(1)).enumerate() {
+            for (j, &byte) in row.iter().enumerate() {
+                bt[j * k + p] = byte;
+            }
+        }
+        let qbt = QubTensor::new(bt, vec![n, k], qb.fc, qb.bits, qb.base_delta);
+        gemm_nt(&qa, &qbt, None, &[qa.shape[0], n])
     }
 
     fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(linalg::matmul_nt(a, b)?);
         }
-        let a_params = self.act_params(site, Operand::Input)?;
-        let b_params = self.act_params(site, Operand::InputB)?;
-        self.int_matmul_nt(a_params, b_params, a, b)
+        let qa = self.encode(site, Operand::Input, a)?;
+        let qb = self.encode(site, Operand::InputB, b)?;
+        gemm_nt(&qa, &qb, None, &[qa.shape[0], qb.shape[0]])
     }
 
     fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
@@ -240,9 +284,8 @@ impl Backend for IntegerBackend<'_> {
             return Ok(quq_tensor::nn::softmax(x)?);
         }
         let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
-        let (ints, scale) = self.sfu_quantize(site, Operand::Input, x)?;
-        let ints = ints.reshape(&[rows, cols]).map_err(BackendError::from)?;
-        let probs_fx = intfunc::i_softmax(&ints, scale);
+        let qx = self.encode(site, Operand::Input, x)?;
+        let probs_fx = intfunc::i_softmax(&sfu_load(&qx, &[rows, cols]), qx.base_delta);
         let out = probs_fx.to_f32(1.0 / intfunc::ONE as f32);
         out.into_reshape(x.shape()).map_err(BackendError::from)
     }
@@ -251,33 +294,54 @@ impl Backend for IntegerBackend<'_> {
         if !self.coverage().covers(site.kind) {
             return Ok(quq_tensor::nn::gelu_tensor(x));
         }
-        let (ints, scale) = self.sfu_quantize(site, Operand::Input, x)?;
-        Ok(intfunc::i_gelu(&ints, scale).to_f32(scale))
+        let qx = self.encode(site, Operand::Input, x)?;
+        let scale = qx.base_delta;
+        // The SFU's answer for every code, then one lookup per element.
+        let table = by_byte(
+            intfunc::i_gelu(&decoded_codes(&qx), scale)
+                .to_f32(scale)
+                .data(),
+        );
+        let data = qx.bytes.iter().map(|&b| table[b as usize]).collect();
+        Tensor::from_vec(data, x.shape()).map_err(BackendError::from)
     }
 
     fn layer_norm(&mut self, site: OpSite, x: &Tensor, g: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(quq_tensor::nn::layer_norm(x, g, b, 1e-6)?);
         }
-        let (ints, _scale) = self.sfu_quantize(site, Operand::Input, x)?;
+        let qx = self.encode(site, Operand::Input, x)?;
         // Output scale sized so ±4·max|γ| + max|β| fits an 8-bit-ish range.
         let g_max = g.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let b_max = b.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let out_scale = ((4.0 * g_max + b_max) / 127.0).max(1e-6);
-        Ok(intfunc::i_layer_norm(&ints, g, b, out_scale).to_f32(out_scale))
+        Ok(intfunc::i_layer_norm(&sfu_load(&qx, x.shape()), g, b, out_scale).to_f32(out_scale))
     }
 
     fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(a.add(b)?);
         }
+        if a.shape() != b.shape() {
+            return Err(BackendError::from(TensorError::ShapeMismatch {
+                lhs: a.shape().to_vec(),
+                rhs: b.shape().to_vec(),
+            }));
+        }
+        let qa = self.encode(site, Operand::Input, a)?;
+        let qb = self.encode(site, Operand::InputB, b)?;
         // The SFU adder sums the two decoded integer streams after scale
-        // alignment; numerically this equals adding the dequantized values.
-        let (ia, sa) = self.sfu_quantize(site, Operand::Input, a)?;
-        let (ib, sb) = self.sfu_quantize(site, Operand::InputB, b)?;
-        ia.to_f32(sa)
-            .add(&ib.to_f32(sb))
-            .map_err(BackendError::from)
+        // alignment; numerically this equals adding the dequantized values,
+        // and each operand has only 2^b of those.
+        let ta = by_byte(decoded_codes(&qa).to_f32(qa.base_delta).data());
+        let tb = by_byte(decoded_codes(&qb).to_f32(qb.base_delta).data());
+        let data = qa
+            .bytes
+            .iter()
+            .zip(&qb.bytes)
+            .map(|(&p, &q)| ta[p as usize] + tb[q as usize])
+            .collect();
+        Tensor::from_vec(data, a.shape()).map_err(BackendError::from)
     }
 }
 
@@ -294,6 +358,279 @@ mod tests {
         let tables = calibrate(&QuqMethod::without_optimization(), &model, &calib, cfg).unwrap();
         let eval = Dataset::teacher_labeled(&model, 12, 2).unwrap();
         (model, tables, eval)
+    }
+
+    /// The composition every op had before the code tables and the fused
+    /// passes: encode → `decode_scaled` → integer kernel over the whole
+    /// tensor → `to_f32`, an f32 transpose before `matmul`'s encode, and a
+    /// separate rescale, bias and reshape after each GEMM. The ops above
+    /// must reproduce it bit for bit.
+    struct Reference<'a>(IntegerBackend<'a>);
+
+    impl Reference<'_> {
+        fn sfu_quantize(
+            &self,
+            site: OpSite,
+            operand: Operand,
+            x: &Tensor,
+        ) -> Result<(IntTensor, f32)> {
+            let qt = QubCodec::new(self.0.act_params(site, operand)?).encode_tensor(x);
+            Ok((qt.decode_scaled(), qt.base_delta))
+        }
+
+        fn int_matmul_nt_qub(qa: &QubTensor, qb: &QubTensor) -> Result<Tensor> {
+            let accs = dot::matmul_nt_qub(qa, qb);
+            let scale = qa.base_delta * qb.base_delta;
+            let data: Vec<f32> = accs.into_iter().map(|v| v as f32 * scale).collect();
+            Tensor::from_vec(data, &[qa.shape[0], qb.shape[0]]).map_err(BackendError::from)
+        }
+
+        fn int_matmul_nt(&self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            let qa = QubCodec::new(self.0.act_params(site, Operand::Input)?).encode_tensor(a);
+            let qb = QubCodec::new(self.0.act_params(site, Operand::InputB)?).encode_tensor(b);
+            Self::int_matmul_nt_qub(&qa, &qb)
+        }
+    }
+
+    impl Backend for Reference<'_> {
+        fn linear(
+            &mut self,
+            site: OpSite,
+            x: &Tensor,
+            w: &Tensor,
+            bias: Option<&Tensor>,
+        ) -> Result<Tensor> {
+            let a_params = self.0.act_params(site, Operand::Input)?;
+            let w_params = self.0.weight_params(site)?;
+            let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
+            let x2 = x.reshape(&[rows, cols]).map_err(BackendError::from)?;
+            let w_src = self.0.tables.original_weight(&site).unwrap_or(w);
+            let qw = self.0.weights.get_or_encode(site, w_params, w_src);
+            let qa = QubCodec::new(a_params).encode_tensor(&x2);
+            let y = Self::int_matmul_nt_qub(&qa, &qw)?;
+            let y = match bias {
+                Some(b) => y.add_bias(b).map_err(BackendError::from)?,
+                None => y,
+            };
+            let mut shape = x.shape().to_vec();
+            *shape.last_mut().expect("rank >= 1") = w.shape()[0];
+            y.into_reshape(&shape).map_err(BackendError::from)
+        }
+
+        fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            let bt = b.transpose().map_err(BackendError::from)?;
+            self.int_matmul_nt(site, a, &bt)
+        }
+
+        fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            self.int_matmul_nt(site, a, b)
+        }
+
+        fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
+            let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
+            let (ints, scale) = self.sfu_quantize(site, Operand::Input, x)?;
+            let ints = ints.reshape(&[rows, cols]).map_err(BackendError::from)?;
+            let out = intfunc::i_softmax(&ints, scale).to_f32(1.0 / intfunc::ONE as f32);
+            out.into_reshape(x.shape()).map_err(BackendError::from)
+        }
+
+        fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
+            let (ints, scale) = self.sfu_quantize(site, Operand::Input, x)?;
+            Ok(intfunc::i_gelu(&ints, scale).to_f32(scale))
+        }
+
+        fn layer_norm(
+            &mut self,
+            site: OpSite,
+            x: &Tensor,
+            g: &Tensor,
+            b: &Tensor,
+        ) -> Result<Tensor> {
+            let (ints, _scale) = self.sfu_quantize(site, Operand::Input, x)?;
+            let g_max = g.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+            let b_max = b.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+            let out_scale = ((4.0 * g_max + b_max) / 127.0).max(1e-6);
+            Ok(intfunc::i_layer_norm(&ints, g, b, out_scale).to_f32(out_scale))
+        }
+
+        fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            let (ia, sa) = self.sfu_quantize(site, Operand::Input, a)?;
+            let (ib, sb) = self.sfu_quantize(site, Operand::InputB, b)?;
+            ia.to_f32(sa)
+                .add(&ib.to_f32(sb))
+                .map_err(BackendError::from)
+        }
+    }
+
+    /// Runs every op on both backends and insists on the same bits.
+    struct Lockstep<'a> {
+        ops: IntegerBackend<'a>,
+        reference: Reference<'a>,
+        compared: usize,
+    }
+
+    impl<'a> Lockstep<'a> {
+        fn new(tables: &'a PtqTables) -> Self {
+            Self {
+                ops: IntegerBackend::new(tables),
+                reference: Reference(IntegerBackend::new(tables)),
+                compared: 0,
+            }
+        }
+
+        fn same(
+            &mut self,
+            site: OpSite,
+            got: Result<Tensor>,
+            want: Result<Tensor>,
+        ) -> Result<Tensor> {
+            let (got, want) = (got?, want?);
+            assert_eq!(got.shape(), want.shape(), "{site}: shape");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{site}: bits");
+            self.compared += 1;
+            Ok(got)
+        }
+    }
+
+    impl Backend for Lockstep<'_> {
+        fn linear(
+            &mut self,
+            site: OpSite,
+            x: &Tensor,
+            w: &Tensor,
+            bias: Option<&Tensor>,
+        ) -> Result<Tensor> {
+            let (got, want) = (
+                self.ops.linear(site, x, w, bias),
+                self.reference.linear(site, x, w, bias),
+            );
+            self.same(site, got, want)
+        }
+
+        fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            let (got, want) = (
+                self.ops.matmul(site, a, b),
+                self.reference.matmul(site, a, b),
+            );
+            self.same(site, got, want)
+        }
+
+        fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            let (got, want) = (
+                self.ops.matmul_nt(site, a, b),
+                self.reference.matmul_nt(site, a, b),
+            );
+            self.same(site, got, want)
+        }
+
+        fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
+            let (got, want) = (self.ops.softmax(site, x), self.reference.softmax(site, x));
+            self.same(site, got, want)
+        }
+
+        fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
+            let (got, want) = (self.ops.gelu(site, x), self.reference.gelu(site, x));
+            self.same(site, got, want)
+        }
+
+        fn layer_norm(
+            &mut self,
+            site: OpSite,
+            x: &Tensor,
+            g: &Tensor,
+            b: &Tensor,
+        ) -> Result<Tensor> {
+            let (got, want) = (
+                self.ops.layer_norm(site, x, g, b),
+                self.reference.layer_norm(site, x, g, b),
+            );
+            self.same(site, got, want)
+        }
+
+        fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+            let (got, want) = (self.ops.add(site, a, b), self.reference.add(site, a, b));
+            self.same(site, got, want)
+        }
+    }
+
+    /// Activations of a real forward, solo and batched, at both presets
+    /// (whose fits land on different layouts per site): every op call of
+    /// every site is checked against the reference on the tensors the model
+    /// actually produces.
+    #[test]
+    fn every_op_matches_the_reference_on_a_real_forward() {
+        for cfg in [PtqConfig::full_w6a6(), PtqConfig::full_w8a8()] {
+            let (model, tables, eval) = setup(cfg);
+            let images = &eval.images[..2];
+            let mut both = Lockstep::new(&tables);
+            model.forward(&images[0], &mut both).unwrap();
+            let per_forward = both.compared;
+            assert!(per_forward > 20, "only {per_forward} ops compared");
+            model.forward_batch(images, &mut both).unwrap();
+            assert!(both.compared > 2 * per_forward, "attention runs per image");
+        }
+    }
+
+    /// Random tensors the model never produces: leading axes to flatten,
+    /// values far outside the calibrated range, NaN and ±∞ in every
+    /// operand, with and without a bias.
+    #[test]
+    fn every_op_matches_the_reference_on_random_tensors() {
+        use quq_tensor::rng::standard_normal;
+        use quq_vit::OpKind;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let (model, tables, _) = setup(PtqConfig::full_w6a6());
+        let block = &model.weights().stages[0].blocks[0];
+        let dim = block.embed_dim;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut random = |shape: &[usize], spread: f32| {
+            let len: usize = shape.iter().product();
+            let mut data: Vec<f32> = (0..len)
+                .map(|i| {
+                    standard_normal(&mut rng) * if i % 13 == 0 { 40.0 * spread } else { spread }
+                })
+                .collect();
+            for (i, special) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]
+                .into_iter()
+                .enumerate()
+            {
+                data[(i * 7 + 3) % len] = special;
+            }
+            Tensor::from_vec(data, shape).unwrap()
+        };
+        let mut both = Lockstep::new(&tables);
+        let site = |kind| OpSite::in_block(0, kind);
+        for spread in [0.05f32, 1.0, 30.0] {
+            let x = random(&[2, 3, dim], spread);
+            let y = random(&[2, 3, dim], spread);
+            both.linear(site(OpKind::Qkv), &x, &block.qkv_w, Some(&block.qkv_b))
+                .unwrap();
+            both.linear(site(OpKind::AttnProj), &x, &block.proj_w, None)
+                .unwrap();
+            both.layer_norm(site(OpKind::Norm1), &x, &block.ln1_g, &block.ln1_b)
+                .unwrap();
+            both.add(site(OpKind::Residual1), &x, &y).unwrap();
+            both.gelu(site(OpKind::Gelu), &random(&[2, 3, 11], spread))
+                .unwrap();
+            both.softmax(site(OpKind::Softmax), &random(&[2, 3, 7], spread))
+                .unwrap();
+            both.matmul_nt(
+                site(OpKind::QkMatmul),
+                &random(&[5, 9], spread),
+                &random(&[4, 9], spread),
+            )
+            .unwrap();
+            both.matmul(
+                site(OpKind::PvMatmul),
+                &random(&[5, 9], spread),
+                &random(&[9, 4], spread),
+            )
+            .unwrap();
+        }
+        assert_eq!(both.compared, 3 * 8);
     }
 
     #[test]

@@ -135,22 +135,19 @@ pub fn i_softmax(x: &IntTensor, scale: f32) -> IntTensor {
     // Scale multiplier to fixed point, computed once (hardware: M/2^N).
     let s_fx = (scale as f64 * ONE as f64).round() as i64;
     let mut out = vec![0i32; x.len()];
-    for (r, row) in x.data().chunks(cols).enumerate() {
+    let mut exps = vec![0i64; cols];
+    for (row, orow) in x.data().chunks(cols).zip(out.chunks_mut(cols)) {
         let max = row.iter().copied().max().unwrap_or(0);
-        let mut exps = vec![0i64; cols];
         let mut sum = 0i64;
-        for (c, &q) in row.iter().enumerate() {
+        for (e, &q) in exps.iter_mut().zip(row) {
             let t_fx = (q as i64 - max as i64) * s_fx; // ≤ 0, fixed point
-            let e = i_exp(t_fx);
-            exps[c] = e;
-            sum += e;
+            *e = i_exp(t_fx);
+            sum += *e;
         }
-        for (c, &e) in exps.iter().enumerate() {
-            out[r * cols + c] = if sum > 0 {
-                ((e << FRAC_BITS) / sum) as i32
-            } else {
-                0
-            };
+        if sum > 0 {
+            for (o, &e) in orow.iter_mut().zip(&exps) {
+                *o = ((e << FRAC_BITS) / sum) as i32;
+            }
         }
     }
     IntTensor::from_vec(out, x.shape()).expect("sized")
@@ -194,12 +191,17 @@ pub fn i_gelu(x: &IntTensor, scale: f32) -> IntTensor {
 /// output scale `out_scale` chosen by the caller (`y_q = y / out_scale`).
 ///
 /// The per-row statistics are exact: with `d = v·n − Σv` (the deviation
-/// times `n`), the squared-deviation sum `Σd²` is accumulated in 128-bit
-/// integers and `n·std = √(Σd²/n)` is extracted with round-to-nearest
+/// times `n`), the squared-deviation sum `Σd²` is accumulated without
+/// truncation and `n·std = √(Σd²/n)` is extracted with round-to-nearest
 /// division and square root. An earlier version accumulated `(d/n)²` with
 /// truncating division — biasing the std low for small-magnitude rows
 /// (codes within `±n` of the mean contribute *zero*) — and could overflow
 /// `i64` for large codes × wide rows.
+///
+/// Each row runs in 64-bit arithmetic when `row_fits_i64` proves that no
+/// intermediate can leave ±2^62 — every row a QUB-decoded activation can
+/// produce at ViT widths — and in 128-bit arithmetic otherwise. Both
+/// compute the same exact integers, so the choice never changes a bit.
 ///
 /// # Panics
 ///
@@ -210,52 +212,184 @@ pub fn i_layer_norm(x: &IntTensor, gamma: &Tensor, beta: &Tensor, out_scale: f32
     assert_eq!(gamma.len(), cols, "gamma length mismatch");
     assert_eq!(beta.len(), cols, "beta length mismatch");
     // Fixed-point gamma/out_scale and beta/out_scale.
-    let g_fx: Vec<i64> = gamma
-        .data()
-        .iter()
-        .map(|&g| ((g / out_scale) as f64 * ONE as f64).round() as i64)
-        .collect();
-    let b_fx: Vec<i64> = beta
-        .data()
-        .iter()
-        .map(|&b| ((b / out_scale) as f64 * ONE as f64).round() as i64)
-        .collect();
-    let mut out = vec![0i32; x.len()];
-    for (r, row) in x.data().chunks(cols).enumerate() {
-        // Integer mean and variance of the raw codes (scale cancels in the
-        // normalized value). All deviations are carried scaled by n, so no
-        // truncating division happens before the final normalization:
-        // d = v·n − Σv = (v − mean)·n exactly.
-        let n = cols as i128;
-        let sum: i128 = row.iter().map(|&v| v as i128).sum();
-        // Σd² ≤ n·(2·2³¹·n)²: exact in u128 for any realistic row width
-        // (safe through n ≤ 2²⁰ even at extreme i32 codes).
-        let sum_d2: u128 = row
+    let to_fx = |t: &Tensor| -> Vec<i64> {
+        t.data()
             .iter()
-            .map(|&v| {
-                let d = v as i128 * n - sum;
-                (d * d) as u128
-            })
-            .sum();
-        // n·std = √(Σd²/n), round-to-nearest at both steps; the n× scaling
-        // keeps integer-sqrt granularity error at the 1/n level instead of
-        // one whole code.
-        let std_n = isqrt_round_u128((sum_d2 + (n as u128) / 2) / n as u128).max(1) as i128;
-        for (c, &v) in row.iter().enumerate() {
-            let centered = v as i128 * n - sum; // (v − mean)·n
-                                                // normalized = centered / (n·std); to fixed point:
-            let norm_fx = div_round(centered << FRAC_BITS, std_n);
-            let y_fx = div_round(g_fx[c] as i128 * norm_fx, ONE as i128) + b_fx[c] as i128;
-            out[r * cols + c] = div_round(y_fx, ONE as i128) as i32;
+            .map(|&p| ((p / out_scale) as f64 * ONE as f64).round() as i64)
+            .collect()
+    };
+    let (g_fx, b_fx) = (to_fx(gamma), to_fx(beta));
+    let max_abs = |fx: &[i64]| fx.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    let (g_max, b_max) = (max_abs(&g_fx), max_abs(&b_fx));
+    let mut out = vec![0i32; x.len()];
+    for (row, orow) in x.data().chunks(cols).zip(out.chunks_mut(cols)) {
+        let v_max = row.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+        if row_fits_i64(v_max, cols, g_max, b_max) {
+            layer_norm_row_i64(row, &g_fx, &b_fx, orow);
+        } else {
+            layer_norm_row_i128(row, &g_fx, &b_fx, orow);
         }
     }
     IntTensor::from_vec(out, x.shape()).expect("sized")
 }
 
+/// Whether [`layer_norm_row_i64`] is exact for a row of `n` codes with
+/// `max|v| = v_max` under fixed-point parameters bounded by `g_max` and
+/// `b_max`: every intermediate it forms is bounded here, in `u128`, and
+/// must stay within 2^62 (which leaves the rounding terms their headroom
+/// below 2^63).
+fn row_fits_i64(v_max: u32, n: usize, g_max: u64, b_max: u64) -> bool {
+    const LIMIT: u128 = 1 << 62;
+    // |v·n − Σv| ≤ 2·max|v|·n, and |centered << 16| is that times 2^16. It
+    // also bounds |norm_fx|, because n·std ≥ 1.
+    let d = 2 * v_max as u128 * n as u128;
+    let scaled = d << FRAC_BITS;
+    if scaled > LIMIT {
+        return false;
+    }
+    // Σd² ≤ n·d².
+    let sum_d2 = d.saturating_mul(d).saturating_mul(n as u128);
+    // |γ·norm_fx| and |y_fx| = |γ·norm_fx / 2^16 + β|, with their rounding
+    // terms; `scaled ≤ 2^62` keeps these sums far inside `u128`.
+    let product = g_max as u128 * (scaled + 1) + ONE as u128;
+    let y = product / ONE as u128 + b_max as u128 + ONE as u128;
+    sum_d2 <= LIMIT && product <= LIMIT && y <= LIMIT
+}
+
+/// One LayerNorm row in 128-bit arithmetic: exact for any `i32` codes and
+/// any realistic row width (Σd² ≤ n·(2·2³¹·n)² fits `u128` through
+/// n ≤ 2²⁰).
+fn layer_norm_row_i128(row: &[i32], g_fx: &[i64], b_fx: &[i64], out: &mut [i32]) {
+    // Integer mean and variance of the raw codes (scale cancels in the
+    // normalized value). All deviations are carried scaled by n, so no
+    // truncating division happens before the final normalization:
+    // d = v·n − Σv = (v − mean)·n exactly.
+    let n = row.len() as i128;
+    let sum: i128 = row.iter().map(|&v| v as i128).sum();
+    let sum_d2: u128 = row
+        .iter()
+        .map(|&v| {
+            let d = v as i128 * n - sum;
+            (d * d) as u128
+        })
+        .sum();
+    // n·std = √(Σd²/n), round-to-nearest at both steps; the n× scaling
+    // keeps integer-sqrt granularity error at the 1/n level instead of
+    // one whole code.
+    let std_n = isqrt_round_u128((sum_d2 + (n as u128) / 2) / n as u128).max(1) as i128;
+    for (c, &v) in row.iter().enumerate() {
+        let centered = v as i128 * n - sum; // (v − mean)·n
+        let norm_fx = div_round(centered << FRAC_BITS, std_n); // centered / (n·std)
+        let y_fx = div_round(g_fx[c] as i128 * norm_fx, ONE as i128) + b_fx[c] as i128;
+        out[c] = div_round(y_fx, ONE as i128) as i32;
+    }
+}
+
+/// [`div_round`] in 64 bits.
+fn div_round_i64(num: i64, den: i64) -> i64 {
+    debug_assert!(den > 0);
+    if num >= 0 {
+        (num + den / 2) / den
+    } else {
+        -((-num + den / 2) / den)
+    }
+}
+
+/// [`layer_norm_row_i128`] in 64-bit arithmetic, statement for statement.
+/// Only called under [`row_fits_i64`].
+fn layer_norm_row_i64(row: &[i32], g_fx: &[i64], b_fx: &[i64], out: &mut [i32]) {
+    let n = row.len() as i64;
+    let sum: i64 = row.iter().map(|&v| v as i64).sum();
+    let sum_d2: u64 = row
+        .iter()
+        .map(|&v| {
+            let d = v as i64 * n - sum;
+            (d * d) as u64
+        })
+        .sum();
+    let std_n = isqrt_round_u128(((sum_d2 + n as u64 / 2) / n as u64) as u128).max(1) as i64;
+    for (c, &v) in row.iter().enumerate() {
+        let centered = v as i64 * n - sum;
+        let norm_fx = div_round_i64(centered << FRAC_BITS, std_n);
+        let y_fx = div_round_i64(g_fx[c] * norm_fx, ONE) + b_fx[c];
+        out[c] = div_round_i64(y_fx, ONE) as i32;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use quq_tensor::nn;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Inside the guard the 64-bit row path and the 128-bit one are the
+        /// same function. Codes reach past the QUB range (2^14) up to 2^18,
+        /// where wide rows start to fail the guard and are skipped; debug
+        /// builds would also panic on any `i64` overflow the guard failed
+        /// to rule out.
+        #[test]
+        fn layer_norm_i64_and_i128_rows_agree_inside_the_guard(
+            raw in prop::collection::vec(-(1i32 << 14)..=(1 << 14), 1..600),
+            shift in 0u32..=4,
+            g in -40.0f64..40.0,
+            b in -300.0f64..300.0,
+        ) {
+            let row: Vec<i32> = raw.iter().map(|&v| v << shift).collect();
+            let n = row.len();
+            let fx = |p: f64, i: usize| ((p * (1.0 + i as f64 / n as f64)) * ONE as f64).round() as i64;
+            let g_fx: Vec<i64> = (0..n).map(|i| fx(g, i)).collect();
+            let b_fx: Vec<i64> = (0..n).map(|i| fx(b, i)).collect();
+            let max_abs = |fx: &[i64]| fx.iter().map(|v| v.unsigned_abs()).max().unwrap();
+            let v_max = row.iter().map(|v| v.unsigned_abs()).max().unwrap();
+            prop_assume!(row_fits_i64(v_max, n, max_abs(&g_fx), max_abs(&b_fx)));
+            let (mut narrow, mut wide) = (vec![0i32; n], vec![0i32; n]);
+            layer_norm_row_i64(&row, &g_fx, &b_fx, &mut narrow);
+            layer_norm_row_i128(&row, &g_fx, &b_fx, &mut wide);
+            prop_assert_eq!(narrow, wide);
+        }
+    }
+
+    /// The rows that press hardest on the guard: every code at ±max|v| for
+    /// the largest max|v| the guard admits at that width, with the std
+    /// clamped to 1 (a constant row) or at its maximum (alternating signs),
+    /// and every parameter at its bound.
+    #[test]
+    fn layer_norm_i64_row_is_exact_at_the_guards_edge() {
+        for n in [1usize, 2, 7, 64, 384, 1024, 4096] {
+            for (g_max, b_max) in [(1u64 << 21, 1u64 << 24), (1 << 30, 1 << 40), (0, 0)] {
+                let mut v_max = 0u32;
+                for bit in (0..31).rev() {
+                    if row_fits_i64(v_max | 1 << bit, n, g_max, b_max) {
+                        v_max |= 1 << bit;
+                    }
+                }
+                assert!(!row_fits_i64(v_max + 1, n, g_max, b_max));
+                let v = v_max as i32;
+                let rows: [Vec<i32>; 3] = [
+                    vec![v; n],
+                    (0..n).map(|i| if i % 2 == 0 { v } else { -v }).collect(),
+                    (0..n).map(|i| if i == 0 { v } else { -v }).collect(),
+                ];
+                for sign in [1i64, -1] {
+                    let g_fx = vec![sign * g_max as i64; n];
+                    let b_fx = vec![sign * b_max as i64; n];
+                    for row in &rows {
+                        let (mut narrow, mut wide) = (vec![0i32; n], vec![0i32; n]);
+                        layer_norm_row_i64(row, &g_fx, &b_fx, &mut narrow);
+                        layer_norm_row_i128(row, &g_fx, &b_fx, &mut wide);
+                        assert_eq!(narrow, wide, "n {n} v_max {v_max} g {g_max}");
+                    }
+                }
+            }
+        }
+        // QUB-decoded activations (|v| ≤ 2^14) at ViT widths with the
+        // backend's parameter range (|γ/out_scale| ≤ 32) take the fast path.
+        assert!(row_fits_i64(1 << 14, 384, 32 << FRAC_BITS, 32 << FRAC_BITS));
+        assert!(row_fits_i64(1 << 14, 768, 32 << FRAC_BITS, 32 << FRAC_BITS));
+    }
 
     #[test]
     fn i_exp2_matches_float() {
@@ -399,6 +533,8 @@ mod tests {
         let codes: Vec<i32> = (0..cols as i32)
             .map(|i| if i % 2 == 0 { big } else { -big })
             .collect();
+        // Far outside the 64-bit guard: this row stays on the 128-bit path.
+        assert!(!row_fits_i64(big as u32, cols, 1 << 21, 1 << 21));
         let x = IntTensor::from_vec(codes, &[1, cols]).unwrap();
         let gamma = Tensor::from_vec(vec![1.5; cols], &[cols]).unwrap();
         let beta = Tensor::from_vec(vec![0.25; cols], &[cols]).unwrap();

@@ -8,7 +8,7 @@
 //! one-widen-per-16 kernel. Remainders below 16 elements re-enter the
 //! portable [`super::scalar::tile`] body.
 //!
-//! The file also holds the AVX2 QUB encoder ([`encode_qub`]), eight `f32`
+//! The file also holds the AVX2 QUB encoder (`encode_qub`), eight `f32`
 //! lanes per step; see [`super::encode`] for what it computes and why it
 //! is exact.
 

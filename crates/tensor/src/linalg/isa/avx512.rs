@@ -9,7 +9,7 @@
 //! cadence it computes the identical exact value. Remainders below 32
 //! elements re-enter the portable [`super::scalar::tile`] body.
 //!
-//! The file also holds the AVX-512 QUB encoder ([`encode_qub`]), sixteen
+//! The file also holds the AVX-512 QUB encoder (`encode_qub`), sixteen
 //! `f32` lanes per step with mask registers for the comparisons; see
 //! [`super::encode`] for what it computes and why it is exact.
 
