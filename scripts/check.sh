@@ -20,22 +20,32 @@ echo "==> tier-2: packed-kernel proptests under a 4-worker pool"
 QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 
 echo "==> tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
-# One proptest pass per host-supported kernel ISA with the dispatch pinned.
-# `--list-isas` always reports scalar, so the portable kernel is always in
-# the matrix even on fully-featured hosts.
+# One proptest pass per host-supported kernel ISA with the dispatch pinned:
+# the packed GEMM against its reference, the QUB encoder against the
+# per-element quantizer, and a check that the encoder really ran the pinned
+# kernel. `--list-isas` always reports scalar, so the portable kernels are
+# always in the matrix even on fully-featured hosts.
 isas="$(cargo run --release -q -p quq-bench --bin throughput -- --list-isas)"
 case "$isas" in *scalar*) ;; *)
     echo "kernel matrix: scalar ISA missing from --list-isas" >&2; exit 1;;
 esac
 for isa in $isas; do
     echo "    ISA: $isa"
-    QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests \
-        packed_matmul_matches_reference_bitwise
+    QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests -- \
+        packed_matmul_matches_reference_bitwise encoder_
 done
 
 echo "==> tier-2: batched-forward bit-identity under a 4-worker pool"
 QUQ_THREADS=4 cargo test -q -p quq-vit --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-accel --test batch_identity
+
+echo "==> tier-2: benchmark builds against the crates and its quick run passes"
+# `benchmark/` is its own package, so tier-1 never compiles it: this is the
+# one step that notices an API the benchmark uses going missing. The run
+# checks every output against the solo-forward oracle and exits non-zero on
+# a flipped bit.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload offline_int_b8 --seconds 2
 
 echo "==> tier-2: throughput smoke (quick config, determinism gate)"
 smoke_out=target/bench_smoke.json
