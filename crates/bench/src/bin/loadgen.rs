@@ -29,9 +29,7 @@
 //!    event-loop front end on the tiny test model (so the *front end*,
 //!    not the forward pass, is the stressed component): throughput,
 //!    p50/p99, per-connection RSS, and a zero-desync gate (every response
-//!    bit-exact, matched by id). The top point is re-run against the
-//!    legacy thread-per-connection front end for an equal-core
-//!    throughput comparison;
+//!    bit-exact, matched by id);
 //! 6. **Pipelined client** — one connection with 32 requests in flight
 //!    (matched by id) vs the same connection closed-loop, showing what
 //!    request pipelining buys;
@@ -66,8 +64,8 @@ use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::quantizer::QuqMethod;
 use quq_serve::BackendProvider;
 use quq_serve::{
-    sys, Class, Client, Fp32Provider, Frontend, InferOptions, InferResponse, IntegerProvider,
-    ModelState, ServeConfig, Server,
+    sys, Class, Client, Fp32Provider, InferOptions, InferResponse, IntegerProvider, ModelState,
+    ServeConfig, Server,
 };
 use quq_tensor::{pool, Tensor};
 use quq_vit::{
@@ -343,7 +341,7 @@ fn fixed_rate(
 /// f32 backend (cheap forwards — the *front end* is the bottleneck) with
 /// an admission queue deep enough that every connection can have one
 /// request in flight without shedding.
-fn sweep_server(model: &Arc<VitModel>, frontend: Frontend) -> Server {
+fn sweep_server(model: &Arc<VitModel>) -> Server {
     Server::start(
         Arc::clone(model),
         Arc::new(Fp32Provider),
@@ -352,7 +350,6 @@ fn sweep_server(model: &Arc<VitModel>, frontend: Frontend) -> Server {
             max_batch: 32,
             max_wait: Duration::from_millis(1),
             queue_capacity: 4096,
-            frontend,
             reactors: 1,
             ..ServeConfig::default()
         },
@@ -483,11 +480,10 @@ fn measure_conn_point(
     model: &Arc<VitModel>,
     img: &Tensor,
     offline: &[f32],
-    frontend: Frontend,
     conns: usize,
     rounds: usize,
 ) -> ConnPoint {
-    let server = sweep_server(model, frontend);
+    let server = sweep_server(model);
     let addr = server.local_addr();
     let (seconds, mut lats, errors, rss_per_conn_kib) =
         conn_point(addr, img, offline, conns, rounds);
@@ -502,17 +498,8 @@ fn measure_conn_point(
         errors,
     };
     println!(
-        "  {:>15} {:5} conns: {:8.1} img/s  p50 {:6.1}ms  p99 {:6.1}ms  ~{:.1} KiB/conn  errors {}",
-        match frontend {
-            Frontend::EventLoop => "event-loop",
-            Frontend::ThreadPerConn => "thread-per-conn",
-        },
-        p.conns,
-        p.images_per_sec,
-        p.p50_ms,
-        p.p99_ms,
-        p.rss_per_conn_kib,
-        p.errors
+        "  {:5} conns: {:8.1} img/s  p50 {:6.1}ms  p99 {:6.1}ms  ~{:.1} KiB/conn  errors {}",
+        p.conns, p.images_per_sec, p.p50_ms, p.p99_ms, p.rss_per_conn_kib, p.errors
     );
     p
 }
@@ -852,10 +839,9 @@ fn main() {
     let queue_bounded = curve.iter().all(|p| p.max_queue_depth <= 64);
     assert!(queue_bounded, "queue depth exceeded its configured bound");
 
-    // Phase 5 — connection sweep on the event-loop front end, with the
-    // legacy thread-per-conn front end re-measured at the top size for an
-    // equal-core comparison. The test-scale model keeps forwards cheap so
-    // this stresses framing + readiness handling, not matmuls.
+    // Phase 5 — connection sweep on the event-loop front end. The
+    // test-scale model keeps forwards cheap so this stresses framing +
+    // readiness handling, not matmuls.
     let _ = sys::raise_nofile_limit(16384);
     let sweep_model = Arc::new(VitModel::synthesize(ModelConfig::test_config(), 77));
     let sweep_img = sweep_model.config().dummy_image(0.3);
@@ -873,16 +859,7 @@ fn main() {
     println!("connection sweep (test model, fp32, 1 worker):");
     let conn_sweep: Vec<ConnPoint> = conn_sizes
         .iter()
-        .map(|&n| {
-            measure_conn_point(
-                &sweep_model,
-                &sweep_img,
-                &sweep_offline,
-                Frontend::EventLoop,
-                n,
-                rounds,
-            )
-        })
+        .map(|&n| measure_conn_point(&sweep_model, &sweep_img, &sweep_offline, n, rounds))
         .collect();
     let sweep_clean = conn_sweep.iter().all(|p| p.errors == 0);
     assert!(
@@ -890,26 +867,10 @@ fn main() {
         "connection sweep saw desyncs/errors: {:?}",
         conn_sweep.iter().map(|p| p.errors).collect::<Vec<_>>()
     );
-    let top_conns = *conn_sizes.last().unwrap();
-    let tpc = measure_conn_point(
-        &sweep_model,
-        &sweep_img,
-        &sweep_offline,
-        Frontend::ThreadPerConn,
-        top_conns,
-        rounds,
-    );
-    let el_top = conn_sweep.last().unwrap();
-    let event_loop_ge_tpc = el_top.images_per_sec >= 0.9 * tpc.images_per_sec;
-    assert!(
-        event_loop_ge_tpc,
-        "event loop ({:.1} img/s) fell below thread-per-conn ({:.1} img/s) at {top_conns} conns",
-        el_top.images_per_sec, tpc.images_per_sec
-    );
 
     // Phase 6 — pipelining: one connection, 32 in flight vs closed-loop.
     let (pipelined_ips, sequential_ips) = {
-        let server = sweep_server(&sweep_model, Frontend::EventLoop);
+        let server = sweep_server(&sweep_model);
         let addr = server.local_addr();
         let total = if quick() { 128 } else { 512 };
         let seq = pipelined_throughput(addr, &sweep_img, 1, total);
@@ -1042,7 +1003,7 @@ fn main() {
     // bit-exact while mirroring runs.
     let shadow_requests = 64usize;
     let shadow_report = {
-        let server = sweep_server(&sweep_model, Frontend::EventLoop);
+        let server = sweep_server(&sweep_model);
         server.register_model(
             "cand",
             Arc::new(ModelState::new(
@@ -1176,11 +1137,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "], \"conn_sweep_clean\": {sweep_clean}, \"frontend_compare\": {{\"conns\": {top_conns}, \"event_loop_images_per_sec\": {:.3}, \"thread_per_conn_images_per_sec\": {:.3}, \"event_loop_ge_thread_per_conn\": {event_loop_ge_tpc}, \"event_loop_rss_per_conn_kib\": {:.1}, \"thread_per_conn_rss_per_conn_kib\": {:.1}}}, \"pipelined\": {{\"depth\": 32, \"images_per_sec\": {pipelined_ips:.3}, \"sequential_images_per_sec\": {sequential_ips:.3}}}",
-        el_top.images_per_sec,
-        tpc.images_per_sec,
-        el_top.rss_per_conn_kib,
-        tpc.rss_per_conn_kib,
+        "], \"conn_sweep_clean\": {sweep_clean}, \"pipelined\": {{\"depth\": 32, \"images_per_sec\": {pipelined_ips:.3}, \"sequential_images_per_sec\": {sequential_ips:.3}}}",
     ));
     json.push_str(&format!(
         ", \"slo_fairness\": {{\"capacity_per_sec\": {fair_capacity:.1}, \"quota_per_sec\": {quota:.1}, \"well_rate_per_sec\": {well_rate:.1}, \"unloaded_p99_ms\": {unloaded_p99_ms:.2}, \"loaded_p99_ms\": {loaded_p99_ms:.2}, \"p99_ratio\": {:.3}, \"fairness_ok\": {fairness_ok}, \"points\": [",

@@ -22,14 +22,14 @@
 //! * asserts the cold-started model's logits are **bit-identical** to the
 //!   in-memory calibrated model's on both the fp32 and integer backends;
 //! * flips one byte of the artifact and asserts the store rejects it;
-//! * sweeps the codec policies (`v1`, `raw`, `auto`, `shuffle-lz`,
+//! * sweeps the codec policies (`raw`, `auto`, `shuffle-lz`,
 //!   `shuffle-rc`), recording per-stack artifact size, f32/QUB stored
 //!   bytes, and open-to-ready time, and gates two claims at ViT-S scale:
-//!   the auto policy shrinks f32 chunks ≥ 15%, and a raw v2 artifact's
+//!   the auto policy shrinks f32 chunks ≥ 15%, and a raw artifact's
 //!   mmap open beats the pre-mmap read-path baseline;
 //! * reports the `store.*` observability counters for the run.
 //!
-//! `--save` accepts `--codec auto|raw|lz|rc|shuffle-lz|shuffle-rc|v1`
+//! `--save` accepts `--codec auto|raw|lz|rc|shuffle-lz|shuffle-rc`
 //! (default `auto`).
 //!
 //! `--verify` exits non-zero with the structured `StoreError` on stderr
@@ -52,7 +52,7 @@ use std::time::Instant;
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::quantizer::QuqMethod;
 use quq_serve::{artifact_state, Client, InferResponse, ModelState};
-use quq_store::{Artifact, ArtifactWriter, ChunkKind, CodecChoice, CodecStack, WriteOptions};
+use quq_store::{Artifact, ArtifactWriter, ChunkKind, CodecChoice, WriteOptions};
 use quq_tensor::Tensor;
 use quq_vit::{Backend, Dataset, Fp32Backend, ModelConfig, ModelId, VitModel};
 
@@ -105,33 +105,12 @@ fn provider_logits(state: &ModelState, img: &Tensor) -> Vec<f32> {
     out
 }
 
-/// The codec policies the `--codec` sweep measures, name → writer options.
-fn codec_policies() -> Vec<(&'static str, WriteOptions)> {
-    vec![
-        ("v1", WriteOptions::v1()),
-        (
-            "raw",
-            WriteOptions {
-                codec: CodecChoice::Raw,
-                ..WriteOptions::default()
-            },
-        ),
-        ("auto", WriteOptions::default()),
-        (
-            "shuffle-lz",
-            WriteOptions {
-                codec: CodecChoice::Force(CodecStack::shuffle_lz(4)),
-                ..WriteOptions::default()
-            },
-        ),
-        (
-            "shuffle-rc",
-            WriteOptions {
-                codec: CodecChoice::Force(CodecStack::shuffle_rc(4)),
-                ..WriteOptions::default()
-            },
-        ),
-    ]
+/// The codec policies the `--codec` sweep measures.
+const CODEC_POLICIES: [&str; 4] = ["raw", "auto", "shuffle-lz", "shuffle-rc"];
+
+/// Writer options for a `--codec` policy name.
+fn codec_options(name: &str) -> Option<WriteOptions> {
+    CodecChoice::from_name(name).map(|codec| WriteOptions { codec })
 }
 
 struct StackResult {
@@ -151,7 +130,8 @@ struct StackResult {
 fn codec_sweep(name: &'static str, config: ModelConfig, dir: &Path) -> Vec<StackResult> {
     let (model, tables) = calibrated(config, 20240623);
     let mut out = Vec::new();
-    for (stack, options) in codec_policies() {
+    for stack in CODEC_POLICIES {
+        let options = codec_options(stack).expect("sweep policy names parse");
         let path = dir.join(format!("storebench-{name}-{stack}.quqm"));
         let report =
             ArtifactWriter::save_with(&model, &tables, &path, &options).expect("sweep save");
@@ -212,7 +192,6 @@ fn bench_scale(name: &'static str, config: ModelConfig, dir: &Path) -> ScaleResu
     let (model, tables) = calibrated(config, 20240623);
     let raw_options = WriteOptions {
         codec: CodecChoice::Raw,
-        ..WriteOptions::default()
     };
     let artifact_bytes = ArtifactWriter::save_with(&model, &tables, &path, &raw_options)
         .expect("save")
@@ -304,14 +283,14 @@ fn run_bench() {
             auto.f32_stored_bytes,
             auto.f32_raw_bytes
         );
-        // Gate (b): a raw-stack v2 artifact (pure mmap + CRC open, no
-        // decode) must open at least as fast as the v1 read path did
+        // Gate (b): a raw-stack artifact (pure mmap + CRC open, no
+        // decode) must open at least as fast as the copying read path did
         // before chunk reads went zero-copy (0.01782 s in the committed
-        // PR 5 baseline).
+        // baseline).
         let raw = sweep.iter().find(|s| s.stack == "raw").expect("raw row");
         assert!(
             raw.open_ready_s <= 0.01782,
-            "raw v2 mmap open-to-ready took {:.5}s — slower than the 0.01782s \
+            "raw mmap open-to-ready took {:.5}s — slower than the 0.01782s \
              pre-mmap read-path baseline",
             raw.open_ready_s
         );
@@ -396,40 +375,16 @@ fn run_save(path: &str) -> ExitCode {
     let name = arg_value("--model").unwrap_or_else(|| "test".into());
     let seed = arg_value("--seed").map_or(20240623, |v| v.parse().expect("--seed"));
     let codec = arg_value("--codec").unwrap_or_else(|| "auto".into());
-    let options = match codec.as_str() {
-        "auto" => WriteOptions::default(),
-        "raw" => WriteOptions {
-            codec: CodecChoice::Raw,
-            ..WriteOptions::default()
-        },
-        "lz" => WriteOptions {
-            codec: CodecChoice::Force(CodecStack::lz()),
-            ..WriteOptions::default()
-        },
-        "rc" => WriteOptions {
-            codec: CodecChoice::Force(CodecStack::rc()),
-            ..WriteOptions::default()
-        },
-        "shuffle-lz" => WriteOptions {
-            codec: CodecChoice::Force(CodecStack::shuffle_lz(4)),
-            ..WriteOptions::default()
-        },
-        "shuffle-rc" => WriteOptions {
-            codec: CodecChoice::Force(CodecStack::shuffle_rc(4)),
-            ..WriteOptions::default()
-        },
-        "v1" => WriteOptions::v1(),
-        other => {
-            eprintln!("unknown --codec {other}");
-            return ExitCode::FAILURE;
-        }
+    let Some(options) = codec_options(&codec) else {
+        eprintln!("unknown --codec {codec}");
+        return ExitCode::FAILURE;
     };
     let (model, tables) = calibrated(model_config(&name), seed);
     match ArtifactWriter::save_with(&model, &tables, Path::new(path), &options) {
         Ok(report) => {
             println!(
-                "saved {name} artifact to {path} ({} bytes, v{}, codec {codec})",
-                report.total_bytes, report.version
+                "saved {name} artifact to {path} ({} bytes, codec {codec})",
+                report.total_bytes
             );
             ExitCode::SUCCESS
         }

@@ -45,8 +45,8 @@ use quq_tensor::Tensor;
 use crate::framing::FrameDecoder;
 use crate::protocol::{
     decode_response, encode_infer_request, encode_infer_request_for, encode_infer_request_with,
-    encode_list_request, encode_load_request, encode_reload_request, encode_shadow_request,
-    encode_unload_request, write_frame, InferOptions, InferResponse, ShadowCmd,
+    encode_list_request, encode_load_request, encode_shadow_request, encode_unload_request,
+    write_frame, InferOptions, InferResponse, ShadowCmd,
 };
 
 /// Most stale (timed-out) request ids remembered at once. Beyond this the
@@ -95,7 +95,7 @@ impl ClientBuilder {
 
 /// A blocking connection to a [`crate::Server`].
 ///
-/// The simple calls ([`Client::infer`], [`Client::reload`]) put one
+/// The simple calls ([`Client::infer`], [`Client::load`]) put one
 /// request in flight at a time; the [`Client::send_infer`] /
 /// [`Client::recv_response`] pair pipelines many.
 pub struct Client {
@@ -307,23 +307,11 @@ impl Client {
         self.wait_for(id)
     }
 
-    /// Asks the server to hot-swap its default model from the QUQM
-    /// artifact at `path` (a path on the *server's* filesystem). Returns
-    /// [`InferResponse::Reloaded`] on success and
-    /// [`InferResponse::Error`] when the artifact is rejected — a failed
-    /// reload leaves the served model untouched.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::infer`].
-    pub fn reload(&mut self, path: &str) -> io::Result<InferResponse> {
-        let id = self.send_request(|id| encode_reload_request(id, path))?;
-        self.wait_for(id)
-    }
-
     /// Asks the server to register and load model `name` from the QUQM
-    /// artifact at `path` (on the server's filesystem). Returns
-    /// [`InferResponse::Reloaded`] on success.
+    /// artifact at `path` (on the server's filesystem); the empty name
+    /// hot-swaps the default model. Returns [`InferResponse::Reloaded`]
+    /// on success and [`InferResponse::Error`] when the artifact is
+    /// rejected — a failed load leaves the served model untouched.
     ///
     /// # Errors
     ///
@@ -485,7 +473,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_ok_response, read_frame, tag_response};
+    use crate::protocol::{encode_ok_response, tag_response};
     use std::net::TcpListener;
 
     /// A listener whose accepted socket is parked so the connection stays
@@ -557,11 +545,14 @@ mod tests {
         let srv = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             // Consume the request, then answer with an id nothing sent.
-            let _req = read_frame(&mut stream).expect("read").expect("frame");
+            let mut dec = FrameDecoder::new();
+            while dec.next_frame().expect("framed").is_none() {
+                assert!(dec.read_from(&mut stream).expect("read") > 0);
+            }
             let body = encode_ok_response(&[0.5, 0.25]);
             write_frame(&mut stream, &tag_response(0xDEAD_BEEF, &body)).expect("write");
             // Hold the socket open until the client is done asserting.
-            let _ = read_frame(&mut stream);
+            let _ = dec.read_from(&mut stream);
         });
         let mut client = Client::connect(addr).expect("connect");
         let image = Tensor::zeros(&[1, 2, 2]);

@@ -1,14 +1,14 @@
 //! Stateful, restartable framing: the per-connection decode state machine
 //! and the buffered non-blocking writer.
 //!
-//! The blocking server's original `read_frame` was *stateless*: if a read
-//! timed out after part of the 4-byte length prefix (or payload) had been
-//! consumed, those bytes were silently dropped and every later frame on
-//! the connection parsed from mid-stream garbage — a well-behaved slow
-//! client got permanently desynced. [`FrameDecoder`] is the fix the event
-//! loop is built on: it *retains* partial bytes across readiness events,
-//! so a frame can arrive one byte at a time over any number of wakeups
-//! and still decode bit-exactly.
+//! A *stateless* frame reader is wrong on any stream that can pause: if a
+//! read times out after part of the 4-byte length prefix (or payload) has
+//! been consumed, those bytes are dropped and every later frame on the
+//! connection parses from mid-stream garbage — a well-behaved slow client
+//! is permanently desynced. [`FrameDecoder`] is what the event loop and
+//! the client are built on instead: it *retains* partial bytes across
+//! readiness events, so a frame can arrive one byte at a time over any
+//! number of wakeups and still decode bit-exactly.
 //!
 //! [`WriteBuf`] is the mirror image for the write side: responses are
 //! queued as whole frames and flushed as far as the socket allows; a
@@ -65,7 +65,7 @@ impl FrameDecoder {
 
     /// Reads once from `r` into the buffer. `Ok(0)` is end-of-stream;
     /// `WouldBlock`/`TimedOut` mean "no bytes right now" and leave all
-    /// buffered state intact — exactly the case the stateless reader got
+    /// buffered state intact — exactly the case a stateless reader gets
     /// wrong.
     ///
     /// # Errors

@@ -15,13 +15,11 @@
 //!   reactor threads own *all* client sockets, keeping one
 //!   [`FrameDecoder`] per connection so a request that trickles in over
 //!   many reads (a slow client) is reassembled byte-for-byte instead of
-//!   desyncing the stream — the legacy thread-per-connection front end is
-//!   retained behind [`server::Frontend::ThreadPerConn`] as the baseline
-//!   it replaced — and a connection whose outgoing backlog reaches
-//!   [`ServeConfig::write_high_water`] stops being *read* until the
-//!   client drains its responses, so a never-reading pipelined client
-//!   cannot grow server memory;
-//! * an **SLO-aware scheduler** ([`sched`]) replacing the flat admission
+//!   desyncing the stream, and a connection whose outgoing backlog
+//!   reaches [`ServeConfig::write_high_water`] stops being *read* until
+//!   the client drains its responses, so a never-reading pipelined
+//!   client cannot grow server memory;
+//! * an **SLO-aware scheduler** ([`sched`]) as the bounded admission
 //!   queue: interactive strictly ahead of batch, deficit round-robin
 //!   across tenants within a class, per-tenant token-bucket quotas
 //!   ([`ServeConfig::tenant_rate`]), class-aware shedding (batch before
@@ -29,8 +27,7 @@
 //!   request *displaces* a worse-standing one at capacity), and
 //!   deadline-aware flushing that ships a partial batch early when the
 //!   oldest admitted deadline approaches instead of waiting out
-//!   `max_wait` (the generic [`batcher::BatchQueue`] primitive remains
-//!   for library users);
+//!   `max_wait`;
 //! * **shadow/canary routing** on the registry: a configurable fraction
 //!   of default-model traffic is mirrored to a candidate model *after*
 //!   the primary replies are sent, top-1 agreement is tallied in
@@ -51,8 +48,8 @@
 //!   model from a QUQM file without synthesis or calibration; the admin
 //!   `LOAD`/`UNLOAD`/`LIST` messages ([`Client::load`],
 //!   [`Client::unload`], [`Client::list`]) register, drop, and inspect
-//!   named models live, and `RELOAD` ([`Client::reload`]) hot-swaps the
-//!   default — in-flight requests finish on the old model. Residency is
+//!   named models live; a `LOAD` of the empty name hot-swaps the default
+//!   — in-flight requests finish on the old model. Residency is
 //!   bounded by [`ServeConfig::max_resident_bytes`]: LRU models are
 //!   evicted past the budget and lazily — bit-identically — reloaded
 //!   from their artifact on the next request.
@@ -71,7 +68,7 @@
 //! let server = Server::start(
 //!     Arc::clone(&model),
 //!     Arc::new(Fp32Provider),
-//!     ServeConfig::default(), // event-loop front end
+//!     ServeConfig::default(),
 //!     "127.0.0.1:0", // ephemeral port
 //! )?;
 //! let mut client = Client::connect(server.local_addr())?;
@@ -89,7 +86,6 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod batcher;
 pub mod client;
 pub mod framing;
 pub mod poller;
@@ -100,15 +96,13 @@ pub mod sched;
 pub mod server;
 pub mod sys;
 
-pub use batcher::{BatchQueue, PushError};
 pub use client::{Client, ClientBuilder};
 pub use framing::{FrameDecoder, WriteBuf};
 pub use protocol::{
     Class, InferOptions, InferResponse, ModelEntry, RegistrySnapshot, ShadowReport,
 };
 pub use registry::DEFAULT_MODEL;
-pub use sched::{Admission, Admitted, Batch, SchedConfig, Scheduler};
+pub use sched::{Admission, Admitted, Batch, PushError, SchedConfig, Scheduler};
 pub use server::{
-    artifact_state, BackendProvider, Fp32Provider, Frontend, IntegerProvider, ModelState,
-    ServeConfig, Server,
+    artifact_state, BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server,
 };

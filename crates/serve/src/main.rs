@@ -27,12 +27,9 @@
 //! * `--save-model FILE`  — calibrate, save a QUQM artifact, and exit
 //! * `--codec NAME`       — chunk codec policy for `--save-model`:
 //!   `auto` (default: per-chunk trial, raw unless compression wins ≥2%),
-//!   `raw`, or a forced stack (`lz`, `rc`, `shuffle-lz`, `shuffle-rc`);
-//!   `v1` writes the legacy raw-only format
+//!   `raw`, or a forced stack (`lz`, `rc`, `shuffle-lz`, `shuffle-rc`)
 //! * `--addr HOST:PORT`   — bind address (default `127.0.0.1:7878`; port 0 = ephemeral)
 //! * `--workers N` `--max-batch N` `--max-wait-us N` `--queue N` — tuning
-//! * `--frontend event-loop|thread-per-conn` — connection front end
-//!   (default `event-loop`; `thread-per-conn` is the legacy baseline)
 //! * `--reactors N`       — event-loop reactor threads (default 1)
 //! * `--tenant-quota RATE[:BURST]` — per-tenant token-bucket quota in
 //!   requests/second (optional burst size, default `max(RATE, 1)`);
@@ -52,11 +49,11 @@
 //! violations exit with a clear error instead of hanging deep in the
 //! scheduler.
 //!
-//! A running server also accepts the admin `RELOAD`, `LOAD`, `UNLOAD`,
-//! `LIST`, and `SHADOW` protocol messages ([`quq_serve::Client::reload`],
-//! [`quq_serve::Client::load`], [`quq_serve::Client::shadow_set`], …):
-//! models can be hot-swapped, registered, dropped, and canaried without
-//! dropping in-flight requests.
+//! A running server also accepts the admin `LOAD`, `UNLOAD`, `LIST`, and
+//! `SHADOW` protocol messages ([`quq_serve::Client::load`],
+//! [`quq_serve::Client::shadow_set`], …): models can be hot-swapped (a
+//! `LOAD` of the empty name replaces the default), registered, dropped,
+//! and canaried without dropping in-flight requests.
 
 use std::io::BufRead;
 use std::path::Path;
@@ -66,10 +63,8 @@ use std::time::{Duration, Instant};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::QuqMethod;
 use quq_serve::server::artifact_state;
-use quq_serve::{
-    BackendProvider, Fp32Provider, Frontend, IntegerProvider, ModelState, ServeConfig, Server,
-};
-use quq_store::{ArtifactWriter, CodecChoice, CodecStack, WriteOptions};
+use quq_serve::{BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server};
+use quq_store::{ArtifactWriter, CodecChoice, WriteOptions};
 use quq_vit::{Dataset, ModelConfig, ModelId, VitModel};
 
 fn arg_value(name: &str) -> Option<String> {
@@ -87,24 +82,6 @@ fn arg_values(name: &str) -> Vec<String> {
         .filter(|(_, a)| *a == name)
         .filter_map(|(i, _)| args.get(i + 1).cloned())
         .collect()
-}
-
-/// Maps a `--codec` value onto the writer options for `--save-model`.
-fn codec_options(name: &str) -> Result<WriteOptions, String> {
-    let codec = match name {
-        "auto" => CodecChoice::Auto,
-        "raw" => CodecChoice::Raw,
-        "lz" => CodecChoice::Force(CodecStack::lz()),
-        "rc" => CodecChoice::Force(CodecStack::rc()),
-        "shuffle-lz" => CodecChoice::Force(CodecStack::shuffle_lz(4)),
-        "shuffle-rc" => CodecChoice::Force(CodecStack::shuffle_rc(4)),
-        "v1" => return Ok(WriteOptions::v1()),
-        other => return Err(format!("unknown --codec {other}")),
-    };
-    Ok(WriteOptions {
-        codec,
-        ..WriteOptions::default()
-    })
 }
 
 /// Splits a `--model-path` value: `NAME=PATH` or bare `PATH` (no name).
@@ -216,11 +193,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             2000,
         )?),
         queue_capacity: parse_positive("--queue", arg_value("--queue"), 64)? as usize,
-        frontend: match arg_value("--frontend").as_deref() {
-            None | Some("event-loop") => Frontend::EventLoop,
-            Some("thread-per-conn") => Frontend::ThreadPerConn,
-            Some(other) => return Err(format!("unknown --frontend {other}").into()),
-        },
         reactors: parse_positive("--reactors", arg_value("--reactors"), 1)? as usize,
         max_resident_bytes: parse_resident_bytes(arg_value("--max-resident-bytes"))?,
         tenant_rate,
@@ -267,11 +239,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // artifact, and exit — the serving run cold-starts from it.
             let tables = calibrated(&model)?;
             let codec = arg_value("--codec").unwrap_or_else(|| "auto".into());
-            let options = codec_options(&codec)?;
+            let options = WriteOptions {
+                codec: CodecChoice::from_name(&codec)
+                    .ok_or_else(|| format!("unknown --codec {codec}"))?,
+            };
             let report = ArtifactWriter::save_with(&model, &tables, Path::new(&path), &options)?;
             println!(
-                "saved {model_name} artifact to {path} ({} bytes, v{}, codec {codec})",
-                report.total_bytes, report.version
+                "saved {model_name} artifact to {path} ({} bytes, codec {codec})",
+                report.total_bytes
             );
             for chunk in &report.chunks {
                 if !chunk.stack.is_raw() {

@@ -10,16 +10,16 @@
 //! payload. A request payload is
 //!
 //! ```text
-//! opcode: u8 (1 = INFER, 2 = RELOAD, 3 = LOAD, 4 = UNLOAD, 5 = LIST,
-//!             6 = SHADOW)
+//! opcode: u8 (1 = INFER, 3 = LOAD, 4 = UNLOAD, 5 = LIST, 6 = SHADOW;
+//!             2 is unassigned and answered "unknown opcode")
 //! id: u32, then
 //! INFER:  u8 class (0 = interactive, 1 = batch)
 //!         · u32 deadline_us (relative to arrival; 0 = no deadline)
 //!         · u8 tenant_len · tenant_len × u8 (UTF-8 tenant; empty = "anon")
 //!         · u8 name_len · name_len × u8 (UTF-8 model name; empty = default)
 //!         · rank u8 · rank × u32 dims · Π dims × f32 data
-//! RELOAD: u16 len · len × u8 (UTF-8 artifact path; swaps the default model)
-//! LOAD:   u8 name_len · name · u16 path_len · path (register + load model)
+//! LOAD:   u8 name_len · name · u16 path_len · path (register + load
+//!         model; the empty name hot-swaps the default model)
 //! UNLOAD: u8 name_len · name (drop the model from the registry)
 //! LIST:   (empty — snapshot the registry)
 //! SHADOW: u8 action, then
@@ -38,8 +38,7 @@
 //!               a higher-standing request, retry later)
 //! 2 ERROR      u32 len · len × u8 (UTF-8 message)
 //! 3 DRAINING   (empty — server is shutting down, request not admitted)
-//! 4 RELOADED   (empty — RELOAD hot-swapped the default model, or LOAD
-//!               registered and loaded the named model)
+//! 4 RELOADED   (empty — LOAD registered and loaded the named model)
 //! 5 LIST       u16 count · count × (u8 name_len · name · u8 resident ·
 //!               u64 bytes · u64 requests) · u64 loads · u64 evictions
 //! 6 UNLOADED   (empty — the named model was dropped from the registry)
@@ -54,7 +53,9 @@
 //! v4 is a breaking wire change from v3: INFER carries a class byte, a
 //! `u32` relative deadline, and a tenant field between the id and the
 //! model name (all-default SLO metadata costs six extra bytes), and the
-//! SHADOW opcode plus DEADLINE/SHADOW statuses are new. Ids remain
+//! SHADOW opcode plus DEADLINE/SHADOW statuses are new. Opcode 2 carries
+//! no request: a peer that sends it gets the `unknown opcode` ERROR, and
+//! LOAD with the empty name replaces the default model. Ids remain
 //! client-chosen, echoed verbatim, and unique only per connection —
 //! reusing an id across concurrently in-flight requests makes the two
 //! responses indistinguishable. There is no version negotiation; both
@@ -65,9 +66,10 @@
 //! too short to carry an id is answered with id 0.
 //!
 //! Everything is plain `std::io` on byte slices, shared verbatim by the
-//! server, the [`crate::client::Client`], and the load generator.
+//! server, the [`crate::client::Client`], and the load generator. Frames
+//! are read with the stateful [`crate::framing::FrameDecoder`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use quq_tensor::Tensor;
 
@@ -82,11 +84,8 @@ pub const MAX_FRAME: u32 = 16 << 20;
 
 /// Request opcode: run inference on one image tensor.
 pub const OP_INFER: u8 = 1;
-/// Request opcode (admin): hot-swap the default model from a QUQM
-/// artifact path.
-pub const OP_RELOAD: u8 = 2;
 /// Request opcode (admin): register a named model from an artifact path
-/// and load it.
+/// and load it (the empty name replaces the default model).
 pub const OP_LOAD: u8 = 3;
 /// Request opcode (admin): drop a named model from the registry.
 pub const OP_UNLOAD: u8 = 4;
@@ -104,7 +103,7 @@ pub const STATUS_OVERLOADED: u8 = 1;
 pub const STATUS_ERROR: u8 = 2;
 /// The server is draining; the request was not admitted.
 pub const STATUS_DRAINING: u8 = 3;
-/// The model was hot-swapped (RELOAD) or registered and loaded (LOAD).
+/// The model was registered and loaded (LOAD).
 pub const STATUS_RELOADED: u8 = 4;
 /// A registry snapshot follows.
 pub const STATUS_LIST: u8 = 5;
@@ -238,38 +237,6 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
-}
-
-/// Reads one length-prefixed frame **statelessly**: a timeout mid-frame
-/// loses whatever bytes were already consumed. This is safe only on
-/// streams without read timeouts where the caller treats every error as
-/// fatal; resumable readers (the event loop, the client) use
-/// [`crate::framing::FrameDecoder`] instead, which retains partial bytes.
-/// Returns `Ok(None)` on a clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// Propagates I/O errors (including read timeouts as
-/// [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`]) and rejects
-/// frames larger than [`MAX_FRAME`].
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    // A clean EOF before any length byte means the peer is done.
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Best-effort id extraction from a request payload, for tagging error
@@ -422,42 +389,9 @@ pub fn decode_infer_request(payload: &[u8]) -> io::Result<(u32, InferMeta, Strin
     ))
 }
 
-/// Encodes a RELOAD request for the artifact at `path`, tagged with `id`.
-pub fn encode_reload_request(id: u32, path: &str) -> Vec<u8> {
-    let bytes = path.as_bytes();
-    let mut out = Vec::with_capacity(7 + bytes.len());
-    out.push(OP_RELOAD);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-    out
-}
-
-/// Decodes a RELOAD request payload into its id and artifact path.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad opcode, truncated
-/// payload, or non-UTF-8 path.
-pub fn decode_reload_request(payload: &[u8]) -> io::Result<(u32, String)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if payload.len() < 7 {
-        return Err(bad("truncated RELOAD request"));
-    }
-    if payload[0] != OP_RELOAD {
-        return Err(bad("unknown opcode"));
-    }
-    let id = request_id(payload);
-    let n = u16::from_le_bytes(payload[5..7].try_into().expect("sized")) as usize;
-    if payload.len() != 7 + n {
-        return Err(bad("path length mismatch"));
-    }
-    let path = String::from_utf8(payload[7..].to_vec()).map_err(|_| bad("non-UTF-8 path"))?;
-    Ok((id, path))
-}
-
 /// Encodes a LOAD request: register model `name` from the artifact at
-/// `path` and load it, tagged with `id`.
+/// `path` and load it, tagged with `id`. The empty name replaces the
+/// default model.
 ///
 /// # Panics
 ///
@@ -677,7 +611,7 @@ pub enum InferResponse {
     Overloaded,
     /// The server is draining for shutdown — the request was not admitted.
     Draining,
-    /// The model was hot-swapped (RELOAD) or registered and loaded (LOAD).
+    /// The model was registered and loaded (LOAD).
     Reloaded,
     /// The named model was dropped from the registry.
     Unloaded,
@@ -1124,38 +1058,28 @@ mod tests {
     }
 
     #[test]
-    fn reload_request_roundtrips_and_rejects_malformed() {
-        let enc = encode_reload_request(3, "/tmp/model.quqm");
-        assert_eq!(
-            decode_reload_request(&enc).unwrap(),
-            (3, "/tmp/model.quqm".to_string())
-        );
-        assert!(decode_reload_request(&[]).is_err());
-        assert!(decode_reload_request(&[OP_INFER, 0, 0, 0, 0, 0, 0]).is_err());
-        let mut short = encode_reload_request(3, "path");
-        short.pop();
-        assert!(decode_reload_request(&short).is_err());
-    }
-
-    #[test]
     fn frames_roundtrip_through_a_buffer() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut r).unwrap().is_none());
+        let mut dec = crate::framing::FrameDecoder::new();
+        dec.extend(&buf);
+        assert_eq!(dec.next_frame().unwrap().unwrap(), b"hello");
+        assert_eq!(dec.next_frame().unwrap().unwrap(), b"");
+        assert!(dec.next_frame().unwrap().is_none());
+        assert!(!dec.midframe());
     }
 
     #[test]
     fn oversized_frame_is_rejected() {
+        // The writer refuses what every reader would reject as hostile.
         let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        let payload = vec![0u8; MAX_FRAME as usize + 1];
         assert_eq!(
-            read_frame(&mut &buf[..]).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
+            write_frame(&mut buf, &payload).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
         );
+        assert!(buf.is_empty(), "nothing written for a refused frame");
     }
 
     #[test]

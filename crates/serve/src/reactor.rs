@@ -1,23 +1,21 @@
 //! The readiness-driven event-loop front end: one (or a few) reactor
-//! threads own *all* client sockets behind an epoll [`Poller`], replacing
-//! the thread-per-connection blocking front end at scale.
+//! threads own *all* client sockets behind an epoll [`Poller`].
 //!
-//! ## Why an event loop fixes the framing desync
+//! ## Why framing is stateful
 //!
-//! The blocking front end read frames with a stateless `read_frame` under
-//! a poll-interval read timeout; a timeout that fired after part of a
-//! frame had been consumed silently dropped those bytes, desyncing the
-//! connection forever. Here every connection owns a
-//! [`FrameDecoder`](crate::framing::FrameDecoder) that *retains* partial
-//! bytes across readiness events — "no bytes right now" is simply the
-//! absence of an event, never an error that can shear a frame. The bug is
-//! eliminated by construction rather than by tuning timeouts.
+//! Every connection owns a [`FrameDecoder`](crate::framing::FrameDecoder)
+//! that *retains* partial bytes across readiness events — "no bytes right
+//! now" is simply the absence of an event, never an error that can shear
+//! a frame. A stateless reader that gives up mid-frame on a timeout drops
+//! the bytes it already consumed and parses every later frame from
+//! mid-stream garbage (see [`crate::framing`]); here that desync cannot
+//! happen by construction, whatever the timeouts.
 //!
 //! ## Shape
 //!
 //! ```text
 //!                 ┌────────────── reactor thread ──────────────┐
-//! accept ─▶ conns │ epoll wait ─▶ read ─▶ FrameDecoder ─▶ push │──▶ BatchQueue
+//! accept ─▶ conns │ epoll wait ─▶ read ─▶ FrameDecoder ─▶ push │──▶ Scheduler
 //!                 │     ▲                                      │      │
 //!                 │   waker ◀── completions (id-tagged) ◀──────│◀─ workers
 //!                 │     └──▶ WriteBuf ─▶ non-blocking write    │  forward_batch
@@ -31,7 +29,7 @@
 //! bounded SLO-aware [`Scheduler`](crate::sched::Scheduler): admission
 //! control (shed with `OVERLOADED`, or displace a lower-standing queued
 //! request), class/tenant-fair micro-batching, drain on shutdown, and the
-//! `RELOAD`/`LOAD`/`UNLOAD`/`LIST`/`SHADOW` admin paths.
+//! `LOAD`/`UNLOAD`/`LIST`/`SHADOW` admin paths.
 //!
 //! ## Write-backlog backpressure
 //!
@@ -59,20 +57,20 @@ use std::time::{Duration, Instant};
 
 use quq_obs::SiteKey;
 
-use crate::batcher::PushError;
 use crate::framing::{FrameDecoder, WriteBuf};
 use crate::poller::{Event, Interest, Poller, Waker};
 use crate::protocol::{
-    decode_infer_request, decode_load_request, decode_reload_request, decode_shadow_request,
-    decode_unload_request, encode_error_response, encode_list_response, encode_status_response,
-    request_id, tag_response, OP_INFER, OP_LIST, OP_LOAD, OP_RELOAD, OP_SHADOW, OP_UNLOAD,
-    STATUS_DRAINING, STATUS_OVERLOADED, STATUS_RELOADED, STATUS_UNLOADED,
+    decode_infer_request, decode_load_request, decode_shadow_request, decode_unload_request,
+    encode_error_response, encode_list_response, encode_status_response, request_id, tag_response,
+    OP_INFER, OP_LIST, OP_LOAD, OP_SHADOW, OP_UNLOAD, STATUS_DRAINING, STATUS_OVERLOADED,
+    STATUS_RELOADED, STATUS_UNLOADED,
 };
 use crate::registry::{resolve_name, Admit};
+use crate::sched::PushError;
 use crate::server::{answer_displaced, flow_label, shadow_command, Job, Reply, Shared};
 
-/// Metrics site for admin operations (RELOAD/LOAD), which run on a
-/// side thread rather than a backend worker.
+/// Metrics site for LOAD, which runs on a side thread rather than a
+/// backend worker.
 const ADMIN_SITE: &str = "admin";
 
 /// Poller token of the (reactor-0-owned) listener.
@@ -91,7 +89,7 @@ const MAX_READS_PER_TICK: usize = 16;
 /// to slow readers before giving up and closing.
 const FINAL_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
-/// One finished request travelling back from a worker (or the reload
+/// One finished request travelling back from a worker (or a LOAD
 /// thread) to the reactor that owns its connection.
 pub(crate) struct Completion {
     /// Token of the owning connection.
@@ -134,7 +132,7 @@ struct Conn {
     out: WriteBuf,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// Requests admitted (or reloading) whose response has not yet come
+    /// Requests admitted (or loading) whose response has not yet come
     /// back from a worker.
     inflight: usize,
     /// The peer shut its write side; serve what's in flight, then close.
@@ -552,8 +550,8 @@ impl Reactor {
 }
 
 /// Dispatches one decoded frame on `conn`: admission for INFER, a
-/// side-thread for RELOAD/LOAD (artifact loads must never stall the
-/// reactor), inline answers for UNLOAD/LIST, structured errors for
+/// side-thread for LOAD (artifact loads must never stall the reactor),
+/// inline answers for UNLOAD/LIST/SHADOW, structured errors for
 /// everything else. All replies are id-tagged; failure to decode an id
 /// tags with 0.
 fn handle_frame(
@@ -606,7 +604,7 @@ fn handle_frame(
             let job = Job {
                 model: name.to_string(),
                 image,
-                reply: Reply::reactor(comp.clone(), token, id, t0, site, flow),
+                reply: Reply::new(comp.clone(), token, id, t0, site, flow),
             };
             match shared.queue.push(job, meta.class, &meta.tenant, deadline) {
                 Ok(admission) => {
@@ -655,48 +653,6 @@ fn handle_frame(
             conn.out
                 .enqueue_frame(&tag_response(request_id(frame), &body));
         }
-        Some(&OP_RELOAD) => {
-            let t0 = Instant::now();
-            let (id, path) = match decode_reload_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
-            // The artifact open/verify/load can take tens of milliseconds
-            // (or seconds for a big model) — never stall the reactor for
-            // it. A one-off thread does the load and swap, then answers
-            // through the normal completion path.
-            conn.inflight += 1;
-            let shared = Arc::clone(shared);
-            let comp = comp.clone();
-            std::thread::Builder::new()
-                .name("quq-serve-reload".into())
-                .spawn(move || {
-                    let body = match shared.registry.reload_default(Path::new(&path)) {
-                        Ok(()) => {
-                            quq_obs::add("serve.reloads", 1);
-                            encode_status_response(STATUS_RELOADED)
-                        }
-                        Err(e) => {
-                            quq_obs::add("serve.reload_failures", 1);
-                            encode_error_response(&format!("reload of {path:?} failed: {e}"))
-                        }
-                    };
-                    comp.send(Completion {
-                        token,
-                        id,
-                        body,
-                        t0,
-                        site: ADMIN_SITE,
-                        flow: String::new(),
-                    });
-                })
-                .expect("spawn reload thread");
-        }
         Some(&OP_LOAD) => {
             let t0 = Instant::now();
             let (id, name, path) = match decode_load_request(frame) {
@@ -708,8 +664,13 @@ fn handle_frame(
                     return;
                 }
             };
-            // Same shape as RELOAD: the artifact load runs on a one-off
-            // thread and answers through the completion path.
+            // The artifact open/verify/load can take tens of milliseconds
+            // (or seconds for a big model) — never stall the reactor for
+            // it. A one-off thread does the load and swap, then answers
+            // through the normal completion path. The artifact is fully
+            // loaded before the registry entry is touched, so inference
+            // keeps flowing on the old model (the empty name is the
+            // default) and a corrupt artifact leaves it serving.
             conn.inflight += 1;
             let shared = Arc::clone(shared);
             let comp = comp.clone();

@@ -4,7 +4,7 @@
 //! One server process holds N registered models but keeps only as many
 //! resident as the `max_resident_bytes` budget allows. A request for an
 //! evicted model triggers a lazy reload from its artifact (the same
-//! ~tens-of-ms open-to-ready path RELOAD uses) on the worker thread that
+//! ~tens-of-ms open-to-ready path LOAD uses) on the worker thread that
 //! needed it; requests for other models keep flowing meanwhile. Eviction
 //! only drops the `Arc<ModelState>` — in-flight batches holding a clone
 //! finish unaffected, and the registry entry (name, artifact source,
@@ -156,7 +156,9 @@ impl Registry {
     }
 
     /// Registers and loads model `name` from the artifact at `path`,
-    /// replacing any existing entry under that name.
+    /// replacing any existing entry under that name but keeping its
+    /// request counter — so a LOAD of [`DEFAULT_MODEL`] is a hot swap of
+    /// the default. The entry becomes evictable (it now has a source).
     pub(crate) fn load(&self, name: &str, path: &Path, backend: &str) -> Result<(), String> {
         let state = artifact_state(path, backend)
             .map_err(|e| format!("load of model {name:?} from {path:?} failed: {e}"))?;
@@ -166,6 +168,7 @@ impl Registry {
         inner.loads += 1;
         quq_obs::add("registry.loads", 1);
         let tick = inner.tick;
+        let requests = inner.entries.get(name).map_or(0, |e| e.requests);
         inner.entries.insert(
             name.to_string(),
             Entry {
@@ -176,7 +179,7 @@ impl Registry {
                 resident: Some(Arc::new(state)),
                 bytes,
                 last_used: tick,
-                requests: 0,
+                requests,
                 loading: Arc::new(Mutex::new(())),
             },
         );
@@ -184,8 +187,8 @@ impl Registry {
         Ok(())
     }
 
-    /// Backend family of the default model — what LOAD and RELOAD build
-    /// their providers with.
+    /// Backend family of the default model — what LOAD builds its
+    /// providers with.
     pub(crate) fn default_backend(&self) -> String {
         let inner = self.lock();
         inner
@@ -199,41 +202,10 @@ impl Registry {
             .unwrap_or_else(|| "int".to_string())
     }
 
-    /// Hot-swaps the default model from the artifact at `path`, keeping
-    /// the default entry's request counter. The default model becomes
-    /// evictable afterwards (it now has a source).
-    pub(crate) fn reload_default(&self, path: &Path) -> Result<(), String> {
-        let backend = self.default_backend();
-        let state = artifact_state(path, &backend).map_err(|e| e.to_string())?;
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        let mut inner = self.lock();
-        inner.tick += 1;
-        inner.loads += 1;
-        quq_obs::add("registry.loads", 1);
-        let tick = inner.tick;
-        let requests = inner.entries.get(DEFAULT_MODEL).map_or(0, |e| e.requests);
-        inner.entries.insert(
-            DEFAULT_MODEL.to_string(),
-            Entry {
-                source: Some(ModelSource {
-                    path: path.to_path_buf(),
-                    backend,
-                }),
-                resident: Some(Arc::new(state)),
-                bytes,
-                last_used: tick,
-                requests,
-                loading: Arc::new(Mutex::new(())),
-            },
-        );
-        self.evict_locked(&mut inner, DEFAULT_MODEL);
-        Ok(())
-    }
-
     /// Promotes model `name` to be the new default: the candidate's
     /// source and resident state are installed under [`DEFAULT_MODEL`],
-    /// keeping the default entry's request counter (mirroring
-    /// [`Registry::reload_default`]). The candidate entry itself stays
+    /// keeping the default entry's request counter (as [`Registry::load`]
+    /// does). The candidate entry itself stays
     /// registered under its own name. Used by shadow/canary promotion.
     pub(crate) fn promote(&self, name: &str) -> Result<(), String> {
         let mut inner = self.lock();

@@ -1,10 +1,10 @@
 //! The SLO-aware request scheduler: priority classes, per-tenant fair
 //! queuing, token-bucket quotas, and deadline-aware batch flushing.
 //!
-//! [`Scheduler`] replaces the flat [`BatchQueue`](crate::batcher::BatchQueue)
-//! as the server's admission queue (the generic FIFO batcher survives as a
-//! standalone primitive). Where `BatchQueue` treats every request
-//! identically, the scheduler makes four policy decisions:
+//! [`Scheduler`] is the server's bounded admission queue: the single
+//! synchronization point between the front end (producers) and the
+//! inference workers (consumers). It never blocks a push and never
+//! buffers beyond its capacity, and it makes four policy decisions:
 //!
 //! * **Class ordering** — every request carries a [`Class`]:
 //!   `interactive` requests are *strictly* dequeued before `batch`
@@ -31,9 +31,9 @@
 //!
 //! ## Deadline-aware flushing
 //!
-//! [`Scheduler::next_batch`] keeps `BatchQueue`'s two-phase shape (wait
-//! indefinitely for the first request, then batch within a `max_wait`
-//! window) with one addition: if any queued request's deadline would
+//! [`Scheduler::next_batch`] has a two-phase shape (wait indefinitely for
+//! the first request, then batch within a `max_wait` window) with one
+//! addition: if any queued request's deadline would
 //! expire before the window closes, the batch is flushed early — at
 //! `deadline − deadline_slack` — so the request still makes it through
 //! compute. A request whose deadline has *already* passed at pickup is
@@ -53,11 +53,20 @@ use std::time::{Duration, Instant};
 
 use quq_obs::SiteKey;
 
-use crate::batcher::PushError;
 use crate::protocol::Class;
 
 /// Tenant name requests fall back to when they carry none.
 pub const ANON_TENANT: &str = "anon";
+
+/// Why a [`Scheduler::push`] was refused; the item comes back to the
+/// caller either way.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue is at capacity — shed the request (backpressure).
+    Full(T),
+    /// The queue is draining for shutdown — no new admissions.
+    Draining(T),
+}
 
 /// Most per-tenant token buckets tracked at once: beyond this, buckets
 /// that are full (fully refilled) and have no queued requests are pruned,
@@ -179,10 +188,10 @@ struct State<T> {
     draining: bool,
 }
 
-/// The SLO-aware admission queue (see module docs). Same concurrency
-/// contract as `BatchQueue`: any number of producers call `push`, any
-/// number of consumers call `next_batch`; a request is delivered to
-/// exactly one consumer or returned to exactly one caller, never both.
+/// The SLO-aware admission queue (see module docs). Any number of
+/// producers call `push`, any number of consumers call `next_batch`; a
+/// request is delivered to exactly one consumer or returned to exactly
+/// one caller, never both.
 pub struct Scheduler<T> {
     state: Mutex<State<T>>,
     available: Condvar,
@@ -638,16 +647,18 @@ mod tests {
 
     #[test]
     fn deadline_flushes_a_partial_batch_early() {
+        // Half the deadline as slack: a wake-up that comes late by less
+        // than 30 ms still ships the request before it expires.
         let q = Scheduler::new(SchedConfig {
             capacity: 16,
-            deadline_slack: Duration::from_millis(5),
+            deadline_slack: Duration::from_millis(30),
             ..SchedConfig::default()
         });
         let deadline = Instant::now() + Duration::from_millis(60);
         q.push(7, Class::Interactive, "a", Some(deadline)).unwrap();
         let t0 = Instant::now();
-        // max_wait of 10 s would sink a plain batcher; the deadline cuts
-        // the window to ~55 ms.
+        // max_wait of 10 s would hold a lone request that long; the
+        // deadline cuts the window to ~30 ms.
         let batch = q.next_batch(8, Duration::from_secs(10)).unwrap();
         let waited = t0.elapsed();
         assert_eq!(batch.jobs.len(), 1);

@@ -1,8 +1,7 @@
-//! The TCP inference server: front ends (event loop or legacy
-//! thread-per-connection), the worker shard that runs batched forwards,
-//! and the shared model state with hot reload.
+//! The TCP inference server: the event-loop front end, the worker shard
+//! that runs batched forwards, and the shared model state with hot reload.
 //!
-//! ## Data flow (event-loop front end, the default)
+//! ## Data flow
 //!
 //! ```text
 //! clients ══╗  epoll   ┌ FrameDecoder ┐ push  ┌───────────┐ next_batch
@@ -34,12 +33,6 @@
 //! traffic before [`Server::promote_shadow`] (or the wire SHADOW PROMOTE)
 //! atomically makes it the default.
 //!
-//! The legacy [`Frontend::ThreadPerConn`] handler-thread front end is
-//! retained as a benchmark baseline and as the living exhibit of the
-//! framing-desync bug the event loop fixes (its stateless `read_frame`
-//! under a poll-interval timeout drops partial frames from slow clients —
-//! see the regression tests). New deployments should not use it.
-//!
 //! ## Backpressure
 //!
 //! Admission is the only unbounded-work point and it is bounded by
@@ -55,15 +48,14 @@
 //!
 //! [`Server::shutdown`] stops accepting (closing the listener), drains
 //! the queue — every *admitted* request is still batched, executed, and
-//! its response flushed — then joins workers and front-end threads.
+//! its response flushed — then joins workers and reactor threads.
 //! Requests arriving after the drain begins get a `DRAINING` reply.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,17 +67,12 @@ use quq_store::{Artifact, StoreError};
 use quq_tensor::Tensor;
 use quq_vit::{Backend, Fp32Backend, Observed, VitModel};
 
-use crate::batcher::PushError;
 use crate::protocol::{
-    decode_infer_request, decode_load_request, decode_reload_request, decode_shadow_request,
-    decode_unload_request, encode_error_response, encode_list_response, encode_ok_response,
-    encode_shadow_response, encode_status_response, read_frame, request_id, tag_response,
-    write_frame, RegistrySnapshot, ShadowCmd, ShadowReport, OP_INFER, OP_LIST, OP_LOAD, OP_RELOAD,
-    OP_SHADOW, OP_UNLOAD, STATUS_DEADLINE, STATUS_DRAINING, STATUS_OVERLOADED, STATUS_RELOADED,
-    STATUS_UNLOADED,
+    encode_error_response, encode_ok_response, encode_shadow_response, encode_status_response,
+    RegistrySnapshot, ShadowCmd, ShadowReport, STATUS_DEADLINE, STATUS_OVERLOADED,
 };
 use crate::reactor::{Completion, CompletionSender, Reactor, ReactorHandle};
-use crate::registry::{resolve_name, Admit, Registry, DEFAULT_MODEL};
+use crate::registry::{resolve_name, Registry, DEFAULT_MODEL};
 use crate::sched::{SchedConfig, Scheduler};
 
 /// Builds an inference backend for a worker, once per batch.
@@ -158,19 +145,6 @@ impl BackendProvider for IntegerProvider {
     }
 }
 
-/// Which connection front end the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// Readiness-driven epoll event loop: a few reactor threads own all
-    /// sockets, per-connection decode state machines, request pipelining.
-    #[default]
-    EventLoop,
-    /// Legacy one-blocking-thread-per-connection front end. Kept as a
-    /// benchmark baseline; its stateless frame reads desync on slow
-    /// clients whose frames straddle the poll-interval read timeout.
-    ThreadPerConn,
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -182,10 +156,8 @@ pub struct ServeConfig {
     pub max_wait: Duration,
     /// Bounded admission-queue capacity; beyond it requests are shed.
     pub queue_capacity: usize,
-    /// Connection front end (default: the epoll event loop).
-    pub frontend: Frontend,
-    /// Reactor threads for [`Frontend::EventLoop`] (connections are dealt
-    /// round-robin across them). Ignored by [`Frontend::ThreadPerConn`].
+    /// Reactor threads of the event-loop front end (connections are
+    /// dealt round-robin across them).
     pub reactors: usize,
     /// Resident-bytes budget for the model registry: least-recently-used
     /// models are evicted (and lazily reloaded from their artifacts on
@@ -219,7 +191,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             queue_capacity: 64,
-            frontend: Frontend::EventLoop,
             reactors: 1,
             max_resident_bytes: 0,
             write_high_water: 1 << 20,
@@ -231,37 +202,21 @@ impl Default for ServeConfig {
     }
 }
 
-/// Where a finished request's response body goes. Workers call
+/// Where a finished request's response body goes: a completion routed
+/// back to the reactor that owns the request's connection. Workers call
 /// [`Reply::send`] exactly once; a `Reply` dropped unsent (worker panic
 /// mid-batch) delivers a structured error instead of hanging the client.
 pub(crate) struct Reply {
-    inner: Option<ReplySink>,
-}
-
-enum ReplySink {
-    /// Legacy front end: the handler thread blocks on this channel.
-    Blocking(mpsc::Sender<Vec<u8>>),
-    /// Event loop: completion routed back to the owning reactor.
-    Reactor {
-        comp: CompletionSender,
-        token: u64,
-        id: u32,
-        t0: Instant,
-        site: &'static str,
-        /// `class:tenant` site for the per-flow `serve.e2e` record; empty
-        /// for admin completions (no flow record).
-        flow: String,
-    },
+    comp: CompletionSender,
+    /// The completion to deliver, body still empty; `None` once sent or
+    /// forgotten.
+    pending: Option<Completion>,
 }
 
 impl Reply {
-    pub(crate) fn blocking(tx: mpsc::Sender<Vec<u8>>) -> Reply {
-        Reply {
-            inner: Some(ReplySink::Blocking(tx)),
-        }
-    }
-
-    pub(crate) fn reactor(
+    /// `flow` is the `class:tenant` site for the per-flow `serve.e2e`
+    /// record; empty for admin completions (no flow record).
+    pub(crate) fn new(
         comp: CompletionSender,
         token: u64,
         id: u32,
@@ -270,10 +225,11 @@ impl Reply {
         flow: String,
     ) -> Reply {
         Reply {
-            inner: Some(ReplySink::Reactor {
-                comp,
+            comp,
+            pending: Some(Completion {
                 token,
                 id,
+                body: Vec::new(),
                 t0,
                 site,
                 flow,
@@ -290,37 +246,20 @@ impl Reply {
     /// already answered without a worker (e.g. shed at admission) — the
     /// returned job must not emit a *second* response as it drops.
     pub(crate) fn forget(mut self) {
-        self.inner = None;
+        self.pending = None;
     }
 
     fn dispatch(&mut self, body: Vec<u8>) {
-        match self.inner.take() {
-            Some(ReplySink::Blocking(tx)) => {
-                let _ = tx.send(body);
-            }
-            Some(ReplySink::Reactor {
-                comp,
-                token,
-                id,
-                t0,
-                site,
-                flow,
-            }) => comp.send(Completion {
-                token,
-                id,
-                body,
-                t0,
-                site,
-                flow,
-            }),
-            None => {}
+        if let Some(mut c) = self.pending.take() {
+            c.body = body;
+            self.comp.send(c);
         }
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        if self.inner.is_some() {
+        if self.pending.is_some() {
             self.dispatch(encode_error_response("worker dropped the request"));
         }
     }
@@ -333,10 +272,6 @@ pub(crate) struct Job {
     pub(crate) image: Tensor,
     pub(crate) reply: Reply,
 }
-
-/// How often blocked reads and the accept loop of the legacy front end
-/// re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// The servable model: weights plus the backend provider built over its
 /// calibration. Immutable once built — a hot reload builds a *new* state
@@ -490,16 +425,15 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
     reactor_handles: Vec<ReactorHandle>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Binds `bind` (use port 0 for an ephemeral port) and starts the
-    /// front end and `config.workers` inference workers.
+    /// Binds `bind` (use port 0 for an ephemeral port) and starts
+    /// `config.reactors` reactor threads and `config.workers` inference
+    /// workers.
     ///
     /// # Errors
     ///
@@ -545,7 +479,6 @@ impl Server {
             write_pauses: AtomicU64::new(0),
             write_peak: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -558,53 +491,36 @@ impl Server {
             })
             .collect();
 
-        let mut server = Server {
+        let n = config.reactors.max(1);
+        let mut built = Vec::with_capacity(n);
+        let mut reactor_handles = Vec::with_capacity(n);
+        for i in 0..n {
+            let (reactor, handle) = Reactor::new(i, Arc::clone(&shared))?;
+            reactor_handles.push(handle);
+            built.push(reactor);
+        }
+        let peers: Vec<_> = reactor_handles
+            .iter()
+            .map(|h| (h.inject.clone(), Arc::clone(&h.waker)))
+            .collect();
+        built[0].adopt_listener(listener, peers)?;
+        let reactors = built
+            .into_iter()
+            .enumerate()
+            .map(|(i, reactor)| {
+                std::thread::Builder::new()
+                    .name(format!("quq-serve-reactor-{i}"))
+                    .spawn(move || reactor.run())
+                    .expect("spawn reactor")
+            })
+            .collect();
+        Ok(Server {
             addr,
             shared,
-            accept: None,
-            reactors: Vec::new(),
-            reactor_handles: Vec::new(),
+            reactors,
+            reactor_handles,
             workers,
-            conns,
-        };
-
-        match config.frontend {
-            Frontend::EventLoop => {
-                let n = config.reactors.max(1);
-                let mut built = Vec::with_capacity(n);
-                for i in 0..n {
-                    let (reactor, handle) = Reactor::new(i, Arc::clone(&server.shared))?;
-                    server.reactor_handles.push(handle);
-                    built.push(reactor);
-                }
-                let peers: Vec<_> = server
-                    .reactor_handles
-                    .iter()
-                    .map(|h| (h.inject.clone(), Arc::clone(&h.waker)))
-                    .collect();
-                built[0].adopt_listener(listener, peers)?;
-                for (i, reactor) in built.into_iter().enumerate() {
-                    server.reactors.push(
-                        std::thread::Builder::new()
-                            .name(format!("quq-serve-reactor-{i}"))
-                            .spawn(move || reactor.run())
-                            .expect("spawn reactor"),
-                    );
-                }
-            }
-            Frontend::ThreadPerConn => {
-                listener.set_nonblocking(true)?;
-                let shared = Arc::clone(&server.shared);
-                let conns = Arc::clone(&server.conns);
-                server.accept = Some(
-                    std::thread::Builder::new()
-                        .name("quq-serve-accept".into())
-                        .spawn(move || accept_loop(&listener, &shared, &conns))
-                        .expect("spawn accept loop"),
-                );
-            }
-        }
-        Ok(server)
+        })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -711,7 +627,7 @@ impl Server {
     }
 
     /// Times any connection's reads were paused at the write-backlog
-    /// high-water mark (event-loop front end).
+    /// high-water mark.
     pub fn write_pauses(&self) -> u64 {
         self.shared.write_pauses.load(Ordering::Relaxed)
     }
@@ -721,29 +637,15 @@ impl Server {
         self.shared.write_peak.load(Ordering::Relaxed)
     }
 
-    /// Handler threads currently tracked by the legacy thread-per-conn
-    /// front end (always 0 on the event loop, which has no per-connection
-    /// threads). Bounded by *live* connections, not by connection
-    /// history: finished handlers are reaped as the accept loop runs.
-    pub fn tracked_connections(&self) -> usize {
-        self.conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
     /// Gracefully shuts down: refuses new connections, completes every
     /// admitted request (queued and in-flight), flushes the responses,
     /// then joins all threads.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Front ends observe the flag and close the listener: from here on
+        // Reactors observe the flag and close the listener: from here on
         // new connections are refused by the OS.
         for h in &self.reactor_handles {
             h.waker.wake();
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
         }
         // Drain: queued jobs flush to workers immediately; workers exit
         // once the queue is empty. Every admitted request gets its reply.
@@ -760,118 +662,13 @@ impl Server {
         for h in self.reactors.drain(..) {
             let _ = h.join();
         }
-        // Legacy handlers exit after their pending replies are delivered
-        // and the next read poll observes the flag.
-        let handles = std::mem::take(
-            &mut *self
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return; // drops the listener → refuses new connections
-        }
-        // Reap finished handlers every pass: over many short-lived
-        // connections the tracked set stays proportional to *live*
-        // connections instead of growing without bound until shutdown.
-        {
-            let mut tracked = conns.lock().unwrap_or_else(PoisonError::into_inner);
-            for done in tracked.extract_if(.., |h| h.is_finished()) {
-                let _ = done.join();
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("quq-serve-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn connection handler");
-                conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    // Reads time out so the handler can observe the shutdown flag while a
-    // client sits idle on an open connection. KNOWN DEFECT, kept as the
-    // regression baseline: `read_frame` is stateless, so a timeout that
-    // fires mid-frame (slow client) drops the partial bytes and desyncs
-    // the connection — the event-loop front end exists to fix this.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some(payload)) => {
-                if !handle_request(&mut stream, shared, &payload) {
-                    return;
-                }
-            }
-            Ok(None) => return, // clean EOF
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Handles one decoded frame; returns `false` when the connection should
-/// close.
-fn handle_request(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
-    match payload.first() {
-        Some(&OP_INFER) => handle_infer(stream, shared, payload),
-        Some(&OP_RELOAD) => handle_reload(stream, shared, payload),
-        Some(&OP_LOAD) => handle_load(stream, shared, payload),
-        Some(&OP_UNLOAD) => handle_unload(stream, shared, payload),
-        Some(&OP_LIST) => {
-            let body = encode_list_response(&shared.registry.snapshot());
-            write_frame(stream, &tag_response(request_id(payload), &body)).is_ok()
-        }
-        Some(&OP_SHADOW) => {
-            let body = match decode_shadow_request(payload) {
-                Ok((_, cmd)) => {
-                    shadow_command(shared, cmd).unwrap_or_else(|msg| encode_error_response(&msg))
-                }
-                Err(e) => encode_error_response(&e.to_string()),
-            };
-            write_frame(stream, &tag_response(request_id(payload), &body)).is_ok()
-        }
-        _ => {
-            let body = encode_error_response("unknown opcode");
-            write_frame(stream, &tag_response(request_id(payload), &body)).is_ok()
-        }
     }
 }
 
 /// Executes one SHADOW admin command against the shared state; shared by
-/// both front ends and the in-process [`Server`] methods. `Ok` carries
-/// the SHADOW response body (the post-command report); `Err` the message
-/// for an ERROR response.
+/// the reactor and the in-process [`Server`] methods. `Ok` carries the
+/// SHADOW response body (the post-command report); `Err` the message for
+/// an ERROR response.
 pub(crate) fn shadow_command(shared: &Shared, cmd: ShadowCmd) -> Result<Vec<u8>, String> {
     match cmd {
         ShadowCmd::Set { name, permille } => {
@@ -910,70 +707,6 @@ pub(crate) fn shadow_command(shared: &Shared, cmd: ShadowCmd) -> Result<Vec<u8>,
     Ok(encode_shadow_response(&shared.shadow.report()))
 }
 
-/// Admin path: swap the default model for one restored from an artifact.
-fn handle_reload(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
-    let (id, path) = match decode_reload_request(payload) {
-        Ok(p) => p,
-        Err(e) => {
-            let body = encode_error_response(&e.to_string());
-            return write_frame(stream, &tag_response(request_id(payload), &body)).is_ok();
-        }
-    };
-    // The artifact is opened, verified, and fully loaded before the
-    // registry entry is touched: inference keeps flowing on the old model
-    // the whole time, and a corrupt artifact is rejected without touching
-    // the served state.
-    match shared.registry.reload_default(Path::new(&path)) {
-        Ok(()) => {
-            quq_obs::add("serve.reloads", 1);
-            let body = encode_status_response(STATUS_RELOADED);
-            write_frame(stream, &tag_response(id, &body)).is_ok()
-        }
-        Err(e) => {
-            quq_obs::add("serve.reload_failures", 1);
-            let body = encode_error_response(&format!("reload of {path:?} failed: {e}"));
-            write_frame(stream, &tag_response(id, &body)).is_ok()
-        }
-    }
-}
-
-/// Admin path: register and load a named model from an artifact.
-fn handle_load(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
-    let (id, name, path) = match decode_load_request(payload) {
-        Ok(p) => p,
-        Err(e) => {
-            let body = encode_error_response(&e.to_string());
-            return write_frame(stream, &tag_response(request_id(payload), &body)).is_ok();
-        }
-    };
-    let backend = shared.registry.default_backend();
-    let body = match shared
-        .registry
-        .load(resolve_name(&name), Path::new(&path), &backend)
-    {
-        Ok(()) => encode_status_response(STATUS_RELOADED),
-        Err(msg) => encode_error_response(&msg),
-    };
-    write_frame(stream, &tag_response(id, &body)).is_ok()
-}
-
-/// Admin path: drop a named model from the registry.
-fn handle_unload(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
-    let (id, name) = match decode_unload_request(payload) {
-        Ok(p) => p,
-        Err(e) => {
-            let body = encode_error_response(&e.to_string());
-            return write_frame(stream, &tag_response(request_id(payload), &body)).is_ok();
-        }
-    };
-    let body = if shared.registry.unload(resolve_name(&name)) {
-        encode_status_response(STATUS_UNLOADED)
-    } else {
-        encode_error_response(&format!("unknown model {name:?}"))
-    };
-    write_frame(stream, &tag_response(id, &body)).is_ok()
-}
-
 /// The `class:tenant` obs site label for a request's per-flow records.
 pub(crate) fn flow_label(class: crate::protocol::Class, tenant: &str) -> String {
     format!(
@@ -995,81 +728,6 @@ pub(crate) fn answer_displaced(victim: crate::sched::Admitted<Job>) {
         .item
         .reply
         .send(encode_status_response(STATUS_OVERLOADED));
-}
-
-fn handle_infer(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
-    let t0 = Instant::now();
-    let (id, meta, model, image) = match decode_infer_request(payload) {
-        Ok(p) => p,
-        Err(e) => {
-            let body = encode_error_response(&e.to_string());
-            return write_frame(stream, &tag_response(request_id(payload), &body)).is_ok();
-        }
-    };
-    let name = resolve_name(&model).to_string();
-    let site_name: String = match shared.registry.admit(&name) {
-        Admit::Unknown => {
-            let msg = format!("unknown model {name:?}");
-            return write_frame(stream, &tag_response(id, &encode_error_response(&msg))).is_ok();
-        }
-        Admit::Resident(state) => {
-            // Validate the shape up front so one malformed request can
-            // never fail a whole batch inside the worker.
-            let cfg = state.model.config();
-            let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
-            if image.shape() != want {
-                let msg = format!("expected image shape {want:?}, got {:?}", image.shape());
-                return write_frame(stream, &tag_response(id, &encode_error_response(&msg)))
-                    .is_ok();
-            }
-            state.provider.name().to_string()
-        }
-        // Evicted model: a worker lazily reloads it and validates there.
-        Admit::Cold => "cold-start".to_string(),
-    };
-    let site = || SiteKey::global(site_name.clone());
-    let flow = flow_label(meta.class, &meta.tenant);
-    let deadline =
-        (meta.deadline_us > 0).then(|| t0 + Duration::from_micros(u64::from(meta.deadline_us)));
-
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        model: name,
-        image,
-        reply: Reply::blocking(tx),
-    };
-    match shared.queue.push(job, meta.class, &meta.tenant, deadline) {
-        Ok(admission) => {
-            quq_obs::add("serve.accepted", 1);
-            quq_obs::record_at("serve.queue_depth", site, admission.depth as u64);
-            if let Some(victim) = admission.displaced {
-                answer_displaced(victim);
-            }
-            // The reply always arrives: workers flush every admitted job
-            // before exiting, and a worker panic drops the Reply, which
-            // delivers an error body instead of a hang.
-            let body = rx
-                .recv()
-                .unwrap_or_else(|_| encode_error_response("worker dropped the request"));
-            let ok = write_frame(stream, &tag_response(id, &body)).is_ok();
-            let dt = t0.elapsed().as_nanos() as u64;
-            quq_obs::record_at("serve.e2e", site, dt);
-            quq_obs::record_at("serve.e2e", || SiteKey::global(flow.clone()), dt);
-            ok
-        }
-        Err(PushError::Full(job)) => {
-            job.reply.forget(); // the front end answers; no second reply on drop
-            quq_obs::add("serve.shed", 1);
-            let body = encode_status_response(STATUS_OVERLOADED);
-            write_frame(stream, &tag_response(id, &body)).is_ok()
-        }
-        Err(PushError::Draining(job)) => {
-            job.reply.forget();
-            let body = encode_status_response(STATUS_DRAINING);
-            let _ = write_frame(stream, &tag_response(id, &body));
-            false
-        }
-    }
 }
 
 fn worker_loop(shared: &Arc<Shared>, cfg: &ServeConfig) {

@@ -1,8 +1,7 @@
 //! End-to-end tests of the serving path: correctness against the offline
 //! forward, backpressure under overload, graceful drain, artifact
-//! cold-start + hot reload, the framing state machines — slow-client
-//! dribble reassembly on the event loop, the legacy front end's desync
-//! (kept as the regression exhibit), pipelining by request id, the
+//! cold-start + hot swap by LOAD, the framing state machines — slow-client
+//! dribble reassembly on the event loop, pipelining by request id, the
 //! client's timeout resync — and the SLO scheduler: deadline-aware
 //! flushing and expiry, interactive-over-batch displacement under
 //! quota, shadow/canary mirroring + promotion, and exactly-once replies
@@ -19,8 +18,8 @@ use quq_serve::protocol::{
     decode_response, encode_infer_request, encode_ok_response, tag_response, write_frame,
 };
 use quq_serve::{
-    artifact_state, BackendProvider, Class, Client, Fp32Provider, FrameDecoder, Frontend,
-    InferOptions, InferResponse, IntegerProvider, ServeConfig, Server,
+    artifact_state, BackendProvider, Class, Client, Fp32Provider, FrameDecoder, InferOptions,
+    InferResponse, IntegerProvider, ServeConfig, Server,
 };
 use quq_store::ArtifactWriter;
 use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, VitModel};
@@ -411,10 +410,11 @@ fn reload_hot_swaps_between_artifacts_under_concurrent_load() {
         })
         .collect();
 
+    // LOAD of the empty name is the hot swap of the default model.
     std::thread::sleep(Duration::from_millis(30));
     let mut admin = Client::connect(addr).unwrap();
     assert_eq!(
-        admin.reload(path_b.to_str().unwrap()).unwrap(),
+        admin.load("", path_b.to_str().unwrap()).unwrap(),
         InferResponse::Reloaded
     );
     std::thread::sleep(Duration::from_millis(30));
@@ -422,21 +422,37 @@ fn reload_hot_swaps_between_artifacts_under_concurrent_load() {
     let answered: usize = hammers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(answered > 0, "hammer clients must have been served");
 
+    // Every request ever admitted to the default is counted once: the
+    // swap keeps the default entry's request counter instead of
+    // restarting it.
+    let default_requests = |admin: &mut Client| match admin.list().unwrap() {
+        InferResponse::ModelList(snap) => {
+            snap.models
+                .iter()
+                .find(|m| m.name == "default")
+                .expect("default listed")
+                .requests
+        }
+        other => panic!("expected ModelList, got {other:?}"),
+    };
+
     // Post-swap, responses come from model B.
     match admin.infer(&img).unwrap() {
         InferResponse::Ok { logits, .. } => assert_eq!(logits, logits_b),
         other => panic!("expected Ok, got {other:?}"),
     }
+    assert_eq!(default_requests(&mut admin), answered as u64 + 1);
 
-    // A failed reload (missing file) reports an error and leaves B serving.
-    match admin.reload("/no/such/artifact.quqm").unwrap() {
-        InferResponse::Error(msg) => assert!(msg.contains("reload"), "{msg}"),
+    // A failed load (missing file) reports an error and leaves B serving.
+    match admin.load("", "/no/such/artifact.quqm").unwrap() {
+        InferResponse::Error(msg) => assert!(msg.contains("load"), "{msg}"),
         other => panic!("expected Error, got {other:?}"),
     }
     match admin.infer(&img).unwrap() {
         InferResponse::Ok { logits, .. } => assert_eq!(logits, logits_b),
         other => panic!("expected Ok, got {other:?}"),
     }
+    assert_eq!(default_requests(&mut admin), answered as u64 + 2);
 
     server.shutdown();
     let _ = std::fs::remove_file(&path_a);
@@ -468,11 +484,10 @@ fn read_responses(stream: &mut TcpStream, want: usize) -> Vec<(u32, InferRespons
 
 #[test]
 fn slow_client_dribble_is_reassembled_bit_exactly_by_the_event_loop() {
-    // THE tentpole regression: requests delivered in arbitrary dribs and
-    // drabs — including stalls long enough that the legacy front end's
-    // read timeout fires mid-frame — must decode byte-for-byte and come
-    // back with bit-exact logits. Fails against the old stateless
-    // `read_frame` loop (see the companion test below).
+    // Requests delivered in arbitrary dribs and drabs — including a stall
+    // inside a length prefix, long enough for any poll-interval read
+    // timeout to fire mid-frame — must decode byte-for-byte and come back
+    // with bit-exact logits. A stateless frame reader fails this.
     let model = test_model();
     let server = Server::start(
         Arc::clone(&model),
@@ -500,8 +515,8 @@ fn slow_client_dribble_is_reassembled_bit_exactly_by_the_event_loop() {
         wire.extend_from_slice(&wire_request(i as u32 + 1, img));
     }
     // Deterministic "hostile" chunking: tiny fragments, frame boundaries
-    // straddled, with stalls longer than the legacy POLL_INTERVAL planted
-    // right inside the length prefix of the second request.
+    // straddled, with a 60 ms stall planted right inside the length prefix
+    // of the second request.
     let mut lcg: u64 = 0x00DD_B0B5;
     let mut sent = 0usize;
     let first_prefix_of_second = wire_request(1, &imgs[0]).len() + 2;
@@ -514,8 +529,8 @@ fn slow_client_dribble_is_reassembled_bit_exactly_by_the_event_loop() {
         stream.write_all(&wire[sent..end]).unwrap();
         stream.flush().unwrap();
         if sent <= first_prefix_of_second && first_prefix_of_second < end {
-            // Mid-prefix stall: the legacy handler's 20 ms read timeout
-            // fires here and (stateless) drops the partial prefix.
+            // Mid-prefix stall: a stateless reader with a read timeout
+            // would drop the partial prefix here.
             std::thread::sleep(Duration::from_millis(60));
         } else if lcg & 0xF == 0 {
             std::thread::sleep(Duration::from_millis(1));
@@ -534,91 +549,6 @@ fn slow_client_dribble_is_reassembled_bit_exactly_by_the_event_loop() {
             ),
             other => panic!("request {id} got {other:?}"),
         }
-    }
-    server.shutdown();
-}
-
-#[test]
-fn legacy_thread_per_conn_desyncs_on_a_mid_prefix_stall() {
-    // The bug the event loop exists to fix, demonstrated on the retained
-    // baseline: a frame whose length prefix straddles a stall longer than
-    // the handler's read timeout is torn — `read_exact` consumes two
-    // prefix bytes, times out, and the stateless retry re-parses from the
-    // middle of the frame. The very same byte sequence (split 2 | rest,
-    // 60 ms apart) that the event loop reassembles above kills this
-    // connection without ever answering.
-    let model = test_model();
-    let server = Server::start(
-        Arc::clone(&model),
-        Arc::new(Fp32Provider),
-        ServeConfig {
-            frontend: Frontend::ThreadPerConn,
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let img = images(&model, 1, 11).remove(0);
-    let wire = wire_request(1, &img);
-
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream.write_all(&wire[..2]).unwrap();
-    stream.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(60)); // > POLL_INTERVAL
-    stream.write_all(&wire[2..]).unwrap();
-    stream.flush().unwrap();
-
-    // The handler misparses prefix bytes [0, 0, OP_INFER, id≈1] as a
-    // 16.8 MB frame (> MAX_FRAME) and closes the connection: the client
-    // sees EOF or an error, never its logits.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(3)))
-        .unwrap();
-    let mut dec = FrameDecoder::new();
-    let outcome = loop {
-        match dec.next_frame() {
-            Ok(Some(frame)) => break Some(decode_response(&frame)),
-            Ok(None) => {}
-            Err(_) => break None,
-        }
-        match dec.read_from(&mut stream) {
-            Ok(0) => break None, // EOF: connection torn down
-            Ok(_) => {}
-            Err(_) => break None, // reset / timeout: equally dead
-        }
-    };
-    match outcome {
-        None => {} // desync confirmed: the request was never answered
-        Some(Ok((_, InferResponse::Ok { .. }))) => {
-            panic!("legacy front end unexpectedly survived the mid-frame stall")
-        }
-        Some(_) => {} // a garbage/error frame is also the desync
-    }
-    server.shutdown();
-}
-
-#[test]
-fn thread_per_conn_still_serves_well_behaved_clients() {
-    // The baseline must stay a *working* baseline for prompt clients —
-    // only slow/fragmented framing desyncs it.
-    let model = test_model();
-    let server = Server::start(
-        Arc::clone(&model),
-        Arc::new(Fp32Provider),
-        ServeConfig {
-            frontend: Frontend::ThreadPerConn,
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let img = images(&model, 1, 3).remove(0);
-    let offline = model.forward(&img, &mut Fp32Backend::new()).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    match client.infer(&img).unwrap() {
-        InferResponse::Ok { logits, .. } => assert_eq!(logits, offline.data()),
-        other => panic!("expected Ok, got {other:?}"),
     }
     server.shutdown();
 }
@@ -723,46 +653,6 @@ fn timed_out_response_is_discarded_not_returned_to_the_next_call() {
         other => panic!("expected Ok, got {other:?}"),
     }
     mock.join().unwrap();
-}
-
-#[test]
-fn thread_per_conn_reaps_finished_connection_handles() {
-    // Satellite regression: the accept loop used to push every handler's
-    // JoinHandle into a vec it only emptied at shutdown — tracked state
-    // grew with connection *history*. Now finished handlers are reaped as
-    // the loop runs, so tracking follows *live* connections.
-    let model = test_model();
-    let server = Server::start(
-        Arc::clone(&model),
-        Arc::new(Fp32Provider),
-        ServeConfig {
-            frontend: Frontend::ThreadPerConn,
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let addr = server.local_addr();
-    let img = images(&model, 1, 7).remove(0);
-    for _ in 0..40 {
-        let mut c = Client::connect(addr).unwrap();
-        assert!(matches!(c.infer(&img).unwrap(), InferResponse::Ok { .. }));
-        // Dropping the client EOFs the connection; its handler exits.
-    }
-    // One more accept-loop pass (≤ POLL_INTERVAL apart) reaps them all.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let tracked = server.tracked_connections();
-        if tracked <= 4 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "handles never reaped: still tracking {tracked} after 40 closed connections"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    server.shutdown();
 }
 
 #[test]
@@ -1103,7 +993,9 @@ fn deadline_flushes_a_partial_batch_ahead_of_max_wait() {
     // With a 10 s batching window, a lone request would normally sit
     // until max_wait elapses. A 500 ms deadline must pull the flush
     // forward: the scheduler ships the partial batch at deadline − slack
-    // and the reply arrives bit-exact long before the window closes.
+    // and the reply arrives bit-exact long before the window closes. The
+    // slack is half the deadline, so a late wake-up on a busy host still
+    // ships the request before it expires.
     let model = test_model();
     let server = Server::start(
         Arc::clone(&model),
@@ -1113,6 +1005,7 @@ fn deadline_flushes_a_partial_batch_ahead_of_max_wait() {
             max_batch: 8,
             max_wait: Duration::from_secs(10),
             queue_capacity: 16,
+            deadline_slack: Duration::from_millis(250),
             ..ServeConfig::default()
         },
         "127.0.0.1:0",

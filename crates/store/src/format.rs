@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! offset 0   magic        "QUQM"                      4 bytes
-//! offset 4   version      u32 = 2 (v1 still readable)
+//! offset 4   version      u32 = 2 (the only version read or written)
 //! offset 8   meta_len     u64   metadata block length (excluding its CRC)
 //! offset 16  manifest_len u64   manifest block length (excluding its CRC)
 //! offset 24  header_crc   u32   CRC-32 of bytes 0..24
@@ -14,7 +14,7 @@
 //!
 //! The **metadata block** holds the model configuration, the PTQ preset,
 //! and the fitting method name. The **manifest** is a chunk directory;
-//! one v2 entry is:
+//! one entry is:
 //!
 //! ```text
 //! key         str16 (u16 length + UTF-8)
@@ -30,9 +30,8 @@
 //! dims        u64 × rank
 //! ```
 //!
-//! v1 entries (still decoded via [`decode_manifest_v1`]) lack `raw_len`
-//! and the codec stack: every v1 chunk is raw. Chunks tile the rest of
-//! the file contiguously by their **stored** lengths, so **every byte of
+//! Chunks tile the rest of the file contiguously by their **stored**
+//! lengths, so **every byte of
 //! an artifact is covered by exactly one checksum** (structural fields by
 //! the header CRC, blocks by their own CRCs, stored payloads by the
 //! manifest CRCs) — the invariant behind the flip-any-byte corruption
@@ -59,11 +58,8 @@ use quq_vit::{Family, ModelConfig, ModelId, OpKind, OpSite, StageConfig};
 /// Magic prefix of the artifact format.
 pub const MAGIC: [u8; 4] = *b"QUQM";
 
-/// Current format version.
+/// Format version: the only one this store reads or writes.
 pub const VERSION: u32 = 2;
-
-/// The previous format version, still readable through the compat shim.
-pub const VERSION_V1: u32 = 1;
 
 /// Upper bound on how much a stored payload may claim to expand when
 /// decoded. The LZ token format tops out at ~44× (a 3-byte match token
@@ -462,7 +458,7 @@ fn decode_stack(d: &mut Dec<'_>) -> Result<CodecStack, StoreError> {
     Ok(CodecStack(specs))
 }
 
-/// Serializes the v2 manifest block (without its CRC).
+/// Serializes the manifest block (without its CRC).
 pub fn encode_manifest(entries: &[ChunkInfo]) -> Vec<u8> {
     let mut e = Enc::default();
     e.u32(entries.len() as u32);
@@ -482,31 +478,6 @@ pub fn encode_manifest(entries: &[ChunkInfo]) -> Vec<u8> {
     e.0
 }
 
-/// Serializes a manifest in the v1 layout (no `raw_len`, no codec stack).
-/// Every entry must be raw — v1 has no way to say otherwise.
-pub fn encode_manifest_v1(entries: &[ChunkInfo]) -> Result<Vec<u8>, StoreError> {
-    let mut e = Enc::default();
-    e.u32(entries.len() as u32);
-    for c in entries {
-        if !c.stack.is_raw() || c.length != c.raw_length {
-            return Err(StoreError::Unsupported(format!(
-                "chunk {:?} uses a codec stack; v1 manifests are raw-only",
-                c.key
-            )));
-        }
-        e.str16(&c.key);
-        e.u8(c.kind.code());
-        e.u64(c.offset);
-        e.u64(c.length);
-        e.u32(c.crc);
-        e.u8(c.shape.len() as u8);
-        for &dim in &c.shape {
-            e.u64(dim as u64);
-        }
-    }
-    Ok(e.0)
-}
-
 fn decode_shape(d: &mut Dec<'_>, key: &str) -> Result<Vec<usize>, StoreError> {
     let rank = d.u8()? as usize;
     if rank > 8 {
@@ -521,7 +492,7 @@ fn decode_shape(d: &mut Dec<'_>, key: &str) -> Result<Vec<usize>, StoreError> {
     Ok(shape)
 }
 
-/// Parses the v2 manifest block.
+/// Parses the manifest block.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Vec<ChunkInfo>, StoreError> {
     let mut d = Dec::new(bytes);
     let count = d.u32()? as usize;
@@ -547,36 +518,6 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Vec<ChunkInfo>, StoreError> {
         };
         info.validate_stack()?;
         out.push(info);
-    }
-    if !d.is_done() {
-        return Err(StoreError::Format("trailing bytes in manifest".into()));
-    }
-    Ok(out)
-}
-
-/// Parses a v1 manifest block (the compat shim): entries come back with
-/// an empty codec stack and `raw_length == length`.
-pub fn decode_manifest_v1(bytes: &[u8]) -> Result<Vec<ChunkInfo>, StoreError> {
-    let mut d = Dec::new(bytes);
-    let count = d.u32()? as usize;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let key = d.str16()?;
-        let kind = ChunkKind::from_code(d.u8()?)?;
-        let offset = d.u64()?;
-        let length = d.u64()?;
-        let crc = d.u32()?;
-        let shape = decode_shape(&mut d, &key)?;
-        out.push(ChunkInfo {
-            key,
-            kind,
-            offset,
-            length,
-            raw_length: length,
-            crc,
-            stack: CodecStack::raw(),
-            shape,
-        });
     }
     if !d.is_done() {
         return Err(StoreError::Format("trailing bytes in manifest".into()));
@@ -855,34 +796,6 @@ mod tests {
             decode_manifest(&encode_manifest(&entries)).unwrap(),
             entries
         );
-    }
-
-    #[test]
-    fn v1_manifests_decode_as_raw_stacks() {
-        let entries = vec![ChunkInfo {
-            key: "model/patch_w".into(),
-            kind: ChunkKind::TensorF32,
-            offset: 1234,
-            length: 4096,
-            raw_length: 4096,
-            crc: 0xDEAD_BEEF,
-            stack: CodecStack::raw(),
-            shape: vec![32, 48],
-        }];
-        let v1 = encode_manifest_v1(&entries).unwrap();
-        assert_eq!(decode_manifest_v1(&v1).unwrap(), entries);
-
-        // v1 cannot describe a compressed chunk.
-        let compressed = vec![ChunkInfo {
-            stack: CodecStack::lz(),
-            length: 100,
-            raw_length: 4096,
-            ..entries[0].clone()
-        }];
-        assert!(matches!(
-            encode_manifest_v1(&compressed),
-            Err(StoreError::Unsupported(_))
-        ));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * a compressed chunk decodes once into a shared buffer behind a
 //!   per-chunk fill lock (the same stampede guard the serve registry uses
 //!   for model loads), so concurrent first readers decode it exactly once;
-//! * a raw chunk on a copy-only backend keeps the v1 behavior: read and
-//!   CRC per access, no cached second copy of the payload.
+//! * a raw chunk on a copy-only backend is read and CRC-checked per
+//!   access, with no cached second copy of the payload.
 //!
 //! Untouched sites therefore cost zero bytes read — the property that
 //! lets the multi-model registry lazily reload an artifact while the old
@@ -32,9 +32,9 @@ use quq_vit::{BlockWeights, Family, ModelConfig, ModelWeights, OpSite, StageWeig
 
 use crate::crc32::crc32;
 use crate::format::{
-    decode_activation_params, decode_manifest, decode_manifest_v1, decode_metadata,
-    decode_weight_params, qub_key, site_from_qub_key, ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY,
-    HEADER_LEN, MAGIC, VERSION, VERSION_V1, WEIGHT_PARAMS_KEY,
+    decode_activation_params, decode_manifest, decode_metadata, decode_weight_params, qub_key,
+    site_from_qub_key, ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, HEADER_LEN, MAGIC, VERSION,
+    WEIGHT_PARAMS_KEY,
 };
 use crate::mmap::MmapStorage;
 use crate::storage::{ByteView, FsStorage, Storage};
@@ -109,7 +109,6 @@ pub struct Artifact {
     key: String,
     path: PathBuf,
     file_len: u64,
-    version: u32,
     config: ModelConfig,
     ptq: PtqConfig,
     method: String,
@@ -201,10 +200,9 @@ impl Artifact {
             )));
         }
         let version = u32::from_le_bytes(header[4..8].try_into().expect("sized"));
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(StoreError::Unsupported(format!(
-                "artifact version {version}; this reader understands versions \
-                 {VERSION_V1} and {VERSION}"
+                "artifact version {version}; this reader understands version {VERSION}"
             )));
         }
         let meta_len = u64::from_le_bytes(header[8..16].try_into().expect("sized"));
@@ -231,11 +229,7 @@ impl Artifact {
             manifest_len,
             "manifest",
         )?;
-        let manifest = if version == VERSION_V1 {
-            decode_manifest_v1(&manifest_bytes)?
-        } else {
-            decode_manifest(&manifest_bytes)?
-        };
+        let manifest = decode_manifest(&manifest_bytes)?;
 
         let mut index = BTreeMap::new();
         let mut offset = chunks_start;
@@ -255,9 +249,6 @@ impl Artifact {
             offset = offset.checked_add(c.length).ok_or_else(|| {
                 StoreError::Format(format!("chunk {:?} length overflows the file", c.key))
             })?;
-            // v1 manifests were decoded straight into raw stacks; re-check
-            // anyway so both paths share one invariant.
-            c.validate_stack()?;
             // Kind/shape consistency constrains the *decoded* length.
             let want = match c.kind {
                 ChunkKind::TensorF32 => {
@@ -297,7 +288,6 @@ impl Artifact {
             key: key.to_string(),
             path: PathBuf::from(key),
             file_len,
-            version,
             config,
             ptq,
             method,
@@ -320,11 +310,6 @@ impl Artifact {
     /// Fitting-method name recorded in the artifact.
     pub fn method(&self) -> &str {
         &self.method
-    }
-
-    /// Format version of the opened file (1 or 2).
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The chunk directory.
@@ -422,7 +407,7 @@ impl Artifact {
                 }
                 ByteView::Owned(v) => {
                     // Copy-only backend: the bytes are re-read each time,
-                    // so they are re-verified each time (v1 behavior).
+                    // so they are re-verified each time.
                     quq_obs::add("store.bytes_read", info.length);
                     let actual = crc32(&v);
                     if actual != info.crc {

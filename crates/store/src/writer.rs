@@ -1,6 +1,6 @@
 //! Serializing a calibrated model into a QUQM artifact.
 //!
-//! Since v2 the writer runs a **codec trial** per chunk: each payload is
+//! The writer runs a **codec trial** per chunk: each payload is
 //! encoded under every candidate stack for its kind (f32 tensors and
 //! params tables: `byte-shuffle(4)+lz` and `lz`; QUB records: `lz`) and
 //! the smallest wins — unless the best saving is under 2%
@@ -22,9 +22,9 @@ use quq_vit::{ModelConfig, ModelWeights, VitModel};
 use crate::codec::{CodecStack, MIN_SAVINGS_PERMILLE};
 use crate::crc32::crc32;
 use crate::format::{
-    encode_activation_params, encode_manifest, encode_manifest_v1, encode_metadata,
-    encode_weight_params, qub_key, ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, BLOCK_TENSORS,
-    HEADER_LEN, MAGIC, VERSION, VERSION_V1, WEIGHT_PARAMS_KEY,
+    encode_activation_params, encode_manifest, encode_metadata, encode_weight_params, qub_key,
+    ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, BLOCK_TENSORS, HEADER_LEN, MAGIC, VERSION,
+    WEIGHT_PARAMS_KEY,
 };
 use crate::storage::{FsStorage, Storage};
 use crate::StoreError;
@@ -36,8 +36,7 @@ pub enum CodecChoice {
     /// wins ≥ 2%. The default.
     #[default]
     Auto,
-    /// Store every chunk raw (still a v2 manifest unless the version says
-    /// otherwise).
+    /// Store every chunk raw.
     Raw,
     /// Apply exactly this stack to **every** chunk, even when it loses to
     /// raw. Exists so tests can force compressed QUB chunks and exercise
@@ -45,34 +44,28 @@ pub enum CodecChoice {
     Force(CodecStack),
 }
 
+impl CodecChoice {
+    /// Parses a codec policy name, as the command-line tools spell it:
+    /// `auto`, `raw`, or a forced stack (`lz`, `rc`, `shuffle-lz`,
+    /// `shuffle-rc`). `None` for any other name.
+    pub fn from_name(name: &str) -> Option<CodecChoice> {
+        Some(match name {
+            "auto" => CodecChoice::Auto,
+            "raw" => CodecChoice::Raw,
+            "lz" => CodecChoice::Force(CodecStack::lz()),
+            "rc" => CodecChoice::Force(CodecStack::rc()),
+            "shuffle-lz" => CodecChoice::Force(CodecStack::shuffle_lz(4)),
+            "shuffle-rc" => CodecChoice::Force(CodecStack::shuffle_rc(4)),
+            _ => return None,
+        })
+    }
+}
+
 /// Knobs for [`ArtifactWriter::save_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WriteOptions {
-    /// Format version to emit: [`VERSION`] (2) or [`VERSION_V1`]. v1 only
-    /// accepts [`CodecChoice::Raw`]-equivalent output.
-    pub version: u32,
     /// Codec selection policy.
     pub codec: CodecChoice,
-}
-
-impl Default for WriteOptions {
-    fn default() -> Self {
-        WriteOptions {
-            version: VERSION,
-            codec: CodecChoice::Auto,
-        }
-    }
-}
-
-impl WriteOptions {
-    /// v1 output (raw chunks, v1 manifest) — for compat fixtures and
-    /// baseline comparisons.
-    pub fn v1() -> WriteOptions {
-        WriteOptions {
-            version: VERSION_V1,
-            codec: CodecChoice::Raw,
-        }
-    }
 }
 
 /// One chunk's line in a [`SaveReport`].
@@ -96,8 +89,6 @@ pub struct ChunkReport {
 pub struct SaveReport {
     /// Whole-artifact size in bytes.
     pub total_bytes: u64,
-    /// Format version written.
-    pub version: u32,
     /// Per-chunk decisions, in manifest order.
     pub chunks: Vec<ChunkReport>,
 }
@@ -225,7 +216,7 @@ fn choose_encoding(kind: ChunkKind, raw: Vec<u8>, choice: &CodecChoice) -> (Vec<
 }
 
 impl ArtifactWriter {
-    /// Serializes `model` + `tables` into a QUQM v2 artifact at `path`,
+    /// Serializes `model` + `tables` into a QUQM artifact at `path`,
     /// with per-chunk codecs chosen automatically.
     ///
     /// The write goes to a sibling temp file first and is atomically
@@ -239,8 +230,8 @@ impl ArtifactWriter {
         Ok(Self::save_with(model, tables, path, &WriteOptions::default())?.total_bytes)
     }
 
-    /// [`ArtifactWriter::save`] with explicit version/codec options,
-    /// returning the full per-chunk [`SaveReport`].
+    /// [`ArtifactWriter::save`] with explicit codec options, returning the
+    /// full per-chunk [`SaveReport`].
     pub fn save_with(
         model: &VitModel,
         tables: &PtqTables,
@@ -268,8 +259,8 @@ impl ArtifactWriter {
         Ok(Self::save_on_with(model, tables, storage, key, &WriteOptions::default())?.total_bytes)
     }
 
-    /// [`ArtifactWriter::save_on`] with explicit version/codec options,
-    /// returning the full per-chunk [`SaveReport`].
+    /// [`ArtifactWriter::save_on`] with explicit codec options, returning
+    /// the full per-chunk [`SaveReport`].
     pub fn save_on_with(
         model: &VitModel,
         tables: &PtqTables,
@@ -283,21 +274,6 @@ impl ArtifactWriter {
                 "tables were fitted by {:?}; only QUQ tables can be stored",
                 tables.method_name()
             )));
-        }
-        match options.version {
-            VERSION => {}
-            VERSION_V1 => {
-                if !matches!(options.codec, CodecChoice::Raw) {
-                    return Err(StoreError::Unsupported(
-                        "v1 artifacts cannot carry codec stacks; use CodecChoice::Raw".into(),
-                    ));
-                }
-            }
-            v => {
-                return Err(StoreError::Unsupported(format!(
-                    "cannot write format version {v}"
-                )))
-            }
         }
         if let CodecChoice::Force(stack) = &options.codec {
             stack.validate()?;
@@ -374,25 +350,18 @@ impl ArtifactWriter {
                 shape: shape.clone(),
             })
             .collect();
-        let encode = |entries: &[ChunkInfo]| -> Result<Vec<u8>, StoreError> {
-            if options.version == VERSION_V1 {
-                encode_manifest_v1(entries)
-            } else {
-                Ok(encode_manifest(entries))
-            }
-        };
-        let manifest_len = encode(&entries)?.len() as u64;
+        let manifest_len = encode_manifest(&entries).len() as u64;
         let mut offset = HEADER_LEN + metadata.len() as u64 + 4 + manifest_len + 4;
         for e in &mut entries {
             e.offset = offset;
             offset += e.length;
         }
-        let manifest = encode(&entries)?;
+        let manifest = encode_manifest(&entries);
         debug_assert_eq!(manifest.len() as u64, manifest_len);
 
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&options.version.to_le_bytes());
+        header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&(metadata.len() as u64).to_le_bytes());
         header.extend_from_slice(&manifest_len.to_le_bytes());
         let header_crc = crc32(&header);
@@ -413,7 +382,6 @@ impl ArtifactWriter {
         quq_obs::add("store.bytes_written", total);
         Ok(SaveReport {
             total_bytes: total,
-            version: options.version,
             chunks: chunks
                 .into_iter()
                 .map(|(key, kind, _, raw_len, stored, stack)| ChunkReport {

@@ -68,7 +68,6 @@ fn forced_artifact_bytes(
         let mem = MemStorage::new();
         let options = WriteOptions {
             codec: CodecChoice::Force(stack()),
-            ..WriteOptions::default()
         };
         let report =
             ArtifactWriter::save_on_with(&model, &tables, &mem, "f.quqm", &options).expect("save");
@@ -88,19 +87,6 @@ fn shuffle_lz_artifact_bytes() -> &'static Vec<u8> {
 fn rc_artifact_bytes() -> &'static Vec<u8> {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     forced_artifact_bytes(CodecStack::rc, &BYTES)
-}
-
-/// The same model saved as a v1 (raw, pre-codec) artifact through the
-/// compat write path.
-fn v1_artifact_bytes() -> &'static Vec<u8> {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let (model, tables) = calibrated();
-        let mem = MemStorage::new();
-        ArtifactWriter::save_on_with(&model, &tables, &mem, "v1.quqm", &WriteOptions::v1())
-            .expect("v1 save");
-        mem.get("v1.quqm").expect("object stored").to_vec()
-    })
 }
 
 #[test]
@@ -331,48 +317,51 @@ fn artifact_roundtrips_byte_identically_through_both_backends() {
     let _ = fs::remove_file(&path);
 }
 
-/// Compressed (forced-stack) and v1 artifacts must all reconstruct the
-/// same model, bit for bit, as the default v2 Auto artifact.
+/// Compressed (forced-stack) artifacts must reconstruct the same model,
+/// bit for bit, as the default Auto artifact; and a header claiming any
+/// version but 2 is refused as unsupported, not parsed.
 #[test]
-fn compressed_and_v1_artifacts_load_bit_identically() {
-    let load = |bytes: &[u8], tag: &str| {
+fn compressed_artifacts_load_bit_identically_and_v1_is_refused() {
+    let open = |bytes: &[u8], tag: &str| {
         let mem = MemStorage::new();
         mem.write(tag, bytes).expect("mem write");
-        let art = Artifact::open_on(Arc::new(mem) as Arc<dyn Storage>, tag).expect("open");
-        let (model, _) = art.load_all().expect("load_all");
-        (art.version(), model)
+        Artifact::open_on(Arc::new(mem) as Arc<dyn Storage>, tag)
     };
-    let (v2_ver, v2_model) = load(artifact_bytes(), "auto");
-    assert_eq!(v2_ver, 2);
+    let stored_and_raw = |art: &Artifact| {
+        art.chunks()
+            .iter()
+            .fold((0, 0), |(s, r), c| (s + c.length, r + c.raw_length))
+    };
+    let auto = open(artifact_bytes(), "auto").expect("open");
+    let (auto_model, _) = auto.load_all().expect("load_all");
     for (bytes, tag) in [
         (shuffle_lz_artifact_bytes(), "shuffle-lz"),
         (rc_artifact_bytes(), "rc"),
     ] {
-        let (ver, model) = load(bytes, tag);
-        assert_eq!(ver, 2, "{tag}");
-        assert_eq!(model.weights(), v2_model.weights(), "{tag}");
+        let art = open(bytes, tag).expect("open");
+        let (model, _) = art.load_all().expect("load_all");
+        assert_eq!(model.weights(), auto_model.weights(), "{tag}");
     }
-    let (v1_ver, v1_model) = load(v1_artifact_bytes(), "v1");
-    assert_eq!(v1_ver, 1);
-    assert_eq!(v1_model.weights(), v2_model.weights());
-    // The codec work must actually pay: every forced-compressed file and
-    // the Auto file land below the raw v1 byte count.
-    assert!(artifact_bytes().len() < v1_artifact_bytes().len());
-    assert!(shuffle_lz_artifact_bytes().len() < v1_artifact_bytes().len());
-}
+    // The codec work must actually pay: the Auto and shuffle-lz files
+    // store fewer bytes than their chunks decode to.
+    for (bytes, tag) in [
+        (artifact_bytes(), "auto"),
+        (shuffle_lz_artifact_bytes(), "shuffle-lz"),
+    ] {
+        let (stored, raw) = stored_and_raw(&open(bytes, tag).expect("open"));
+        assert!(stored < raw, "{tag}: {stored} stored of {raw} raw bytes");
+    }
 
-/// v1 is a raw-only format: asking the writer for v1 with any compression
-/// policy other than raw is a structured error, not silent misencoding.
-#[test]
-fn v1_save_rejects_compression() {
-    let (model, tables) = calibrated();
-    let mem = MemStorage::new();
-    for codec in [CodecChoice::Auto, CodecChoice::Force(CodecStack::lz())] {
-        let options = WriteOptions { version: 1, codec };
-        assert!(matches!(
-            ArtifactWriter::save_on_with(&model, &tables, &mem, "bad.quqm", &options),
-            Err(StoreError::Unsupported(_))
-        ));
+    // A CRC-valid header naming version 1 (or anything but 2) is refused.
+    for version in [1u32, 3] {
+        let mut old = artifact_bytes().clone();
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32(&old[..24]);
+        old[24..28].copy_from_slice(&crc.to_le_bytes());
+        match open_bytes("old-version", &old) {
+            Err(StoreError::Unsupported(msg)) => assert!(msg.contains("version"), "{msg}"),
+            other => panic!("version {version}: expected Unsupported, got {other:?}"),
+        }
     }
 }
 
@@ -432,7 +421,8 @@ proptest! {
 
     /// The flip property holds just as hard when chunks are compressed:
     /// the CRC guards the *stored* bytes, so corruption is caught before
-    /// a codec ever runs, and the range decoder is total regardless.
+    /// a codec ever runs, and the range decoder is total regardless. The
+    /// Auto fixture rides along to cover the in-memory backend too.
     #[test]
     fn single_byte_flips_in_compressed_artifacts_are_detected(
         pos_seed in 0u64..u64::MAX,
@@ -442,7 +432,7 @@ proptest! {
         let bytes = match which {
             0 => shuffle_lz_artifact_bytes(),
             1 => rc_artifact_bytes(),
-            _ => v1_artifact_bytes(),
+            _ => artifact_bytes(),
         };
         let pos = (pos_seed % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();

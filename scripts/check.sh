@@ -124,8 +124,8 @@ serve_out=target/bench_smoke_serve.json
 # served logits are bit-identical to offline forward, drives a mixed
 # closed-loop + fixed-rate load (including an overload regime that must
 # shed), sweeps the event-loop front end up to 512 concurrent
-# connections (zero desync, bounded RSS, >= thread-per-conn throughput),
-# and drains gracefully; a non-zero exit fails the gate.
+# connections (zero desync, bounded RSS), and drains gracefully; a
+# non-zero exit fails the gate.
 QUQ_QUICK=1 QUQ_BENCH_OUT="$serve_out" \
     cargo run --release -q -p quq-bench --bin loadgen -- --metrics
 python3 - "$serve_out" <<'PY'
@@ -146,15 +146,13 @@ assert batched["mean_batch"] > 1.0
 
 # Many-connections gate: the event-loop front end must carry >= 512
 # concurrent connections with ZERO desyncs/errors (every response
-# bit-exact and matched to its request id), bounded per-connection
-# memory, and throughput at least on par with thread-per-connection.
+# bit-exact and matched to its request id) and bounded per-connection
+# memory.
 assert report["conn_sweep_clean"] is True
 top = max(report["conn_sweep"], key=lambda p: p["conns"])
 assert top["conns"] >= 512, top
 assert all(p["errors"] == 0 for p in report["conn_sweep"])
 assert top["rss_per_conn_kib"] <= 256, top
-fc = report["frontend_compare"]
-assert fc["event_loop_ge_thread_per_conn"] is True, fc
 # Pipelining on one connection must beat one-request-at-a-time.
 pipe = report["pipelined"]
 assert pipe["images_per_sec"] > pipe["sequential_images_per_sec"], pipe
@@ -233,7 +231,7 @@ echo "store smoke: cold-start server answered bit-identically and drained clean"
 # inference.
 codec_raw=target/check_codec_raw.quqm
 cargo run --release -q -p quq-bench --bin storebench -- --save "$codec_raw" --codec raw
-for codec in auto shuffle-lz shuffle-rc v1; do
+for codec in auto shuffle-lz shuffle-rc; do
     codec_art="target/check_codec_$codec.quqm"
     rm -f "$codec_art" "$codec_art.bad"
     cargo run --release -q -p quq-bench --bin storebench -- --save "$codec_art" --codec "$codec"

@@ -17,7 +17,7 @@ use std::process::Command;
 use quq_accel::IntegerBackend;
 use quq_core::pipeline::{calibrate, PtqConfig};
 use quq_core::quantizer::QuqMethod;
-use quq_store::{Artifact, ArtifactWriter, WriteOptions};
+use quq_store::{Artifact, ArtifactWriter, CodecChoice, WriteOptions};
 use quq_vit::{Dataset, Fp32Backend, ModelConfig, VitModel};
 
 const IMG_FILL: f32 = 0.25;
@@ -130,11 +130,11 @@ fn fresh_process_logits_are_bit_identical_on_both_backends() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The codec layer must be invisible to inference: the same model saved as
-/// a v1 raw artifact and as a v2 compressed artifact yields bit-identical
-/// logits from fresh processes, on both backends.
+/// The codec layer must be invisible to inference: the same model saved
+/// raw and compressed yields bit-identical logits from fresh processes,
+/// on both backends.
 #[test]
-fn v2_compressed_artifact_matches_v1_raw_in_fresh_processes() {
+fn compressed_artifact_matches_raw_in_fresh_processes() {
     let config = ModelConfig::test_config();
     let model = VitModel::synthesize(config, 9);
     let calib = Dataset::calibration(model.config(), 4, 3);
@@ -146,27 +146,30 @@ fn v2_compressed_artifact_matches_v1_raw_in_fresh_processes() {
     )
     .expect("calibration");
 
-    let v1_path = temp_artifact("v1-raw");
-    ArtifactWriter::save_with(&model, &tables, &v1_path, &WriteOptions::v1()).expect("v1 save");
+    let raw_path = temp_artifact("raw");
+    let raw = WriteOptions {
+        codec: CodecChoice::Raw,
+    };
+    ArtifactWriter::save_with(&model, &tables, &raw_path, &raw).expect("raw save");
 
-    let v2_path = temp_artifact("v2-auto");
-    let report = ArtifactWriter::save_with(&model, &tables, &v2_path, &WriteOptions::default())
-        .expect("v2 save");
+    let auto_path = temp_artifact("auto");
+    let report = ArtifactWriter::save_with(&model, &tables, &auto_path, &WriteOptions::default())
+        .expect("auto save");
     assert!(
         report.chunks.iter().any(|c| !c.stack.is_raw()),
-        "the v2 auto artifact compressed nothing — the comparison would be vacuous"
+        "the auto artifact compressed nothing — the comparison would be vacuous"
     );
-    assert!(report.total_bytes < std::fs::metadata(&v1_path).expect("stat v1").len());
+    assert!(report.total_bytes < std::fs::metadata(&raw_path).expect("stat raw").len());
 
     for backend in ["fp32", "int"] {
-        let from_v1 = fresh_process_logits(&v1_path, backend, 1);
-        let from_v2 = fresh_process_logits(&v2_path, backend, 1);
+        let from_raw = fresh_process_logits(&raw_path, backend, 1);
+        let from_auto = fresh_process_logits(&auto_path, backend, 1);
         assert_eq!(
-            from_v1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            from_v2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{backend}: v2 compressed logits diverge from the v1 raw artifact"
+            from_raw.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            from_auto.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{backend}: compressed logits diverge from the raw artifact"
         );
     }
-    let _ = std::fs::remove_file(&v1_path);
-    let _ = std::fs::remove_file(&v2_path);
+    let _ = std::fs::remove_file(&raw_path);
+    let _ = std::fs::remove_file(&auto_path);
 }
