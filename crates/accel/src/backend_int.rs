@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 ///
 /// Without it, every image re-encodes every layer weight from FP32 *and*
 /// re-decodes it inside every GEMM. With it, each weight site is encoded
-/// once, its pre-shifted `i16` panel is built once
-/// ([`QubTensor::preshifted`]), and every subsequent image reuses both —
+/// once, its packed GEMM panel is built once ([`QubTensor::preshifted`]),
+/// and every subsequent image reuses both —
 /// the software analogue of weights living on-chip in the paper's
 /// accelerator. Clone the [`Arc`] into each worker's backend to share the
 /// cache across parallel evaluation.
@@ -64,12 +64,11 @@ impl WeightQubCache {
     /// checksum-verified (once) by the store as it is read; on an mmap-backed
     /// artifact the QUB wire bytes are parsed straight out of the mapped
     /// pages with no intermediate copy, and compressed records decode lazily
-    /// on this first touch. The pre-shifted panel is built here so the first
-    /// inference pays no decode cost.
+    /// on this first touch. The packed GEMM panel is built here, in one pass
+    /// from the code bytes, so the first inference pays no decode cost.
     pub fn from_artifact(
         artifact: &quq_store::Artifact,
     ) -> std::result::Result<Self, quq_store::StoreError> {
-        crate::cost::install_tile_prior();
         let cache = Self::new();
         {
             let mut entries = cache.entries();
@@ -82,8 +81,8 @@ impl WeightQubCache {
         Ok(cache)
     }
 
-    /// Returns the encoded weight for `site`, encoding (and pre-decoding
-    /// the packed panel) on first use. The lock is held across the encode
+    /// Returns the encoded weight for `site`, encoding (and packing its
+    /// GEMM panel) on first use. The lock is held across the encode
     /// so concurrent workers never duplicate the work.
     fn get_or_encode(&self, site: OpSite, params: QuqParams, w: &Tensor) -> Arc<QubTensor> {
         let mut entries = self.entries();
@@ -120,9 +119,6 @@ impl<'a> IntegerBackend<'a> {
     /// Wraps calibrated tables sharing `weights` with other backends (e.g.
     /// one backend per evaluation worker over one model's weights).
     pub fn with_cache(tables: &'a PtqTables, weights: Arc<WeightQubCache>) -> Self {
-        // Any process running integer GEMMs should tune them with the
-        // hardware-derived prior rather than the built-in default.
-        crate::cost::install_tile_prior();
         Self { tables, weights }
     }
 
@@ -184,8 +180,8 @@ fn sfu_load(q: &QubTensor, shape: &[usize]) -> IntTensor {
     IntTensor::from_vec(ints, shape).expect("encode keeps the element count")
 }
 
-/// Integer GEMM `C = A·Bᵀ` over encoded operands on the pre-shifted packed
-/// kernel ([`dot::matmul_nt_qub`]), with the rescale and the bias applied
+/// Integer GEMM `C = A·Bᵀ` over encoded operands on the packed kernel
+/// ([`dot::matmul_nt_qub`]), with the rescale and the bias applied
 /// in one pass over the accumulators: `(acc as f32 * scale) + b`, the same
 /// two roundings as a rescale pass followed by a bias pass.
 fn gemm_nt(

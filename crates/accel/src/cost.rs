@@ -309,71 +309,6 @@ pub fn gemm_energy_nj(report: &CostReport, stats: &crate::sim::GemmStats) -> f64
     stats.cycles as f64 * cycle_energy_pj / 1e3
 }
 
-// ---- software-tile prior for the GEMM autotuner --------------------------
-
-/// Scores a software `(KC, MR, JB)` register tile for
-/// `quq_tensor::tune` by mapping it onto this module's PE-array model —
-/// the reproduction's own hardware cost model doubling as the software
-/// autotuner's search prior. Lower is better; units are relative energy
-/// per MAC.
-///
-/// The mapping (DESIGN.md has the derivation):
-/// * The register tile **is** a virtual PE array: `MR·JB` vector
-///   accumulators each retiring `lanes` MACs per step, costed at the QUA
-///   PE's combinational energy ([`Scheme::Quq`], the operand bit-width
-///   from the tune context).
-/// * Operand delivery is the array-edge periphery: each step fills
-///   `MR + JB` operand registers to feed `MR·JB` MACs, charged at
-///   register (DFF) energy — the same clock-load term that dominates the
-///   QUA's power overhead. Bigger tiles amortize edges exactly like a
-///   bigger array amortizes its periphery.
-/// * Live vectors beyond the architectural register file spill: extra
-///   register traffic per step.
-/// * The active panel working set (`(MR + JB)·KC` i16s) overflowing L1
-///   re-streams from the next level: extra delivery in proportion.
-/// * Each `KC`-panel pass reloads and writes back the `i64`
-///   accumulators — the software analogue of array fill/drain cycles —
-///   amortized over the panel depth.
-pub fn software_tile_prior(ctx: &quq_tensor::tune::TuneContext, t: quq_tensor::tune::Tile) -> f64 {
-    let tech = Tech::n28();
-    let bits = if ctx.bits == 0 { 8 } else { ctx.bits.min(8) };
-    let (pe_comb, _) = pe_cost(Scheme::Quq, bits);
-    let mac = pe_comb * tech.comb_ge_power_uw;
-
-    let edge = register_ge(16) * tech.reg_ge_power_uw;
-    let macs_per_step = (t.mr * t.jb) as f64;
-    let delivery = edge * (t.mr + t.jb) as f64 / macs_per_step;
-
-    let live_vectors = t.mr * t.jb + 2 * t.mr + 2;
-    let spill = if live_vectors > ctx.vector_regs {
-        edge * (live_vectors - ctx.vector_regs) as f64 / macs_per_step
-    } else {
-        0.0
-    };
-
-    let panel_bytes = 2 * t.kc * (t.mr + t.jb);
-    let l1_overflow = if panel_bytes > ctx.l1_bytes {
-        delivery * panel_bytes as f64 / ctx.l1_bytes as f64
-    } else {
-        0.0
-    };
-
-    let kc_eff = t.kc.min(ctx.k).max(1) as f64;
-    let fill_drain = 2.0 * register_ge(64) * tech.reg_ge_power_uw / kc_eff;
-
-    mac + delivery + spill + l1_overflow + fill_drain
-}
-
-/// Installs [`software_tile_prior`] as the packed-GEMM autotuner's
-/// ranking heuristic (idempotent; first caller wins the race). Invoked
-/// by [`crate::backend_int::IntegerBackend`] construction so any run
-/// that can execute integer GEMMs tunes with the hardware-derived
-/// prior.
-pub fn install_tile_prior() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| quq_tensor::tune::set_prior(software_tile_prior));
-}
-
 /// The eight configurations of the paper's Table 4, in row order.
 pub fn table4_configs() -> Vec<AcceleratorConfig> {
     let mut out = Vec::new();
@@ -510,40 +445,6 @@ mod tests {
         let r = rep(Scheme::Quq, 6, 16);
         let s = r.to_string();
         assert!(s.contains("QUQ") && s.contains("16×16") && s.contains("mm²"));
-    }
-
-    #[test]
-    fn software_tile_prior_ranks_like_the_array_model() {
-        use quq_tensor::tune::{Tile, TuneContext};
-        let ctx = TuneContext {
-            m: 197,
-            k: 384,
-            n: 384,
-            bits: 6,
-            simd_i16_lanes: 32,
-            vector_regs: 32,
-            l1_bytes: 32 * 1024,
-        };
-        let p = |kc, mr, jb| software_tile_prior(&ctx, Tile { kc, mr, jb });
-        // Bigger tiles amortize edge delivery, like bigger PE arrays
-        // amortize periphery…
-        assert!(p(256, 4, 4) < p(256, 1, 2));
-        // …until the register file spills.
-        assert!(p(256, 4, 8) > p(256, 4, 4));
-        // Deeper panels amortize accumulator fill/drain.
-        assert!(p(256, 2, 4) < p(64, 2, 4));
-        // Higher bit-width costs more per MAC, never less.
-        let ctx8 = TuneContext { bits: 8, ..ctx };
-        assert!(
-            software_tile_prior(
-                &ctx8,
-                Tile {
-                    kc: 256,
-                    mr: 2,
-                    jb: 4
-                }
-            ) > p(256, 2, 4)
-        );
     }
 }
 

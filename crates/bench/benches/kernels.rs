@@ -87,7 +87,6 @@ fn bench_gemm(c: &mut Criterion) {
         ("packed_avx2", "avx2"),
         ("packed_avx512", "avx512"),
         ("packed_avx512vnni", "avx512vnni"),
-        ("packed_neon", "neon"),
         ("packed_scalar", "scalar"),
     ] {
         if !linalg::isa::supported()
@@ -102,15 +101,6 @@ fn bench_gemm(c: &mut Criterion) {
             std::env::remove_var("QUQ_FORCE_ISA");
         });
     }
-    // Autotuned tile (memoized) vs the static per-ISA default tile.
-    g.bench_function("tuned_vs_fixed/tuned", |b| {
-        b.iter(|| matmul_nt_qub(black_box(&qa), black_box(&qw)))
-    });
-    g.bench_function("tuned_vs_fixed/fixed", |b| {
-        std::env::set_var("QUQ_TUNE", "off");
-        b.iter(|| matmul_nt_qub(black_box(&qa), black_box(&qw)));
-        std::env::remove_var("QUQ_TUNE");
-    });
     g.finish();
 }
 

@@ -32,9 +32,7 @@
 //!   the pre-panel reference ([`quq_core::matmul_nt_qub_reference`]) on
 //!   ViT-sized shapes at the child's thread count, verifying exact
 //!   agreement, with a per-ISA breakdown (every host-supported kernel ISA
-//!   forced via `QUQ_FORCE_ISA`, each re-verified bit-identical), the
-//!   autotuner's memoized tile and first-use search time per ISA, and a
-//!   tuned-vs-fixed-tile (`QUQ_TUNE=off`) comparison.
+//!   forced via `QUQ_FORCE_ISA`, each re-verified bit-identical).
 //!
 //! `--list-isas` prints one supported kernel ISA per line and exits
 //! (consumed by `scripts/check.sh` to drive its per-ISA test matrix).
@@ -166,8 +164,7 @@ fn time_best(reps: usize, f: &dyn Fn() -> Vec<i64>) -> f64 {
 
 /// Times the packed GEMM once per host-supported ISA (forced via
 /// `QUQ_FORCE_ISA` in-process — the env is read on this thread, never by
-/// pool workers), verifying each ISA's bytes against `reference` and
-/// reporting the memoized tile plus the tuner's first-use search time.
+/// pool workers), verifying each ISA's bytes against `reference`.
 fn isa_breakdown_json(
     qa: &quq_core::QubTensor,
     qw: &quq_core::QubTensor,
@@ -175,32 +172,20 @@ fn isa_breakdown_json(
     reference_seconds: f64,
     reps: usize,
 ) -> String {
-    let (m, n) = (qa.shape[0], qw.shape[0]);
-    // Tuner keys carry the *padded* panel stride and the bits hint the
-    // dispatch layer uses.
-    let kp = qa.preshifted().shape()[1];
-    let bits = qa.bits.max(qw.bits);
     let mut parts = Vec::new();
     for &isa in quq_tensor::linalg::isa::supported() {
         std::env::set_var("QUQ_FORCE_ISA", isa.name());
-        let before = quq_obs::snapshot();
         let warm = matmul_nt_qub(qa, qw);
-        let search_ms = quq_obs::snapshot()
-            .delta_since(&before)
-            .hist_sum("tune.search") as f64
-            * 1e-6;
         assert_eq!(warm.as_slice(), reference, "{} diverged", isa.name());
         let seconds = time_best(reps, &|| matmul_nt_qub(qa, qw));
         let speedup = reference_seconds / seconds;
-        let tile = quq_tensor::tune::lookup(m, kp, n, bits, isa)
-            .unwrap_or_else(|| quq_tensor::tune::default_tile(isa));
         println!(
-            "    {:>10}: {seconds:.4}s ({speedup:6.2}x vs reference), tile kc={} mr={} jb={}, first-use search {search_ms:.2} ms",
-            isa.name(), tile.kc, tile.mr, tile.jb
+            "    {:>10}: {seconds:.4}s ({speedup:6.2}x vs reference)",
+            isa.name()
         );
         parts.push(format!(
-            "{{\"isa\": \"{}\", \"packed_seconds\": {seconds:.5}, \"speedup_vs_reference\": {speedup:.3}, \"tile\": {{\"kc\": {}, \"mr\": {}, \"jb\": {}}}, \"tune_search_ms\": {search_ms:.3}}}",
-            isa.name(), tile.kc, tile.mr, tile.jb
+            "{{\"isa\": \"{}\", \"packed_seconds\": {seconds:.5}, \"speedup_vs_reference\": {speedup:.3}}}",
+            isa.name()
         ));
     }
     std::env::remove_var("QUQ_FORCE_ISA");
@@ -208,8 +193,7 @@ fn isa_breakdown_json(
 }
 
 /// Packed-vs-reference integer GEMM microbenchmark at the current thread
-/// count, with a per-ISA, per-shape breakdown and a tuned-vs-fixed-tile
-/// comparison. Returns a JSON fragment.
+/// count, with a per-ISA, per-shape breakdown. Returns a JSON fragment.
 fn int_gemm_microbench() -> String {
     let (shapes, reps): (&[(usize, usize, usize)], usize) = if quick() {
         (&[(32, 48, 48)], 2)
@@ -249,24 +233,10 @@ fn int_gemm_microbench() -> String {
         ));
     }
 
-    // Tuned vs fixed tile on the primary shape, same dispatched ISA: the
-    // fixed side pins QUQ_TUNE=off (the per-ISA static default tile).
-    let (m, k, n) = shapes[0];
-    let (qa, qw) = encode_pair(m, k, n, bits);
-    let tuned_seconds = time_best(reps, &|| matmul_nt_qub(&qa, &qw));
-    std::env::set_var("QUQ_TUNE", "off");
-    let fixed_seconds = time_best(reps, &|| matmul_nt_qub(&qa, &qw));
-    std::env::remove_var("QUQ_TUNE");
-    let tuned_speedup = fixed_seconds / tuned_seconds;
-    println!(
-        "    tuned vs fixed tile at {m}x{k}x{n}: {tuned_seconds:.4}s vs {fixed_seconds:.4}s → {tuned_speedup:.2}x"
-    );
-
     let (reference_seconds, packed_seconds, speedup) = primary.expect("at least one shape");
-    let (searches, hits) = quq_tensor::tune::stats();
     let (m, k, n) = shapes[0];
     format!(
-        "{{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"bits\": {bits}, \"reference_seconds\": {reference_seconds:.5}, \"packed_seconds\": {packed_seconds:.5}, \"speedup\": {speedup:.3}, \"bit_identical_packed_vs_reference\": true, \"dispatched_isa\": \"{}\", \"tune_searches\": {searches}, \"tune_hits\": {hits}, \"tuned_vs_fixed\": {{\"tuned_seconds\": {tuned_seconds:.5}, \"fixed_seconds\": {fixed_seconds:.5}, \"speedup\": {tuned_speedup:.3}}}, \"shapes\": [{}]}}",
+        "{{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"bits\": {bits}, \"reference_seconds\": {reference_seconds:.5}, \"packed_seconds\": {packed_seconds:.5}, \"speedup\": {speedup:.3}, \"bit_identical_packed_vs_reference\": true, \"dispatched_isa\": \"{}\", \"shapes\": [{}]}}",
         dispatched.name(),
         shape_jsons.join(", ")
     )

@@ -47,14 +47,18 @@ fn check_nt_shapes(a: &QubTensor, b: &QubTensor) -> (usize, usize, usize) {
 /// Integer matrix product between QUB tensors: `C[m,n] = A[m,k] · B[k,n]ᵀ`
 /// where `b` is `[n, k]` (linear-layer weight layout).
 ///
-/// Operands are expanded to *pre-shifted packed panels*
-/// ([`QubTensor::preshifted`]: `D << n_sh` as `i16`, cached per tensor) and
-/// multiplied by the cache-blocked [`quq_tensor::linalg::i16_matmul_nt_i64`]
-/// kernel — a dense widening MAC with no per-element shift, exactly the
-/// arithmetic split between the paper's decoding units and PE array.
-/// `(D_x·D_w) << (s_x+s_w)` equals `(D_x<<s_x)·(D_w<<s_w)`, so the
-/// accumulators are bit-identical to the [`matmul_nt_qub_reference`] path,
-/// and integer accumulation keeps them identical at every thread count.
+/// Operands are expanded to pre-shifted values `D << n_sh` — `A` decoded
+/// row-major per call, `B` as the cached [`QubTensor::preshifted`] panel
+/// in the packed lane-per-column layout — and multiplied by
+/// [`quq_tensor::linalg::i16_matmul_nt_packed`], a dense widening MAC with
+/// no per-element shift: exactly the arithmetic split between the paper's
+/// decoding units and PE array. `(D_x·D_w) << (s_x+s_w)` equals
+/// `(D_x<<s_x)·(D_w<<s_w)`, so the accumulators are bit-identical to the
+/// [`matmul_nt_qub_reference`] path, and integer accumulation keeps them
+/// identical at every thread count.
+///
+/// The `gemm.i16_nt` span covers the kernel and, when `b` has no cached
+/// panel yet (an activation such as `K` or `Vᵀ`), its packing.
 ///
 /// Returns the raw accumulators; scale them with [`accumulator_value`] or
 /// requantize with [`requantize`]. Empty shapes (`m == 0 || n == 0`) return
@@ -64,19 +68,13 @@ fn check_nt_shapes(a: &QubTensor, b: &QubTensor) -> (usize, usize, usize) {
 ///
 /// Panics when shapes are not rank-2 compatible.
 pub fn matmul_nt_qub(a: &QubTensor, b: &QubTensor) -> Vec<i64> {
-    let (m, k, n) = check_nt_shapes(a, b);
+    let (m, _, n) = check_nt_shapes(a, b);
     if m == 0 || n == 0 {
         return vec![0i64; m * n];
     }
-    let ap = a.preshifted();
-    let bp = b.preshifted();
-    // Panels carry a zero-padded row stride (a PANEL_K_ALIGN multiple ≥ k)
-    // so the SIMD main loops run tail-free; the pad contributes exactly 0.
-    // Both operands share the same pad rule, so their strides agree.
-    let kp = ap.shape()[1];
-    debug_assert!(kp >= k && bp.shape()[1] == kp, "panel strides must agree");
-    let bits = a.bits.max(b.bits);
-    quq_tensor::linalg::i16_matmul_nt_i64_hinted(ap.data(), bp.data(), m, kp, n, bits)
+    let ad = a.decode_preshifted();
+    let _span = quq_obs::span("gemm.i16_nt");
+    quq_tensor::linalg::i16_matmul_nt_packed(ad.data(), m, &b.preshifted())
 }
 
 /// The pre-panel reference implementation of [`matmul_nt_qub`]: decodes

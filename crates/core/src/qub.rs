@@ -19,6 +19,7 @@
 
 use crate::scheme::{QuqCode, QuqParams, SpaceLayout};
 use quq_tensor::linalg::isa::{self, EncodePlan, EncodeRange, EncodeSide};
+use quq_tensor::linalg::PackedB;
 use quq_tensor::{I16Tensor, IntTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
@@ -311,14 +312,14 @@ pub fn preshift_lut(fc: FcRegisters, bits: u32) -> Vec<i16> {
         .collect()
 }
 
-/// Lazily-built pre-shifted decode panel attached to a [`QubTensor`].
+/// Lazily-built packed GEMM panel attached to a [`QubTensor`].
 ///
 /// The panel is derived data (a pure function of bytes + FC + bits), so the
 /// cache is invisible to equality, survives clones, and is shared across
-/// threads once built. Layer weights in particular are decoded once per
+/// threads once built. Layer weights in particular are packed once per
 /// model rather than once per image per GEMM.
 #[derive(Debug, Default)]
-pub struct DecodeCache(OnceLock<Arc<I16Tensor>>);
+pub struct DecodeCache(OnceLock<Arc<PackedB>>);
 
 impl Clone for DecodeCache {
     fn clone(&self) -> Self {
@@ -353,7 +354,7 @@ pub struct QubTensor {
     pub bits: u32,
     /// Base scale factor `Δ`.
     pub base_delta: f32,
-    /// Lazily-built pre-shifted decode panel (derived, never serialized).
+    /// Lazily-built packed GEMM panel (derived, never serialized).
     pub(crate) panel: DecodeCache,
 }
 
@@ -418,38 +419,26 @@ impl QubTensor {
         I16Tensor::from_vec(data, &self.shape).expect("sized")
     }
 
-    /// The pre-shifted packed panel, decoded at most once per tensor and
-    /// cached (interior-mutable; shared by clones made after the first
-    /// decode). The integer GEMM path calls this so reused operands — layer
-    /// weights above all — pay the decode exactly once per model.
+    /// The tensor as the `B` operand of the integer GEMM: its pre-shifted
+    /// values `D << n_sh` in the lane-per-column layout of
+    /// [`PackedB`], built at most once per tensor and cached
+    /// (interior-mutable; shared by clones made after the first build).
+    /// The integer GEMM path calls this so reused operands — layer weights
+    /// above all — pay the decode and the packing exactly once per model.
     ///
-    /// Rank-2 panels are stored with their row stride zero-padded up to
-    /// [`quq_tensor::linalg::PANEL_K_ALIGN`] elements (the widest SIMD
-    /// step), so the GEMM's vector main loops never touch a remainder
-    /// path. The pad contributes exactly `0` to every dot product; the
-    /// logical tensor ([`QubTensor::decode_preshifted`], and through it
-    /// the SFU-side `decode_scaled`) stays unpadded. The padded stride is
-    /// the panel's `shape()[1]`.
-    pub fn preshifted(&self) -> Arc<I16Tensor> {
+    /// The panel is built in one pass from the code bytes through
+    /// [`preshift_lut`]; the logical tensor ([`QubTensor::decode_preshifted`],
+    /// and through it the SFU-side `decode_scaled`) is unaffected. Leading
+    /// axes are flattened: the panel has `len / k` columns of depth `k`, the
+    /// last axis.
+    pub fn preshifted(&self) -> Arc<PackedB> {
         Arc::clone(self.panel.0.get_or_init(|| {
-            let unpadded = self.decode_preshifted();
-            let &[rows, k] = unpadded.shape() else {
-                return Arc::new(unpadded);
-            };
-            let kp = k.div_ceil(quq_tensor::linalg::PANEL_K_ALIGN.max(1))
-                * quq_tensor::linalg::PANEL_K_ALIGN;
-            if kp == k {
-                return Arc::new(unpadded);
-            }
-            let mut padded = vec![0i16; rows * kp];
-            for (src, dst) in unpadded
-                .data()
-                .chunks_exact(k)
-                .zip(padded.chunks_exact_mut(kp))
-            {
-                dst[..k].copy_from_slice(src);
-            }
-            Arc::new(I16Tensor::from_vec(padded, &[rows, kp]).expect("sized"))
+            let k = self.shape.last().copied().unwrap_or(1);
+            let n = self.shape[..self.shape.len().saturating_sub(1)]
+                .iter()
+                .product();
+            let lut = preshift_lut(self.fc, self.bits);
+            Arc::new(PackedB::from_codes(&self.bytes, n, k, &lut))
         }))
     }
 
@@ -701,6 +690,8 @@ mod tests {
         let first = qt.preshifted();
         let second = qt.preshifted();
         assert!(Arc::ptr_eq(&first, &second), "cache must hit");
+        // Packed straight from the bytes, it holds the decoded values.
+        assert_eq!(*first, PackedB::pack(qt.decode_preshifted().data(), 2, 2));
         // A clone made after the first decode shares the same panel.
         let cloned = qt.clone();
         assert!(Arc::ptr_eq(&first, &cloned.preshifted()));

@@ -5,31 +5,29 @@ use quq_core::{relax, Pra, PraConfig, QubCodec, QuqParams, SpaceLayout};
 use quq_tensor::linalg::isa::{self, Isa};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Tests that pin `QUQ_FORCE_ISA` or `QUQ_TUNE` hold this lock while they
-/// do, and put back what they found: `scripts/check.sh` pins the ISA from
+/// Tests that pin `QUQ_FORCE_ISA` hold this lock while they do, and put
+/// back what they found: `scripts/check.sh` pins the ISA from
 /// outside, once per kernel, and that pin must outlive the first test.
 static ENV: Mutex<()> = Mutex::new(());
 
 struct EnvPin {
-    saved: [(&'static str, Option<String>); 2],
+    saved: Option<String>,
     _lock: MutexGuard<'static, ()>,
 }
 
 fn pin_env() -> EnvPin {
     let lock = ENV.lock().unwrap_or_else(PoisonError::into_inner);
     EnvPin {
-        saved: ["QUQ_FORCE_ISA", "QUQ_TUNE"].map(|k| (k, std::env::var(k).ok())),
+        saved: std::env::var("QUQ_FORCE_ISA").ok(),
         _lock: lock,
     }
 }
 
 impl Drop for EnvPin {
     fn drop(&mut self) {
-        for (key, value) in &self.saved {
-            match value {
-                Some(v) => std::env::set_var(key, v),
-                None => std::env::remove_var(key),
-            }
+        match &self.saved {
+            Some(v) => std::env::set_var("QUQ_FORCE_ISA", v),
+            None => std::env::remove_var("QUQ_FORCE_ISA"),
         }
     }
 }
@@ -291,29 +289,21 @@ proptest! {
         let serial = quq_tensor::pool::run_serial(|| quq_core::matmul_nt_qub(&qa, &qw));
         prop_assert_eq!(&packed, &serial, "pool execution diverged from serial");
         // The kernel matrix: every ISA this host supports (QUQ_FORCE_ISA
-        // reaches the dispatch) × untuned default tiles (QUQ_TUNE=off) ×
-        // exhaustively tuned tiles (QUQ_TUNE=full) must reproduce the
-        // reference bytes, pooled and serial. scripts/check.sh re-runs
-        // this test once per ISA with QUQ_FORCE_ISA pinned from outside.
+        // reaches the dispatch) must reproduce the reference bytes, pooled
+        // and serial. scripts/check.sh re-runs this test once per ISA with
+        // QUQ_FORCE_ISA pinned from outside.
         let _pin = pin_env();
         for &isa in isa::supported() {
             std::env::set_var("QUQ_FORCE_ISA", isa.name());
-            for tune_mode in ["off", "full"] {
-                std::env::set_var("QUQ_TUNE", tune_mode);
-                let forced = quq_core::matmul_nt_qub(&qa, &qw);
-                prop_assert_eq!(
-                    &forced, &reference,
-                    "{} with QUQ_TUNE={} diverged from reference",
-                    isa.name(), tune_mode
-                );
-                let forced_serial =
-                    quq_tensor::pool::run_serial(|| quq_core::matmul_nt_qub(&qa, &qw));
-                prop_assert_eq!(
-                    &forced, &forced_serial,
-                    "{} with QUQ_TUNE={} diverged between pool and serial",
-                    isa.name(), tune_mode
-                );
-            }
+            let forced = quq_core::matmul_nt_qub(&qa, &qw);
+            prop_assert_eq!(&forced, &reference, "{} diverged from reference", isa.name());
+            let forced_serial =
+                quq_tensor::pool::run_serial(|| quq_core::matmul_nt_qub(&qa, &qw));
+            prop_assert_eq!(
+                &forced, &forced_serial,
+                "{} diverged between pool and serial",
+                isa.name()
+            );
         }
     }
 
@@ -450,7 +440,6 @@ fn encoder_runs_the_kernel_of_the_pinned_isa() {
     let _pin = pin_env();
     let family = |pinned: Isa| match pinned {
         Isa::Avx512Vnni => Isa::Avx512,
-        Isa::Neon => Isa::Scalar,
         other => other,
     };
     let codec = QubCodec::new(QuqParams::uniform(8, 0.05).unwrap());

@@ -92,13 +92,6 @@ pub fn window_summary(delta: &Snapshot, indent: &str) -> String {
         delta.hist_sum("sfu.gelu") as f64 * 1e-9,
         delta.hist_sum("sfu.layer_norm") as f64 * 1e-9,
     );
-    let _ = writeln!(
-        out,
-        "{indent}GEMM tuner: {} searches ({:.1} ms) / {} memo hits",
-        delta.counter_total("tune.searches"),
-        delta.hist_sum("tune.search") as f64 * 1e-6,
-        delta.counter_total("tune.hits"),
-    );
     out
 }
 
@@ -121,14 +114,14 @@ mod tests {
         Snapshot {
             counters: vec![
                 crate::CounterSnap {
-                    name: "tune.searches".to_string(),
-                    site: None,
-                    value: 3,
-                },
-                crate::CounterSnap {
-                    name: "tune.hits".to_string(),
+                    name: "cache.weight_qub.hit".to_string(),
                     site: None,
                     value: 41,
+                },
+                crate::CounterSnap {
+                    name: "cache.weight_qub.miss".to_string(),
+                    site: None,
+                    value: 3,
                 },
             ],
             hists: vec![
@@ -137,7 +130,6 @@ mod tests {
                 hist("op.softmax", Some("block0.Softmax"), 3_000_000_000),
                 hist("op.matmul_nt", Some("block0.QkMatmul"), 1_000_000_000),
                 hist("sfu.softmax", None, 500),
-                hist("tune.search", None, 2_500_000),
             ],
         }
     }
@@ -167,8 +159,8 @@ mod tests {
         assert_eq!(table.lines().count(), 3);
         assert!(table.contains("block0.Qkv"));
         let summary = window_summary(&sample(), "  ");
-        assert_eq!(summary.lines().count(), 4);
+        assert_eq!(summary.lines().count(), 3);
         assert!(summary.contains("GEMM: 8.000s"));
-        assert!(summary.contains("GEMM tuner: 3 searches (2.5 ms) / 41 memo hits"));
+        assert!(summary.contains("weight-decode cache: 41 hits / 3 misses"));
     }
 }

@@ -128,8 +128,9 @@ impl Default for IntTensor {
     }
 }
 
-/// A dense, row-major tensor of `i16` values: the *packed panel* format of
-/// the integer GEMM pipeline.
+/// A dense, row-major tensor of `i16` values: a decoded operand of the
+/// integer GEMM pipeline (the `A` side; `B` is repacked into
+/// [`crate::linalg::PackedB`]).
 ///
 /// QUB decode produces pre-shifted values `D · 2^{n_sh}`; with `b ≤ 8` and
 /// `n_sh ≤ 7` every such value fits an `i16` (|D·2^{n_sh}| ≤ 2^14), so a

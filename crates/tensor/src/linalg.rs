@@ -9,7 +9,7 @@
 
 pub mod isa;
 
-use crate::{pool, tune, IntTensor, Tensor, TensorError};
+use crate::{pool, IntTensor, Tensor, TensorError};
 use std::cell::Cell;
 
 /// Rows of `B` (the shared operand) processed per pass so the active block
@@ -263,33 +263,14 @@ pub fn int_matmul(a: &IntTensor, b: &IntTensor) -> crate::Result<IntTensor> {
     IntTensor::from_vec(out, &[m, n])
 }
 
-/// Integer matrix product over *pre-shifted packed panels*:
-/// `C[m,n] = A[m,k] · B[n,k]ᵀ` with `i64` accumulators.
-///
-/// `a` and `b` hold pre-shifted decoded QUB values (`D << n_sh`, each
-/// fitting an `i16` for b ≤ 8), so the inner loop is a dense widening
-/// multiply-accumulate with no per-element shift — the software analogue of
-/// the paper's PE array consuming decoding-unit output. The kernel is
-/// cache-blocked in [`KC`]-element panels of `k` and computes [`JB`] output
-/// columns per pass over an `A` row (four independent accumulators share
-/// one load of `A`). Output rows are partitioned disjointly across the
-/// [`crate::pool`]; integer accumulation is exact, so results are
-/// bit-identical at every thread count and blocking order.
-///
-/// Magnitude bound on packed-panel entries: `|D << n_sh| ≤ 2^7 · 2^7`
-/// for b ≤ 8 (payload fits b−1 ≤ 7 bits, `n_sh` fits 3 bits). The
-/// kernels under [`isa`] rely on it: any two products fit 2^29 (so
-/// `pmaddwd`/`vpdpwssd` pair sums are exact), any two pair sums fit
-/// 2^30 (so a two-step `i32` fold is exact), and any four-product
-/// partial sum fits 2^30 (so the scalar `i32` chunks never wrap).
+/// Magnitude bound on the `i16` GEMM operands: pre-shifted decoded QUB
+/// values `D << n_sh` satisfy `|D << n_sh| ≤ 2^7 · 2^7` for b ≤ 8 (the
+/// payload fits b−1 ≤ 7 bits, `n_sh` fits 3 bits). Under it one
+/// multiply-add of two products fits 2^29, so `vpmaddwd`/`vpdpwssd` pair
+/// sums are exact, and an `i32` lane takes at least 3 pairs before it must
+/// widen; [`PackedB`] kernels widen exactly as often as the operands'
+/// actual maxima require.
 pub const PANEL_BOUND: i32 = 1 << 14;
-
-/// Panel stride alignment (in `i16` elements) that makes the SIMD main
-/// loops tail-free: the widest kernel consumes 32 lanes per step, so
-/// panels whose row stride is a multiple of this (zero-padded — zeros
-/// contribute exactly nothing) never touch a remainder path in steady
-/// state. `QubTensor::preshifted` pads its rank-2 panels to this.
-pub const PANEL_K_ALIGN: usize = 32;
 
 thread_local! {
     /// Rows of a single logical image inside a stacked `forward_batch`
@@ -336,60 +317,152 @@ fn packed_row_grain(m: usize) -> usize {
     image_rows.min(m.div_ceil(2 * threads)).max(ROW_GRAIN)
 }
 
+/// `B[n, k]` packed for the lane-per-column GEMM kernels of [`isa`]:
+/// columns in blocks of 16 (one `i32` lane each), and inside a block the
+/// depth in pairs, so that pair `p` of all 16 columns is one contiguous
+/// 64-byte vector `[b[j, 2p], b[j, 2p+1]]` per column `j`. `k` is padded
+/// to even and `n` to a whole block, with zeros, which contribute nothing.
+/// The layout is the same for every ISA (AVX2 reads a block as two
+/// halves), so a cached panel serves whatever `QUQ_FORCE_ISA` picks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedB {
+    data: Vec<i16>,
+    n: usize,
+    k: usize,
+    /// Largest `|b|`, which sets how often the kernels widen.
+    max_abs: u16,
+}
+
+impl PackedB {
+    /// Packs row-major `b[n, k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b.len() != n·k`.
+    pub fn pack(b: &[i16], n: usize, k: usize) -> Self {
+        Self::pack_with(b, n, k, |v| v)
+    }
+
+    /// Packs row-major code bytes `codes[n, k]` through a decode table in
+    /// one pass (entry `q` of `table` is what byte `q` stands for).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `codes.len() != n·k` or a byte indexes past `table`.
+    pub fn from_codes(codes: &[u8], n: usize, k: usize, table: &[i16]) -> Self {
+        Self::pack_with(codes, n, k, |q| table[usize::from(q)])
+    }
+
+    fn pack_with<T: Copy>(rows: &[T], n: usize, k: usize, value: impl Fn(T) -> i16) -> Self {
+        assert_eq!(rows.len(), n * k, "rhs panel must be n·k elements");
+        let block_len = k.div_ceil(2) * 2 * isa::BLOCK;
+        let mut data = vec![0i16; n.div_ceil(isa::BLOCK) * block_len];
+        if k > 0 {
+            for (block, cols) in data
+                .chunks_exact_mut(block_len)
+                .zip(rows.chunks(isa::BLOCK * k))
+            {
+                for (c, row) in cols.chunks_exact(k).enumerate() {
+                    // Column `c`'s pair `p` lands at `2·BLOCK·p + 2c`.
+                    for (p, pair) in row.chunks_exact(2).enumerate() {
+                        let at = 2 * isa::BLOCK * p + 2 * c;
+                        block[at] = value(pair[0]);
+                        block[at + 1] = value(pair[1]);
+                    }
+                    if k % 2 == 1 {
+                        block[2 * isa::BLOCK * (k / 2) + 2 * c] = value(row[k - 1]);
+                    }
+                }
+            }
+        }
+        let max_abs = data.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+        debug_assert!(
+            i32::from(max_abs) <= PANEL_BOUND,
+            "panel values must satisfy |v| ≤ 2^14 (the pre-shifted QUB bound)"
+        );
+        Self {
+            data,
+            n,
+            k,
+            max_abs,
+        }
+    }
+
+    pub(crate) fn data(&self) -> &[i16] {
+        &self.data
+    }
+}
+
+/// Pairs an `i32` lane can take before it must widen: the most for which
+/// `2·max|a|·max|b|·pairs ≤ i32::MAX`, so no partial sum can wrap.
+fn pairs_per_widen(max_a: u16, max_b: u16) -> usize {
+    let per_pair = 2 * u64::from(max_a) * u64::from(max_b);
+    let pairs = (i32::MAX as u64 / per_pair.max(1)).max(1);
+    usize::try_from(pairs).unwrap_or(usize::MAX)
+}
+
+/// `C[m,n] = A[m,k] · B[n,k]ᵀ` over `i16` operands with exact `i64`
+/// results, `B` row-major and packed on this call (inside the
+/// `gemm.i16_nt` span, which therefore times all of the GEMM's work).
+///
 /// # Preconditions
 ///
 /// Every element of `a` and `b` must satisfy `|v| ≤` [`PANEL_BOUND`]
 /// (guaranteed by the QUB pre-shift decode for b ≤ 8; checked by a
-/// `debug_assert!`). Larger magnitudes can overflow the `i32` partial
-/// sums the blocked kernels use.
+/// `debug_assert!`). The widening cadence follows the operands' actual
+/// maxima, so results are exact under it.
 ///
 /// # Panics
 ///
 /// Panics when `a.len() != m·k` or `b.len() != n·k`.
 pub fn i16_matmul_nt_i64(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
-    i16_matmul_nt_i64_hinted(a, b, m, k, n, 0)
+    let _span = quq_obs::span("gemm.i16_nt");
+    i16_matmul_nt_packed(a, m, &PackedB::pack(b, n, k))
 }
 
-/// [`i16_matmul_nt_i64`] with a QUB bit-width hint that keys the tile
-/// autotuner (`bits = 0` when unknown). The hint never affects values —
-/// only which memoized tile shape the search space resolves to.
+/// `C[m,n] = A[m,k] · B[n,k]ᵀ` with `B` already packed, `A` row-major.
+/// Opens no span: callers time it under `gemm.i16_nt` together with any
+/// packing they do per call.
 ///
 /// Dispatch happens here, once per call: the ISA comes from
-/// [`isa::resolve`] (best supported, or `QUQ_FORCE_ISA`), the tile from
-/// [`crate::tune::tile_for`] (memoized per shape, `QUQ_TUNE` to
-/// control), and pool workers receive the resolved kernel as a plain
-/// fn pointer. Every ISA × tile combination accumulates exactly in
-/// `i64`, so output bytes are identical regardless of host, override,
-/// tile shape, or thread count.
-pub fn i16_matmul_nt_i64_hinted(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    bits: u32,
-) -> Vec<i64> {
+/// [`isa::resolve`] (best supported, or `QUQ_FORCE_ISA`) and pool workers
+/// receive its kernel as a plain fn pointer. Every lane takes as many
+/// pairs in `i32` as `2·max|a|·max|b|·pairs ≤ i32::MAX` allows before it
+/// widens into `i64`, so output bytes are identical regardless of host,
+/// override or thread count.
+///
+/// # Panics
+///
+/// Panics when `a.len()` is not `m` rows of `B`'s depth `k`.
+pub fn i16_matmul_nt_packed(a: &[i16], m: usize, b: &PackedB) -> Vec<i64> {
+    i16_matmul_nt_on(isa::resolve(), a, m, b)
+}
+
+/// [`i16_matmul_nt_packed`] on a given ISA.
+fn i16_matmul_nt_on(which: isa::Isa, a: &[i16], m: usize, b: &PackedB) -> Vec<i64> {
+    let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k, "lhs panel must be m·k elements");
-    assert_eq!(b.len(), n * k, "rhs panel must be n·k elements");
-    debug_assert!(
-        a.iter()
-            .chain(b.iter())
-            .all(|&v| (v as i32).abs() <= PANEL_BOUND),
-        "panel values must satisfy |v| ≤ 2^14 (the pre-shifted QUB bound)"
-    );
-    let _span = quq_obs::span("gemm.i16_nt");
-    record_gemm_work(m, k, n, 2, 8);
+    record_gemm_work(m, k.next_multiple_of(2), n, 2, 8);
     let mut out = vec![0i64; m * n];
     if m == 0 || n == 0 {
         return out;
     }
-    let which = isa::resolve();
-    let tile = tune::tile_for(a, b, m, k, n, bits, which);
-    let kern = isa::block_fn(which, tile.mr, tile.jb)
-        .expect("tuner and defaults only propose lattice tiles");
-    let grain = packed_row_grain(m);
-    pool::parallel_rows_mut(&mut out, n, grain, move |first_row, block| {
-        kern(a, b, block, first_row, k, n, tile.kc);
+    let max_a = a.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    debug_assert!(
+        i32::from(max_a) <= PANEL_BOUND,
+        "panel values must satisfy |v| ≤ 2^14 (the pre-shifted QUB bound)"
+    );
+    let g = isa::Gemm {
+        a,
+        b: b.data(),
+        k,
+        n,
+        chunk: pairs_per_widen(max_a, b.max_abs),
+    };
+    let kern = isa::gemm_fn(which);
+    pool::parallel_rows_mut(&mut out, n, packed_row_grain(m), |first_row, block| {
+        // SAFETY: `gemm_fn` asserted that the host supports `which`.
+        unsafe { kern(&g, block, first_row) }
     });
     out
 }
@@ -503,7 +576,7 @@ mod tests {
     #[test]
     fn i16_matmul_nt_matches_naive_dot() {
         let mut rng = StdRng::seed_from_u64(7);
-        // Sizes straddle the KC panel and JB tile boundaries.
+        // Sizes straddle the tile, block and pair boundaries.
         for (m, k, n) in [(1, 1, 1), (3, 5, 4), (9, 130, 7), (16, 300, 13)] {
             let a: Vec<i16> = (0..m * k)
                 .map(|_| (standard_normal(&mut rng) * 1000.0) as i16)
@@ -549,9 +622,9 @@ mod tests {
     #[test]
     fn i16_matmul_nt_extreme_values_do_not_overflow() {
         // Saturate the panel contract: every entry at ±PANEL_BOUND with a
-        // deep reduction, so pmaddwd pair sums hit 2^29 and the scalar
-        // four-product chunks hit 2^30 — the worst cases both kernels
-        // must survive exactly.
+        // deep reduction, so every pair sum is 2^29 and the `i32` lanes
+        // must widen every 3 pairs — the worst case all kernels must
+        // survive exactly.
         let k = 4096;
         let hi = PANEL_BOUND as i16;
         let a = vec![-hi; k];
@@ -563,48 +636,93 @@ mod tests {
         assert_eq!(c2[0], 0);
     }
 
+    /// Naive `i64` reference for `A·Bᵀ`.
+    fn naive(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
+        let mut want = vec![0i64; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                want[i * n + j] = (0..k)
+                    .map(|p| a[i * k + p] as i64 * b[j * k + p] as i64)
+                    .sum();
+            }
+        }
+        want
+    }
+
     #[test]
     fn every_isa_and_tile_shape_matches_naive_dot_bitwise() {
-        // The full kernel matrix: every supported ISA × every lattice
-        // (MR, JB) × panel depths straddling k must produce the naive
-        // dot product's exact bytes — SIMD remainders (k not a multiple
-        // of the step), row tails (m % MR ≠ 0), and column tails
-        // (n % JB ≠ 0) included.
+        // The full kernel matrix: every supported ISA must produce the
+        // naive dot product's exact bytes on odd k and k = 0, n below one
+        // 8- or 16-lane vector and straddling one or several, and m
+        // straddling the tile height (row tails) — every tail of the tile.
         let mut rng = StdRng::seed_from_u64(9);
-        for (m, k, n) in [(1, 1, 1), (3, 17, 5), (5, 129, 9), (7, 67, 13)] {
-            let sample = |len: usize, rng: &mut StdRng| -> Vec<i16> {
-                (0..len)
-                    .map(|_| (standard_normal(rng) * 8000.0).clamp(-16384.0, 16384.0) as i16)
-                    .collect()
-            };
-            let a = sample(m * k, &mut rng);
-            let b = sample(n * k, &mut rng);
-            let mut want = vec![0i64; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    want[i * n + j] = (0..k)
-                        .map(|p| a[i * k + p] as i64 * b[j * k + p] as i64)
-                        .sum();
-                }
-            }
-            for &which in isa::supported() {
-                for mr in [1, 2, 4] {
-                    for jb in [2, 4, 8] {
-                        for kc in [1, 4, 32, 128, 4096] {
-                            let kern = isa::block_fn(which, mr, jb).unwrap();
-                            let mut got = vec![0i64; m * n];
-                            kern(&a, &b, &mut got, 0, k, n, kc);
-                            assert_eq!(
-                                got,
-                                want,
-                                "{} mr={mr} jb={jb} kc={kc} diverged at {m}x{k}x{n}",
-                                which.name()
-                            );
-                        }
+        let sample = |len: usize, rng: &mut StdRng| -> Vec<i16> {
+            (0..len)
+                .map(|_| (standard_normal(rng) * 8000.0).clamp(-16384.0, 16384.0) as i16)
+                .collect()
+        };
+        for m in [1usize, 3, 4, 5, 9] {
+            for k in [0usize, 1, 2, 17, 66, 129] {
+                for n in [1usize, 7, 8, 9, 15, 16, 17, 33, 65, 80] {
+                    let a = sample(m * k, &mut rng);
+                    let b = sample(n * k, &mut rng);
+                    let want = naive(&a, &b, m, k, n);
+                    let packed = PackedB::pack(&b, n, k);
+                    for &which in isa::supported() {
+                        assert_eq!(
+                            i16_matmul_nt_on(which, &a, m, &packed),
+                            want,
+                            "{} diverged at {m}x{k}x{n}",
+                            which.name()
+                        );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn lanes_widen_exactly_at_the_i32_bound() {
+        // 2^30 − 1 = 10261 · 11627 · 9, so with every |a| = 10261 and
+        // every |b| = 11627 nine same-sign pairs sum to 2^31 − 2, the
+        // nearest an even total comes to i32::MAX: the lanes must take
+        // exactly nine pairs in i32. One pair more (k = 19, 20) would wrap
+        // if they did not widen, and k = 18 lands on the bound itself.
+        let (ma, mb) = (10261i16, 11627i16);
+        assert_eq!(2 * ma as i64 * mb as i64 * 9, i32::MAX as i64 - 1);
+        assert_eq!(pairs_per_widen(ma as u16, mb as u16), 9);
+        for k in [17usize, 18, 19, 20, 37] {
+            for (sa, sb) in [(1i16, 1i16), (-1, 1), (-1, -1)] {
+                let (m, n) = (5, 17);
+                let a = vec![sa * ma; m * k];
+                let b = vec![sb * mb; n * k];
+                let want = naive(&a, &b, m, k, n);
+                let packed = PackedB::pack(&b, n, k);
+                for &which in isa::supported() {
+                    assert_eq!(
+                        i16_matmul_nt_on(which, &a, m, &packed),
+                        want,
+                        "{} k={k} signs ({sa},{sb})",
+                        which.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packs_from_codes_like_from_values() {
+        // A decode table applied while packing equals packing the decoded
+        // values; padding past k and n stays zero.
+        let table: Vec<i16> = (0..64).map(|q| (q - 32) * 100).collect();
+        let (n, k) = (19, 7);
+        let codes: Vec<u8> = (0..n * k).map(|i| (i * 37 % 64) as u8).collect();
+        let values: Vec<i16> = codes.iter().map(|&q| table[q as usize]).collect();
+        let packed = PackedB::from_codes(&codes, n, k, &table);
+        assert_eq!(packed, PackedB::pack(&values, n, k));
+        assert_eq!((packed.n, packed.k), (n, k));
+        assert_eq!(packed.data().len(), 2 * 4 * 2 * isa::BLOCK);
+        assert_eq!(packed.max_abs, 3200);
     }
 
     #[test]

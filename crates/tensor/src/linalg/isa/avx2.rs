@@ -1,131 +1,108 @@
-//! AVX2 microkernel: `vpmaddwd` on 256-bit registers, 32 panel elements
-//! per widen.
-//!
-//! Each `_mm256_madd_epi16` lane is a pair sum ≤ 2^29 under
-//! [`crate::linalg::PANEL_BOUND`]; two madd results per 32-element step
-//! sum to ≤ 2^30 in `i32` lanes — still exact — before one widen into
-//! the `i64` accumulators, halving the widening traffic of the previous
-//! one-widen-per-16 kernel. Remainders below 16 elements re-enter the
-//! portable [`super::scalar::tile`] body.
-//!
-//! The file also holds the AVX2 QUB encoder (`encode_qub`), eight `f32`
-//! lanes per step; see [`super::encode`] for what it computes and why it
-//! is exact.
+//! AVX2 kernels: the GEMM tile on two 8-lane `ymm` per packed block,
+//! `vpmaddwd` + `vpaddd`, and the QUB encoder (`encode_qub`), eight `f32`
+//! lanes per step; see [`super::encode`] for what the encoder computes and
+//! why it is exact.
 
 use super::encode::{EncodePlan, EncodeRange, EPS};
+use super::{Gemm, Lanes, BLOCK};
 use std::arch::x86_64::*;
 
-/// Widens the eight exact `i32` lanes of `s` and adds them to `acc`.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn add_widen_i32(acc: __m256i, s: __m256i) -> __m256i {
-    let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s));
-    let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1));
-    _mm256_add_epi64(acc, _mm256_add_epi64(lo, hi))
-}
+/// Register tile: 4 rows × 1 block, 8 `ymm` accumulators of the 16.
+const MR: usize = 4;
+const NB: usize = 1;
 
-/// Horizontal sum of four exact `i64` lanes.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn hsum_i64(v: __m256i) -> i64 {
-    let s = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-    _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1)
-}
+/// The AVX2 [`Lanes`]: a block's 16 lanes as two `ymm`.
+struct Ymm;
 
-/// `MR×JB` register tile over 16-lane `ymm`; exact, ascending-`p`.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 at runtime; pointer bounds as for
-/// [`super::scalar::tile`].
-#[target_feature(enable = "avx2")]
-#[inline]
-pub(crate) unsafe fn tile<const MR: usize, const JB: usize>(
-    a: *const i16,
-    ak: usize,
-    b: *const i16,
-    bk: usize,
-    len: usize,
-    out: &mut [[i64; JB]; MR],
-) {
-    let zero = _mm256_setzero_si256();
-    let mut acc = [[zero; JB]; MR];
-    let mut p = 0usize;
-    while p + 32 <= len {
-        let mut va0 = [zero; MR];
-        let mut va1 = [zero; MR];
-        let mut i = 0usize;
-        while i < MR {
-            va0[i] = _mm256_loadu_si256(a.add(i * ak + p) as *const __m256i);
-            va1[i] = _mm256_loadu_si256(a.add(i * ak + p + 16) as *const __m256i);
-            i += 1;
+impl Lanes for Ymm {
+    type Acc = [__m256i; 2];
+    type Pair = __m256i;
+    type Cols = [__m256i; 2];
+
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        [_mm256_setzero_si256(); 2]
+    }
+
+    #[inline(always)]
+    unsafe fn splat(pair: [i16; 2]) -> __m256i {
+        // The low half of each lane pairs with the even column element.
+        _mm256_set1_epi32((u32::from(pair[0] as u16) | u32::from(pair[1] as u16) << 16) as i32)
+    }
+
+    #[inline(always)]
+    unsafe fn load(b: *const i16) -> Self::Cols {
+        // SAFETY: the caller guarantees 32 readable `i16` at `b`: two
+        // unaligned 16-element loads.
+        unsafe {
+            [
+                _mm256_loadu_si256(b.cast()),
+                _mm256_loadu_si256(b.add(16).cast()),
+            ]
         }
-        let mut j = 0usize;
-        while j < JB {
-            let vb0 = _mm256_loadu_si256(b.add(j * bk + p) as *const __m256i);
-            let vb1 = _mm256_loadu_si256(b.add(j * bk + p + 16) as *const __m256i);
-            let mut i = 0usize;
-            while i < MR {
-                let s = _mm256_add_epi32(
-                    _mm256_madd_epi16(va0[i], vb0),
-                    _mm256_madd_epi16(va1[i], vb1),
-                );
-                acc[i][j] = add_widen_i32(acc[i][j], s);
-                i += 1;
+    }
+
+    #[inline(always)]
+    unsafe fn mac(acc: Self::Acc, a: __m256i, b: Self::Cols) -> Self::Acc {
+        [
+            _mm256_add_epi32(acc[0], _mm256_madd_epi16(a, b[0])),
+            _mm256_add_epi32(acc[1], _mm256_madd_epi16(a, b[1])),
+        ]
+    }
+
+    #[inline(always)]
+    unsafe fn widen_add(acc: Self::Acc, out: &mut [i64]) {
+        if out.len() < BLOCK {
+            let mut lanes = [0i32; BLOCK];
+            // SAFETY: `lanes` holds 16 `i32`, two unaligned `ymm`.
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
             }
-            j += 1;
+            super::add_lanes(out, &lanes);
+            return;
         }
-        p += 32;
-    }
-    if p + 16 <= len {
-        let mut i = 0usize;
-        while i < MR {
-            let va = _mm256_loadu_si256(a.add(i * ak + p) as *const __m256i);
-            let mut j = 0usize;
-            while j < JB {
-                let vb = _mm256_loadu_si256(b.add(j * bk + p) as *const __m256i);
-                acc[i][j] = add_widen_i32(acc[i][j], _mm256_madd_epi16(va, vb));
-                j += 1;
+        let quarters = [
+            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[0])),
+            _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(acc[0])),
+            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[1])),
+            _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(acc[1])),
+        ];
+        for (quarter, wide) in out.chunks_exact_mut(BLOCK / 4).zip(quarters) {
+            // SAFETY: each quarter holds 4 `i64`, one unaligned `ymm`.
+            unsafe {
+                let sum = _mm256_add_epi64(_mm256_loadu_si256(quarter.as_ptr().cast()), wide);
+                _mm256_storeu_si256(quarter.as_mut_ptr().cast(), sum);
             }
-            i += 1;
         }
-        p += 16;
-    }
-    let mut tail = [[0i64; JB]; MR];
-    if p < len {
-        super::scalar::tile::<MR, JB>(a.add(p), ak, b.add(p), bk, len - p, &mut tail);
-    }
-    let mut i = 0usize;
-    while i < MR {
-        let mut j = 0usize;
-        while j < JB {
-            out[i][j] += hsum_i64(acc[i][j]) + tail[i][j];
-            j += 1;
-        }
-        i += 1;
     }
 }
 
-super::isa_block_family!(block_fn, nest, tile, "avx2");
+/// AVX2 GEMM kernel ([`super::GemmFn`]).
+#[target_feature(enable = "avx2")]
+pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+    // SAFETY: this function runs only with the target feature `Ymm` needs.
+    unsafe { super::nest::<Ymm, MR, NB>(g, out, first_row) }
+}
 
 /// Lane-wise `|v|`.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn abs_ps(v: __m256) -> __m256 {
+fn abs_ps(v: __m256) -> __m256 {
     _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff)))
 }
 
 /// One byte value in every `i32` lane, typed for `blendv_ps`.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn splat_byte(b: u8) -> __m256 {
+fn splat_byte(b: u8) -> __m256 {
     _mm256_castsi256_ps(_mm256_set1_epi32(b as i32))
 }
 
 /// `neg ? n : p` broadcast per lane.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn by_sign(neg: __m256, n: f32, p: f32) -> __m256 {
+fn by_sign(neg: __m256, n: f32, p: f32) -> __m256 {
     _mm256_blendv_ps(_mm256_set1_ps(p), _mm256_set1_ps(n), neg)
 }
 
@@ -134,7 +111,7 @@ unsafe fn by_sign(neg: __m256, n: f32, p: f32) -> __m256 {
 /// [`super::encode`]'s scalar `candidate`, eight lanes at a time.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn encode_candidate(
+fn encode_candidate(
     x: __m256,
     neg: __m256,
     n: &EncodeRange,
@@ -159,7 +136,7 @@ unsafe fn encode_candidate(
 /// `cand` beats `best` on error, or ties within [`EPS`] and `tie` holds.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn encode_better(cand_err: __m256, best_err: __m256, tie: __m256) -> __m256 {
+fn encode_better(cand_err: __m256, best_err: __m256, tie: __m256) -> __m256 {
     let eps = _mm256_set1_ps(EPS);
     let closer = _mm256_cmp_ps::<_CMP_LT_OQ>(cand_err, _mm256_sub_ps(best_err, eps));
     let tied = _mm256_cmp_ps::<_CMP_LE_OQ>(abs_ps(_mm256_sub_ps(cand_err, best_err)), eps);
@@ -168,14 +145,10 @@ unsafe fn encode_better(cand_err: __m256, best_err: __m256, tie: __m256) -> __m2
 
 /// AVX2 QUB encoder: whole groups of eight elements of `src` into `dst`;
 /// returns how many elements it encoded (the caller's scalar kernel takes
-/// the rest). Bit-identical to [`super::encode`]'s scalar kernel.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 at runtime. Slices of unequal length
-/// are handled (the shorter bounds the work).
+/// the rest). Bit-identical to [`super::encode`]'s scalar kernel. Slices
+/// of unequal length are handled (the shorter bounds the work).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
+pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
     debug_assert_eq!(src.len(), dst.len());
     let n = src.len().min(dst.len()) / 8 * 8;
     let zero = _mm256_setzero_ps();
@@ -194,7 +167,7 @@ pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) 
     while i < n {
         debug_assert!(i + 8 <= src.len() && i + 8 <= dst.len());
         // SAFETY: `i + 8 <= n <= src.len()`; unaligned load.
-        let x = _mm256_loadu_ps(src.as_ptr().add(i));
+        let x = unsafe { _mm256_loadu_ps(src.as_ptr().add(i)) };
         let neg = _mm256_cmp_ps::<_CMP_LT_OQ>(x, zero);
         let (cf, ef, mf) = encode_candidate(x, neg, &plan.neg.fine, &plan.pos.fine);
         let (cc, ec, mc) = encode_candidate(x, neg, &plan.neg.coarse, &plan.pos.coarse);
@@ -240,7 +213,7 @@ pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) 
             _mm256_extracti128_si256(packed, 1),
         );
         // SAFETY: `i + 8 <= n <= dst.len()`; an unaligned 8-byte store.
-        _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, eight);
+        unsafe { _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, eight) };
         i += 8;
     }
     n

@@ -1,194 +1,111 @@
-//! AVX-512 microkernels: `vpmaddwd` on 512-bit registers, and a
-//! `vpdpwssd` (VNNI) variant where the host has `avx512vnni`.
-//!
-//! Lane math is the AVX2 argument doubled in width: each madd/dpwssd
-//! lane is a pair sum ≤ 2^29 under [`crate::linalg::PANEL_BOUND`], two
-//! per 64-element step sum to ≤ 2^30 in `i32` — exact — before one
-//! widen into `i64`. VNNI's `vpdpwssd` fuses the madd and the `i32`
-//! add into one instruction; seeded from zero and widened on the same
-//! cadence it computes the identical exact value. Remainders below 32
-//! elements re-enter the portable [`super::scalar::tile`] body.
-//!
-//! The file also holds the AVX-512 QUB encoder (`encode_qub`), sixteen
-//! `f32` lanes per step with mask registers for the comparisons; see
-//! [`super::encode`] for what it computes and why it is exact.
+//! AVX-512 kernels: the GEMM tile on one 16-lane `zmm` per packed block —
+//! `vpmaddwd` + `vpaddd`, or one `vpdpwssd` where the host has
+//! `avx512vnni` — and the QUB encoder (`encode_qub`), sixteen `f32` lanes
+//! per step with mask registers for the comparisons; see [`super::encode`]
+//! for what the encoder computes and why it is exact.
 
 use super::encode::{EncodePlan, EncodeRange, EPS};
+use super::{Gemm, Lanes, BLOCK};
 use std::arch::x86_64::*;
 
-/// Widens the sixteen exact `i32` lanes of `s` and adds them to `acc`.
+/// Register tile: 4 rows × 4 blocks, 16 `zmm` accumulators.
+const MR: usize = 4;
+const NB: usize = 4;
+
+/// The AVX-512 [`Lanes`]; `VNNI` fuses the multiply-add into `vpdpwssd`.
+struct Zmm<const VNNI: bool>;
+
+/// `acc + a₀b₀ + a₁b₁` per `i32` lane, as `vpmaddwd` + `vpaddd`.
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
-unsafe fn add_widen_i32(acc: __m512i, s: __m512i) -> __m512i {
-    let lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(s));
-    let hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(s));
-    _mm512_add_epi64(acc, _mm512_add_epi64(lo, hi))
+fn madd(acc: __m512i, a: __m512i, b: __m512i) -> __m512i {
+    _mm512_add_epi32(acc, _mm512_madd_epi16(a, b))
 }
 
-/// Horizontal sum of eight exact `i64` lanes.
-#[target_feature(enable = "avx512f,avx512bw")]
-#[inline]
-unsafe fn hsum_i64(v: __m512i) -> i64 {
-    _mm512_reduce_add_epi64(v)
-}
-
-/// `MR×JB` register tile over 32-lane `zmm` via `vpmaddwd`.
-///
-/// # Safety
-///
-/// Caller must have verified AVX-512F+BW at runtime; pointer bounds as
-/// for [`super::scalar::tile`].
-#[target_feature(enable = "avx512f,avx512bw")]
-#[inline]
-pub(crate) unsafe fn tile<const MR: usize, const JB: usize>(
-    a: *const i16,
-    ak: usize,
-    b: *const i16,
-    bk: usize,
-    len: usize,
-    out: &mut [[i64; JB]; MR],
-) {
-    let zero = _mm512_setzero_si512();
-    let mut acc = [[zero; JB]; MR];
-    let mut p = 0usize;
-    while p + 64 <= len {
-        let mut va0 = [zero; MR];
-        let mut va1 = [zero; MR];
-        let mut i = 0usize;
-        while i < MR {
-            va0[i] = _mm512_loadu_si512(a.add(i * ak + p) as *const __m512i);
-            va1[i] = _mm512_loadu_si512(a.add(i * ak + p + 32) as *const __m512i);
-            i += 1;
-        }
-        let mut j = 0usize;
-        while j < JB {
-            let vb0 = _mm512_loadu_si512(b.add(j * bk + p) as *const __m512i);
-            let vb1 = _mm512_loadu_si512(b.add(j * bk + p + 32) as *const __m512i);
-            let mut i = 0usize;
-            while i < MR {
-                let s = _mm512_add_epi32(
-                    _mm512_madd_epi16(va0[i], vb0),
-                    _mm512_madd_epi16(va1[i], vb1),
-                );
-                acc[i][j] = add_widen_i32(acc[i][j], s);
-                i += 1;
-            }
-            j += 1;
-        }
-        p += 64;
-    }
-    if p + 32 <= len {
-        let mut i = 0usize;
-        while i < MR {
-            let va = _mm512_loadu_si512(a.add(i * ak + p) as *const __m512i);
-            let mut j = 0usize;
-            while j < JB {
-                let vb = _mm512_loadu_si512(b.add(j * bk + p) as *const __m512i);
-                acc[i][j] = add_widen_i32(acc[i][j], _mm512_madd_epi16(va, vb));
-                j += 1;
-            }
-            i += 1;
-        }
-        p += 32;
-    }
-    let mut tail = [[0i64; JB]; MR];
-    if p < len {
-        super::scalar::tile::<MR, JB>(a.add(p), ak, b.add(p), bk, len - p, &mut tail);
-    }
-    let mut i = 0usize;
-    while i < MR {
-        let mut j = 0usize;
-        while j < JB {
-            out[i][j] += hsum_i64(acc[i][j]) + tail[i][j];
-            j += 1;
-        }
-        i += 1;
-    }
-}
-
-/// `MR×JB` register tile over 32-lane `zmm` via `vpdpwssd` (VNNI).
-///
-/// # Safety
-///
-/// Caller must have verified AVX-512 VNNI at runtime; pointer bounds as
-/// for [`super::scalar::tile`].
+/// `acc + a₀b₀ + a₁b₁` per `i32` lane, as one `vpdpwssd`.
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 #[inline]
-pub(crate) unsafe fn vnni_tile<const MR: usize, const JB: usize>(
-    a: *const i16,
-    ak: usize,
-    b: *const i16,
-    bk: usize,
-    len: usize,
-    out: &mut [[i64; JB]; MR],
-) {
-    let zero = _mm512_setzero_si512();
-    let mut acc = [[zero; JB]; MR];
-    let mut p = 0usize;
-    while p + 64 <= len {
-        let mut va0 = [zero; MR];
-        let mut va1 = [zero; MR];
-        let mut i = 0usize;
-        while i < MR {
-            va0[i] = _mm512_loadu_si512(a.add(i * ak + p) as *const __m512i);
-            va1[i] = _mm512_loadu_si512(a.add(i * ak + p + 32) as *const __m512i);
-            i += 1;
+fn dpwssd(acc: __m512i, a: __m512i, b: __m512i) -> __m512i {
+    _mm512_dpwssd_epi32(acc, a, b)
+}
+
+impl<const VNNI: bool> Lanes for Zmm<VNNI> {
+    type Acc = __m512i;
+    type Pair = __m512i;
+    type Cols = __m512i;
+
+    #[inline(always)]
+    unsafe fn zero() -> __m512i {
+        _mm512_setzero_si512()
+    }
+
+    #[inline(always)]
+    unsafe fn splat(pair: [i16; 2]) -> __m512i {
+        // The low half of each lane pairs with the even column element.
+        _mm512_set1_epi32((u32::from(pair[0] as u16) | u32::from(pair[1] as u16) << 16) as i32)
+    }
+
+    #[inline(always)]
+    unsafe fn load(b: *const i16) -> __m512i {
+        // SAFETY: the caller guarantees 32 readable `i16` at `b`; the load
+        // is unaligned.
+        unsafe { _mm512_loadu_si512(b.cast()) }
+    }
+
+    #[inline(always)]
+    unsafe fn mac(acc: __m512i, a: __m512i, b: __m512i) -> __m512i {
+        if VNNI {
+            dpwssd(acc, a, b)
+        } else {
+            madd(acc, a, b)
         }
-        let mut j = 0usize;
-        while j < JB {
-            let vb0 = _mm512_loadu_si512(b.add(j * bk + p) as *const __m512i);
-            let vb1 = _mm512_loadu_si512(b.add(j * bk + p + 32) as *const __m512i);
-            let mut i = 0usize;
-            while i < MR {
-                let s = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(zero, va0[i], vb0), va1[i], vb1);
-                acc[i][j] = add_widen_i32(acc[i][j], s);
-                i += 1;
+    }
+
+    #[inline(always)]
+    unsafe fn widen_add(acc: __m512i, out: &mut [i64]) {
+        if out.len() < BLOCK {
+            let mut lanes = [0i32; BLOCK];
+            // SAFETY: `lanes` holds 16 `i32`, one unaligned `zmm`.
+            unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc) };
+            super::add_lanes(out, &lanes);
+            return;
+        }
+        let (lo, hi) = out.split_at_mut(BLOCK / 2);
+        let halves = [
+            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc)),
+            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc)),
+        ];
+        for (half, wide) in [lo, hi].into_iter().zip(halves) {
+            debug_assert!(half.len() >= BLOCK / 2);
+            // SAFETY: each half holds at least 8 `i64`, one unaligned `zmm`.
+            unsafe {
+                let sum = _mm512_add_epi64(_mm512_loadu_si512(half.as_ptr().cast()), wide);
+                _mm512_storeu_si512(half.as_mut_ptr().cast(), sum);
             }
-            j += 1;
         }
-        p += 64;
-    }
-    if p + 32 <= len {
-        let mut i = 0usize;
-        while i < MR {
-            let va = _mm512_loadu_si512(a.add(i * ak + p) as *const __m512i);
-            let mut j = 0usize;
-            while j < JB {
-                let vb = _mm512_loadu_si512(b.add(j * bk + p) as *const __m512i);
-                acc[i][j] = add_widen_i32(acc[i][j], _mm512_dpwssd_epi32(zero, va, vb));
-                j += 1;
-            }
-            i += 1;
-        }
-        p += 32;
-    }
-    let mut tail = [[0i64; JB]; MR];
-    if p < len {
-        super::scalar::tile::<MR, JB>(a.add(p), ak, b.add(p), bk, len - p, &mut tail);
-    }
-    let mut i = 0usize;
-    while i < MR {
-        let mut j = 0usize;
-        while j < JB {
-            out[i][j] += hsum_i64(acc[i][j]) + tail[i][j];
-            j += 1;
-        }
-        i += 1;
     }
 }
 
-super::isa_block_family!(block_fn, nest, tile, "avx512f,avx512bw");
-super::isa_block_family!(
-    vnni_block_fn,
-    vnni_nest,
-    vnni_tile,
-    "avx512f,avx512bw,avx512vnni"
-);
+/// AVX-512F+BW GEMM kernel ([`super::GemmFn`]).
+#[target_feature(enable = "avx512f,avx512bw")]
+pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+    // SAFETY: this function runs only with the target features `Zmm<false>`
+    // needs.
+    unsafe { super::nest::<Zmm<false>, MR, NB>(g, out, first_row) }
+}
+
+/// AVX-512 VNNI GEMM kernel ([`super::GemmFn`]).
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+pub(super) fn gemm_vnni(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+    // SAFETY: this function runs only with the target features `Zmm<true>`
+    // needs.
+    unsafe { super::nest::<Zmm<true>, MR, NB>(g, out, first_row) }
+}
 
 /// `neg ? n : p` broadcast per lane.
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
-unsafe fn by_sign(neg: __mmask16, n: f32, p: f32) -> __m512 {
+fn by_sign(neg: __mmask16, n: f32, p: f32) -> __m512 {
     _mm512_mask_blend_ps(neg, _mm512_set1_ps(p), _mm512_set1_ps(n))
 }
 
@@ -197,7 +114,7 @@ unsafe fn by_sign(neg: __mmask16, n: f32, p: f32) -> __m512 {
 /// [`super::encode`]'s scalar `candidate`, sixteen lanes at a time.
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
-unsafe fn encode_candidate(
+fn encode_candidate(
     x: __m512,
     neg: __mmask16,
     n: &EncodeRange,
@@ -222,7 +139,7 @@ unsafe fn encode_candidate(
 /// `cand` beats `best` on error, or ties within [`EPS`] and `tie` holds.
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
-unsafe fn encode_better(cand_err: __m512, best_err: __m512, tie: __mmask16) -> __mmask16 {
+fn encode_better(cand_err: __m512, best_err: __m512, tie: __mmask16) -> __mmask16 {
     let eps = _mm512_set1_ps(EPS);
     let closer = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(cand_err, _mm512_sub_ps(best_err, eps));
     let tied =
@@ -234,13 +151,9 @@ unsafe fn encode_better(cand_err: __m512, best_err: __m512, tie: __mmask16) -> _
 /// `dst`; returns how many elements it encoded (the caller's scalar
 /// kernel takes the rest). Bit-identical to [`super::encode`]'s scalar
 /// kernel. Uses AVX-512F only, so it serves the VNNI entry as well.
-///
-/// # Safety
-///
-/// Caller must have verified AVX-512F+BW at runtime. Slices of unequal
-/// length are handled (the shorter bounds the work).
+/// Slices of unequal length are handled (the shorter bounds the work).
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
+pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
     debug_assert_eq!(src.len(), dst.len());
     let n = src.len().min(dst.len()) / 16 * 16;
     let zero = _mm512_setzero_ps();
@@ -253,7 +166,7 @@ pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) 
     while i < n {
         debug_assert!(i + 16 <= src.len() && i + 16 <= dst.len());
         // SAFETY: `i + 16 <= n <= src.len()`; unaligned load.
-        let x = _mm512_loadu_ps(src.as_ptr().add(i));
+        let x = unsafe { _mm512_loadu_ps(src.as_ptr().add(i)) };
         let neg = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, zero);
         let (cf, ef, mf) = encode_candidate(x, neg, &plan.neg.fine, &plan.pos.fine);
         let (cc, ec, mc) = encode_candidate(x, neg, &plan.neg.coarse, &plan.pos.coarse);
@@ -286,10 +199,12 @@ pub(crate) unsafe fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) 
             _mm512_set1_epi32(plan.neg_inf_byte as i32),
         );
         // SAFETY: `i + 16 <= n <= dst.len()`; an unaligned 16-byte store.
-        _mm_storeu_si128(
-            dst.as_mut_ptr().add(i) as *mut __m128i,
-            _mm512_cvtepi32_epi8(out),
-        );
+        unsafe {
+            _mm_storeu_si128(
+                dst.as_mut_ptr().add(i) as *mut __m128i,
+                _mm512_cvtepi32_epi8(out),
+            )
+        };
         i += 16;
     }
     n

@@ -87,9 +87,9 @@ pub struct EncodePlan {
 
 /// Encodes `src` into `dst` with the kernel of the resolved ISA
 /// ([`super::resolve`], so `QUQ_FORCE_ISA` pins it) and returns the
-/// kernel family that ran: [`Isa::Avx512`] for both AVX-512 entries,
-/// [`Isa::Scalar`] for NEON hosts. The SIMD kernels take whole vectors;
-/// the remainder goes through the scalar kernel.
+/// kernel family that ran: [`Isa::Avx512`] for both AVX-512 entries. The
+/// SIMD kernels take whole vectors; the remainder goes through the scalar
+/// kernel.
 ///
 /// # Panics
 ///

@@ -1,29 +1,31 @@
-//! Runtime ISA dispatch for the packed-i16 GEMM microkernels and the QUB
+//! Runtime ISA dispatch for the packed-i16 GEMM kernels and the QUB
 //! encoder kernels ([`encode`]) — the one module that holds SIMD `unsafe`.
 //!
-//! Every kernel family here computes the same thing — a block of output
-//! rows of `A[m,k] · B[n,k]ᵀ` with exact `i64` accumulation — through the
-//! same loop nest ([`nest_loops!`]) over a register tile of `MR` output
-//! rows × `JB` output columns. Families differ only in how the innermost
-//! `MR×JB` tile folds panel elements:
+//! Every GEMM kernel here computes the same thing — a block of output rows
+//! of `A[m,k] · B[n,k]ᵀ` with `B` in the packed layout of
+//! [`crate::linalg::PackedB`] — through one register tile ([`tile`]) and
+//! one loop nest ([`nest`]). The tile is *lane-per-output-column*: each
+//! `i32` lane owns one output column, an `A` pair `(a[2p], a[2p+1])` is
+//! broadcast as one `i32`, and a multiply-add of adjacent `i16` pairs
+//! folds it into every lane at once, with no horizontal sum. ISAs differ
+//! only in the [`Lanes`] operations the tile is built from:
 //!
-//! * [`scalar`] — portable four-product `i32` chunks widened to `i64`.
-//! * [`avx2`] — `vpmaddwd` on 16-lane `ymm`, two steps per widen.
-//! * [`avx512`] — `vpmaddwd` on 32-lane `zmm`, plus a `vpdpwssd` (VNNI)
-//!   variant where the host has `avx512vnni`.
-//! * [`neon`] — `smlal`/`smlal2` (`vmull_s16`) with per-step pairwise
-//!   widening on aarch64.
+//! * [`scalar`] — portable `i32` arithmetic on 16-element arrays (also
+//!   what aarch64 runs).
+//! * [`avx2`] — `vpmaddwd` + `vpaddd` on two 8-lane `ymm` per block.
+//! * [`avx512`] — `vpmaddwd` + `vpaddd` on one 16-lane `zmm` per block,
+//!   or a single `vpdpwssd` where the host has `avx512vnni`.
 //!
-//! Exactness is what makes the dispatch safe to vary: under the
-//! [`crate::linalg::PANEL_BOUND`] contract every intermediate fits its
-//! lane exactly, integer addition is associative, and therefore every
-//! ISA × tile-shape combination produces identical output bytes.
+//! Exactness is what makes the dispatch safe to vary: every lane takes
+//! [`Gemm::chunk`] pairs in `i32` — as many as `2·max|a|·max|b|·pairs ≤
+//! i32::MAX` allows — then widens into the `i64` output, so no
+//! intermediate can wrap; integer addition is associative, and therefore
+//! every ISA produces identical output bytes.
 //!
 //! Selection happens **once per matmul** via [`resolve`] (the best
-//! supported ISA, overridable with `QUQ_FORCE_ISA`), and the chosen
-//! monomorphized kernel travels down to the thread pool as a plain
-//! [`BlockFn`] pointer — workers never re-query CPUID or the
-//! environment.
+//! supported ISA, overridable with `QUQ_FORCE_ISA`), and the chosen kernel
+//! travels down to the thread pool as a plain [`GemmFn`] pointer — workers
+//! never re-query CPUID or the environment.
 
 pub mod encode;
 pub mod scalar;
@@ -32,20 +34,16 @@ pub mod scalar;
 pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
-#[cfg(target_arch = "aarch64")]
-pub mod neon;
 
 pub use encode::{encode_qub, EncodePlan, EncodeRange, EncodeSide};
 use std::sync::OnceLock;
 
-/// One microkernel family. Ordering is preference: later variants are
-/// faster on hosts that support them.
+/// One kernel family. Ordering is preference: later variants are faster
+/// on hosts that support them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Isa {
     /// Portable integer kernel; always available, always reachable.
     Scalar,
-    /// aarch64 `smlal` family via `vmull_s16`/`vpadalq_s32`.
-    Neon,
     /// x86-64 `vpmaddwd` on 256-bit registers.
     Avx2,
     /// x86-64 `vpmaddwd` on 512-bit registers (AVX-512F+BW).
@@ -59,7 +57,6 @@ impl Isa {
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Neon => "neon",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
             Isa::Avx512Vnni => "avx512vnni",
@@ -70,33 +67,10 @@ impl Isa {
     pub fn parse(s: &str) -> Option<Isa> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Some(Isa::Scalar),
-            "neon" => Some(Isa::Neon),
             "avx2" => Some(Isa::Avx2),
             "avx512" => Some(Isa::Avx512),
             "avx512vnni" | "vnni" => Some(Isa::Avx512Vnni),
             _ => None,
-        }
-    }
-
-    /// Panel elements consumed per SIMD step — the tuner pads candidate
-    /// `KC` values to this and the prior uses it as the PE-array width.
-    pub fn i16_lanes(self) -> usize {
-        match self {
-            Isa::Scalar => 4,
-            Isa::Neon => 8,
-            Isa::Avx2 => 16,
-            Isa::Avx512 | Isa::Avx512Vnni => 32,
-        }
-    }
-
-    /// Architectural vector registers available to the register tile.
-    pub fn vector_regs(self) -> usize {
-        match self {
-            // The scalar kernel lives in GPRs; 16 is the effective budget.
-            Isa::Scalar => 16,
-            Isa::Neon => 32,
-            Isa::Avx2 => 16,
-            Isa::Avx512 | Isa::Avx512Vnni => 32,
         }
     }
 }
@@ -106,11 +80,8 @@ impl Isa {
 pub fn supported() -> &'static [Isa] {
     static SUPPORTED: OnceLock<Vec<Isa>> = OnceLock::new();
     SUPPORTED.get_or_init(|| {
+        #[allow(unused_mut)]
         let mut v = vec![Isa::Scalar];
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            v.push(Isa::Neon);
-        }
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -156,241 +127,274 @@ pub fn resolve() -> Isa {
     }
 }
 
-/// A monomorphized block kernel: computes `block` (a chunk of whole output
-/// rows starting at `first_row`) of `A·Bᵀ`, accumulating into `block`.
-/// Arguments: `(a, b, block, first_row, k, n, kc)`.
-pub type BlockFn = fn(&[i16], &[i16], &mut [i64], usize, usize, usize, usize);
+/// Output columns per packed `B` block: 16 `i32` lanes, one `zmm` or two
+/// `ymm`.
+pub(crate) const BLOCK: usize = 16;
 
-/// Returns the kernel for `(isa, mr, jb)`, or `None` when the pair is
-/// outside the monomorphized lattice (`mr ∈ {1,2,4}`, `jb ∈ {2,4,8}`).
-/// The tuner only proposes lattice points; `None` here means a caller
-/// bypassed it.
-pub fn block_fn(isa: Isa, mr: usize, jb: usize) -> Option<BlockFn> {
-    match isa {
-        Isa::Scalar => scalar::block_fn(mr, jb),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => avx2::block_fn(mr, jb),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => avx512::block_fn(mr, jb),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Vnni => avx512::vnni_block_fn(mr, jb),
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::block_fn(mr, jb),
-        #[allow(unreachable_patterns)]
-        _ => None,
+/// One `A[m,k] · B[n,k]ᵀ` as the kernels see it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gemm<'a> {
+    /// `A`, row-major with row stride `k`.
+    pub(crate) a: &'a [i16],
+    /// `B` packed: `n.div_ceil(BLOCK)` blocks of `pairs() · 2·BLOCK`
+    /// elements; within a block, pair `p` of column `c` sits at
+    /// `2·BLOCK·p + 2·c` as `[b[c, 2p], b[c, 2p+1]]`, zero past `k` and
+    /// past `n`.
+    pub(crate) b: &'a [i16],
+    /// Reduction depth.
+    pub(crate) k: usize,
+    /// Output columns.
+    pub(crate) n: usize,
+    /// Pairs an `i32` lane takes before it widens into `i64`: at most
+    /// `i32::MAX / (2·max|a|·max|b|)`, at least 1.
+    pub(crate) chunk: usize,
+}
+
+impl Gemm<'_> {
+    /// `k` in pairs; the last one is half empty when `k` is odd.
+    fn pairs(&self) -> usize {
+        self.k.div_ceil(2)
+    }
+
+    /// Offset of column block `blk` in [`Gemm::b`].
+    fn block_start(&self, blk: usize) -> usize {
+        blk * self.pairs() * 2 * BLOCK
     }
 }
 
-/// Best-effort prefetch of the cache line at `p` into L1. `p` may be any
-/// address (formed with `wrapping_add`); prefetches never fault.
+/// The operations a register tile is built from, over 16 `i32` lanes (one
+/// packed block of output columns). Every method is `unsafe` because the
+/// SIMD implementations need their target features present.
+pub(crate) trait Lanes {
+    /// Sixteen `i32` accumulator lanes.
+    type Acc: Copy;
+    /// One `A` pair, repeated across the lanes.
+    type Pair: Copy;
+    /// One pair of 16 packed `B` columns: 32 `i16`.
+    type Cols: Copy;
+
+    /// Zeroed accumulators.
+    ///
+    /// # Safety
+    ///
+    /// The implementation's target features are present.
+    unsafe fn zero() -> Self::Acc;
+
+    /// `[a[2p], a[2p+1]]` in every lane.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Lanes::zero`].
+    unsafe fn splat(pair: [i16; 2]) -> Self::Pair;
+
+    /// The 32 `i16` at `b`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Lanes::zero`], and `b` is valid for 32 `i16` reads.
+    unsafe fn load(b: *const i16) -> Self::Cols;
+
+    /// `acc + a₀·b₀ + a₁·b₁` per lane. Exact while the lane stays within
+    /// `i32`, which [`Gemm::chunk`] guarantees.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Lanes::zero`].
+    unsafe fn mac(acc: Self::Acc, a: Self::Pair, b: Self::Cols) -> Self::Acc;
+
+    /// Adds the first `out.len()` (≤ 16) lanes of `acc` into `out`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Lanes::zero`].
+    unsafe fn widen_add(acc: Self::Acc, out: &mut [i64]);
+}
+
+/// Where one register tile sits: rows `row..` of the output block, packed
+/// column blocks `blk..`, and the pairs `lo..hi` it takes in `i32` before
+/// widening.
+#[derive(Debug, Clone, Copy)]
+struct At {
+    row: usize,
+    blk: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// The register tile: adds rows `at.row .. +R` × blocks `at.blk .. +C` of
+/// `A·Bᵀ` over pairs `at.lo..at.hi` into `out`, the output rows of the
+/// pool chunk that starts at absolute row `first_row`. Per pair it loads
+/// `C` packed column vectors, broadcasts `R` `A` pairs and issues `R·C`
+/// multiply-adds into `R·C` accumulators that never leave registers.
+///
+/// # Safety
+///
+/// `L`'s target features are present, and `at` comes from [`nest`], whose
+/// assertions put every row, block and pair the tile touches in bounds.
 #[inline(always)]
-pub(crate) fn prefetch_i16(p: *const i16) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a hint; it performs no memory access that
-    // can fault and SSE is baseline on x86_64.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
-/// The shared loop nest every ISA's block kernel expands: `KC`-deep panels
-/// of `k` (outermost, so a panel of `B` is reused across all rows of the
-/// block), row groups of `MR`, column tiles of `JB`. Row and column
-/// remainders re-enter the *same* generic tile body at width 1 — there is
-/// exactly one accumulation body per ISA, so a tile-shape change cannot
-/// desync main loop and tail.
-///
-/// `$tile` is the ISA's `unsafe fn tile<const MR, const JB>(a, ak, b, bk,
-/// len, &mut [[i64; JB]; MR])` microkernel; `$mr`/`$jb` are the enclosing
-/// function's const generic parameters. While a tile at column `j` is
-/// computed, the first line of each B row of tile `j + JB` is prefetched.
-///
-/// Accumulation order for one output element is: panels ascending, `p`
-/// ascending within a panel — identical for every `(MR, JB, KC)` and
-/// every ISA, and exact, hence bit-identical everywhere.
-macro_rules! nest_loops {
-    ($tile:ident, $mr:ident, $jb:ident,
-     $ad:expr, $bd:expr, $block:expr, $first_row:expr, $k:expr, $n:expr, $kc:expr) => {{
-        let ad: &[i16] = $ad;
-        let bd: &[i16] = $bd;
-        let block: &mut [i64] = $block;
-        let (first_row, k, n) = ($first_row, $k, $n);
-        let kc: usize = ($kc).max(1);
-        let rows = if n == 0 { 0 } else { block.len() / n };
-        let mut panel_start = 0usize;
-        while panel_start < k || (k == 0 && panel_start == 0) {
-            let plen = kc.min(k - panel_start);
-            let mut r = 0usize;
-            while r < rows {
-                let rh = if rows - r >= $mr { $mr } else { 1 };
-                let abase = (first_row + r) * k + panel_start;
-                let mut j = 0usize;
-                while j + $jb <= n {
-                    // Prefetch the first line of each B row of the next
-                    // column tile while this one computes.
-                    let mut jj = 0usize;
-                    while jj < $jb {
-                        if j + $jb + jj < n {
-                            $crate::linalg::isa::prefetch_i16(
-                                bd.as_ptr().wrapping_add((j + $jb + jj) * k + panel_start),
-                            );
-                        }
-                        jj += 1;
-                    }
-                    let bbase = j * k + panel_start;
-                    if rh == $mr {
-                        let mut acc = [[0i64; $jb]; $mr];
-                        // SAFETY: rows `first_row+r .. +rh` and columns
-                        // `j .. j+$jb` are in bounds, and the tile reads
-                        // `plen ≤ k - panel_start` elements per row.
-                        unsafe {
-                            $tile::<$mr, $jb>(
-                                ad.as_ptr().add(abase),
-                                k,
-                                bd.as_ptr().add(bbase),
-                                k,
-                                plen,
-                                &mut acc,
-                            )
-                        };
-                        let mut i = 0usize;
-                        while i < $mr {
-                            let orow = (r + i) * n + j;
-                            let mut jj = 0usize;
-                            while jj < $jb {
-                                block[orow + jj] += acc[i][jj];
-                                jj += 1;
-                            }
-                            i += 1;
-                        }
-                    } else {
-                        let mut acc = [[0i64; $jb]; 1];
-                        // SAFETY: as above with a single row.
-                        unsafe {
-                            $tile::<1, $jb>(
-                                ad.as_ptr().add(abase),
-                                k,
-                                bd.as_ptr().add(bbase),
-                                k,
-                                plen,
-                                &mut acc,
-                            )
-                        };
-                        let orow = r * n + j;
-                        let mut jj = 0usize;
-                        while jj < $jb {
-                            block[orow + jj] += acc[0][jj];
-                            jj += 1;
-                        }
-                    }
-                    j += $jb;
+unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
+    g: &Gemm<'_>,
+    first_row: usize,
+    at: At,
+    out: &mut [i64],
+) {
+    let arow: [usize; R] = std::array::from_fn(|i| (first_row + at.row + i) * g.k);
+    let bcol: [usize; C] = std::array::from_fn(|c| g.block_start(at.blk + c));
+    debug_assert!(arow[R - 1] + g.k <= g.a.len(), "A row out of bounds");
+    debug_assert!(
+        bcol[C - 1] + at.hi * 2 * BLOCK <= g.b.len(),
+        "B block out of bounds"
+    );
+    // SAFETY (this and the blocks below): the caller vouches for `L`'s
+    // target features.
+    let mut acc = [[unsafe { L::zero() }; C]; R];
+    let whole = at.hi.min(g.k / 2);
+    for p in at.lo..at.hi {
+        let pair: [[i16; 2]; R] = if p < whole {
+            std::array::from_fn(|i| {
+                debug_assert!(arow[i] + 2 * p + 2 <= g.a.len());
+                // SAFETY: `2p + 2 ≤ k`, so both elements lie in row `i`.
+                unsafe {
+                    g.a.as_ptr()
+                        .add(arow[i] + 2 * p)
+                        .cast::<[i16; 2]>()
+                        .read_unaligned()
                 }
-                while j < n {
-                    let bbase = j * k + panel_start;
-                    if rh == $mr {
-                        let mut acc = [[0i64; 1]; $mr];
-                        // SAFETY: as above with a single column.
-                        unsafe {
-                            $tile::<$mr, 1>(
-                                ad.as_ptr().add(abase),
-                                k,
-                                bd.as_ptr().add(bbase),
-                                k,
-                                plen,
-                                &mut acc,
-                            )
-                        };
-                        let mut i = 0usize;
-                        while i < $mr {
-                            block[(r + i) * n + j] += acc[i][0];
-                            i += 1;
-                        }
-                    } else {
-                        let mut acc = [[0i64; 1]; 1];
-                        // SAFETY: as above with a single row and column.
-                        unsafe {
-                            $tile::<1, 1>(
-                                ad.as_ptr().add(abase),
-                                k,
-                                bd.as_ptr().add(bbase),
-                                k,
-                                plen,
-                                &mut acc,
-                            )
-                        };
-                        block[r * n + j] += acc[0][0];
-                    }
-                    j += 1;
-                }
-                r += rh;
-            }
-            if k == 0 {
-                break;
-            }
-            panel_start += kc;
-        }
-    }};
-}
-
-pub(crate) use nest_loops;
-
-/// Expands the standard per-ISA plumbing around [`nest_loops!`]: a `nest`
-/// function carrying the ISA's `#[target_feature]` attributes, a safe
-/// `block::<MR, JB>` wrapper that coerces to [`BlockFn`], and a
-/// `block_fn(mr, jb)` lattice lookup. `$($feat)?` is the optional
-/// target-feature string; `$detect` is a closure-free debug check that
-/// the feature is actually present.
-macro_rules! isa_block_family {
-    ($block_fn:ident, $nest:ident, $tile:ident $(, $feat:literal)?) => {
-        $(#[target_feature(enable = $feat)])?
-        unsafe fn $nest<const MR: usize, const JB: usize>(
-            ad: &[i16],
-            bd: &[i16],
-            block: &mut [i64],
-            first_row: usize,
-            k: usize,
-            n: usize,
-            kc: usize,
-        ) {
-            $crate::linalg::isa::nest_loops!($tile, MR, JB, ad, bd, block, first_row, k, n, kc);
-        }
-
-        /// Monomorphized lattice of `(MR, JB)` register tiles.
-        pub(crate) fn $block_fn(mr: usize, jb: usize) -> Option<$crate::linalg::isa::BlockFn> {
-            fn block<const MR: usize, const JB: usize>(
-                ad: &[i16],
-                bd: &[i16],
-                block: &mut [i64],
-                first_row: usize,
-                k: usize,
-                n: usize,
-                kc: usize,
-            ) {
-                // SAFETY: kernels are only handed out through
-                // `isa::block_fn`, whose callers resolve a *supported*
-                // ISA first (`resolve`/tuner), so the target features the
-                // nest was compiled for are present at runtime.
-                unsafe { $nest::<MR, JB>(ad, bd, block, first_row, k, n, kc) }
-            }
-            Some(match (mr, jb) {
-                (1, 2) => block::<1, 2>,
-                (1, 4) => block::<1, 4>,
-                (1, 8) => block::<1, 8>,
-                (2, 2) => block::<2, 2>,
-                (2, 4) => block::<2, 4>,
-                (2, 8) => block::<2, 8>,
-                (4, 2) => block::<4, 2>,
-                (4, 4) => block::<4, 4>,
-                (4, 8) => block::<4, 8>,
-                _ => return None,
             })
+        } else {
+            // Odd `k`: the last pair holds A's final element alone (B's
+            // packed high half there is zero).
+            std::array::from_fn(|i| [g.a[arow[i] + 2 * p], 0])
+        };
+        let cols: [L::Cols; C] = std::array::from_fn(|c| {
+            let off = bcol[c] + 2 * BLOCK * p;
+            debug_assert!(off + 2 * BLOCK <= g.b.len());
+            // SAFETY: `p < at.hi ≤ pairs()`, so the 32 elements of pair `p`
+            // lie inside block `at.blk + c`, which `nest` checked exists.
+            unsafe { L::load(g.b.as_ptr().add(off)) }
+        });
+        for (row, &pair) in acc.iter_mut().zip(&pair) {
+            // SAFETY: target features, as above.
+            let va = unsafe { L::splat(pair) };
+            for (a, &b) in row.iter_mut().zip(&cols) {
+                // SAFETY: target features, as above.
+                *a = unsafe { L::mac(*a, va, b) };
+            }
         }
-    };
+    }
+    for (i, row) in acc.iter().enumerate() {
+        for (c, &lanes) in row.iter().enumerate() {
+            let col = (at.blk + c) * BLOCK;
+            let o = (at.row + i) * g.n + col;
+            let width = (g.n - col).min(BLOCK);
+            // SAFETY: target features, as above.
+            unsafe { L::widen_add(lanes, &mut out[o..o + width]) };
+        }
+    }
 }
 
-pub(crate) use isa_block_family;
+/// The loop nest every ISA's kernel expands: column tiles of `NB` blocks
+/// outermost (a `B` tile stays in L1 while the chunk's rows stream past
+/// it), row tiles of `MR` inside, and runs of [`Gemm::chunk`] pairs
+/// innermost. Remainders re-enter the *same* [`tile`] at smaller const
+/// sizes: one row at a time, and the last `1..NB` blocks together.
+///
+/// # Panics
+///
+/// Panics unless `out` is whole rows of `g.n` columns, `g.a` holds those
+/// rows (from absolute row `first_row`) and `g.b` holds every block — the
+/// bounds every pointer the tile forms relies on.
+///
+/// # Safety
+///
+/// `L`'s target features are present on this CPU.
+#[inline(always)]
+unsafe fn nest<L: Lanes, const MR: usize, const NB: usize>(
+    g: &Gemm<'_>,
+    out: &mut [i64],
+    first_row: usize,
+) {
+    debug_assert!((1..=4).contains(&NB), "tiles span at most 4 blocks");
+    assert!(g.n > 0 && g.chunk > 0 && out.len().is_multiple_of(g.n));
+    let rows = out.len() / g.n;
+    let blocks = g.n.div_ceil(BLOCK);
+    assert!(
+        (first_row + rows) * g.k <= g.a.len(),
+        "A rows out of bounds"
+    );
+    assert!(g.block_start(blocks) <= g.b.len(), "B blocks out of bounds");
+    let mut blk = 0;
+    while blk < blocks {
+        let nb = (blocks - blk).min(NB);
+        let mut row = 0;
+        while row < rows {
+            let full = rows - row >= MR;
+            let mut lo = 0;
+            while lo < g.pairs() {
+                let hi = (lo + g.chunk).min(g.pairs());
+                let at = At { row, blk, lo, hi };
+                // SAFETY: the caller vouches for the target features; the
+                // tile's rows (`MR` or 1 from `row`), blocks (`nb` from
+                // `blk`) and pairs (`..hi ≤ pairs()`) are in bounds by the
+                // loop limits and the assertions above.
+                unsafe {
+                    match (full, nb) {
+                        (true, 4) => tile::<L, MR, 4>(g, first_row, at, out),
+                        (true, 3) => tile::<L, MR, 3>(g, first_row, at, out),
+                        (true, 2) => tile::<L, MR, 2>(g, first_row, at, out),
+                        (true, _) => tile::<L, MR, 1>(g, first_row, at, out),
+                        (false, 4) => tile::<L, 1, 4>(g, first_row, at, out),
+                        (false, 3) => tile::<L, 1, 3>(g, first_row, at, out),
+                        (false, 2) => tile::<L, 1, 2>(g, first_row, at, out),
+                        (false, _) => tile::<L, 1, 1>(g, first_row, at, out),
+                    }
+                }
+                lo = hi;
+            }
+            row += if full { MR } else { 1 };
+        }
+        blk += nb;
+    }
+}
+
+/// Adds exact `i32` lanes into `i64` outputs.
+#[inline(always)]
+fn add_lanes(out: &mut [i64], lanes: &[i32]) {
+    for (o, &l) in out.iter_mut().zip(lanes) {
+        *o += i64::from(l);
+    }
+}
+
+/// A GEMM kernel: adds `A·Bᵀ` into `out`, whole output rows starting at
+/// absolute row `first_row` (the argument order of
+/// [`crate::pool::parallel_rows_mut`]'s callback). It is an `unsafe fn`
+/// because the SIMD kernels are `#[target_feature]` functions: calling
+/// one requires the host to support its ISA, which [`gemm_fn`] asserts
+/// before it hands the pointer out.
+pub(crate) type GemmFn = unsafe fn(&Gemm<'_>, &mut [i64], usize);
+
+/// The GEMM kernel of `isa`.
+///
+/// # Panics
+///
+/// Panics when the host does not support `isa`, so that calling the
+/// returned kernel is always sound.
+pub(crate) fn gemm_fn(isa: Isa) -> GemmFn {
+    assert!(
+        supported().contains(&isa),
+        "{} is not supported on this host",
+        isa.name()
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => avx2::gemm,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => avx512::gemm,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512Vnni => avx512::gemm_vnni,
+        _ => scalar::gemm,
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -407,32 +411,30 @@ mod tests {
 
     #[test]
     fn isa_names_round_trip() {
-        for isa in [
-            Isa::Scalar,
-            Isa::Neon,
-            Isa::Avx2,
-            Isa::Avx512,
-            Isa::Avx512Vnni,
-        ] {
+        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Avx512Vnni] {
             assert_eq!(Isa::parse(isa.name()), Some(isa));
         }
         assert_eq!(Isa::parse("mmx"), None);
+        assert_eq!(Isa::parse("neon"), None);
     }
 
     #[test]
-    fn every_supported_isa_has_a_full_lattice() {
+    fn every_supported_isa_has_a_gemm_kernel() {
+        // A 2×3·(2×3)ᵀ product: one short block and an odd k.
+        let a = [1i16, -2, 3, 4, 5, -6];
+        let b = crate::linalg::PackedB::pack(&[7, 8, 9, -1, 2, 3], 2, 3);
         for &isa in supported() {
-            for mr in [1, 2, 4] {
-                for jb in [2, 4, 8] {
-                    assert!(
-                        block_fn(isa, mr, jb).is_some(),
-                        "{} missing ({mr},{jb})",
-                        isa.name()
-                    );
-                }
-            }
+            let g = Gemm {
+                a: &a,
+                b: b.data(),
+                k: 3,
+                n: 2,
+                chunk: 1,
+            };
+            let mut out = [0i64; 4];
+            // SAFETY: `gemm_fn` asserted that the host supports `isa`.
+            unsafe { gemm_fn(isa)(&g, &mut out, 0) };
+            assert_eq!(out, [18, 4, 14, -12], "{}", isa.name());
         }
-        assert!(block_fn(Isa::Scalar, 3, 4).is_none());
-        assert!(block_fn(Isa::Scalar, 1, 16).is_none());
     }
 }

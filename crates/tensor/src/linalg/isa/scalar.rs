@@ -1,95 +1,84 @@
-//! Portable microkernel: the one accumulation body behind the scalar
-//! block family *and* every SIMD family's sub-step remainder.
-//!
-//! Four-product `i32` chunks (exact under
-//! [`crate::linalg::PANEL_BOUND`]: each product ≤ 2^28, four sum to
-//! ≤ 2^30) widened into `i64` per chunk — the same order the pre-SIMD
-//! kernel used, kept so historical results stay bit-identical.
+//! Portable kernel: the register tile over plain 16-element arrays, what
+//! every host can run and what aarch64 runs. The lane loops are simple
+//! enough for the compiler to vectorize with the baseline instruction set.
 
-/// Accumulates `out[i][j] += Σ_p a[i·ak + p] · b[j·bk + p]` for
-/// `p ∈ 0..len` in ascending order.
-///
-/// # Safety
-///
-/// `a` must be valid for reads at `i·ak + p` and `b` at `j·bk + p` for
-/// all `i < MR`, `j < JB`, `p < len`.
-#[inline(always)]
-pub(crate) unsafe fn tile<const MR: usize, const JB: usize>(
-    a: *const i16,
-    ak: usize,
-    b: *const i16,
-    bk: usize,
-    len: usize,
-    out: &mut [[i64; JB]; MR],
-) {
-    let mut p = 0usize;
-    while p + 4 <= len {
-        let mut i = 0usize;
-        while i < MR {
-            let ar = a.add(i * ak + p);
-            let mut j = 0usize;
-            while j < JB {
-                let br = b.add(j * bk + p);
-                let mut s = 0i32;
-                let mut q = 0usize;
-                while q < 4 {
-                    s += *ar.add(q) as i32 * *br.add(q) as i32;
-                    q += 1;
-                }
-                out[i][j] += s as i64;
-                j += 1;
-            }
-            i += 1;
-        }
-        p += 4;
+use super::{Gemm, Lanes, BLOCK};
+
+/// The portable [`Lanes`].
+struct Scalar;
+
+impl Lanes for Scalar {
+    type Acc = [i32; BLOCK];
+    type Pair = [i32; 2];
+    type Cols = [i16; 2 * BLOCK];
+
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        [0; BLOCK]
     }
-    while p < len {
-        let mut i = 0usize;
-        while i < MR {
-            let x = *a.add(i * ak + p) as i32;
-            let mut j = 0usize;
-            while j < JB {
-                out[i][j] += (x * *b.add(j * bk + p) as i32) as i64;
-                j += 1;
-            }
-            i += 1;
+
+    #[inline(always)]
+    unsafe fn splat(pair: [i16; 2]) -> Self::Pair {
+        pair.map(i32::from)
+    }
+
+    #[inline(always)]
+    unsafe fn load(b: *const i16) -> Self::Cols {
+        // SAFETY: the caller guarantees 32 readable `i16` at `b`.
+        unsafe { b.cast::<[i16; 2 * BLOCK]>().read_unaligned() }
+    }
+
+    #[inline(always)]
+    unsafe fn mac(mut acc: Self::Acc, a: Self::Pair, b: Self::Cols) -> Self::Acc {
+        for (lane, col) in acc.iter_mut().zip(b.chunks_exact(2)) {
+            *lane += a[0] * i32::from(col[0]) + a[1] * i32::from(col[1]);
         }
-        p += 1;
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn widen_add(acc: Self::Acc, out: &mut [i64]) {
+        super::add_lanes(out, &acc);
     }
 }
 
-super::isa_block_family!(block_fn, nest, tile);
+/// Portable GEMM kernel ([`super::GemmFn`]): 4-row × 1-block tiles.
+pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+    // SAFETY: `Scalar` needs no target feature.
+    unsafe { super::nest::<Scalar, 4, 1>(g, out, first_row) }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::PackedB;
 
     #[test]
     fn tile_matches_naive_dot_across_tail_lengths() {
-        // Lengths straddle the 4-element chunk boundary.
-        for len in [0usize, 1, 3, 4, 5, 7, 8, 11] {
-            let a: Vec<i16> = (0..2 * len.max(1)).map(|v| v as i16 - 3).collect();
-            let b: Vec<i16> = (0..3 * len.max(1))
-                .map(|v| (v as i16).wrapping_mul(7))
-                .collect();
-            let mut out = [[0i64; 3]; 2];
-            // SAFETY: strides cover `len` elements per row by construction.
-            unsafe {
-                tile::<2, 3>(
-                    a.as_ptr(),
-                    len.max(1),
-                    b.as_ptr(),
-                    len.max(1),
-                    len,
-                    &mut out,
-                )
-            };
-            for i in 0..2 {
-                for j in 0..3 {
-                    let want: i64 = (0..len)
-                        .map(|p| a[i * len.max(1) + p] as i64 * b[j * len.max(1) + p] as i64)
-                        .sum();
-                    assert_eq!(out[i][j], want, "len={len} ({i},{j})");
+        // Depths straddle the pair boundary (odd k, k = 0), widths straddle
+        // the 16-column block, and 5 rows leave a one-row tail.
+        for k in [0usize, 1, 2, 3, 7, 8, 33] {
+            for n in [1usize, 15, 16, 17] {
+                let m = 5;
+                let a: Vec<i16> = (0..m * k).map(|v| v as i16 - 3).collect();
+                let b: Vec<i16> = (0..n * k).map(|v| (v as i16).wrapping_mul(7)).collect();
+                let packed = PackedB::pack(&b, n, k);
+                let g = Gemm {
+                    a: &a,
+                    b: packed.data(),
+                    k,
+                    n,
+                    chunk: 2,
+                };
+                let mut out = vec![0i64; m * n];
+                gemm(&g, &mut out, 0);
+                for i in 0..m {
+                    for j in 0..n {
+                        let want: i64 = (0..k)
+                            .map(|p| i64::from(a[i * k + p]) * i64::from(b[j * k + p]))
+                            .sum();
+                        assert_eq!(out[i * n + j], want, "k={k} n={n} ({i},{j})");
+                    }
                 }
             }
         }

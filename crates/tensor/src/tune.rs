@@ -1,358 +1,13 @@
-//! Shape-aware tile autotuning for the packed-i16 GEMM.
+//! What remains of the packed-GEMM tile autotuner.
 //!
-//! The blocked kernel has three free parameters — panel depth `KC`,
-//! register-tile width `JB`, and height `MR` — whose best values depend
-//! on the matmul shape, the operand bit-width, and the dispatched ISA.
-//! [`tile_for`] searches that space **once per `(m, k, n, bits, isa)`**:
-//! candidates are ranked by an analytical prior (by default a built-in
-//! loads-per-MAC model; `quq-accel` installs its PE-array cost model via
-//! [`set_prior`] so the reproduction's own hardware model seeds the
-//! software search), the top few are measured on a small row sample of
-//! the *real* operands, and the winner is memoized in a process-global
-//! table. Every candidate kernel is exact, so tuning can never change
-//! output bytes — only speed.
-//!
-//! Environment:
-//! * `QUQ_TUNE=off` — skip searching; use the per-ISA default tile.
-//! * `QUQ_TUNE=full` — measure every lattice candidate (no prior
-//!   pruning, no time budget). Default: prior-pruned measured search
-//!   with a [`SEARCH_BUDGET`] wall-clock guard.
-//!
-//! Observability: `tune.searches` / `tune.hits` counters and a
-//! `tune.search` span on the global recorder, mirrored by process-local
-//! atomics ([`stats`]) so tests see them even when obs is disabled.
+//! The GEMM now has one fixed register tile per ISA
+//! (`linalg::isa`), so there is nothing to search. [`stats`] stays because
+//! the benchmark (`benchmark/src/main.rs`) still reads it to reject a timed
+//! window in which a tuner searched; it can go once the benchmark stops
+//! reading it.
 
-use crate::linalg::isa::{self, Isa};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{LazyLock, RwLock};
-use std::time::{Duration, Instant};
-
-/// One point of the tile search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Tile {
-    /// Panel depth: elements of `k` processed per cache-blocking pass.
-    pub kc: usize,
-    /// Register-tile height: output rows accumulated together.
-    pub mr: usize,
-    /// Register-tile width: output columns accumulated together.
-    pub jb: usize,
-}
-
-/// Shape facts handed to the prior alongside each candidate tile.
-#[derive(Debug, Clone, Copy)]
-pub struct TuneContext {
-    /// Output rows.
-    pub m: usize,
-    /// Reduction depth.
-    pub k: usize,
-    /// Output columns.
-    pub n: usize,
-    /// QUB bit-width hint (0 when unknown).
-    pub bits: u32,
-    /// `i16` lanes the ISA consumes per step (PE-array width).
-    pub simd_i16_lanes: usize,
-    /// Architectural vector registers available to the tile.
-    pub vector_regs: usize,
-    /// L1 data cache budget assumed for the active working set.
-    pub l1_bytes: usize,
-}
-
-/// Analytical cost prior: lower is better. Must be a pure function of
-/// its arguments (it ranks candidates before any measurement happens).
-pub type PriorFn = fn(&TuneContext, Tile) -> f64;
-
-/// Wall-clock guard for one default-mode search (`QUQ_TUNE` unset).
-pub const SEARCH_BUDGET: Duration = Duration::from_millis(50);
-
-/// Candidates measured in default mode (prior-ranked prefix, plus the
-/// per-ISA default tile as a safety floor).
-const SEARCH_TOP: usize = 4;
-
-const KC_CANDIDATES: [usize; 4] = [64, 128, 256, 512];
-const MR_CANDIDATES: [usize; 3] = [1, 2, 4];
-const JB_CANDIDATES: [usize; 3] = [2, 4, 8];
-
-static PRIOR: RwLock<PriorFn> = RwLock::new(builtin_prior);
-
-type Key = (usize, usize, usize, u32, Isa);
-static TABLE: LazyLock<RwLock<HashMap<Key, Tile>>> = LazyLock::new(|| RwLock::new(HashMap::new()));
-
-static SEARCHES: AtomicU64 = AtomicU64::new(0);
-static HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Search mode, from `QUQ_TUNE` (read per call on the calling thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuneMode {
-    /// No search: per-ISA default tile.
-    Off,
-    /// Prior-pruned measured search (default).
-    On,
-    /// Exhaustive measured search.
-    Full,
-}
-
-/// Reads `QUQ_TUNE`. Unset or unrecognized values mean [`TuneMode::On`].
-pub fn mode() -> TuneMode {
-    match std::env::var("QUQ_TUNE") {
-        Ok(v) if v.eq_ignore_ascii_case("off") || v == "0" => TuneMode::Off,
-        Ok(v) if v.eq_ignore_ascii_case("full") => TuneMode::Full,
-        _ => TuneMode::On,
-    }
-}
-
-/// Installs an external analytical prior (used by `quq-accel` to plug in
-/// its PE-array cost model). Affects only future first-use searches;
-/// memoized tiles keep their winners.
-pub fn set_prior(f: PriorFn) {
-    *PRIOR.write().unwrap_or_else(|e| e.into_inner()) = f;
-}
-
-/// `(searches, hits)` since process start. Memoization working means
-/// hits grows and searches stays bounded by the number of distinct
-/// shapes.
+/// `(searches, hits)` of the tile search: always `(0, 0)`, since nothing
+/// searches.
 pub fn stats() -> (u64, u64) {
-    (
-        SEARCHES.load(Ordering::Relaxed),
-        HITS.load(Ordering::Relaxed),
-    )
-}
-
-/// The memoized tile for a shape, if a search already ran.
-pub fn lookup(m: usize, k: usize, n: usize, bits: u32, isa: Isa) -> Option<Tile> {
-    TABLE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&(m, k, n, bits, isa))
-        .copied()
-}
-
-/// The static fallback tile used when tuning is off (and as the measured
-/// safety floor in default mode). `Avx512*` defaults to a taller/deeper
-/// tile than the legacy KC=128/JB=4: 32 registers fit a 4×4 block.
-pub fn default_tile(isa: Isa) -> Tile {
-    match isa {
-        Isa::Scalar => Tile {
-            kc: 128,
-            mr: 1,
-            jb: 4,
-        },
-        Isa::Neon => Tile {
-            kc: 128,
-            mr: 2,
-            jb: 4,
-        },
-        Isa::Avx2 => Tile {
-            kc: 128,
-            mr: 2,
-            jb: 4,
-        },
-        Isa::Avx512 | Isa::Avx512Vnni => Tile {
-            kc: 256,
-            mr: 4,
-            jb: 4,
-        },
-    }
-}
-
-/// Returns the tile to run `A[m,k]·B[n,k]ᵀ` with on `isa`, searching and
-/// memoizing on first use. `a`/`b` are the real operand panels — the
-/// measured sample runs on live data so the timing sees realistic cache
-/// behaviour. Exactness of every candidate means this choice can never
-/// affect output bytes.
-pub fn tile_for(a: &[i16], b: &[i16], m: usize, k: usize, n: usize, bits: u32, isa: Isa) -> Tile {
-    if mode() == TuneMode::Off || m == 0 || n == 0 || k == 0 {
-        return default_tile(isa);
-    }
-    let key = (m, k, n, bits, isa);
-    if let Some(t) = lookup(m, k, n, bits, isa) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        quq_obs::add("tune.hits", 1);
-        return t;
-    }
-    SEARCHES.fetch_add(1, Ordering::Relaxed);
-    quq_obs::add("tune.searches", 1);
-    let _span = quq_obs::span("tune.search");
-    let winner = search(a, b, m, k, n, bits, isa);
-    TABLE
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key, winner);
-    winner
-}
-
-/// Ranks the lattice by the installed prior and measures the best
-/// candidates on a row sample of the real operands.
-fn search(a: &[i16], b: &[i16], m: usize, k: usize, n: usize, bits: u32, isa: Isa) -> Tile {
-    let ctx = TuneContext {
-        m,
-        k,
-        n,
-        bits,
-        simd_i16_lanes: isa.i16_lanes(),
-        vector_regs: isa.vector_regs(),
-        l1_bytes: 32 * 1024,
-    };
-    let prior = *PRIOR.read().unwrap_or_else(|e| e.into_inner());
-
-    let mut candidates: Vec<Tile> = Vec::new();
-    for &kc in &KC_CANDIDATES {
-        // Deeper-than-k panels all behave identically; keep one.
-        let kc_eff = kc.min(k);
-        for &mr in &MR_CANDIDATES {
-            for &jb in &JB_CANDIDATES {
-                let t = Tile { kc: kc_eff, mr, jb };
-                if isa::block_fn(isa, mr, jb).is_some() && !candidates.contains(&t) {
-                    candidates.push(t);
-                }
-            }
-        }
-    }
-    // Deterministic order: prior score, then (kc, mr, jb) as tie-break.
-    candidates.sort_by(|x, y| {
-        prior(&ctx, *x)
-            .total_cmp(&prior(&ctx, *y))
-            .then_with(|| (x.kc, x.mr, x.jb).cmp(&(y.kc, y.mr, y.jb)))
-    });
-
-    let full = mode() == TuneMode::Full;
-    if !full {
-        let fallback = default_tile(isa);
-        let floor = Tile {
-            kc: fallback.kc.min(k),
-            ..fallback
-        };
-        candidates.truncate(SEARCH_TOP);
-        if !candidates.contains(&floor) {
-            candidates.push(floor);
-        }
-    }
-
-    // Measure on a sample of real rows: enough work to rank tiles,
-    // small enough to stay inside the budget at ViT scale.
-    let sample_rows = m.min(8);
-    let mut scratch = vec![0i64; sample_rows * n];
-    let a_sample = &a[..sample_rows * k];
-
-    let started = Instant::now();
-    let mut best = candidates[0];
-    let mut best_nanos = u64::MAX;
-    for (idx, &t) in candidates.iter().enumerate() {
-        if !full && idx > 0 && started.elapsed() > SEARCH_BUDGET {
-            break;
-        }
-        let kern = isa::block_fn(isa, t.mr, t.jb).expect("lattice-filtered above");
-        let mut elapsed = u64::MAX;
-        for _ in 0..2 {
-            scratch.iter_mut().for_each(|v| *v = 0);
-            let rep = Instant::now();
-            kern(a_sample, b, &mut scratch, 0, k, n, t.kc);
-            elapsed = elapsed.min(rep.elapsed().as_nanos() as u64);
-        }
-        if elapsed < best_nanos {
-            best_nanos = elapsed;
-            best = t;
-        }
-    }
-    best
-}
-
-/// Built-in prior: relative cost per MAC of a `(KC, MR, JB)` tile.
-///
-/// * Operand traffic — each tile step loads `MR + JB` vectors to feed
-///   `MR·JB` MAC vectors, so loads-per-MAC is `(MR+JB)/(MR·JB)`; bigger
-///   tiles amortize better.
-/// * Register pressure — accumulators plus live operands beyond the
-///   architectural register file spill to the stack every step.
-/// * L1 residency — the active `B` panel (`JB·KC`) plus `A` slice
-///   (`MR·KC`) should fit L1 alongside output rows.
-/// * Panel overhead — each panel pass re-enters the tile and re-touches
-///   output accumulators; deeper `KC` amortizes that over more MACs.
-///
-/// `quq-accel` replaces this with a GE-weighted version of the same
-/// structure derived from the paper's PE-array cost model.
-fn builtin_prior(ctx: &TuneContext, t: Tile) -> f64 {
-    let (mr, jb) = (t.mr as f64, t.jb as f64);
-    let loads_per_mac = (mr + jb) / (mr * jb);
-
-    let live_vectors = t.mr * t.jb + 2 * t.mr + 2;
-    let spill = if live_vectors > ctx.vector_regs {
-        0.35 * (live_vectors - ctx.vector_regs) as f64
-    } else {
-        0.0
-    };
-
-    let panel_bytes = 2 * t.kc * (t.jb + t.mr);
-    let l1_pressure = if panel_bytes > ctx.l1_bytes {
-        panel_bytes as f64 / ctx.l1_bytes as f64
-    } else {
-        0.0
-    };
-
-    let kc_eff = t.kc.min(ctx.k).max(1) as f64;
-    let panel_overhead = (ctx.simd_i16_lanes as f64) / kc_eff;
-
-    1.0 + loads_per_mac + spill + l1_pressure + panel_overhead
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builtin_prior_prefers_square_tiles_and_deeper_panels() {
-        let ctx = TuneContext {
-            m: 197,
-            k: 384,
-            n: 384,
-            bits: 6,
-            simd_i16_lanes: 16,
-            vector_regs: 16,
-            l1_bytes: 32 * 1024,
-        };
-        let skinny = Tile {
-            kc: 64,
-            mr: 1,
-            jb: 2,
-        };
-        let square = Tile {
-            kc: 128,
-            mr: 2,
-            jb: 4,
-        };
-        assert!(builtin_prior(&ctx, square) < builtin_prior(&ctx, skinny));
-        // A tile that cannot fit the register file is penalized.
-        let huge = Tile {
-            kc: 128,
-            mr: 4,
-            jb: 8,
-        };
-        assert!(builtin_prior(&ctx, huge) > builtin_prior(&ctx, square));
-    }
-
-    #[test]
-    fn default_tiles_are_on_the_kernel_lattice() {
-        for &isa in isa::supported() {
-            let t = default_tile(isa);
-            assert!(isa::block_fn(isa, t.mr, t.jb).is_some());
-        }
-    }
-
-    #[test]
-    fn tile_for_memoizes_per_shape() {
-        // A shape no other test uses, so the first call searches and the
-        // rest hit the table deterministically.
-        let (m, k, n) = (5usize, 37usize, 3usize);
-        let a = vec![7i16; m * k];
-        let b = vec![-3i16; n * k];
-        let isa = Isa::Scalar;
-        let t1 = tile_for(&a, &b, m, k, n, 6, isa);
-        let (s1, _) = stats();
-        let t2 = tile_for(&a, &b, m, k, n, 6, isa);
-        let (s2, h2) = stats();
-        assert_eq!(t1, t2, "same shape must resolve to the same tile");
-        assert_eq!(s1, s2, "second call must not search again");
-        assert!(h2 >= 1, "second call must count a cache hit");
-        assert_eq!(lookup(m, k, n, 6, isa), Some(t1));
-    }
+    (0, 0)
 }

@@ -69,16 +69,12 @@ assert speedup >= 4.0, f"packed GEMM speedup regressed: {speedup}x < 4.0x floor"
 for entry in report["sweep"]:
     gemm = entry["int_gemm"]
     assert gemm["bit_identical_packed_vs_reference"] is True
-    # Every host ISA was exercised and the tuner memoized its searches.
+    # Every host ISA was exercised, each bit-identical to the reference.
     isas = {b["isa"] for shape in gemm["shapes"] for b in shape["isa_breakdown"]}
     assert "scalar" in isas, isas
-    assert gemm["tune_hits"] > gemm["tune_searches"] > 0, (
-        gemm["tune_searches"],
-        gemm["tune_hits"],
-    )
 
 print(f"throughput smoke: packed GEMM {speedup:.2f}x >= 4.0x floor, "
-      f"ISA matrix {sorted(isas)} bit-identical, tuner memoizing")
+      f"ISA matrix {sorted(isas)} bit-identical")
 PY
 
 echo "==> tier-2: metrics smoke (--metrics breakdown, bit-identity, site coverage)"
