@@ -12,12 +12,13 @@
 //! closely with the fake-quantization [`quq_core::QuantBackend`] path, and
 //! top-1 predictions agree with FP32 at the same rate.
 
-use crate::intfunc;
+use crate::intfunc::{self, Codes};
 use quq_core::calib::{Coverage, Operand, ParamKey};
 use quq_core::dot;
 use quq_core::pipeline::PtqTables;
 use quq_core::qub::{preshift_lut, QubCodec, QubTensor};
 use quq_core::scheme::QuqParams;
+use quq_tensor::linalg::isa::{self, Vectorized};
 use quq_tensor::{linalg, IntTensor, Tensor, TensorError};
 use quq_vit::backend::{Backend, BackendError, OpSite, Result};
 use std::collections::BTreeMap;
@@ -171,19 +172,23 @@ fn by_byte<T: Copy + Default>(per_code: &[T]) -> [T; 256] {
     table
 }
 
-/// SFU load path: the integers `d = D << n_sh` behind a QUB stream —
-/// exactly what [`crate::sim::Qua::sfu_load`] produces — straight from the
-/// bytes through the decode table, in the shape the row kernel wants.
-fn sfu_load(q: &QubTensor, shape: &[usize]) -> IntTensor {
-    let table = by_byte(decoded_codes(q).data());
-    let ints = q.bytes.iter().map(|&b| table[b as usize]).collect();
-    IntTensor::from_vec(ints, shape).expect("encode keeps the element count")
+/// The SFU load path as a table: the integer `d = D << n_sh` each byte of
+/// `q` decodes to — what [`crate::sim::Qua::sfu_load`] produces per
+/// element.
+fn decode_table(q: &QubTensor) -> [i32; 256] {
+    by_byte(decoded_codes(q).data())
+}
+
+/// LayerNorm's output scale, sized so ±4·max|γ| + max|β| fits an
+/// 8-bit-ish range.
+fn layer_norm_out_scale(g: &Tensor, b: &Tensor) -> f32 {
+    let max_abs = |t: &Tensor| t.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+    ((4.0 * max_abs(g) + max_abs(b)) / 127.0).max(1e-6)
 }
 
 /// Integer GEMM `C = A·Bᵀ` over encoded operands on the packed kernel
 /// ([`dot::matmul_nt_qub`]), with the rescale and the bias applied
-/// in one pass over the accumulators: `(acc as f32 * scale) + b`, the same
-/// two roundings as a rescale pass followed by a bias pass.
+/// in one pass over the accumulators ([`Rescale`]).
 fn gemm_nt(
     qa: &QubTensor,
     qb: &QubTensor,
@@ -198,23 +203,50 @@ fn gemm_nt(
         }));
     }
     let accs = dot::matmul_nt_qub(qa, qb);
-    let scale = qa.base_delta * qb.base_delta;
-    let mut data = vec![0.0f32; accs.len()];
-    match bias {
-        Some(b) => {
-            for (orow, arow) in data.chunks_mut(n.max(1)).zip(accs.chunks(n.max(1))) {
-                for ((o, &v), &b) in orow.iter_mut().zip(arow).zip(b.data()) {
-                    *o = v as f32 * scale + b;
+    let mut out = vec![0.0f32; accs.len()];
+    if n > 0 {
+        let rescale = Rescale {
+            accs: &accs,
+            scale: qa.base_delta * qb.base_delta,
+            bias: bias.map(Tensor::data),
+            out: &mut out,
+        };
+        isa::vectorize(isa::resolve(), rescale);
+    }
+    Tensor::from_vec(out, shape).map_err(BackendError::from)
+}
+
+/// The GEMM epilogue: `acc as f32 * scale + b` per accumulator (`+ b` only
+/// with a bias), the same two roundings as a rescale pass followed by a
+/// bias pass.
+struct Rescale<'a> {
+    accs: &'a [i64],
+    scale: f32,
+    /// One value per output column.
+    bias: Option<&'a [f32]>,
+    out: &'a mut [f32],
+}
+
+impl Vectorized for Rescale<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let scale = self.scale;
+        match self.bias {
+            Some(bias) => {
+                let rows = self.out.chunks_exact_mut(bias.len());
+                for (orow, arow) in rows.zip(self.accs.chunks_exact(bias.len())) {
+                    for ((o, &v), &b) in orow.iter_mut().zip(arow).zip(bias) {
+                        *o = v as f32 * scale + b;
+                    }
+                }
+            }
+            None => {
+                for (o, &v) in self.out.iter_mut().zip(self.accs) {
+                    *o = v as f32 * scale;
                 }
             }
         }
-        None => {
-            for (o, &v) in data.iter_mut().zip(&accs) {
-                *o = v as f32 * scale;
-            }
-        }
     }
-    Tensor::from_vec(data, shape).map_err(BackendError::from)
 }
 
 impl Backend for IntegerBackend<'_> {
@@ -279,11 +311,12 @@ impl Backend for IntegerBackend<'_> {
         if !self.coverage().covers(site.kind) {
             return Ok(quq_tensor::nn::softmax(x)?);
         }
-        let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
+        let (_, cols) = x.as_matrix().map_err(BackendError::from)?;
         let qx = self.encode(site, Operand::Input, x)?;
-        let probs_fx = intfunc::i_softmax(&sfu_load(&qx, &[rows, cols]), qx.base_delta);
-        let out = probs_fx.to_f32(1.0 / intfunc::ONE as f32);
-        out.into_reshape(x.shape()).map_err(BackendError::from)
+        let table = decode_table(&qx);
+        let src = Codes::Bytes(&qx.bytes, &table);
+        let probs = intfunc::softmax_rows(isa::resolve(), src, cols, qx.base_delta);
+        Tensor::from_vec(probs, x.shape()).map_err(BackendError::from)
     }
 
     fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
@@ -306,12 +339,13 @@ impl Backend for IntegerBackend<'_> {
         if !self.coverage().covers(site.kind) {
             return Ok(quq_tensor::nn::layer_norm(x, g, b, 1e-6)?);
         }
+        let cols = quq_tensor::nn::layer_norm_width(x, g, b)?;
         let qx = self.encode(site, Operand::Input, x)?;
-        // Output scale sized so ±4·max|γ| + max|β| fits an 8-bit-ish range.
-        let g_max = g.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-        let b_max = b.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-        let out_scale = ((4.0 * g_max + b_max) / 127.0).max(1e-6);
-        Ok(intfunc::i_layer_norm(&sfu_load(&qx, x.shape()), g, b, out_scale).to_f32(out_scale))
+        let table = decode_table(&qx);
+        let src = Codes::Bytes(&qx.bytes, &table);
+        let out_scale = layer_norm_out_scale(g, b);
+        let y = intfunc::layer_norm_rows(isa::resolve(), src, cols, g, b, out_scale);
+        Tensor::from_vec(y, x.shape()).map_err(BackendError::from)
     }
 
     fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -356,8 +390,9 @@ mod tests {
         (model, tables, eval)
     }
 
-    /// The composition every op had before the code tables and the fused
-    /// passes: encode → `decode_scaled` → integer kernel over the whole
+    /// The composition every op had before the code tables, the fused
+    /// passes and the row bodies: encode → `decode_scaled` → the
+    /// per-element integer kernel ([`intfunc::oracle`]) over the whole
     /// tensor → `to_f32`, an f32 transpose before `matmul`'s encode, and a
     /// separate rescale, bias and reshape after each GEMM. The ops above
     /// must reproduce it bit for bit.
@@ -426,7 +461,7 @@ mod tests {
             let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
             let (ints, scale) = self.sfu_quantize(site, Operand::Input, x)?;
             let ints = ints.reshape(&[rows, cols]).map_err(BackendError::from)?;
-            let out = intfunc::i_softmax(&ints, scale).to_f32(1.0 / intfunc::ONE as f32);
+            let out = intfunc::oracle::i_softmax(&ints, scale).to_f32(1.0 / intfunc::ONE as f32);
             out.into_reshape(x.shape()).map_err(BackendError::from)
         }
 
@@ -443,10 +478,8 @@ mod tests {
             b: &Tensor,
         ) -> Result<Tensor> {
             let (ints, _scale) = self.sfu_quantize(site, Operand::Input, x)?;
-            let g_max = g.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-            let b_max = b.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-            let out_scale = ((4.0 * g_max + b_max) / 127.0).max(1e-6);
-            Ok(intfunc::i_layer_norm(&ints, g, b, out_scale).to_f32(out_scale))
+            let out_scale = layer_norm_out_scale(g, b);
+            Ok(intfunc::oracle::i_layer_norm(&ints, g, b, out_scale).to_f32(out_scale))
         }
 
         fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -627,6 +660,32 @@ mod tests {
             .unwrap();
         }
         assert_eq!(both.compared, 3 * 8);
+    }
+
+    #[test]
+    fn integer_backend_rejects_bad_norm_params_and_passes_empty_rows() {
+        let (model, tables, _) = setup(PtqConfig::full_w6a6());
+        let block = &model.weights().stages[0].blocks[0];
+        let dim = block.embed_dim;
+        let site = OpSite::in_block(0, quq_vit::OpKind::Norm1);
+        let mut be = IntegerBackend::new(&tables);
+        let x = Tensor::zeros(&[2, dim]);
+        let short = Tensor::zeros(&[dim - 1]);
+        for (g, b) in [(&short, &block.ln1_b), (&block.ln1_g, &short)] {
+            let err = be.layer_norm(site, &x, g, b).unwrap_err();
+            assert!(
+                matches!(err, BackendError::Tensor(TensorError::ShapeMismatch { .. })),
+                "{err:?}"
+            );
+        }
+        let empty = Tensor::zeros(&[2, 0]);
+        let p = Tensor::zeros(&[0]);
+        assert_eq!(
+            be.layer_norm(site, &empty, &p, &p).unwrap().shape(),
+            &[2, 0]
+        );
+        let softmax = OpSite::in_block(0, quq_vit::OpKind::Softmax);
+        assert_eq!(be.softmax(softmax, &empty).unwrap().shape(), &[2, 0]);
     }
 
     #[test]

@@ -72,7 +72,10 @@ fn cvt(ret: i32) -> io::Result<i32> {
 
 /// `epoll_create1(EPOLL_CLOEXEC)` as an owned descriptor.
 pub fn epoll_create() -> io::Result<OwnedFd> {
+    // SAFETY: takes only a flags integer.
     let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+    // SAFETY: `cvt` passed a non-negative return, a descriptor that was
+    // just created and that nothing else owns.
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
@@ -84,6 +87,8 @@ pub fn epoll_control(
     event: Option<EpollEvent>,
 ) -> io::Result<()> {
     let mut ev = event.unwrap_or(EpollEvent { events: 0, data: 0 });
+    // SAFETY: `ev` is a live `EpollEvent` with the kernel's layout for the
+    // call's duration; a stale `fd` fails with EBADF.
     cvt(unsafe { epoll_ctl(epfd.as_raw_fd(), op, fd, &mut ev) })?;
     Ok(())
 }
@@ -96,6 +101,8 @@ pub fn epoll_wait_events(
     timeout_ms: i32,
 ) -> io::Result<usize> {
     loop {
+        // SAFETY: the kernel writes at most `maxevents` entries, which is
+        // never more than `events.len()`, into `events`' own buffer.
         let n = unsafe {
             epoll_wait(
                 epfd.as_raw_fd(),
@@ -114,7 +121,9 @@ pub fn epoll_wait_events(
 
 /// A non-blocking, close-on-exec `eventfd` for cross-thread wakeups.
 pub fn eventfd_create() -> io::Result<OwnedFd> {
+    // SAFETY: takes only integers.
     let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
+    // SAFETY: as in `epoll_create`, a fresh descriptor nothing else owns.
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
@@ -122,6 +131,7 @@ pub fn eventfd_create() -> io::Result<OwnedFd> {
 pub fn eventfd_signal(fd: BorrowedFd<'_>) -> io::Result<()> {
     let one = 1u64.to_ne_bytes();
     loop {
+        // SAFETY: reads `one.len()` bytes from `one`, a live local array.
         let n = unsafe { write(fd.as_raw_fd(), one.as_ptr(), one.len()) };
         if n == one.len() as isize {
             return Ok(());
@@ -141,6 +151,8 @@ pub fn eventfd_signal(fd: BorrowedFd<'_>) -> io::Result<()> {
 pub fn eventfd_drain(fd: BorrowedFd<'_>) {
     let mut buf = [0u8; 8];
     // Non-blocking: either we consume the counter or it was already zero.
+    // SAFETY: writes at most `buf.len()` bytes into `buf`, a live local
+    // array.
     unsafe { read(fd.as_raw_fd(), buf.as_mut_ptr(), buf.len()) };
 }
 
@@ -152,6 +164,7 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: the kernel fills `lim`, a live `Rlimit` with its layout.
     cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
     if lim.rlim_cur >= want {
         return Ok(lim.rlim_cur);
@@ -161,6 +174,7 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
         rlim_cur: target,
         rlim_max: lim.rlim_max,
     };
+    // SAFETY: the kernel reads `new`, a live `Rlimit` with its layout.
     cvt(unsafe { setrlimit(RLIMIT_NOFILE, &new) })?;
     Ok(target)
 }
@@ -171,6 +185,8 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
 /// instead of vanishing into generous default socket buffers.
 pub fn set_recv_buffer(fd: RawFd, bytes: i32) -> io::Result<()> {
     let val = bytes.to_ne_bytes();
+    // SAFETY: the kernel reads `val.len()` bytes from `val`, a live local
+    // array; a stale `fd` fails with EBADF.
     cvt(unsafe { setsockopt(fd, SOL_SOCKET, SO_RCVBUF, val.as_ptr(), val.len() as u32) })?;
     Ok(())
 }

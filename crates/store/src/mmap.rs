@@ -60,8 +60,10 @@ pub struct Mapping {
 }
 
 // SAFETY: the mapping is PROT_READ + MAP_PRIVATE and never mutated or
-// remapped after construction; &Mapping only ever yields &[u8].
+// remapped after construction, and no thread owns it: any thread may read
+// it and unmap it in `Drop`.
 unsafe impl Send for Mapping {}
+// SAFETY: &Mapping only ever yields &[u8] into those immutable pages.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
@@ -79,6 +81,9 @@ impl Mapping {
             // mmap of zero bytes is EINVAL; an empty mapping needs no pages.
             return Ok(Mapping { ptr: None, len: 0 });
         }
+        // SAFETY: a null hint lets the kernel choose the address, `len` is
+        // the file's nonzero length, and `file` is an open descriptor for
+        // the call's duration; failure is MAP_FAILED, checked below.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),

@@ -1,10 +1,10 @@
 //! AVX2 kernels: the GEMM tile on two 8-lane `ymm` per packed block,
-//! `vpmaddwd` + `vpaddd`, and the QUB encoder (`encode_qub`), eight `f32`
-//! lanes per step; see [`super::encode`] for what the encoder computes and
-//! why it is exact.
+//! `vpmaddwd` + `vpaddd`, the QUB encoder (`encode_qub`), eight `f32`
+//! lanes per step, and the AVX2 entry of [`super::vectorize`]; see
+//! [`super::encode`] for what the encoder computes and why it is exact.
 
 use super::encode::{EncodePlan, EncodeRange, EPS};
-use super::{Gemm, Lanes, BLOCK};
+use super::{Gemm, Lanes, Vectorized, BLOCK};
 use std::arch::x86_64::*;
 
 /// Register tile: 4 rows × 1 block, 8 `ymm` accumulators of the 16.
@@ -83,6 +83,12 @@ impl Lanes for Ymm {
 pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
     // SAFETY: this function runs only with the target feature `Ymm` needs.
     unsafe { super::nest::<Ymm, MR, NB>(g, out, first_row) }
+}
+
+/// A [`Vectorized`] body compiled with AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) fn vectorized(body: impl Vectorized) {
+    body.run()
 }
 
 /// Lane-wise `|v|`.

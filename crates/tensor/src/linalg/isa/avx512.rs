@@ -1,11 +1,12 @@
 //! AVX-512 kernels: the GEMM tile on one 16-lane `zmm` per packed block —
 //! `vpmaddwd` + `vpaddd`, or one `vpdpwssd` where the host has
-//! `avx512vnni` — and the QUB encoder (`encode_qub`), sixteen `f32` lanes
-//! per step with mask registers for the comparisons; see [`super::encode`]
-//! for what the encoder computes and why it is exact.
+//! `avx512vnni` — the QUB encoder (`encode_qub`), sixteen `f32` lanes per
+//! step with mask registers for the comparisons, and the AVX-512 entry of
+//! [`super::vectorize`]; see [`super::encode`] for what the encoder
+//! computes and why it is exact.
 
 use super::encode::{EncodePlan, EncodeRange, EPS};
-use super::{Gemm, Lanes, BLOCK};
+use super::{Gemm, Lanes, Vectorized, BLOCK};
 use std::arch::x86_64::*;
 
 /// Register tile: 4 rows × 4 blocks, 16 `zmm` accumulators.
@@ -100,6 +101,12 @@ pub(super) fn gemm_vnni(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
     // SAFETY: this function runs only with the target features `Zmm<true>`
     // needs.
     unsafe { super::nest::<Zmm<true>, MR, NB>(g, out, first_row) }
+}
+
+/// A [`Vectorized`] body compiled with AVX-512 (F, BW, DQ and VL).
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+pub(super) fn vectorized(body: impl Vectorized) {
+    body.run()
 }
 
 /// `neg ? n : p` broadcast per lane.

@@ -1,5 +1,6 @@
-//! Runtime ISA dispatch for the packed-i16 GEMM kernels and the QUB
-//! encoder kernels ([`encode`]) — the one module that holds SIMD `unsafe`.
+//! Runtime ISA dispatch for the packed-i16 GEMM kernels, the QUB encoder
+//! kernels ([`encode`]) and the plain-Rust loop bodies of [`Vectorized`] —
+//! the one module that holds SIMD `unsafe`.
 //!
 //! Every GEMM kernel here computes the same thing — a block of output rows
 //! of `A[m,k] · B[n,k]ᵀ` with `B` in the packed layout of
@@ -26,6 +27,16 @@
 //! supported ISA, overridable with `QUQ_FORCE_ISA`), and the chosen kernel
 //! travels down to the thread pool as a plain [`GemmFn`] pointer — workers
 //! never re-query CPUID or the environment.
+//!
+//! Loops with no hand-written kernel — the integer SFU rows, the GEMM
+//! rescale — are written once as a [`Vectorized`] body and compiled by
+//! [`vectorize`] into one `#[target_feature]` entry per ISA, where the
+//! compiler vectorizes them for that instruction set. A body has no
+//! `unsafe` and no intrinsics, so every entry computes what the body says:
+//! integer arithmetic is exact, Rust neither reassociates nor contracts
+//! float operations, and a body uses only correctly rounded ones (`+ − ×
+//! ÷`, `sqrt`, `floor`, conversions — no libm transcendental), so every
+//! ISA produces the same bits.
 
 pub mod encode;
 pub mod scalar;
@@ -46,7 +57,8 @@ pub enum Isa {
     Scalar,
     /// x86-64 `vpmaddwd` on 256-bit registers.
     Avx2,
-    /// x86-64 `vpmaddwd` on 512-bit registers (AVX-512F+BW).
+    /// x86-64 `vpmaddwd` on 512-bit registers (AVX-512F+BW; DQ and VL for
+    /// the [`Vectorized`] bodies).
     Avx512,
     /// x86-64 `vpdpwssd` (AVX-512 VNNI) on 512-bit registers.
     Avx512Vnni,
@@ -89,6 +101,8 @@ pub fn supported() -> &'static [Isa] {
             }
             if std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
             {
                 v.push(Isa::Avx512);
                 if std::arch::is_x86_feature_detected!("avx512vnni") {
@@ -124,6 +138,40 @@ pub fn resolve() -> Isa {
             isa
         }
         _ => detect(),
+    }
+}
+
+/// A loop body written once in plain Rust, for [`vectorize`] to compile
+/// once per ISA.
+pub trait Vectorized {
+    /// Runs the body. Implementations mark it `#[inline(always)]`, and
+    /// everything its hot loops call `#[inline]`, so that each ISA's entry
+    /// compiles the whole loop nest with its own target features.
+    fn run(self);
+}
+
+/// Runs `body` compiled for `isa` — [`resolve`] in production, so
+/// `QUQ_FORCE_ISA` pins it like the GEMM and the encoder.
+///
+/// # Panics
+///
+/// Panics when the host does not support `isa`, so that entering a
+/// `#[target_feature]` instance is always sound.
+pub fn vectorize(isa: Isa, body: impl Vectorized) {
+    assert!(
+        supported().contains(&isa),
+        "{} is not supported on this host",
+        isa.name()
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported()` detected AVX2 on this CPU.
+        Isa::Avx2 => unsafe { avx2::vectorized(body) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported()` lists either AVX-512 entry only after
+        // detecting AVX-512F, BW, DQ and VL on this CPU.
+        Isa::Avx512 | Isa::Avx512Vnni => unsafe { avx512::vectorized(body) },
+        _ => body.run(),
     }
 }
 
@@ -435,6 +483,25 @@ mod tests {
             // SAFETY: `gemm_fn` asserted that the host supports `isa`.
             unsafe { gemm_fn(isa)(&g, &mut out, 0) };
             assert_eq!(out, [18, 4, 14, -12], "{}", isa.name());
+        }
+    }
+
+    #[test]
+    fn every_supported_isa_runs_a_vectorized_body() {
+        struct Square<'a>(&'a mut [i64]);
+        impl Vectorized for Square<'_> {
+            #[inline(always)]
+            fn run(self) {
+                for v in self.0.iter_mut() {
+                    *v *= *v;
+                }
+            }
+        }
+        for &isa in supported() {
+            let mut v: Vec<i64> = (-20..20).collect();
+            vectorize(isa, Square(&mut v));
+            let want: Vec<i64> = (-20i64..20).map(|x| x * x).collect();
+            assert_eq!(v, want, "{}", isa.name());
         }
     }
 }

@@ -49,6 +49,9 @@ pub fn softmax(x: &Tensor) -> crate::Result<Tensor> {
     }
     let last = *x.shape().last().expect("rank >= 1");
     let mut out = x.clone();
+    if last == 0 {
+        return Ok(out);
+    }
     for row in out.data_mut().chunks_mut(last) {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
@@ -74,23 +77,11 @@ pub fn softmax(x: &Tensor) -> crate::Result<Tensor> {
 /// Returns a shape error when `gamma`/`beta` are not rank-1 vectors matching
 /// the last axis.
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> crate::Result<Tensor> {
-    let last = *x
-        .shape()
-        .last()
-        .ok_or_else(|| TensorError::InvalidArgument("layer_norm requires rank >= 1".to_string()))?;
-    if gamma.rank() != 1 || gamma.len() != last {
-        return Err(TensorError::ShapeMismatch {
-            lhs: x.shape().to_vec(),
-            rhs: gamma.shape().to_vec(),
-        });
-    }
-    if beta.rank() != 1 || beta.len() != last {
-        return Err(TensorError::ShapeMismatch {
-            lhs: x.shape().to_vec(),
-            rhs: beta.shape().to_vec(),
-        });
-    }
+    let last = layer_norm_width(x, gamma, beta)?;
     let mut out = x.clone();
+    if last == 0 {
+        return Ok(out);
+    }
     let g = gamma.data();
     let b = beta.data();
     for row in out.data_mut().chunks_mut(last) {
@@ -102,6 +93,28 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> crate:
         }
     }
     Ok(out)
+}
+
+/// The width of the axis [`layer_norm`] normalizes — `x`'s last — after
+/// checking that `gamma` and `beta` are vectors of that width.
+///
+/// # Errors
+///
+/// As for [`layer_norm`].
+pub fn layer_norm_width(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> crate::Result<usize> {
+    let last = *x
+        .shape()
+        .last()
+        .ok_or_else(|| TensorError::InvalidArgument("layer_norm requires rank >= 1".to_string()))?;
+    for p in [gamma, beta] {
+        if p.rank() != 1 || p.len() != last {
+            return Err(TensorError::ShapeMismatch {
+                lhs: x.shape().to_vec(),
+                rhs: p.shape().to_vec(),
+            });
+        }
+    }
+    Ok(last)
 }
 
 #[cfg(test)]

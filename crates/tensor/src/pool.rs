@@ -59,6 +59,8 @@ struct RawFunc(*const (dyn Fn(Range<usize>) + Sync));
 // keeps it alive for the whole job; the raw pointer is only dereferenced
 // while the job is live.
 unsafe impl Send for RawFunc {}
+// SAFETY: `&RawFunc` only lends the pointer out for shared calls of a
+// `Sync` closure, under the same liveness guarantee as `Send` above.
 unsafe impl Sync for RawFunc {}
 
 /// One fan-out: spans of unclaimed indices plus completion bookkeeping.

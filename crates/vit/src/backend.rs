@@ -407,6 +407,31 @@ mod tests {
     }
 
     #[test]
+    fn fp32_backend_rejects_bad_norm_params_and_passes_empty_rows() {
+        let mut be = Fp32Backend::new();
+        let site = OpSite::in_block(0, OpKind::Norm1);
+        let x = Tensor::zeros(&[2, 4]);
+        let err = be
+            .layer_norm(site, &x, &Tensor::zeros(&[3]), &Tensor::zeros(&[4]))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BackendError::Tensor(quq_tensor::TensorError::ShapeMismatch { .. })
+            ),
+            "{err:?}"
+        );
+        let empty = Tensor::zeros(&[2, 0]);
+        let p = Tensor::zeros(&[0]);
+        assert_eq!(
+            be.layer_norm(site, &empty, &p, &p).unwrap().shape(),
+            &[2, 0]
+        );
+        let softmax = OpSite::in_block(0, OpKind::Softmax);
+        assert_eq!(be.softmax(softmax, &empty).unwrap().shape(), &[2, 0]);
+    }
+
+    #[test]
     fn observed_is_transparent_and_records_per_site_spans() {
         let mut observed = Observed::new(Fp32Backend::new());
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();

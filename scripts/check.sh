@@ -23,8 +23,11 @@ echo "==> tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # One proptest pass per host-supported kernel ISA with the dispatch pinned:
 # the packed GEMM against its reference, the QUB encoder against the
 # per-element quantizer, and a check that the encoder really ran the pinned
-# kernel. `--list-isas` always reports scalar, so the portable kernels are
-# always in the matrix even on fully-featured hosts.
+# kernel. Then the SFU row bodies and the GEMM rescale in a release build,
+# where they are vectorized: against the per-element oracles, the lockstep
+# reference backend and the golden integer logits. `--list-isas` always
+# reports scalar, so the portable kernels are always in the matrix even on
+# fully-featured hosts.
 isas="$(cargo run --release -q -p quq-bench --bin throughput -- --list-isas)"
 case "$isas" in *scalar*) ;; *)
     echo "kernel matrix: scalar ISA missing from --list-isas" >&2; exit 1;;
@@ -33,6 +36,8 @@ for isa in $isas; do
     echo "    ISA: $isa"
     QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests -- \
         packed_matmul_matches_reference_bitwise encoder_
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --lib -- intfunc:: backend_int::
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test batch_identity -- golden
 done
 
 echo "==> tier-2: batched-forward bit-identity under a 4-worker pool"
