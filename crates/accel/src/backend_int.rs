@@ -1,12 +1,16 @@
 //! Fully integer execution backend: the deployment path of the paper.
 //!
 //! [`IntegerBackend`] executes a calibrated QUQ model the way the QUA +
-//! SFUs would: GEMM operands are encoded as QUBs and multiplied on the
-//! integer dot-product path (Eq. 5); Softmax/GELU/LayerNorm inputs take the
-//! SFU load path (`d = D << n_sh`) and are evaluated by the integer-only
-//! kernels of [`crate::intfunc`]. Floating point appears only at operation
-//! boundaries to carry scales between sites — in hardware these are the
-//! precomputed `M/2^N` requantization constants of Eq. 2.
+//! SFUs would. A GEMM's activation operands are quantized straight to the
+//! integers the decoding units feed the PE array, `D << n_sh` (Eq. 6/7),
+//! and multiplied on the integer dot-product path (Eq. 5); the rescale by
+//! `Δ_a·Δ_b` (and the bias) is the GEMM tile's epilogue, the software
+//! place of the quantization unit on the array's output. Softmax, GELU and
+//! LayerNorm inputs are encoded to QUB bytes and read through the SFU load
+//! path (`d = D << n_sh`) by the integer-only kernels of
+//! [`crate::intfunc`]. Floating point appears only at operation boundaries
+//! to carry scales between sites — in hardware these are the precomputed
+//! `M/2^N` requantization constants of Eq. 2.
 //!
 //! Differential expectation (tested in the integration suite): logits agree
 //! closely with the fake-quantization [`quq_core::QuantBackend`] path, and
@@ -14,28 +18,38 @@
 
 use crate::intfunc::{self, Codes};
 use quq_core::calib::{Coverage, Operand, ParamKey};
-use quq_core::dot;
 use quq_core::pipeline::PtqTables;
 use quq_core::qub::{preshift_lut, QubCodec, QubTensor};
 use quq_core::scheme::QuqParams;
-use quq_tensor::linalg::isa::{self, Vectorized};
-use quq_tensor::{linalg, IntTensor, Tensor, TensorError};
-use quq_vit::backend::{Backend, BackendError, OpSite, Result};
+use quq_tensor::linalg::{self, isa, PackedB};
+use quq_tensor::{IntTensor, Tensor, TensorError};
+use quq_vit::backend::{Backend, BackendError, OpKind, OpSite, Result};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Shared per-site cache of QUB-encoded weights.
+/// Shared per-model cache of what the integer backend derives from the
+/// calibrated tables: the QUB-encoded weights and the activation
+/// quantizers.
 ///
 /// Without it, every image re-encodes every layer weight from FP32 *and*
-/// re-decodes it inside every GEMM. With it, each weight site is encoded
-/// once, its packed GEMM panel is built once ([`QubTensor::preshifted`]),
-/// and every subsequent image reuses both —
-/// the software analogue of weights living on-chip in the paper's
-/// accelerator. Clone the [`Arc`] into each worker's backend to share the
-/// cache across parallel evaluation.
+/// re-decodes it inside every GEMM, and every op call rebuilds its
+/// quantizer's FC registers, encode plan and byte tables. With it, each
+/// weight site is encoded once, its packed GEMM panel is built once
+/// ([`QubTensor::preshifted`]), each activation operand's quantizer is
+/// resolved once per `(site, operand)`, and every subsequent image reuses
+/// them — the software analogue of weights and FC registers living
+/// on-chip in the paper's accelerator. Clone the [`Arc`] into each
+/// worker's backend to share the cache across parallel evaluation.
 #[derive(Debug, Default)]
 pub struct WeightQubCache {
     entries: Mutex<BTreeMap<OpSite, Arc<QubTensor>>>,
+    activations: Mutex<BTreeMap<ParamKey, Arc<ActQuant>>>,
+}
+
+/// Recovers a cache lock even if a panicking thread poisoned it: every map
+/// entry is inserted fully formed, so the cache is always consistent.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl WeightQubCache {
@@ -44,15 +58,9 @@ impl WeightQubCache {
         Self::default()
     }
 
-    /// Recovers the cache lock even if a panicking thread poisoned it: every
-    /// map entry is inserted fully formed, so the cache is always consistent.
-    fn entries(&self) -> MutexGuard<'_, BTreeMap<OpSite, Arc<QubTensor>>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Number of weight sites encoded so far.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        lock(&self.entries).len()
     }
 
     /// Whether no site has been encoded yet.
@@ -72,7 +80,7 @@ impl WeightQubCache {
     ) -> std::result::Result<Self, quq_store::StoreError> {
         let cache = Self::new();
         {
-            let mut entries = cache.entries();
+            let mut entries = lock(&cache.entries);
             for site in artifact.qub_sites() {
                 let qub = artifact.load_qub(site)?;
                 qub.preshifted();
@@ -86,7 +94,7 @@ impl WeightQubCache {
     /// GEMM panel) on first use. The lock is held across the encode
     /// so concurrent workers never duplicate the work.
     fn get_or_encode(&self, site: OpSite, params: QuqParams, w: &Tensor) -> Arc<QubTensor> {
-        let mut entries = self.entries();
+        let mut entries = lock(&self.entries);
         if let Some(hit) = entries.get(&site) {
             quq_obs::add("cache.weight_qub.hit", 1);
             return Arc::clone(hit);
@@ -98,6 +106,79 @@ impl WeightQubCache {
         entries.insert(site, Arc::clone(&qw));
         qw
     }
+
+    /// Returns the quantizer of the activation operand `key`, building it
+    /// with `build` on first use (under the lock, like the weights).
+    fn activation(
+        &self,
+        key: ParamKey,
+        build: impl FnOnce() -> Result<ActQuant>,
+    ) -> Result<Arc<ActQuant>> {
+        let mut activations = lock(&self.activations);
+        if let Some(hit) = activations.get(&key) {
+            return Ok(Arc::clone(hit));
+        }
+        let built = Arc::new(build()?);
+        activations.insert(key, Arc::clone(&built));
+        Ok(built)
+    }
+}
+
+/// One activation operand's quantizer: its codec (FC registers and encode
+/// plan) and the tables its op reads code bytes through, indexed by byte
+/// (256 entries, so no bounds check; bytes at or above `2^b` never leave
+/// the encoder).
+#[derive(Debug)]
+struct ActQuant {
+    codec: QubCodec,
+    /// `D << n_sh` (Eq. 6/7): the SFU load path of Softmax and LayerNorm,
+    /// what [`crate::sim::Qua::sfu_load`] produces per element.
+    ints: [i32; 256],
+    /// An `f32` per byte: GELU's output at a GELU site (the SFU's answer
+    /// for every code), the dequantized value elsewhere (the adder's
+    /// operand).
+    floats: [f32; 256],
+}
+
+impl ActQuant {
+    fn new(kind: OpKind, params: QuqParams) -> Self {
+        let codec = QubCodec::new(params);
+        let lut = preshift_lut(codec.fc(), params.bits());
+        let ints = lut.iter().map(|&v| i32::from(v)).collect();
+        let codes = IntTensor::from_vec(ints, &[lut.len()]).expect("sized");
+        let scale = codec.base_delta();
+        let floats = match kind {
+            OpKind::Gelu => intfunc::i_gelu(&codes, scale).to_f32(scale),
+            _ => codes.to_f32(scale),
+        };
+        Self {
+            codec,
+            ints: by_byte(codes.data()),
+            floats: by_byte(floats.data()),
+        }
+    }
+
+    /// `A·Bᵀ · Δ_a·Δ_b (+ bias)` for `x` as `A[m, k]`: `x` is quantized
+    /// straight to operands, and the rescale is the GEMM tile's epilogue.
+    fn gemm(
+        &self,
+        x: &[f32],
+        m: usize,
+        b: &PackedB,
+        b_delta: f32,
+        bias: Option<&Tensor>,
+    ) -> Vec<f32> {
+        let a = self.codec.encode_preshifted(x);
+        let scale = self.codec.base_delta() * b_delta;
+        linalg::i16_matmul_nt_scaled(&a, m, b, scale, bias.map(Tensor::data))
+    }
+}
+
+/// A per-code table padded to 256 entries.
+fn by_byte<T: Copy + Default>(per_code: &[T]) -> [T; 256] {
+    let mut table = [T::default(); 256];
+    table[..per_code.len()].copy_from_slice(per_code);
+    table
 }
 
 /// Integer-only execution over calibrated QUQ tables.
@@ -112,7 +193,7 @@ pub struct IntegerBackend<'a> {
 }
 
 impl<'a> IntegerBackend<'a> {
-    /// Wraps calibrated tables with a private weight cache.
+    /// Wraps calibrated tables with a private cache.
     pub fn new(tables: &'a PtqTables) -> Self {
         Self::with_cache(tables, Arc::new(WeightQubCache::new()))
     }
@@ -123,7 +204,7 @@ impl<'a> IntegerBackend<'a> {
         Self { tables, weights }
     }
 
-    /// A handle to the weight cache (for sharing with further backends).
+    /// A handle to the cache (for sharing with further backends).
     pub fn weight_cache(&self) -> Arc<WeightQubCache> {
         Arc::clone(&self.weights)
     }
@@ -147,36 +228,12 @@ impl<'a> IntegerBackend<'a> {
             .ok_or(BackendError::MissingParams(site))
     }
 
-    /// Encodes an activation with the parameters calibrated for its site.
-    fn encode(&self, site: OpSite, operand: Operand, x: &Tensor) -> Result<QubTensor> {
-        Ok(QubCodec::new(self.act_params(site, operand)?).encode_tensor(x))
+    /// The quantizer calibrated for an activation operand, from the cache.
+    fn quant(&self, site: OpSite, operand: Operand) -> Result<Arc<ActQuant>> {
+        self.weights.activation(ParamKey { site, operand }, || {
+            Ok(ActQuant::new(site.kind, self.act_params(site, operand)?))
+        })
     }
-}
-
-/// The integer every code byte of `q`'s quantizer decodes to (`D << n_sh`,
-/// Eq. 6/7), indexed by byte: the decoding unit's whole truth table.
-fn decoded_codes(q: &QubTensor) -> IntTensor {
-    let codes: Vec<i32> = preshift_lut(q.fc, q.bits)
-        .into_iter()
-        .map(i32::from)
-        .collect();
-    let len = codes.len();
-    IntTensor::from_vec(codes, &[len]).expect("sized")
-}
-
-/// A per-code table padded to 256 entries, so indexing it with a byte
-/// needs no bounds check. Bytes at or above `2^b` never leave the encoder.
-fn by_byte<T: Copy + Default>(per_code: &[T]) -> [T; 256] {
-    let mut table = [T::default(); 256];
-    table[..per_code.len()].copy_from_slice(per_code);
-    table
-}
-
-/// The SFU load path as a table: the integer `d = D << n_sh` each byte of
-/// `q` decodes to — what [`crate::sim::Qua::sfu_load`] produces per
-/// element.
-fn decode_table(q: &QubTensor) -> [i32; 256] {
-    by_byte(decoded_codes(q).data())
 }
 
 /// LayerNorm's output scale, sized so ±4·max|γ| + max|β| fits an
@@ -184,69 +241,6 @@ fn decode_table(q: &QubTensor) -> [i32; 256] {
 fn layer_norm_out_scale(g: &Tensor, b: &Tensor) -> f32 {
     let max_abs = |t: &Tensor| t.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
     ((4.0 * max_abs(g) + max_abs(b)) / 127.0).max(1e-6)
-}
-
-/// Integer GEMM `C = A·Bᵀ` over encoded operands on the packed kernel
-/// ([`dot::matmul_nt_qub`]), with the rescale and the bias applied
-/// in one pass over the accumulators ([`Rescale`]).
-fn gemm_nt(
-    qa: &QubTensor,
-    qb: &QubTensor,
-    bias: Option<&Tensor>,
-    shape: &[usize],
-) -> Result<Tensor> {
-    let n = qb.shape[0];
-    if let Some(b) = bias.filter(|b| b.rank() != 1 || b.len() != n) {
-        return Err(BackendError::from(TensorError::ShapeMismatch {
-            lhs: vec![qa.shape[0], n],
-            rhs: b.shape().to_vec(),
-        }));
-    }
-    let accs = dot::matmul_nt_qub(qa, qb);
-    let mut out = vec![0.0f32; accs.len()];
-    if n > 0 {
-        let rescale = Rescale {
-            accs: &accs,
-            scale: qa.base_delta * qb.base_delta,
-            bias: bias.map(Tensor::data),
-            out: &mut out,
-        };
-        isa::vectorize(isa::resolve(), rescale);
-    }
-    Tensor::from_vec(out, shape).map_err(BackendError::from)
-}
-
-/// The GEMM epilogue: `acc as f32 * scale + b` per accumulator (`+ b` only
-/// with a bias), the same two roundings as a rescale pass followed by a
-/// bias pass.
-struct Rescale<'a> {
-    accs: &'a [i64],
-    scale: f32,
-    /// One value per output column.
-    bias: Option<&'a [f32]>,
-    out: &'a mut [f32],
-}
-
-impl Vectorized for Rescale<'_> {
-    #[inline(always)]
-    fn run(self) {
-        let scale = self.scale;
-        match self.bias {
-            Some(bias) => {
-                let rows = self.out.chunks_exact_mut(bias.len());
-                for (orow, arow) in rows.zip(self.accs.chunks_exact(bias.len())) {
-                    for ((o, &v), &b) in orow.iter_mut().zip(arow).zip(bias) {
-                        *o = v as f32 * scale + b;
-                    }
-                }
-            }
-            None => {
-                for (o, &v) in self.out.iter_mut().zip(self.accs) {
-                    *o = v as f32 * scale;
-                }
-            }
-        }
-    }
 }
 
 impl Backend for IntegerBackend<'_> {
@@ -260,79 +254,72 @@ impl Backend for IntegerBackend<'_> {
         if !self.coverage().covers(site.kind) {
             return Ok(linalg::linear(x, w, bias)?);
         }
+        // Shapes `linalg::linear` rejects, rejected alike before any encode.
+        // Leading axes flatten: only the shape tag changes.
+        let (rows, _, n) = linalg::linear_dims(x, w, bias)?;
         let w_params = self.weight_params(site)?;
-        // Flatten leading axes like linalg::linear does: the bytes are laid
-        // out the same either way, only the shape tag changes.
-        let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
-        let mut qa = self.encode(site, Operand::Input, x)?;
-        qa.shape = vec![rows, cols];
+        let act = self.quant(site, Operand::Input)?;
         let w_src = self.tables.original_weight(&site).unwrap_or(w);
-        // Weights recur image after image: encode + panel-decode once.
+        // Weights recur image after image: encode + pack once.
         let qw = self.weights.get_or_encode(site, w_params, w_src);
+        let y = act.gemm(x.data(), rows, &qw.preshifted(), qw.base_delta, bias);
         let mut shape = x.shape().to_vec();
-        *shape.last_mut().expect("rank >= 1") = w.shape()[0];
-        gemm_nt(&qa, &qw, bias, &shape)
+        *shape.last_mut().expect("rank >= 1") = n;
+        Ok(Tensor::from_vec(y, &shape)?)
     }
 
     fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(linalg::matmul(a, b)?);
         }
-        let &[k, n] = b.shape() else {
-            return Err(BackendError::from(TensorError::RankMismatch {
-                expected: 2,
-                actual: b.rank(),
-            }));
-        };
-        let qa = self.encode(site, Operand::Input, a)?;
-        let qb = self.encode(site, Operand::InputB, b)?;
-        // A[m,k]·B[k,n] = A·(Bᵀ)ᵀ: feed Bᵀ to the NT kernel. Transposing
-        // the code bytes moves a quarter of what transposing `b` would.
-        let mut bt = vec![0u8; qb.bytes.len()];
-        for (p, row) in qb.bytes.chunks(n.max(1)).enumerate() {
-            for (j, &byte) in row.iter().enumerate() {
-                bt[j * k + p] = byte;
-            }
-        }
-        let qbt = QubTensor::new(bt, vec![n, k], qb.fc, qb.bits, qb.base_delta);
-        gemm_nt(&qa, &qbt, None, &[qa.shape[0], n])
+        let (m, k, n) = linalg::matmul_dims(a.shape(), b.shape())?;
+        let (qa, qb) = (
+            self.quant(site, Operand::Input)?,
+            self.quant(site, Operand::InputB)?,
+        );
+        // A[m,k]·B[k,n] = A·(Bᵀ)ᵀ: the NT kernel's panel of Bᵀ is packed
+        // from `b`'s own layout.
+        let bt = qb.codec.encode_panel_transposed(b.data(), k, n);
+        let y = qa.gemm(a.data(), m, &bt, qb.codec.base_delta(), None);
+        Ok(Tensor::from_vec(y, &[m, n])?)
     }
 
     fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(linalg::matmul_nt(a, b)?);
         }
-        let qa = self.encode(site, Operand::Input, a)?;
-        let qb = self.encode(site, Operand::InputB, b)?;
-        gemm_nt(&qa, &qb, None, &[qa.shape[0], qb.shape[0]])
+        let (m, k, n) = linalg::matmul_nt_dims(a.shape(), b.shape())?;
+        let (qa, qb) = (
+            self.quant(site, Operand::Input)?,
+            self.quant(site, Operand::InputB)?,
+        );
+        let panel = qb.codec.encode_panel(b.data(), n, k);
+        let y = qa.gemm(a.data(), m, &panel, qb.codec.base_delta(), None);
+        Ok(Tensor::from_vec(y, &[m, n])?)
     }
 
     fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(quq_tensor::nn::softmax(x)?);
         }
-        let (_, cols) = x.as_matrix().map_err(BackendError::from)?;
-        let qx = self.encode(site, Operand::Input, x)?;
-        let table = decode_table(&qx);
-        let src = Codes::Bytes(&qx.bytes, &table);
-        let probs = intfunc::softmax_rows(isa::resolve(), src, cols, qx.base_delta);
-        Tensor::from_vec(probs, x.shape()).map_err(BackendError::from)
+        let (_, cols) = x.as_matrix()?;
+        let q = self.quant(site, Operand::Input)?;
+        let bytes = q.codec.encode_tensor(x).bytes;
+        let src = Codes::Bytes(&bytes, &q.ints);
+        let probs = intfunc::softmax_rows(isa::resolve(), src, cols, q.codec.base_delta());
+        Ok(Tensor::from_vec(probs, x.shape())?)
     }
 
     fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
         if !self.coverage().covers(site.kind) {
             return Ok(quq_tensor::nn::gelu_tensor(x));
         }
-        let qx = self.encode(site, Operand::Input, x)?;
-        let scale = qx.base_delta;
+        let q = self.quant(site, Operand::Input)?;
+        let bytes = q.codec.encode_tensor(x).bytes;
         // The SFU's answer for every code, then one lookup per element.
-        let table = by_byte(
-            intfunc::i_gelu(&decoded_codes(&qx), scale)
-                .to_f32(scale)
-                .data(),
-        );
-        let data = qx.bytes.iter().map(|&b| table[b as usize]).collect();
-        Tensor::from_vec(data, x.shape()).map_err(BackendError::from)
+        let table = q.floats;
+        let data = bytes.iter().map(|&b| table[b as usize]).collect();
+        Ok(Tensor::from_vec(data, x.shape())?)
     }
 
     fn layer_norm(&mut self, site: OpSite, x: &Tensor, g: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -340,12 +327,12 @@ impl Backend for IntegerBackend<'_> {
             return Ok(quq_tensor::nn::layer_norm(x, g, b, 1e-6)?);
         }
         let cols = quq_tensor::nn::layer_norm_width(x, g, b)?;
-        let qx = self.encode(site, Operand::Input, x)?;
-        let table = decode_table(&qx);
-        let src = Codes::Bytes(&qx.bytes, &table);
+        let q = self.quant(site, Operand::Input)?;
+        let bytes = q.codec.encode_tensor(x).bytes;
+        let src = Codes::Bytes(&bytes, &q.ints);
         let out_scale = layer_norm_out_scale(g, b);
         let y = intfunc::layer_norm_rows(isa::resolve(), src, cols, g, b, out_scale);
-        Tensor::from_vec(y, x.shape()).map_err(BackendError::from)
+        Ok(Tensor::from_vec(y, x.shape())?)
     }
 
     fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -358,26 +345,31 @@ impl Backend for IntegerBackend<'_> {
                 rhs: b.shape().to_vec(),
             }));
         }
-        let qa = self.encode(site, Operand::Input, a)?;
-        let qb = self.encode(site, Operand::InputB, b)?;
+        let (qa, qb) = (
+            self.quant(site, Operand::Input)?,
+            self.quant(site, Operand::InputB)?,
+        );
         // The SFU adder sums the two decoded integer streams after scale
         // alignment; numerically this equals adding the dequantized values,
         // and each operand has only 2^b of those.
-        let ta = by_byte(decoded_codes(&qa).to_f32(qa.base_delta).data());
-        let tb = by_byte(decoded_codes(&qb).to_f32(qb.base_delta).data());
-        let data = qa
-            .bytes
+        let (pa, pb) = (
+            qa.codec.encode_tensor(a).bytes,
+            qb.codec.encode_tensor(b).bytes,
+        );
+        let (ta, tb) = (qa.floats, qb.floats);
+        let data = pa
             .iter()
-            .zip(&qb.bytes)
+            .zip(&pb)
             .map(|(&p, &q)| ta[p as usize] + tb[q as usize])
             .collect();
-        Tensor::from_vec(data, a.shape()).map_err(BackendError::from)
+        Ok(Tensor::from_vec(data, a.shape())?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quq_core::dot;
     use quq_core::pipeline::{calibrate, PtqConfig};
     use quq_core::QuqMethod;
     use quq_vit::{Dataset, ModelConfig, VitModel};
@@ -622,10 +614,8 @@ mod tests {
                     standard_normal(&mut rng) * if i % 13 == 0 { 40.0 * spread } else { spread }
                 })
                 .collect();
-            for (i, special) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]
-                .into_iter()
-                .enumerate()
-            {
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+            for (i, special) in specials.into_iter().enumerate().take(len) {
                 data[(i * 7 + 3) % len] = special;
             }
             Tensor::from_vec(data, shape).unwrap()
@@ -646,20 +636,25 @@ mod tests {
                 .unwrap();
             both.softmax(site(OpKind::Softmax), &random(&[2, 3, 7], spread))
                 .unwrap();
-            both.matmul_nt(
-                site(OpKind::QkMatmul),
-                &random(&[5, 9], spread),
-                &random(&[4, 9], spread),
-            )
-            .unwrap();
-            both.matmul(
-                site(OpKind::PvMatmul),
-                &random(&[5, 9], spread),
-                &random(&[9, 4], spread),
-            )
-            .unwrap();
+            // `m = 1` (the head), odd `k`, `n` around one 16-column block,
+            // and empty sides: no rows, no columns, no depth.
+            let shapes = [(5, 9, 4), (1, 17, 16), (3, 33, 15), (4, 8, 17)];
+            for (m, k, n) in shapes.into_iter().chain([(0, 9, 4), (5, 9, 0), (5, 0, 4)]) {
+                both.matmul_nt(
+                    site(OpKind::QkMatmul),
+                    &random(&[m, k], spread),
+                    &random(&[n, k], spread),
+                )
+                .unwrap();
+                both.matmul(
+                    site(OpKind::PvMatmul),
+                    &random(&[m, k], spread),
+                    &random(&[k, n], spread),
+                )
+                .unwrap();
+            }
         }
-        assert_eq!(both.compared, 3 * 8);
+        assert_eq!(both.compared, 3 * 20);
     }
 
     #[test]

@@ -144,29 +144,42 @@ fn pack_code(code: QuqCode, p: u32) -> u8 {
 
 /// Flattens a parameter set into the plain numbers the encoder kernels of
 /// [`quq_tensor::linalg::isa`] run on: per sign, the fine and the coarse
-/// subrange (scale and code bounds, or absent), plus the bytes
-/// [`QuqParams::quantize`] gives zero-nearest, NaN and ±∞.
-fn encode_plan(params: &QuqParams) -> EncodePlan {
-    let p = params.payload_bits();
-    let range = |delta: Option<f32>, codes: Option<(i32, i32)>| match delta.zip(codes) {
-        Some((delta, (lo, hi))) => EncodeRange {
-            delta,
-            lo: lo as f32,
-            hi: hi as f32,
-            penalty: 0.0,
-        },
+/// subrange (scale, code bounds and operand step, or absent), plus the
+/// bytes [`QuqParams::quantize`] gives zero-nearest, NaN and ±∞ and the
+/// operands `D << n_sh` those bytes decode to under `fc`.
+fn encode_plan(params: &QuqParams, fc: FcRegisters) -> EncodePlan {
+    let (p, bits) = (params.payload_bits(), params.bits());
+    let decode = |code: QuqCode| decode_qub(pack_code(code, p), fc, bits);
+    let operand = |code: QuqCode| {
+        i16::try_from(decode(code).scaled()).expect("pre-shifted QUB value fits the i16 operand")
+    };
+    let range = |fine: bool, delta: Option<f32>, codes: Option<(i32, i32)>| match delta.zip(codes) {
+        Some((delta, (lo, hi))) => {
+            // A subrange's codes share one sign, so they share one shift,
+            // and each decodes to itself: code `c` is the operand `c << n_sh`.
+            let lowest = decode(QuqCode { fine, code: lo });
+            debug_assert_eq!(lowest.d, lo, "a code decodes to itself");
+            EncodeRange {
+                delta,
+                lo: lo as f32,
+                hi: hi as f32,
+                step: (1u32 << lowest.n_sh) as f32,
+                penalty: 0.0,
+            }
+        }
         None => EncodeRange::ABSENT,
     };
     let (fine, coarse) = (params.fine(), params.coarse());
     let zero = params.nearest_to_zero();
+    let (pos_inf, neg_inf) = (params.extreme_code(true), params.extreme_code(false));
     EncodePlan {
         neg: EncodeSide {
-            fine: range(fine.neg_delta(), fine.neg_code_range(p)),
-            coarse: range(coarse.neg_delta(), coarse.neg_code_range(p)),
+            fine: range(true, fine.neg_delta(), fine.neg_code_range(p)),
+            coarse: range(false, coarse.neg_delta(), coarse.neg_code_range(p)),
         },
         pos: EncodeSide {
-            fine: range(fine.pos_delta(), fine.pos_code_range(p)),
-            coarse: range(coarse.pos_delta(), coarse.pos_code_range(p)),
+            fine: range(true, fine.pos_delta(), fine.pos_code_range(p)),
+            coarse: range(false, coarse.pos_delta(), coarse.pos_code_range(p)),
         },
         payload_mask: ((1u16 << p) - 1) as u8,
         fine_flag: 1 << p,
@@ -174,8 +187,12 @@ fn encode_plan(params: &QuqParams) -> EncodePlan {
         zero_value: params.dequantize(zero),
         zero_fine: zero.fine,
         nan_byte: pack_code(zero, p),
-        pos_inf_byte: pack_code(params.extreme_code(true), p),
-        neg_inf_byte: pack_code(params.extreme_code(false), p),
+        pos_inf_byte: pack_code(pos_inf, p),
+        neg_inf_byte: pack_code(neg_inf, p),
+        zero_operand: operand(zero),
+        nan_operand: operand(zero),
+        pos_inf_operand: operand(pos_inf),
+        neg_inf_operand: operand(neg_inf),
     }
 }
 
@@ -193,11 +210,12 @@ impl QubCodec {
     /// Builds the codec for a parameter set: FC registers, base scale and
     /// the encoder plan are derived here, once.
     pub fn new(params: QuqParams) -> Self {
+        let fc = FcRegisters::from_params(&params);
         Self {
             params,
-            fc: FcRegisters::from_params(&params),
+            fc,
             base_delta: params.base_delta(),
-            plan: encode_plan(&params),
+            plan: encode_plan(&params, fc),
         }
     }
 
@@ -263,6 +281,46 @@ impl QubCodec {
             self.params.bits(),
             self.base_delta,
         )
+    }
+
+    /// The row-major `A` operand of the integer GEMM: every value of `src`
+    /// as the integer its QUB decodes to, `D << n_sh` (units of
+    /// [`base_delta`](Self::base_delta)), formed in the SIMD pass that
+    /// picks the code — equal to [`encode_tensor`](Self::encode_tensor)
+    /// then [`QubTensor::decode_preshifted`], without the bytes.
+    pub fn encode_preshifted(&self, src: &[f32]) -> Vec<i16> {
+        let _span = quq_obs::span("qub.encode");
+        self.operands(src)
+    }
+
+    /// The packed `B` operand of the integer GEMM for row-major `b[n, k]`
+    /// (`K` of `Q·Kᵀ`) — equal to encoding `b` and packing its bytes with
+    /// [`PackedB::from_codes`] through [`preshift_lut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b.len() != n·k`.
+    pub fn encode_panel(&self, b: &[f32], n: usize, k: usize) -> PackedB {
+        let _span = quq_obs::span("qub.encode");
+        PackedB::pack(&self.operands(b), n, k)
+    }
+
+    /// The packed `B` operand for `B = Xᵀ`, `x[k, n]` row-major (`V` of
+    /// `P·V`), packed from `x`'s own layout with no transposed copy of `x`
+    /// or of its codes — equal to encoding `Xᵀ` and packing its bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != k·n`.
+    pub fn encode_panel_transposed(&self, x: &[f32], k: usize, n: usize) -> PackedB {
+        let _span = quq_obs::span("qub.encode");
+        PackedB::pack_transposed(&self.operands(x), k, n)
+    }
+
+    fn operands(&self, src: &[f32]) -> Vec<i16> {
+        let mut out = vec![0i16; src.len()];
+        isa::encode_qub(&self.plan, src, &mut out);
+        out
     }
 }
 

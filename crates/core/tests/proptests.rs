@@ -457,3 +457,84 @@ fn encoder_runs_the_kernel_of_the_pinned_isa() {
     std::env::remove_var("QUQ_FORCE_ISA");
     assert_eq!(codec.encode_slice(&src, &mut dst), family(isa::detect()));
 }
+
+/// The operand encoders against the byte path they replace, on every
+/// kernel this host has: `encode_preshifted` must equal `encode_slice`
+/// then `preshift_lut` (and `encode_tensor` then `decode_preshifted`),
+/// and the two panel encoders must equal packing the
+/// codes with `PackedB::from_codes` — of `B` itself, or of `Xᵀ` for the
+/// transposed one. Modes A–D, bits 2–8, the probes of
+/// `encoder_matches_quantize_bitwise_on_every_isa` (NaN, ±∞, −0.0 among
+/// them), and panel shapes with odd `k`, `n` around one 16-column block,
+/// single rows and empty sides. `scripts/check.sh` re-runs it with
+/// `QUQ_FORCE_ISA` pinned.
+#[test]
+fn encoder_operands_match_bytes_then_decode_on_every_isa() {
+    use quq_core::qub::{preshift_lut, QubTensor};
+    use quq_tensor::linalg::PackedB;
+    use quq_tensor::Tensor;
+
+    let _pin = pin_env();
+    for bits in 2..=8 {
+        for base in [0.013f32, 3.1e-4, 57.3] {
+            for params in every_layout_pairing(bits, base) {
+                let codec = QubCodec::new(params);
+                let lut = preshift_lut(codec.fc(), bits);
+                let probes = encoder_probes(&params);
+                let mut bytes = vec![0u8; probes.len()];
+                codec.encode_slice(&probes, &mut bytes);
+                let want: Vec<i16> = bytes.iter().map(|&b| lut[usize::from(b)]).collect();
+                let tensor = |data: &[f32], shape: &[usize]| {
+                    codec.encode_tensor(&Tensor::from_vec(data.to_vec(), shape).unwrap())
+                };
+                for &which in isa::supported() {
+                    std::env::set_var("QUQ_FORCE_ISA", which.name());
+                    let got = codec.encode_preshifted(&probes);
+                    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                        panic!(
+                            "{}: x = {:e} encoded {}, byte {:#04x} decodes to {} ({params:?})",
+                            which.name(),
+                            probes[i],
+                            got[i],
+                            bytes[i],
+                            want[i],
+                        );
+                    }
+                    let q = tensor(&probes, &[probes.len()]);
+                    assert_eq!(got, q.decode_preshifted().data(), "{}", which.name());
+                    for (n, k) in [
+                        (1, 1),
+                        (1, 17),
+                        (3, 2),
+                        (15, 7),
+                        (16, 9),
+                        (17, 33),
+                        (0, 5),
+                        (4, 0),
+                    ] {
+                        let x: Vec<f32> =
+                            probes.iter().copied().cycle().skip(n).take(n * k).collect();
+                        let x = &x[..];
+                        let panel = |q: &QubTensor, n: usize, k: usize| {
+                            PackedB::from_codes(&q.bytes, n, k, &lut)
+                        };
+                        assert_eq!(
+                            codec.encode_panel(x, n, k),
+                            panel(&tensor(x, &[n, k]), n, k),
+                            "{} B[{n}, {k}]",
+                            which.name()
+                        );
+                        // `x` read as X[k, n]: the panel of Xᵀ.
+                        let xt: Vec<f32> = (0..n * k).map(|i| x[(i % k) * n + i / k]).collect();
+                        assert_eq!(
+                            codec.encode_panel_transposed(x, k, n),
+                            panel(&tensor(&xt, &[n, k]), n, k),
+                            "{} X[{k}, {n}]ᵀ",
+                            which.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

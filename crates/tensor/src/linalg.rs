@@ -25,14 +25,73 @@ const JB: usize = 4;
 /// chunk amortizes its claim.
 const ROW_GRAIN: usize = 8;
 
-fn check_rank2(t: &Tensor) -> crate::Result<()> {
-    if t.rank() != 2 {
+fn check_rank2(shape: &[usize]) -> crate::Result<()> {
+    if shape.len() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
-            actual: t.rank(),
+            actual: shape.len(),
         });
     }
     Ok(())
+}
+
+/// `(m, k, n)` of `A[m,k] · B[k,n]` from the operands' shapes, or the
+/// error [`matmul`] returns for them.
+///
+/// # Errors
+///
+/// As for [`matmul`].
+pub fn matmul_dims(a: &[usize], b: &[usize]) -> crate::Result<(usize, usize, usize)> {
+    check_rank2(a)?;
+    check_rank2(b)?;
+    if a[1] != b[0] {
+        return Err(TensorError::InnerDimMismatch {
+            lhs_cols: a[1],
+            rhs_rows: b[0],
+        });
+    }
+    Ok((a[0], a[1], b[1]))
+}
+
+/// `(m, k, n)` of `A[m,k] · B[n,k]ᵀ` from the operands' shapes, or the
+/// error [`matmul_nt`] returns for them.
+///
+/// # Errors
+///
+/// As for [`matmul_nt`].
+pub fn matmul_nt_dims(a: &[usize], b: &[usize]) -> crate::Result<(usize, usize, usize)> {
+    check_rank2(a)?;
+    check_rank2(b)?;
+    if a[1] != b[1] {
+        return Err(TensorError::InnerDimMismatch {
+            lhs_cols: a[1],
+            rhs_rows: b[1],
+        });
+    }
+    Ok((a[0], a[1], b[0]))
+}
+
+/// `(rows, k, n)` of [`linear`]`(x, w, bias)` — `x` flattened to `rows`
+/// rows of depth `k`, `n` outputs — or the error [`linear`] returns for
+/// these shapes.
+///
+/// # Errors
+///
+/// As for [`linear`].
+pub fn linear_dims(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+) -> crate::Result<(usize, usize, usize)> {
+    let (rows, cols) = x.as_matrix()?;
+    let (_, _, n) = matmul_nt_dims(&[rows, cols], w.shape())?;
+    if let Some(b) = bias.filter(|b| b.rank() != 1 || b.len() != n) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![rows, n],
+            rhs: b.shape().to_vec(),
+        });
+    }
+    Ok((rows, cols, n))
 }
 
 /// Multiplies two rank-2 tensors: `C[m,n] = A[m,k] · B[k,n]`.
@@ -48,16 +107,7 @@ fn check_rank2(t: &Tensor) -> crate::Result<()> {
 /// Returns [`TensorError::RankMismatch`] when either input is not rank 2 and
 /// [`TensorError::InnerDimMismatch`] when `A`'s columns differ from `B`'s rows.
 pub fn matmul(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
-    check_rank2(a)?;
-    check_rank2(b)?;
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    if k != k2 {
-        return Err(TensorError::InnerDimMismatch {
-            lhs_cols: k,
-            rhs_rows: k2,
-        });
-    }
+    let (m, k, n) = matmul_dims(a.shape(), b.shape())?;
     let _span = quq_obs::span("gemm.matmul");
     record_gemm_work(m, k, n, 4, 4);
     let mut out = vec![0.0f32; m * n];
@@ -117,16 +167,7 @@ fn matmul_block(ad: &[f32], bd: &[f32], block: &mut [f32], first_row: usize, k: 
 /// Returns [`TensorError::RankMismatch`] or [`TensorError::InnerDimMismatch`]
 /// as for [`matmul`].
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> crate::Result<Tensor> {
-    check_rank2(a)?;
-    check_rank2(b)?;
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, k2) = (b.shape()[0], b.shape()[1]);
-    if k != k2 {
-        return Err(TensorError::InnerDimMismatch {
-            lhs_cols: k,
-            rhs_rows: k2,
-        });
-    }
+    let (m, k, n) = matmul_nt_dims(a.shape(), b.shape())?;
     let _span = quq_obs::span("gemm.matmul_nt");
     record_gemm_work(m, k, n, 4, 4);
     let mut out = vec![0.0f32; m * n];
@@ -194,7 +235,7 @@ fn matmul_nt_block(
 /// Returns a shape error when the trailing dimension of `x` differs from
 /// `w.shape()[1]` or when `bias` (if present) has length ≠ `w.shape()[0]`.
 pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> crate::Result<Tensor> {
-    let (rows, cols) = x.as_matrix()?;
+    let (rows, cols, _) = linear_dims(x, w, bias)?;
     let x2 = x.reshape(&[rows, cols])?;
     let y = matmul_nt(&x2, w)?;
     let y = match bias {
@@ -218,26 +259,7 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> crate::Result<Te
 /// Returns [`TensorError::RankMismatch`] or [`TensorError::InnerDimMismatch`]
 /// as for [`matmul`].
 pub fn int_matmul(a: &IntTensor, b: &IntTensor) -> crate::Result<IntTensor> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: a.rank(),
-        });
-    }
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: b.rank(),
-        });
-    }
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    if k != k2 {
-        return Err(TensorError::InnerDimMismatch {
-            lhs_cols: k,
-            rhs_rows: k2,
-        });
-    }
+    let (m, k, n) = matmul_dims(a.shape(), b.shape())?;
     let _span = quq_obs::span("gemm.int_matmul");
     record_gemm_work(m, k, n, 4, 4);
     let mut out = vec![0i32; m * n];
@@ -353,9 +375,43 @@ impl PackedB {
         Self::pack_with(codes, n, k, |q| table[usize::from(q)])
     }
 
+    /// Packs `B = Xᵀ` from row-major `x[k, n]`, reading `x` in its own
+    /// layout: rows `2p` and `2p + 1` of `x` interleave into pair `p` of
+    /// every block, so no transposed copy of `x` is made.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != k·n`.
+    pub fn pack_transposed(x: &[i16], k: usize, n: usize) -> Self {
+        assert_eq!(x.len(), k * n, "rhs panel must be k·n elements");
+        let block_len = Self::block_len(k);
+        let mut data = vec![0i16; n.div_ceil(isa::BLOCK) * block_len];
+        if n > 0 {
+            for (p, rows) in x.chunks(2 * n).enumerate() {
+                // Row `2p + h` of `x` is the half `h` of pair `p`.
+                for (h, row) in rows.chunks_exact(n).enumerate() {
+                    for (block, cols) in
+                        data.chunks_exact_mut(block_len).zip(row.chunks(isa::BLOCK))
+                    {
+                        let pair = &mut block[2 * isa::BLOCK * p..2 * isa::BLOCK * (p + 1)];
+                        for (c, &v) in cols.iter().enumerate() {
+                            pair[2 * c + h] = v;
+                        }
+                    }
+                }
+            }
+        }
+        Self::new(data, n, k)
+    }
+
+    /// Elements per packed block: the depth in pairs, 16 columns each.
+    fn block_len(k: usize) -> usize {
+        k.div_ceil(2) * 2 * isa::BLOCK
+    }
+
     fn pack_with<T: Copy>(rows: &[T], n: usize, k: usize, value: impl Fn(T) -> i16) -> Self {
         assert_eq!(rows.len(), n * k, "rhs panel must be n·k elements");
-        let block_len = k.div_ceil(2) * 2 * isa::BLOCK;
+        let block_len = Self::block_len(k);
         let mut data = vec![0i16; n.div_ceil(isa::BLOCK) * block_len];
         if k > 0 {
             for (block, cols) in data
@@ -375,6 +431,10 @@ impl PackedB {
                 }
             }
         }
+        Self::new(data, n, k)
+    }
+
+    fn new(data: Vec<i16>, n: usize, k: usize) -> Self {
         let max_abs = data.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
         debug_assert!(
             i32::from(max_abs) <= PANEL_BOUND,
@@ -435,15 +495,48 @@ pub fn i16_matmul_nt_i64(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> 
 ///
 /// Panics when `a.len()` is not `m` rows of `B`'s depth `k`.
 pub fn i16_matmul_nt_packed(a: &[i16], m: usize, b: &PackedB) -> Vec<i64> {
-    i16_matmul_nt_on(isa::resolve(), a, m, b)
+    i16_matmul_nt_on(isa::resolve(), a, m, b, &isa::RawAcc)
 }
 
-/// [`i16_matmul_nt_packed`] on a given ISA.
-fn i16_matmul_nt_on(which: isa::Isa, a: &[i16], m: usize, b: &PackedB) -> Vec<i64> {
+/// `C[m,n] = (A[m,k] · B[n,k]ᵀ) · scale (+ bias)` in `f32`: the integer
+/// GEMM of [`i16_matmul_nt_packed`] with its epilogue applied by the
+/// kernel's register tile to each block of accumulators before it is
+/// stored — `acc as f32 * scale`, then `+ bias[j]` — so no `i64` output is
+/// written or read back. Each output is the same `f32` as rescaling the
+/// `i64` result afterwards, rounding for rounding. Times itself under the
+/// `gemm.i16_nt` span: the kernel and the epilogue, no encode or packing.
+///
+/// # Panics
+///
+/// Panics when `a.len()` is not `m` rows of `B`'s depth `k`, or a bias is
+/// not one value per output column.
+pub fn i16_matmul_nt_scaled(
+    a: &[i16],
+    m: usize,
+    b: &PackedB,
+    scale: f32,
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), b.n, "one bias per output column");
+    }
+    let _span = quq_obs::span("gemm.i16_nt");
+    i16_matmul_nt_on(isa::resolve(), a, m, b, &isa::Rescale { scale, bias })
+}
+
+/// The packed integer GEMM on a given ISA, each output written through
+/// `epi`.
+fn i16_matmul_nt_on<E: isa::Epilogue>(
+    which: isa::Isa,
+    a: &[i16],
+    m: usize,
+    b: &PackedB,
+    epi: &E,
+) -> Vec<E::Out> {
     let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k, "lhs panel must be m·k elements");
-    record_gemm_work(m, k.next_multiple_of(2), n, 2, 8);
-    let mut out = vec![0i64; m * n];
+    record_gemm_work(m, k.next_multiple_of(2), n, 2, size_of::<E::Out>());
+    let mut out = vec![E::Out::default(); m * n];
     if m == 0 || n == 0 {
         return out;
     }
@@ -459,10 +552,10 @@ fn i16_matmul_nt_on(which: isa::Isa, a: &[i16], m: usize, b: &PackedB) -> Vec<i6
         n,
         chunk: pairs_per_widen(max_a, b.max_abs),
     };
-    let kern = isa::gemm_fn(which);
+    let kern = isa::gemm_fn::<E>(which);
     pool::parallel_rows_mut(&mut out, n, packed_row_grain(m), |first_row, block| {
         // SAFETY: `gemm_fn` asserted that the host supports `which`.
-        unsafe { kern(&g, block, first_row) }
+        unsafe { kern(&g, epi, block, first_row) }
     });
     out
 }
@@ -670,7 +763,7 @@ mod tests {
                     let packed = PackedB::pack(&b, n, k);
                     for &which in isa::supported() {
                         assert_eq!(
-                            i16_matmul_nt_on(which, &a, m, &packed),
+                            i16_matmul_nt_on(which, &a, m, &packed, &isa::RawAcc),
                             want,
                             "{} diverged at {m}x{k}x{n}",
                             which.name()
@@ -700,13 +793,130 @@ mod tests {
                 let packed = PackedB::pack(&b, n, k);
                 for &which in isa::supported() {
                     assert_eq!(
-                        i16_matmul_nt_on(which, &a, m, &packed),
+                        i16_matmul_nt_on(which, &a, m, &packed, &isa::RawAcc),
                         want,
                         "{} k={k} signs ({sa},{sb})",
                         which.name()
                     );
                 }
             }
+        }
+    }
+
+    /// The old rescale pass over `i64` accumulators: the oracle the
+    /// epilogue must reproduce bit for bit.
+    fn rescaled(accs: &[i64], n: usize, scale: f32, bias: Option<&[f32]>) -> Vec<u32> {
+        accs.iter()
+            .enumerate()
+            .map(|(i, &v)| match bias {
+                Some(b) => v as f32 * scale + b[i % n],
+                None => v as f32 * scale,
+            })
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    /// `acc as f32 * scale (+ bias)` applied in the tile equals the `i64`
+    /// result rescaled afterwards, on every ISA: `m = 1` (the head), row
+    /// tails, odd and zero `k`, `n` around one block, empty outputs, small
+    /// operands (the whole depth in `i32`) and ±2^14 ones (widening every
+    /// few pairs), and a bias holding NaN, ±∞ and −0.0.
+    #[test]
+    fn every_isa_epilogue_matches_i64_then_rescale_bitwise() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut sample = |len: usize, spread: f32| -> Vec<i16> {
+            (0..len)
+                .map(|_| (standard_normal(&mut rng) * spread).clamp(-16384.0, 16384.0) as i16)
+                .collect()
+        };
+        for spread in [40.0f32, 8000.0] {
+            for m in [0usize, 1, 4, 5] {
+                for k in [0usize, 1, 17, 96] {
+                    for n in [0usize, 1, 15, 16, 17, 33] {
+                        let a = sample(m * k, spread);
+                        let packed = PackedB::pack(&sample(n * k, spread), n, k);
+                        let bias: Vec<f32> = (0..n)
+                            .map(|j| match j % 7 {
+                                0 => f32::NAN,
+                                1 => f32::INFINITY,
+                                2 => f32::NEG_INFINITY,
+                                3 => -0.0,
+                                _ => j as f32 * -0.37,
+                            })
+                            .collect();
+                        for &which in isa::supported() {
+                            let accs = i16_matmul_nt_on(which, &a, m, &packed, &isa::RawAcc);
+                            for (scale, bias) in [(0.0123f32, None), (3.7e-5, Some(&bias[..]))] {
+                                let epi = isa::Rescale { scale, bias };
+                                let got = i16_matmul_nt_on(which, &a, m, &packed, &epi);
+                                assert_eq!(
+                                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                    rescaled(&accs, n, scale, bias),
+                                    "{} {m}x{k}x{n} spread {spread}",
+                                    which.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn epilogue_is_exact_at_the_i32_bound() {
+        // The operands of `lanes_widen_exactly_at_the_i32_bound`: nine
+        // pairs in `i32`, then widening; the f32 epilogue must see the
+        // exact sums on both sides of the bound.
+        let (ma, mb) = (10261i16, 11627i16);
+        for k in [17usize, 18, 19, 20, 37] {
+            let (m, n) = (5, 17);
+            let a = vec![ma; m * k];
+            let b = vec![-mb; n * k];
+            let want = rescaled(&naive(&a, &b, m, k, n), n, 1.5, None);
+            let packed = PackedB::pack(&b, n, k);
+            for &which in isa::supported() {
+                let epi = isa::Rescale {
+                    scale: 1.5,
+                    bias: None,
+                };
+                let got = i16_matmul_nt_on(which, &a, m, &packed, &epi);
+                let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, want, "{} k={k}", which.name());
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_entry_matches_packed_entry_rescaled() {
+        // The public entry dispatches on `resolve()`, so `QUQ_FORCE_ISA`
+        // pins what this compares.
+        let mut rng = StdRng::seed_from_u64(17);
+        let (m, k, n) = (9, 65, 32);
+        let mut sample = |len: usize| -> Vec<i16> {
+            (0..len)
+                .map(|_| (standard_normal(&mut rng) * 300.0) as i16)
+                .collect()
+        };
+        let a = sample(m * k);
+        let packed = PackedB::pack(&sample(n * k), n, k);
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 3.0).collect();
+        let accs = i16_matmul_nt_packed(&a, m, &packed);
+        let got = i16_matmul_nt_scaled(&a, m, &packed, 0.031, Some(&bias));
+        let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, rescaled(&accs, n, 0.031, Some(&bias)));
+    }
+
+    #[test]
+    fn packs_transposed_like_packing_the_transpose() {
+        for (k, n) in [(0usize, 3usize), (1, 1), (7, 19), (8, 16), (65, 32)] {
+            let x: Vec<i16> = (0..k * n).map(|i| (i % 997) as i16 * 13 - 6000).collect();
+            let xt: Vec<i16> = (0..n * k).map(|i| x[(i % k) * n + i / k]).collect();
+            assert_eq!(
+                PackedB::pack_transposed(&x, k, n),
+                PackedB::pack(&xt, n, k),
+                "X[{k}, {n}]"
+            );
         }
     }
 

@@ -3,8 +3,8 @@
 //! lanes per step, and the AVX2 entry of [`super::vectorize`]; see
 //! [`super::encode`] for what the encoder computes and why it is exact.
 
-use super::encode::{EncodePlan, EncodeRange, EPS};
-use super::{Gemm, Lanes, Vectorized, BLOCK};
+use super::encode::{Code, EncodePlan, EncodeRange, EPS};
+use super::{Epilogue, Gemm, Lanes, Vectorized, BLOCK};
 use std::arch::x86_64::*;
 
 /// Register tile: 4 rows × 1 block, 8 `ymm` accumulators of the 16.
@@ -51,27 +51,28 @@ impl Lanes for Ymm {
     }
 
     #[inline(always)]
-    unsafe fn widen_add(acc: Self::Acc, out: &mut [i64]) {
-        if out.len() < BLOCK {
-            let mut lanes = [0i32; BLOCK];
-            // SAFETY: `lanes` holds 16 `i32`, two unaligned `ymm`.
-            unsafe {
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
-                _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
-            }
-            super::add_lanes(out, &lanes);
-            return;
+    unsafe fn spill(acc: Self::Acc) -> [i32; BLOCK] {
+        let mut lanes = [0i32; BLOCK];
+        // SAFETY: `lanes` holds 16 `i32`, two unaligned `ymm`.
+        unsafe {
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
+            _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
         }
+        lanes
+    }
+
+    #[inline(always)]
+    unsafe fn widen_add(acc: Self::Acc, wide: &mut [i64; BLOCK]) {
         let quarters = [
             _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[0])),
             _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(acc[0])),
             _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[1])),
             _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(acc[1])),
         ];
-        for (quarter, wide) in out.chunks_exact_mut(BLOCK / 4).zip(quarters) {
+        for (quarter, lanes) in wide.chunks_exact_mut(BLOCK / 4).zip(quarters) {
             // SAFETY: each quarter holds 4 `i64`, one unaligned `ymm`.
             unsafe {
-                let sum = _mm256_add_epi64(_mm256_loadu_si256(quarter.as_ptr().cast()), wide);
+                let sum = _mm256_add_epi64(_mm256_loadu_si256(quarter.as_ptr().cast()), lanes);
                 _mm256_storeu_si256(quarter.as_mut_ptr().cast(), sum);
             }
         }
@@ -80,9 +81,9 @@ impl Lanes for Ymm {
 
 /// AVX2 GEMM kernel ([`super::GemmFn`]).
 #[target_feature(enable = "avx2")]
-pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+pub(super) fn gemm<E: Epilogue>(g: &Gemm<'_>, epi: &E, out: &mut [E::Out], first_row: usize) {
     // SAFETY: this function runs only with the target feature `Ymm` needs.
-    unsafe { super::nest::<Ymm, MR, NB>(g, out, first_row) }
+    unsafe { super::nest::<Ymm, E, MR, NB>(g, epi, out, first_row) }
 }
 
 /// A [`Vectorized`] body compiled with AVX2.
@@ -98,11 +99,19 @@ fn abs_ps(v: __m256) -> __m256 {
     _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff)))
 }
 
-/// One byte value in every `i32` lane, typed for `blendv_ps`.
+/// One `i32` lane value in every lane, typed for `blendv_ps`.
 #[target_feature(enable = "avx2")]
 #[inline]
-fn splat_byte(b: u8) -> __m256 {
-    _mm256_castsi256_ps(_mm256_set1_epi32(b as i32))
+fn splat_lane(v: i32) -> __m256 {
+    _mm256_castsi256_ps(_mm256_set1_epi32(v))
+}
+
+/// `c · step` per lane, as `i32` bits typed for `blendv_ps`: the operand
+/// of code `c` (exact, `|c · step| ≤ 2^14`).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn operand(c: __m256, step: __m256) -> __m256 {
+    _mm256_castsi256_ps(_mm256_cvtps_epi32(_mm256_mul_ps(c, step)))
 }
 
 /// `neg ? n : p` broadcast per lane.
@@ -149,13 +158,15 @@ fn encode_better(cand_err: __m256, best_err: __m256, tie: __m256) -> __m256 {
     _mm256_or_ps(closer, _mm256_and_ps(tied, tie))
 }
 
-/// AVX2 QUB encoder: whole groups of eight elements of `src` into `dst`;
-/// returns how many elements it encoded (the caller's scalar kernel takes
-/// the rest). Bit-identical to [`super::encode`]'s scalar kernel. Slices
-/// of unequal length are handled (the shorter bounds the work).
+/// AVX2 QUB encoder: whole groups of eight elements of `src` into `dst`,
+/// as bytes or operands ([`Code`]); returns how many elements it encoded
+/// (the caller's scalar kernel takes the rest). Bit-identical to
+/// [`super::encode`]'s scalar kernel. Slices of unequal length are handled
+/// (the shorter bounds the work).
 #[target_feature(enable = "avx2")]
-pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
+pub(crate) fn encode_qub<T: Code>(plan: &EncodePlan, src: &[f32], dst: &mut [T]) -> usize {
     debug_assert_eq!(src.len(), dst.len());
+    debug_assert_eq!(size_of::<T>(), if T::OPERAND { 2 } else { 1 });
     let n = src.len().min(dst.len()) / 8 * 8;
     let zero = _mm256_setzero_ps();
     let true_mask = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
@@ -164,6 +175,7 @@ pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usiz
     let zero_value = _mm256_set1_ps(plan.zero_value);
     let zero_mag = abs_ps(zero_value);
     let zero_fine = if plan.zero_fine { true_mask } else { zero };
+    let [on_zero, on_nan, on_pos_inf, on_neg_inf] = plan.specials::<T>();
     // Low byte of each i32 lane to the front of its 128-bit half.
     let gather = _mm256_setr_epi8(
         0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 4, 8, 12, -1, -1, -1, -1,
@@ -180,14 +192,21 @@ pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usiz
         let coarse_wins = encode_better(ec, ef, _mm256_cmp_ps::<_CMP_LT_OQ>(mc, mf));
         let be = _mm256_blendv_ps(ef, ec, coarse_wins);
         let bm = _mm256_blendv_ps(mf, mc, coarse_wins);
-        let fine_byte =
-            _mm256_or_si256(_mm256_and_si256(_mm256_cvtps_epi32(cf), payload), fine_flag);
-        let coarse_byte = _mm256_and_si256(_mm256_cvtps_epi32(cc), payload);
-        let best = _mm256_blendv_ps(
-            _mm256_castsi256_ps(fine_byte),
-            _mm256_castsi256_ps(coarse_byte),
-            coarse_wins,
-        );
+        let (fine, coarse) = if T::OPERAND {
+            (
+                operand(cf, by_sign(neg, plan.neg.fine.step, plan.pos.fine.step)),
+                operand(cc, by_sign(neg, plan.neg.coarse.step, plan.pos.coarse.step)),
+            )
+        } else {
+            (
+                _mm256_castsi256_ps(_mm256_or_si256(
+                    _mm256_and_si256(_mm256_cvtps_epi32(cf), payload),
+                    fine_flag,
+                )),
+                _mm256_castsi256_ps(_mm256_and_si256(_mm256_cvtps_epi32(cc), payload)),
+            )
+        };
+        let best = _mm256_blendv_ps(fine, coarse, coarse_wins);
         let ez = abs_ps(_mm256_sub_ps(x, zero_value));
         let zero_tie = _mm256_or_ps(
             _mm256_cmp_ps::<_CMP_LT_OQ>(zero_mag, bm),
@@ -197,29 +216,40 @@ pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usiz
             ),
         );
         let zero_wins = encode_better(ez, be, zero_tie);
-        let mut out = _mm256_blendv_ps(best, splat_byte(plan.zero_byte), zero_wins);
+        let mut out = _mm256_blendv_ps(best, splat_lane(on_zero), zero_wins);
+        out = _mm256_blendv_ps(out, splat_lane(on_nan), _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
         out = _mm256_blendv_ps(
             out,
-            splat_byte(plan.nan_byte),
-            _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x),
-        );
-        out = _mm256_blendv_ps(
-            out,
-            splat_byte(plan.pos_inf_byte),
+            splat_lane(on_pos_inf),
             _mm256_cmp_ps::<_CMP_EQ_OQ>(x, _mm256_set1_ps(f32::INFINITY)),
         );
         out = _mm256_blendv_ps(
             out,
-            splat_byte(plan.neg_inf_byte),
+            splat_lane(on_neg_inf),
             _mm256_cmp_ps::<_CMP_EQ_OQ>(x, _mm256_set1_ps(f32::NEG_INFINITY)),
         );
-        let packed = _mm256_shuffle_epi8(_mm256_castps_si256(out), gather);
-        let eight = _mm_unpacklo_epi32(
-            _mm256_castsi256_si128(packed),
-            _mm256_extracti128_si256(packed, 1),
-        );
-        // SAFETY: `i + 8 <= n <= dst.len()`; an unaligned 8-byte store.
-        unsafe { _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, eight) };
+        let lanes = _mm256_castps_si256(out);
+        let at = dst.as_mut_ptr().wrapping_add(i);
+        if T::OPERAND {
+            // Every lane is within ±2^14, so the saturating pack is exact.
+            let eight = _mm_packs_epi32(
+                _mm256_castsi256_si128(lanes),
+                _mm256_extracti128_si256::<1>(lanes),
+            );
+            // SAFETY: `T` is `i16` (`Code` is sealed, and only `i16` is an
+            // operand) and `i + 8 <= n <= dst.len()`: an unaligned 16-byte
+            // store of eight `i16`.
+            unsafe { _mm_storeu_si128(at.cast(), eight) };
+        } else {
+            let packed = _mm256_shuffle_epi8(lanes, gather);
+            let eight = _mm_unpacklo_epi32(
+                _mm256_castsi256_si128(packed),
+                _mm256_extracti128_si256::<1>(packed),
+            );
+            // SAFETY: `T` is `u8` and `i + 8 <= n <= dst.len()`: an
+            // unaligned 8-byte store.
+            unsafe { _mm_storel_epi64(at.cast(), eight) };
+        }
         i += 8;
     }
     n

@@ -5,8 +5,8 @@
 //! [`super::vectorize`]; see [`super::encode`] for what the encoder
 //! computes and why it is exact.
 
-use super::encode::{EncodePlan, EncodeRange, EPS};
-use super::{Gemm, Lanes, Vectorized, BLOCK};
+use super::encode::{Code, EncodePlan, EncodeRange, EPS};
+use super::{Epilogue, Gemm, Lanes, Vectorized, BLOCK};
 use std::arch::x86_64::*;
 
 /// Register tile: 4 rows × 4 blocks, 16 `zmm` accumulators.
@@ -63,44 +63,47 @@ impl<const VNNI: bool> Lanes for Zmm<VNNI> {
     }
 
     #[inline(always)]
-    unsafe fn widen_add(acc: __m512i, out: &mut [i64]) {
-        if out.len() < BLOCK {
-            let mut lanes = [0i32; BLOCK];
-            // SAFETY: `lanes` holds 16 `i32`, one unaligned `zmm`.
-            unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc) };
-            super::add_lanes(out, &lanes);
-            return;
-        }
-        let (lo, hi) = out.split_at_mut(BLOCK / 2);
+    unsafe fn spill(acc: __m512i) -> [i32; BLOCK] {
+        let mut lanes = [0i32; BLOCK];
+        // SAFETY: `lanes` holds 16 `i32`, one unaligned `zmm`.
+        unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc) };
+        lanes
+    }
+
+    #[inline(always)]
+    unsafe fn widen_add(acc: __m512i, wide: &mut [i64; BLOCK]) {
+        let (lo, hi) = wide.split_at_mut(BLOCK / 2);
         let halves = [
             _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc)),
             _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc)),
         ];
-        for (half, wide) in [lo, hi].into_iter().zip(halves) {
-            debug_assert!(half.len() >= BLOCK / 2);
-            // SAFETY: each half holds at least 8 `i64`, one unaligned `zmm`.
+        for (half, lanes) in [lo, hi].into_iter().zip(halves) {
+            debug_assert_eq!(half.len(), BLOCK / 2);
+            // SAFETY: each half holds 8 `i64`, one unaligned `zmm`.
             unsafe {
-                let sum = _mm512_add_epi64(_mm512_loadu_si512(half.as_ptr().cast()), wide);
+                let sum = _mm512_add_epi64(_mm512_loadu_si512(half.as_ptr().cast()), lanes);
                 _mm512_storeu_si512(half.as_mut_ptr().cast(), sum);
             }
         }
     }
 }
 
-/// AVX-512F+BW GEMM kernel ([`super::GemmFn`]).
-#[target_feature(enable = "avx512f,avx512bw")]
-pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+/// AVX-512 GEMM kernel ([`super::GemmFn`]). DQ and VL, which every
+/// AVX-512 entry of [`super::supported`] has, let the epilogue convert
+/// and scale in `zmm` too.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+pub(super) fn gemm<E: Epilogue>(g: &Gemm<'_>, epi: &E, out: &mut [E::Out], first_row: usize) {
     // SAFETY: this function runs only with the target features `Zmm<false>`
     // needs.
-    unsafe { super::nest::<Zmm<false>, MR, NB>(g, out, first_row) }
+    unsafe { super::nest::<Zmm<false>, E, MR, NB>(g, epi, out, first_row) }
 }
 
 /// AVX-512 VNNI GEMM kernel ([`super::GemmFn`]).
-#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-pub(super) fn gemm_vnni(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni")]
+pub(super) fn gemm_vnni<E: Epilogue>(g: &Gemm<'_>, epi: &E, out: &mut [E::Out], first_row: usize) {
     // SAFETY: this function runs only with the target features `Zmm<true>`
     // needs.
-    unsafe { super::nest::<Zmm<true>, MR, NB>(g, out, first_row) }
+    unsafe { super::nest::<Zmm<true>, E, MR, NB>(g, epi, out, first_row) }
 }
 
 /// A [`Vectorized`] body compiled with AVX-512 (F, BW, DQ and VL).
@@ -155,13 +158,15 @@ fn encode_better(cand_err: __m512, best_err: __m512, tie: __mmask16) -> __mmask1
 }
 
 /// AVX-512 QUB encoder: whole groups of sixteen elements of `src` into
-/// `dst`; returns how many elements it encoded (the caller's scalar
-/// kernel takes the rest). Bit-identical to [`super::encode`]'s scalar
-/// kernel. Uses AVX-512F only, so it serves the VNNI entry as well.
-/// Slices of unequal length are handled (the shorter bounds the work).
+/// `dst`, as bytes or operands ([`Code`]); returns how many elements it
+/// encoded (the caller's scalar kernel takes the rest). Bit-identical to
+/// [`super::encode`]'s scalar kernel. Uses AVX-512F only, so it serves the
+/// VNNI entry as well. Slices of unequal length are handled (the shorter
+/// bounds the work).
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usize {
+pub(crate) fn encode_qub<T: Code>(plan: &EncodePlan, src: &[f32], dst: &mut [T]) -> usize {
     debug_assert_eq!(src.len(), dst.len());
+    debug_assert_eq!(size_of::<T>(), if T::OPERAND { 2 } else { 1 });
     let n = src.len().min(dst.len()) / 16 * 16;
     let zero = _mm512_setzero_ps();
     let payload = _mm512_set1_epi32(plan.payload_mask as i32);
@@ -169,6 +174,7 @@ pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usiz
     let zero_value = _mm512_set1_ps(plan.zero_value);
     let zero_mag = _mm512_abs_ps(zero_value);
     let zero_fine: __mmask16 = if plan.zero_fine { !0 } else { 0 };
+    let [on_zero, on_nan, on_pos_inf, on_neg_inf] = plan.specials::<T>();
     let mut i = 0usize;
     while i < n {
         debug_assert!(i + 16 <= src.len() && i + 16 <= dst.len());
@@ -180,38 +186,51 @@ pub(crate) fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> usiz
         let coarse_wins = encode_better(ec, ef, _mm512_cmp_ps_mask::<_CMP_LT_OQ>(mc, mf));
         let be = _mm512_mask_blend_ps(coarse_wins, ef, ec);
         let bm = _mm512_mask_blend_ps(coarse_wins, mf, mc);
-        let fine_byte =
-            _mm512_or_si512(_mm512_and_si512(_mm512_cvtps_epi32(cf), payload), fine_flag);
-        let coarse_byte = _mm512_and_si512(_mm512_cvtps_epi32(cc), payload);
-        let best = _mm512_mask_blend_epi32(coarse_wins, fine_byte, coarse_byte);
+        let (fine, coarse) = if T::OPERAND {
+            let fine_step = by_sign(neg, plan.neg.fine.step, plan.pos.fine.step);
+            let coarse_step = by_sign(neg, plan.neg.coarse.step, plan.pos.coarse.step);
+            (
+                _mm512_cvtps_epi32(_mm512_mul_ps(cf, fine_step)),
+                _mm512_cvtps_epi32(_mm512_mul_ps(cc, coarse_step)),
+            )
+        } else {
+            (
+                _mm512_or_si512(_mm512_and_si512(_mm512_cvtps_epi32(cf), payload), fine_flag),
+                _mm512_and_si512(_mm512_cvtps_epi32(cc), payload),
+            )
+        };
+        let best = _mm512_mask_blend_epi32(coarse_wins, fine, coarse);
         let ez = _mm512_abs_ps(_mm512_sub_ps(x, zero_value));
         let zero_tie = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(zero_mag, bm)
             | (_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(zero_mag, bm) & zero_fine & coarse_wins);
         let zero_wins = encode_better(ez, be, zero_tie);
-        let mut out =
-            _mm512_mask_blend_epi32(zero_wins, best, _mm512_set1_epi32(plan.zero_byte as i32));
+        let mut out = _mm512_mask_blend_epi32(zero_wins, best, _mm512_set1_epi32(on_zero));
         out = _mm512_mask_blend_epi32(
             _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x),
             out,
-            _mm512_set1_epi32(plan.nan_byte as i32),
+            _mm512_set1_epi32(on_nan),
         );
         out = _mm512_mask_blend_epi32(
             _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(x, _mm512_set1_ps(f32::INFINITY)),
             out,
-            _mm512_set1_epi32(plan.pos_inf_byte as i32),
+            _mm512_set1_epi32(on_pos_inf),
         );
         out = _mm512_mask_blend_epi32(
             _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(x, _mm512_set1_ps(f32::NEG_INFINITY)),
             out,
-            _mm512_set1_epi32(plan.neg_inf_byte as i32),
+            _mm512_set1_epi32(on_neg_inf),
         );
-        // SAFETY: `i + 16 <= n <= dst.len()`; an unaligned 16-byte store.
-        unsafe {
-            _mm_storeu_si128(
-                dst.as_mut_ptr().add(i) as *mut __m128i,
-                _mm512_cvtepi32_epi8(out),
-            )
-        };
+        let at = dst.as_mut_ptr().wrapping_add(i);
+        if T::OPERAND {
+            // SAFETY: `T` is `i16` (`Code` is sealed, and only `i16` is an
+            // operand) and `i + 16 <= n <= dst.len()`: an unaligned 32-byte
+            // store of sixteen `i16`.
+            unsafe { _mm256_storeu_si256(at.cast(), _mm512_cvtepi32_epi16(out)) };
+        } else {
+            // SAFETY: `T` is `u8` and `i + 16 <= n <= dst.len()`: an
+            // unaligned 16-byte store.
+            unsafe { _mm_storeu_si128(at.cast(), _mm512_cvtepi32_epi8(out)) };
+        }
         i += 16;
     }
     n

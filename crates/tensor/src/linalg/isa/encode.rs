@@ -1,4 +1,5 @@
-//! QUB encoder kernels: `f32` → code byte, exact and branch-free.
+//! QUB encoder kernels: `f32` → code byte or GEMM operand, exact and
+//! branch-free.
 //!
 //! One element is encoded by forming the nearest code in the fine and in
 //! the coarse subrange covering its sign, adding the code nearest zero as
@@ -11,6 +12,13 @@
 //! lane-wise arithmetic over an [`EncodePlan`] of plain numbers, so the
 //! bytes are identical by construction — on every ISA, at every slice
 //! offset, for NaN and ±∞ too.
+//!
+//! The same pass can write, instead of the byte ([`Code`] `u8`), the
+//! integer the byte decodes to, `D << n_sh` (Eq. 6/7) — the `i16` operand
+//! the GEMM reads ([`Code`] `i16`). It is formed in-register from the
+//! winning candidate: its code times its subrange's
+//! [`step`](EncodeRange::step) `2^{n_sh}`, or the plan's operand for the
+//! zero-nearest, NaN and ±∞ cases, so no byte is written or decoded.
 //!
 //! Three things keep that true and must not be "optimized":
 //!
@@ -28,7 +36,8 @@ use super::Isa;
 pub(crate) const EPS: f32 = 1e-12;
 
 /// One subrange as the kernels see it: its scale, its code bounds (as
-/// `f32`, both within ±256), and the presence penalty (`0.0` or `+∞`).
+/// `f32`, both within ±256), the operand step of its codes, and the
+/// presence penalty (`0.0` or `+∞`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncodeRange {
     /// Scale factor `Δ` of the subrange.
@@ -37,6 +46,9 @@ pub struct EncodeRange {
     pub lo: f32,
     /// Largest code.
     pub hi: f32,
+    /// `2^{n_sh}` of the subrange's codes: code `c` is the operand `c·step`
+    /// (`D << n_sh`), exact in `f32` for every operand within `±2^14`.
+    pub step: f32,
     /// `0.0` when the layout has this subrange, `+∞` when it does not.
     pub penalty: f32,
 }
@@ -47,6 +59,7 @@ impl EncodeRange {
         delta: 1.0,
         lo: 0.0,
         hi: 0.0,
+        step: 1.0,
         penalty: f32::INFINITY,
     };
 }
@@ -83,9 +96,78 @@ pub struct EncodePlan {
     pub pos_inf_byte: u8,
     /// Byte `−∞` encodes to.
     pub neg_inf_byte: u8,
+    /// Operand (`D << n_sh`) of the code nearest zero.
+    pub zero_operand: i16,
+    /// Operand NaN encodes to.
+    pub nan_operand: i16,
+    /// Operand `+∞` encodes to.
+    pub pos_inf_operand: i16,
+    /// Operand `−∞` encodes to.
+    pub neg_inf_operand: i16,
 }
 
-/// Encodes `src` into `dst` with the kernel of the resolved ISA
+impl EncodePlan {
+    /// What a `T` output holds for the code nearest zero, NaN, `+∞` and
+    /// `−∞`, widened to the kernels' `i32` lanes.
+    #[inline(always)]
+    pub(crate) fn specials<T: Code>(&self) -> [i32; 4] {
+        if T::OPERAND {
+            [
+                self.zero_operand,
+                self.nan_operand,
+                self.pos_inf_operand,
+                self.neg_inf_operand,
+            ]
+            .map(i32::from)
+        } else {
+            [
+                self.zero_byte,
+                self.nan_byte,
+                self.pos_inf_byte,
+                self.neg_inf_byte,
+            ]
+            .map(i32::from)
+        }
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u8 {}
+    impl Sealed for i16 {}
+}
+
+/// What the encoder writes per value: `u8`, the code byte, or `i16`, the
+/// GEMM operand `D << n_sh` that byte decodes to. Sealed: the SIMD kernels
+/// store a vector of exactly these widths.
+pub trait Code: sealed::Sealed + Copy {
+    /// Whether this output is the operand rather than the byte.
+    const OPERAND: bool;
+
+    /// The output from an `i32` lane that holds a byte or an operand.
+    fn from_lane(v: i32) -> Self;
+}
+
+impl Code for u8 {
+    const OPERAND: bool = false;
+
+    #[inline(always)]
+    fn from_lane(v: i32) -> u8 {
+        v as u8
+    }
+}
+
+impl Code for i16 {
+    const OPERAND: bool = true;
+
+    #[inline(always)]
+    fn from_lane(v: i32) -> i16 {
+        v as i16
+    }
+}
+
+/// Encodes `src` into `dst` — code bytes, or the operands they decode to
+/// (see [`Code`]) — with the kernel of the resolved ISA
 /// ([`super::resolve`], so `QUQ_FORCE_ISA` pins it) and returns the
 /// kernel family that ran: [`Isa::Avx512`] for both AVX-512 entries. The
 /// SIMD kernels take whole vectors; the remainder goes through the scalar
@@ -94,7 +176,7 @@ pub struct EncodePlan {
 /// # Panics
 ///
 /// Panics when the slices differ in length.
-pub fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> Isa {
+pub fn encode_qub<T: Code>(plan: &EncodePlan, src: &[f32], dst: &mut [T]) -> Isa {
     assert_eq!(src.len(), dst.len(), "one byte per value");
     let (family, done) = match super::resolve() {
         #[cfg(target_arch = "x86_64")]
@@ -119,7 +201,7 @@ pub fn encode_qub(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) -> Isa {
 }
 
 /// The portable kernel, and every SIMD kernel's tail.
-pub(crate) fn encode_scalar(plan: &EncodePlan, src: &[f32], dst: &mut [u8]) {
+pub(crate) fn encode_scalar<T: Code>(plan: &EncodePlan, src: &[f32], dst: &mut [T]) {
     for (&x, b) in src.iter().zip(dst) {
         *b = encode_one(plan, x);
     }
@@ -143,44 +225,50 @@ fn candidate(x: f32, r: &EncodeRange) -> (f32, f32, f32) {
 }
 
 #[inline(always)]
-fn encode_one(plan: &EncodePlan, x: f32) -> u8 {
+fn encode_one<T: Code>(plan: &EncodePlan, x: f32) -> T {
     let side = if x < 0.0 { &plan.neg } else { &plan.pos };
     let (cf, ef, mf) = candidate(x, &side.fine);
     let (cc, ec, mc) = candidate(x, &side.coarse);
     let coarse_wins = (ec < ef - EPS) | (((ec - ef).abs() <= EPS) & (mc < mf));
     let (be, bm) = if coarse_wins { (ec, mc) } else { (ef, mf) };
-    let fine_byte = (cf as i32 as u8 & plan.payload_mask) | plan.fine_flag;
-    let coarse_byte = cc as i32 as u8 & plan.payload_mask;
-    let best = if coarse_wins { coarse_byte } else { fine_byte };
+    let (fine, coarse) = if T::OPERAND {
+        ((cf * side.fine.step) as i32, (cc * side.coarse.step) as i32)
+    } else {
+        (
+            i32::from((cf as i32 as u8 & plan.payload_mask) | plan.fine_flag),
+            i32::from(cc as i32 as u8 & plan.payload_mask),
+        )
+    };
+    let best = if coarse_wins { coarse } else { fine };
     let ez = (x - plan.zero_value).abs();
     let mz = plan.zero_value.abs();
     let zero_wins = (ez < be - EPS)
         | (((ez - be).abs() <= EPS) & ((mz < bm) | ((mz == bm) & plan.zero_fine & coarse_wins)));
-    let finite = if zero_wins { plan.zero_byte } else { best };
-    let or_nan = if x.is_nan() { plan.nan_byte } else { finite };
-    let or_pos = if x == f32::INFINITY {
-        plan.pos_inf_byte
-    } else {
-        or_nan
-    };
-    if x == f32::NEG_INFINITY {
-        plan.neg_inf_byte
+    let [zero, nan, pos_inf, neg_inf] = plan.specials::<T>();
+    let finite = if zero_wins { zero } else { best };
+    let or_nan = if x.is_nan() { nan } else { finite };
+    let or_pos = if x == f32::INFINITY { pos_inf } else { or_nan };
+    T::from_lane(if x == f32::NEG_INFINITY {
+        neg_inf
     } else {
         or_pos
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     /// A Mode-A-like plan written out by hand: fine Δ 0.25 on both sides,
-    /// coarse Δ 1.0, 4-bit bytes (3 payload bits, split spaces).
+    /// coarse Δ 1.0, 4-bit bytes (3 payload bits, split spaces). The base
+    /// scale is the fine Δ, so fine codes step by 1 and coarse codes by 4.
     fn plan() -> EncodePlan {
         let range = |delta: f32, lo: f32, hi: f32| EncodeRange {
             delta,
             lo,
             hi,
+            step: delta / 0.25,
             penalty: 0.0,
         };
         EncodePlan {
@@ -200,13 +288,24 @@ mod tests {
             nan_byte: 0b1000,
             pos_inf_byte: 0b0011,
             neg_inf_byte: 0b0100,
+            zero_operand: 0,
+            nan_operand: 0,
+            pos_inf_operand: 12,
+            neg_inf_operand: -16,
         }
+    }
+
+    /// The decoding unit for [`plan`]'s bytes: sign-extended 3-bit payload
+    /// times the space's step.
+    fn decode(byte: u8) -> i16 {
+        let d = i16::from(byte & 0b0111) - if byte & 0b0100 != 0 { 8 } else { 0 };
+        d * if byte & 0b1000 != 0 { 1 } else { 4 }
     }
 
     #[test]
     fn scalar_kernel_known_answers() {
         let p = plan();
-        let one = |x: f32| encode_one(&p, x);
+        let one = |x: f32| -> u8 { encode_one(&p, x) };
         assert_eq!(one(0.0), 0b1000);
         assert_eq!(one(-0.0), 0b1000);
         assert_eq!(one(0.5), 0b1010); // fine code 2
@@ -222,6 +321,14 @@ mod tests {
         assert_eq!(one(f32::NAN), p.nan_byte);
         assert_eq!(one(f32::INFINITY), p.pos_inf_byte);
         assert_eq!(one(f32::NEG_INFINITY), p.neg_inf_byte);
+        // The operand output is what those bytes decode to.
+        let operand = |x: f32| -> i16 { encode_one(&p, x) };
+        assert_eq!(operand(0.5), 2);
+        assert_eq!(operand(2.0), 8);
+        assert_eq!(operand(-3.2), -12);
+        assert_eq!(operand(-0.5), -2);
+        assert_eq!(operand(f32::INFINITY), 12);
+        assert_eq!(operand(f32::NEG_INFINITY), -16);
     }
 
     #[test]
@@ -233,16 +340,50 @@ mod tests {
         };
         // No negative side at all: every negative value is the zero code.
         for x in [-1e-9f32, -0.3, -7.0, -1e30] {
-            assert_eq!(encode_one(&p, x), p.zero_byte, "{x}");
+            assert_eq!(encode_one::<u8>(&p, x), p.zero_byte, "{x}");
+            assert_eq!(encode_one::<i16>(&p, x), p.zero_operand, "{x}");
         }
         p.pos.fine = EncodeRange::ABSENT;
-        assert_eq!(encode_one(&p, 0.3), p.zero_byte);
-        assert_eq!(encode_one(&p, 0.6), 0b0001);
+        assert_eq!(encode_one::<u8>(&p, 0.3), p.zero_byte);
+        assert_eq!(encode_one::<u8>(&p, 0.6), 0b0001);
+        assert_eq!(encode_one::<i16>(&p, 0.6), 4);
+    }
+
+    /// Runs `isa`'s kernel over `src`, the scalar kernel over its tail.
+    fn encode_on<T: Code>(isa: Isa, p: &EncodePlan, src: &[f32], dst: &mut [T]) {
+        let done = match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the callers pass ISAs `supported()` detected; lengths agree.
+            Isa::Avx2 => unsafe { super::super::avx2::encode_qub(p, src, dst) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Isa::Avx512 | Isa::Avx512Vnni => unsafe {
+                super::super::avx512::encode_qub(p, src, dst)
+            },
+            _ => 0,
+        };
+        assert!(done <= src.len());
+        encode_scalar(p, &src[done..], &mut dst[done..]);
     }
 
     /// Every kernel this host has, over every offset and length around the
-    /// vector widths: the byte of an element must not depend on where in
-    /// the slice it sits, which kernel took it, or what its neighbours are.
+    /// vector widths, for output `T`: an element's output must not depend
+    /// on where in the slice it sits, which kernel took it, or what its
+    /// neighbours are.
+    fn kernels_match_scalar<T: Code + PartialEq + Debug>(p: &EncodePlan, values: &[f32], fill: T) {
+        let mut want = vec![fill; values.len()];
+        encode_scalar(p, values, &mut want);
+        for &isa in super::super::supported() {
+            for off in 0..20 {
+                for len in 0..=(values.len() - off).min(70) {
+                    let mut got = vec![fill; len];
+                    encode_on(isa, p, &values[off..off + len], &mut got);
+                    assert_eq!(got, want[off..off + len], "{} off {off}", isa.name());
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_supported_kernel_matches_the_scalar_kernel() {
         let p = plan();
@@ -256,29 +397,16 @@ mod tests {
                 _ => (i as f32 - 48.0) * 0.0625,
             })
             .collect();
-        let mut want = vec![0u8; values.len()];
-        encode_scalar(&p, &values, &mut want);
-        for &isa in super::super::supported() {
-            for off in 0..20 {
-                for len in 0..=(values.len() - off).min(70) {
-                    let mut got = vec![0xffu8; len];
-                    let src = &values[off..off + len];
-                    let done = match isa {
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `supported()` detected the ISA; lengths agree.
-                        Isa::Avx2 => unsafe { super::super::avx2::encode_qub(&p, src, &mut got) },
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: as above.
-                        Isa::Avx512 | Isa::Avx512Vnni => unsafe {
-                            super::super::avx512::encode_qub(&p, src, &mut got)
-                        },
-                        _ => 0,
-                    };
-                    assert!(done <= len);
-                    encode_scalar(&p, &src[done..], &mut got[done..]);
-                    assert_eq!(got, want[off..off + len], "{} off {off}", isa.name());
-                }
-            }
-        }
+        kernels_match_scalar(&p, &values, 0xffu8);
+        kernels_match_scalar(&p, &values, i16::MIN);
+        // And the operands are the bytes, decoded.
+        let mut bytes = vec![0u8; values.len()];
+        encode_scalar(&p, &values, &mut bytes);
+        let mut operands = vec![0i16; values.len()];
+        encode_scalar(&p, &values, &mut operands);
+        assert_eq!(
+            operands,
+            bytes.iter().map(|&b| decode(b)).collect::<Vec<_>>()
+        );
     }
 }

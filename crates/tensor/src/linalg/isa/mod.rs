@@ -19,17 +19,21 @@
 //!
 //! Exactness is what makes the dispatch safe to vary: every lane takes
 //! [`Gemm::chunk`] pairs in `i32` — as many as `2·max|a|·max|b|·pairs ≤
-//! i32::MAX` allows — then widens into the `i64` output, so no
-//! intermediate can wrap; integer addition is associative, and therefore
-//! every ISA produces identical output bytes.
+//! i32::MAX` allows — then widens into an `i64` tile, so no intermediate
+//! can wrap; integer addition is associative, and therefore every ISA
+//! produces identical accumulators. The tile hands each finished block of
+//! them to an [`Epilogue`] while it still holds it: [`RawAcc`] stores the
+//! `i64`s, [`Rescale`] stores `acc as f32 · scale (+ bias)` — plain Rust
+//! inlined into the ISA's `#[target_feature]` kernel, with the same
+//! correctly rounded operations on every ISA.
 //!
 //! Selection happens **once per matmul** via [`resolve`] (the best
 //! supported ISA, overridable with `QUQ_FORCE_ISA`), and the chosen kernel
 //! travels down to the thread pool as a plain [`GemmFn`] pointer — workers
 //! never re-query CPUID or the environment.
 //!
-//! Loops with no hand-written kernel — the integer SFU rows, the GEMM
-//! rescale — are written once as a [`Vectorized`] body and compiled by
+//! Loops with no hand-written kernel — the integer SFU rows — are written
+//! once as a [`Vectorized`] body and compiled by
 //! [`vectorize`] into one `#[target_feature]` entry per ISA, where the
 //! compiler vectorizes them for that instruction set. A body has no
 //! `unsafe` and no intrinsics, so every entry computes what the body says:
@@ -46,7 +50,7 @@ pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
 
-pub use encode::{encode_qub, EncodePlan, EncodeRange, EncodeSide};
+pub use encode::{encode_qub, Code, EncodePlan, EncodeRange, EncodeSide};
 use std::sync::OnceLock;
 
 /// One kernel family. Ordering is preference: later variants are faster
@@ -210,6 +214,98 @@ impl Gemm<'_> {
     }
 }
 
+/// An exact accumulator lane as the epilogue reads it: `i32` straight
+/// from the registers when the whole depth fits one, `i64` after widening.
+pub(crate) trait AccLane: Copy {
+    /// The value, exactly.
+    fn wide(self) -> i64;
+    /// The value rounded to `f32` (to nearest, ties to even — the same for
+    /// both widths, since they hold the same integer).
+    fn to_f32(self) -> f32;
+}
+
+impl AccLane for i32 {
+    #[inline(always)]
+    fn wide(self) -> i64 {
+        i64::from(self)
+    }
+
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        self as f32
+    }
+}
+
+impl AccLane for i64 {
+    #[inline(always)]
+    fn wide(self) -> i64 {
+        self
+    }
+
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        self as f32
+    }
+}
+
+/// What the tile writes for each finished output: the accumulator itself
+/// ([`RawAcc`]) or its rescaled value ([`Rescale`]). Applied once per
+/// block of 16 outputs while the tile still holds them.
+pub(crate) trait Epilogue: Sync {
+    /// One output element.
+    type Out: Copy + Default + Send;
+
+    /// Writes `out[j]` from `lanes[j]`, the output in column `col + j`,
+    /// for `j < out.len() ≤ 16`.
+    fn store<A: AccLane>(&self, lanes: &[A; BLOCK], col: usize, out: &mut [Self::Out]);
+}
+
+/// The exact `i64` accumulators.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RawAcc;
+
+impl Epilogue for RawAcc {
+    type Out = i64;
+
+    #[inline(always)]
+    fn store<A: AccLane>(&self, lanes: &[A; BLOCK], _col: usize, out: &mut [i64]) {
+        for (o, &l) in out.iter_mut().zip(lanes) {
+            *o = l.wide();
+        }
+    }
+}
+
+/// `acc as f32 * scale`, then `+ bias[col]` with a bias: each step
+/// rounded on its own, as a rescale pass followed by a bias pass would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rescale<'a> {
+    pub(crate) scale: f32,
+    /// One value per output column.
+    pub(crate) bias: Option<&'a [f32]>,
+}
+
+impl Epilogue for Rescale<'_> {
+    type Out = f32;
+
+    #[inline(always)]
+    fn store<A: AccLane>(&self, lanes: &[A; BLOCK], col: usize, out: &mut [f32]) {
+        let scale = self.scale;
+        match self.bias {
+            Some(bias) => {
+                let bias = &bias[col..col + out.len()];
+                for ((o, &l), &b) in out.iter_mut().zip(lanes).zip(bias) {
+                    *o = l.to_f32() * scale + b;
+                }
+            }
+            None => {
+                for (o, &l) in out.iter_mut().zip(lanes) {
+                    *o = l.to_f32() * scale;
+                }
+            }
+        }
+    }
+}
+
 /// The operations a register tile is built from, over 16 `i32` lanes (one
 /// packed block of output columns). Every method is `unsafe` because the
 /// SIMD implementations need their target features present.
@@ -250,54 +346,60 @@ pub(crate) trait Lanes {
     /// As for [`Lanes::zero`].
     unsafe fn mac(acc: Self::Acc, a: Self::Pair, b: Self::Cols) -> Self::Acc;
 
-    /// Adds the first `out.len()` (≤ 16) lanes of `acc` into `out`.
+    /// The 16 lanes, in order.
     ///
     /// # Safety
     ///
     /// As for [`Lanes::zero`].
-    unsafe fn widen_add(acc: Self::Acc, out: &mut [i64]);
+    unsafe fn spill(acc: Self::Acc) -> [i32; BLOCK];
+
+    /// Adds the 16 lanes into `wide`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Lanes::zero`].
+    unsafe fn widen_add(acc: Self::Acc, wide: &mut [i64; BLOCK]);
 }
 
-/// Where one register tile sits: rows `row..` of the output block, packed
-/// column blocks `blk..`, and the pairs `lo..hi` it takes in `i32` before
-/// widening.
+/// Where one register tile sits: rows `row..` of the output block and
+/// packed column blocks `blk..`.
 #[derive(Debug, Clone, Copy)]
 struct At {
     row: usize,
     blk: usize,
-    lo: usize,
-    hi: usize,
 }
 
-/// The register tile: adds rows `at.row .. +R` × blocks `at.blk .. +C` of
-/// `A·Bᵀ` over pairs `at.lo..at.hi` into `out`, the output rows of the
-/// pool chunk that starts at absolute row `first_row`. Per pair it loads
-/// `C` packed column vectors, broadcasts `R` `A` pairs and issues `R·C`
-/// multiply-adds into `R·C` accumulators that never leave registers.
+/// The multiply-adds of one register tile: rows `at.row .. +R` × blocks
+/// `at.blk .. +C` of `A·Bᵀ` over pairs `lo..hi`, for the pool chunk that
+/// starts at absolute row `first_row`. Per pair it loads `C` packed column
+/// vectors, broadcasts `R` `A` pairs and issues `R·C` multiply-adds into
+/// `R·C` accumulators that never leave registers.
 ///
 /// # Safety
 ///
-/// `L`'s target features are present, and `at` comes from [`nest`], whose
-/// assertions put every row, block and pair the tile touches in bounds.
+/// `L`'s target features are present, `at` comes from [`nest`], whose
+/// assertions put every row and block the tile touches in bounds, and
+/// `hi ≤ g.pairs()`.
 #[inline(always)]
-unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
+unsafe fn mac_pairs<L: Lanes, const R: usize, const C: usize>(
     g: &Gemm<'_>,
     first_row: usize,
     at: At,
-    out: &mut [i64],
-) {
+    lo: usize,
+    hi: usize,
+) -> [[L::Acc; C]; R] {
     let arow: [usize; R] = std::array::from_fn(|i| (first_row + at.row + i) * g.k);
     let bcol: [usize; C] = std::array::from_fn(|c| g.block_start(at.blk + c));
     debug_assert!(arow[R - 1] + g.k <= g.a.len(), "A row out of bounds");
     debug_assert!(
-        bcol[C - 1] + at.hi * 2 * BLOCK <= g.b.len(),
+        bcol[C - 1] + hi * 2 * BLOCK <= g.b.len(),
         "B block out of bounds"
     );
     // SAFETY (this and the blocks below): the caller vouches for `L`'s
     // target features.
     let mut acc = [[unsafe { L::zero() }; C]; R];
-    let whole = at.hi.min(g.k / 2);
-    for p in at.lo..at.hi {
+    let whole = hi.min(g.k / 2);
+    for p in lo..hi {
         let pair: [[i16; 2]; R] = if p < whole {
             std::array::from_fn(|i| {
                 debug_assert!(arow[i] + 2 * p + 2 <= g.a.len());
@@ -317,7 +419,7 @@ unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
         let cols: [L::Cols; C] = std::array::from_fn(|c| {
             let off = bcol[c] + 2 * BLOCK * p;
             debug_assert!(off + 2 * BLOCK <= g.b.len());
-            // SAFETY: `p < at.hi ≤ pairs()`, so the 32 elements of pair `p`
+            // SAFETY: `p < hi ≤ pairs()`, so the 32 elements of pair `p`
             // lie inside block `at.blk + c`, which `nest` checked exists.
             unsafe { L::load(g.b.as_ptr().add(off)) }
         });
@@ -330,22 +432,73 @@ unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
             }
         }
     }
-    for (i, row) in acc.iter().enumerate() {
-        for (c, &lanes) in row.iter().enumerate() {
-            let col = (at.blk + c) * BLOCK;
-            let o = (at.row + i) * g.n + col;
-            let width = (g.n - col).min(BLOCK);
+    acc
+}
+
+/// The register tile: rows `at.row .. +R` × blocks `at.blk .. +C` of
+/// `A·Bᵀ` over the whole depth, written through `epi` into `out`, the
+/// output rows of the pool chunk that starts at absolute row `first_row`.
+/// When the depth fits one run of [`Gemm::chunk`] pairs the epilogue reads
+/// the `i32` lanes straight from the registers; otherwise each run widens
+/// into an `i64` tile on the stack, and the epilogue reads that.
+///
+/// # Safety
+///
+/// As for [`mac_pairs`], and `out` is whole rows of `g.n` columns covering
+/// the tile's rows.
+#[inline(always)]
+unsafe fn tile<L: Lanes, E: Epilogue, const R: usize, const C: usize>(
+    g: &Gemm<'_>,
+    epi: &E,
+    first_row: usize,
+    at: At,
+    out: &mut [E::Out],
+) {
+    let pairs = g.pairs();
+    // Output row `i`, block `c` of the tile: its first column and its
+    // slice of `out` (16 columns, fewer in the last block).
+    let place = |i: usize, c: usize| {
+        let col = (at.blk + c) * BLOCK;
+        let o = (at.row + i) * g.n + col;
+        (col, o..o + (g.n - col).min(BLOCK))
+    };
+    if g.chunk >= pairs {
+        // SAFETY: the caller's guarantees, with `pairs ≤ pairs()`.
+        let acc = unsafe { mac_pairs::<L, R, C>(g, first_row, at, 0, pairs) };
+        for (i, row) in acc.iter().enumerate() {
+            for (c, &lanes) in row.iter().enumerate() {
+                let (col, span) = place(i, c);
+                // SAFETY: target features, as above.
+                epi.store(&unsafe { L::spill(lanes) }, col, &mut out[span]);
+            }
+        }
+        return;
+    }
+    let mut wide = [[[0i64; BLOCK]; C]; R];
+    let mut lo = 0;
+    while lo < pairs {
+        let hi = (lo + g.chunk).min(pairs);
+        // SAFETY: the caller's guarantees, with `hi ≤ pairs()`.
+        let acc = unsafe { mac_pairs::<L, R, C>(g, first_row, at, lo, hi) };
+        for (w, &a) in wide.iter_mut().flatten().zip(acc.iter().flatten()) {
             // SAFETY: target features, as above.
-            unsafe { L::widen_add(lanes, &mut out[o..o + width]) };
+            unsafe { L::widen_add(a, w) };
+        }
+        lo = hi;
+    }
+    for (i, row) in wide.iter().enumerate() {
+        for (c, lanes) in row.iter().enumerate() {
+            let (col, span) = place(i, c);
+            epi.store(lanes, col, &mut out[span]);
         }
     }
 }
 
 /// The loop nest every ISA's kernel expands: column tiles of `NB` blocks
 /// outermost (a `B` tile stays in L1 while the chunk's rows stream past
-/// it), row tiles of `MR` inside, and runs of [`Gemm::chunk`] pairs
-/// innermost. Remainders re-enter the *same* [`tile`] at smaller const
-/// sizes: one row at a time, and the last `1..NB` blocks together.
+/// it) and row tiles of `MR` inside. Remainders re-enter the *same*
+/// [`tile`] at smaller const sizes: one row at a time, and the last
+/// `1..NB` blocks together.
 ///
 /// # Panics
 ///
@@ -357,9 +510,10 @@ unsafe fn tile<L: Lanes, const R: usize, const C: usize>(
 ///
 /// `L`'s target features are present on this CPU.
 #[inline(always)]
-unsafe fn nest<L: Lanes, const MR: usize, const NB: usize>(
+unsafe fn nest<L: Lanes, E: Epilogue, const MR: usize, const NB: usize>(
     g: &Gemm<'_>,
-    out: &mut [i64],
+    epi: &E,
+    out: &mut [E::Out],
     first_row: usize,
 ) {
     debug_assert!((1..=4).contains(&NB), "tiles span at most 4 blocks");
@@ -377,27 +531,22 @@ unsafe fn nest<L: Lanes, const MR: usize, const NB: usize>(
         let mut row = 0;
         while row < rows {
             let full = rows - row >= MR;
-            let mut lo = 0;
-            while lo < g.pairs() {
-                let hi = (lo + g.chunk).min(g.pairs());
-                let at = At { row, blk, lo, hi };
-                // SAFETY: the caller vouches for the target features; the
-                // tile's rows (`MR` or 1 from `row`), blocks (`nb` from
-                // `blk`) and pairs (`..hi ≤ pairs()`) are in bounds by the
-                // loop limits and the assertions above.
-                unsafe {
-                    match (full, nb) {
-                        (true, 4) => tile::<L, MR, 4>(g, first_row, at, out),
-                        (true, 3) => tile::<L, MR, 3>(g, first_row, at, out),
-                        (true, 2) => tile::<L, MR, 2>(g, first_row, at, out),
-                        (true, _) => tile::<L, MR, 1>(g, first_row, at, out),
-                        (false, 4) => tile::<L, 1, 4>(g, first_row, at, out),
-                        (false, 3) => tile::<L, 1, 3>(g, first_row, at, out),
-                        (false, 2) => tile::<L, 1, 2>(g, first_row, at, out),
-                        (false, _) => tile::<L, 1, 1>(g, first_row, at, out),
-                    }
+            let at = At { row, blk };
+            // SAFETY: the caller vouches for the target features; the
+            // tile's rows (`MR` or 1 from `row`) and blocks (`nb` from
+            // `blk`) are in bounds by the loop limits and the assertions
+            // above.
+            unsafe {
+                match (full, nb) {
+                    (true, 4) => tile::<L, E, MR, 4>(g, epi, first_row, at, out),
+                    (true, 3) => tile::<L, E, MR, 3>(g, epi, first_row, at, out),
+                    (true, 2) => tile::<L, E, MR, 2>(g, epi, first_row, at, out),
+                    (true, _) => tile::<L, E, MR, 1>(g, epi, first_row, at, out),
+                    (false, 4) => tile::<L, E, 1, 4>(g, epi, first_row, at, out),
+                    (false, 3) => tile::<L, E, 1, 3>(g, epi, first_row, at, out),
+                    (false, 2) => tile::<L, E, 1, 2>(g, epi, first_row, at, out),
+                    (false, _) => tile::<L, E, 1, 1>(g, epi, first_row, at, out),
                 }
-                lo = hi;
             }
             row += if full { MR } else { 1 };
         }
@@ -405,29 +554,21 @@ unsafe fn nest<L: Lanes, const MR: usize, const NB: usize>(
     }
 }
 
-/// Adds exact `i32` lanes into `i64` outputs.
-#[inline(always)]
-fn add_lanes(out: &mut [i64], lanes: &[i32]) {
-    for (o, &l) in out.iter_mut().zip(lanes) {
-        *o += i64::from(l);
-    }
-}
+/// A GEMM kernel: writes `A·Bᵀ` through the epilogue into `out`, whole
+/// output rows starting at absolute row `first_row` (the argument order
+/// of [`crate::pool::parallel_rows_mut`]'s callback). It is an `unsafe
+/// fn` because the SIMD kernels are `#[target_feature]` functions:
+/// calling one requires the host to support its ISA, which [`gemm_fn`]
+/// asserts before it hands the pointer out.
+pub(crate) type GemmFn<E> = unsafe fn(&Gemm<'_>, &E, &mut [<E as Epilogue>::Out], usize);
 
-/// A GEMM kernel: adds `A·Bᵀ` into `out`, whole output rows starting at
-/// absolute row `first_row` (the argument order of
-/// [`crate::pool::parallel_rows_mut`]'s callback). It is an `unsafe fn`
-/// because the SIMD kernels are `#[target_feature]` functions: calling
-/// one requires the host to support its ISA, which [`gemm_fn`] asserts
-/// before it hands the pointer out.
-pub(crate) type GemmFn = unsafe fn(&Gemm<'_>, &mut [i64], usize);
-
-/// The GEMM kernel of `isa`.
+/// The GEMM kernel of `isa` with epilogue `E`.
 ///
 /// # Panics
 ///
 /// Panics when the host does not support `isa`, so that calling the
 /// returned kernel is always sound.
-pub(crate) fn gemm_fn(isa: Isa) -> GemmFn {
+pub(crate) fn gemm_fn<E: Epilogue>(isa: Isa) -> GemmFn<E> {
     assert!(
         supported().contains(&isa),
         "{} is not supported on this host",
@@ -435,12 +576,12 @@ pub(crate) fn gemm_fn(isa: Isa) -> GemmFn {
     );
     match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => avx2::gemm,
+        Isa::Avx2 => avx2::gemm::<E>,
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => avx512::gemm,
+        Isa::Avx512 => avx512::gemm::<E>,
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Vnni => avx512::gemm_vnni,
-        _ => scalar::gemm,
+        Isa::Avx512Vnni => avx512::gemm_vnni::<E>,
+        _ => scalar::gemm::<E>,
     }
 }
 
@@ -472,17 +613,29 @@ mod tests {
         let a = [1i16, -2, 3, 4, 5, -6];
         let b = crate::linalg::PackedB::pack(&[7, 8, 9, -1, 2, 3], 2, 3);
         for &isa in supported() {
-            let g = Gemm {
-                a: &a,
-                b: b.data(),
-                k: 3,
-                n: 2,
-                chunk: 1,
-            };
-            let mut out = [0i64; 4];
-            // SAFETY: `gemm_fn` asserted that the host supports `isa`.
-            unsafe { gemm_fn(isa)(&g, &mut out, 0) };
-            assert_eq!(out, [18, 4, 14, -12], "{}", isa.name());
+            // One pair per `i32` run (the widening path) and the whole
+            // depth in one run (the registers path).
+            for chunk in [1, 2] {
+                let g = Gemm {
+                    a: &a,
+                    b: b.data(),
+                    k: 3,
+                    n: 2,
+                    chunk,
+                };
+                let mut out = [0i64; 4];
+                // SAFETY: `gemm_fn` asserted that the host supports `isa`.
+                unsafe { gemm_fn(isa)(&g, &RawAcc, &mut out, 0) };
+                assert_eq!(out, [18, 4, 14, -12], "{}", isa.name());
+                let epi = Rescale {
+                    scale: 0.5,
+                    bias: Some(&[1.0, -1.0]),
+                };
+                let mut scaled = [0f32; 4];
+                // SAFETY: as above.
+                unsafe { gemm_fn(isa)(&g, &epi, &mut scaled, 0) };
+                assert_eq!(scaled, [10.0, 1.0, 8.0, -7.0], "{}", isa.name());
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! every host can run and what aarch64 runs. The lane loops are simple
 //! enough for the compiler to vectorize with the baseline instruction set.
 
-use super::{Gemm, Lanes, BLOCK};
+use super::{Epilogue, Gemm, Lanes, BLOCK};
 
 /// The portable [`Lanes`].
 struct Scalar;
@@ -37,15 +37,22 @@ impl Lanes for Scalar {
     }
 
     #[inline(always)]
-    unsafe fn widen_add(acc: Self::Acc, out: &mut [i64]) {
-        super::add_lanes(out, &acc);
+    unsafe fn spill(acc: Self::Acc) -> [i32; BLOCK] {
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn widen_add(acc: Self::Acc, wide: &mut [i64; BLOCK]) {
+        for (w, &l) in wide.iter_mut().zip(&acc) {
+            *w += i64::from(l);
+        }
     }
 }
 
 /// Portable GEMM kernel ([`super::GemmFn`]): 4-row × 1-block tiles.
-pub(super) fn gemm(g: &Gemm<'_>, out: &mut [i64], first_row: usize) {
+pub(super) fn gemm<E: Epilogue>(g: &Gemm<'_>, epi: &E, out: &mut [E::Out], first_row: usize) {
     // SAFETY: `Scalar` needs no target feature.
-    unsafe { super::nest::<Scalar, 4, 1>(g, out, first_row) }
+    unsafe { super::nest::<Scalar, E, 4, 1>(g, epi, out, first_row) }
 }
 
 #[cfg(test)]
@@ -71,7 +78,7 @@ mod tests {
                     chunk: 2,
                 };
                 let mut out = vec![0i64; m * n];
-                gemm(&g, &mut out, 0);
+                gemm(&g, &super::super::RawAcc, &mut out, 0);
                 for i in 0..m {
                     for j in 0..n {
                         let want: i64 = (0..k)

@@ -19,16 +19,27 @@ use crate::backend::{Backend, OpKind, OpSite, Result};
 use crate::config::{Family, ModelConfig};
 use crate::weights::{BlockWeights, ModelWeights};
 use quq_tensor::Tensor;
+use std::ops::Range;
 
-/// Extracts columns `[start, end)` of a rank-2 tensor into a new tensor.
-fn slice_cols(t: &Tensor, start: usize, end: usize) -> Tensor {
-    let (rows, cols) = (t.shape()[0], t.shape()[1]);
-    debug_assert!(end <= cols && start < end);
-    let mut data = Vec::with_capacity(rows * (end - start));
-    for r in 0..rows {
-        data.extend_from_slice(&t.data()[r * cols + start..r * cols + end]);
+/// Copies the block `rows × cols` of a rank-2 tensor into a new tensor.
+fn slice_block(t: &Tensor, rows: Range<usize>, cols: Range<usize>) -> Tensor {
+    let width = t.shape()[1];
+    debug_assert!(rows.end <= t.shape()[0] && cols.end <= width && cols.start < cols.end);
+    let mut data = Vec::with_capacity(rows.len() * cols.len());
+    for r in rows.clone() {
+        data.extend_from_slice(&t.data()[r * width + cols.start..r * width + cols.end]);
     }
-    Tensor::from_vec(data, &[rows, end - start]).expect("sized")
+    Tensor::from_vec(data, &[rows.len(), cols.len()]).expect("sized")
+}
+
+/// Writes `src` into `dst` with its top-left element at `(row, col)`.
+fn write_block(dst: &mut Tensor, src: &Tensor, row: usize, col: usize) {
+    let (width, cols) = (dst.shape()[1], src.shape()[1]);
+    debug_assert!(row + src.shape()[0] <= dst.shape()[0] && col + cols <= width);
+    for (r, s) in src.data().chunks_exact(cols).enumerate() {
+        let at = (row + r) * width + col;
+        dst.data_mut()[at..at + cols].copy_from_slice(s);
+    }
 }
 
 /// Gathers the given rows of a rank-2 tensor into a new tensor.
@@ -399,6 +410,10 @@ impl VitModel {
         )?;
 
         let windows = self.window_indices(n, grid, shift);
+        // Global attention is one window holding every row of the image in
+        // order, so its heads slice `qkv` and write `attended` in place.
+        // Swin windows gather their rows first and scatter them after.
+        let global = self.config.window.is_none();
         let scale = 1.0 / (hd as f32).sqrt();
         let mut attn_accum = if attn_out.is_some() {
             Some(Tensor::zeros(&[n, n]))
@@ -409,19 +424,30 @@ impl VitModel {
         for image in 0..batch {
             let off = image * n;
             for idx in &windows {
-                let gidx: Vec<usize> = idx.iter().map(|&i| i + off).collect();
-                let qkv_w = gather_rows(&qkv, &gidx);
-                let mut head_outs = Vec::with_capacity(heads);
+                let m = idx.len();
+                let (gidx, window) = if global {
+                    (Vec::new(), None)
+                } else {
+                    let gidx: Vec<usize> = idx.iter().map(|&i| i + off).collect();
+                    let window = gather_rows(&qkv, &gidx);
+                    (gidx, Some(window))
+                };
+                let (src, rows) = match &window {
+                    Some(window) => (window, 0..m),
+                    None => (&qkv, off..off + m),
+                };
+                let mut window_out = window.is_some().then(|| Tensor::zeros(&[m, d]));
                 for h in 0..heads {
-                    let q = slice_cols(&qkv_w, h * hd, (h + 1) * hd).scale(scale);
-                    let k = slice_cols(&qkv_w, d + h * hd, d + (h + 1) * hd);
-                    let v = slice_cols(&qkv_w, 2 * d + h * hd, 2 * d + (h + 1) * hd);
+                    let cols = |part: usize| part * d + h * hd..part * d + (h + 1) * hd;
+                    let mut q = slice_block(src, rows.clone(), cols(0));
+                    q.map_inplace(|v| v * scale);
+                    let k = slice_block(src, rows.clone(), cols(1));
+                    let v = slice_block(src, rows.clone(), cols(2));
                     let scores = be.matmul_nt(OpSite::in_block(block, OpKind::QkMatmul), &q, &k)?;
                     let probs = be.softmax(OpSite::in_block(block, OpKind::Softmax), &scores)?;
                     if let Some(acc) = attn_accum.as_mut() {
                         // Accumulate head-averaged probabilities at global
                         // indices (single-image capture, so off == 0).
-                        let m = idx.len();
                         for (wi, &gi) in idx.iter().enumerate() {
                             for (wj, &gj) in idx.iter().enumerate() {
                                 let cur = acc.at(&[gi, gj]);
@@ -430,11 +456,14 @@ impl VitModel {
                         }
                     }
                     let out_h = be.matmul(OpSite::in_block(block, OpKind::PvMatmul), &probs, &v)?;
-                    head_outs.push(out_h);
+                    match window_out.as_mut() {
+                        Some(window) => write_block(window, &out_h, 0, h * hd),
+                        None => write_block(&mut attended, &out_h, off, h * hd),
+                    }
                 }
-                let concat =
-                    Tensor::concat_last(&head_outs).map_err(crate::backend::BackendError::from)?;
-                scatter_rows(&mut attended, &concat, &gidx);
+                if let Some(window) = window_out {
+                    scatter_rows(&mut attended, &window, &gidx);
+                }
             }
         }
         if let (Some(maps), Some(acc)) = (attn_out, attn_accum) {
@@ -522,9 +551,14 @@ mod tests {
     #[test]
     fn slice_cols_and_gather_rows() {
         let t = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]).unwrap();
-        let c = slice_cols(&t, 1, 3);
+        let c = slice_block(&t, 0..3, 1..3);
         assert_eq!(c.shape(), &[3, 2]);
         assert_eq!(c.data(), &[1.0, 2.0, 5.0, 6.0, 9.0, 10.0]);
+        let b = slice_block(&t, 1..3, 2..4);
+        assert_eq!(b.data(), &[6.0, 7.0, 10.0, 11.0]);
+        let mut w = Tensor::zeros(&[3, 4]);
+        write_block(&mut w, &b, 0, 1);
+        assert_eq!(w.data()[..8], [0.0, 6.0, 7.0, 0.0, 0.0, 10.0, 11.0, 0.0]);
         let g = gather_rows(&t, &[2, 0]);
         assert_eq!(g.data(), &[8.0, 9.0, 10.0, 11.0, 0.0, 1.0, 2.0, 3.0]);
     }

@@ -22,10 +22,12 @@ QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 echo "==> tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # One proptest pass per host-supported kernel ISA with the dispatch pinned:
 # the packed GEMM against its reference, the QUB encoder against the
-# per-element quantizer, and a check that the encoder really ran the pinned
-# kernel. Then the SFU row bodies and the GEMM rescale in a release build,
-# where they are vectorized: against the per-element oracles, the lockstep
-# reference backend and the golden integer logits. `--list-isas` always
+# per-element quantizer, its operand output against the bytes decoded and
+# packed, and a check that the encoder really ran the pinned kernel. Then,
+# in a release build where they are vectorized: the GEMM kernels and their
+# f32 epilogue against the i64 result rescaled, the SFU row bodies against
+# the per-element oracles, the lockstep reference backend, the golden
+# integer logits and the warm-forward work counters. `--list-isas` always
 # reports scalar, so the portable kernels are always in the matrix even on
 # fully-featured hosts.
 isas="$(cargo run --release -q -p quq-bench --bin throughput -- --list-isas)"
@@ -36,8 +38,10 @@ for isa in $isas; do
     echo "    ISA: $isa"
     QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests -- \
         packed_matmul_matches_reference_bitwise encoder_
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-tensor --lib -- linalg::
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --lib -- intfunc:: backend_int::
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test batch_identity -- golden
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test counters
 done
 
 echo "==> tier-2: batched-forward bit-identity under a 4-worker pool"
