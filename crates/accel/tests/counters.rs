@@ -1,17 +1,43 @@
-//! The integer forward's work counters, read from the global `quq_obs`
-//! recorder. This file holds one test so that no other test in its
-//! process records while it reads the deltas.
+//! The integer forward as the global `quq_obs` recorder sees it: its work
+//! counters, and the `Observed` spans. Each test holds [`recorder`] so no
+//! other test in this process records or toggles the recorder while it
+//! reads its deltas.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use quq_accel::{IntegerBackend, WeightQubCache};
-use quq_core::pipeline::{calibrate, PtqConfig};
+use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::QuqMethod;
 use quq_tensor::Tensor;
 use quq_vit::backend::Result;
-use quq_vit::{synthetic_image, Backend, Dataset, ModelConfig, OpSite, VitModel};
+use quq_vit::{
+    synthetic_image, Backend, Dataset, Fp32Backend, ModelConfig, Observed, OpSite, VitModel,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+fn recorder() -> MutexGuard<'static, ()> {
+    static RECORDER: Mutex<()> = Mutex::new(());
+    RECORDER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The toy model calibrated at W6/A6, and two images.
+fn calibrated() -> (VitModel, PtqTables, Vec<Tensor>) {
+    let model = VitModel::synthesize(ModelConfig::test_config(), 33);
+    let calib = Dataset::calibration(model.config(), 4, 1);
+    let tables = calibrate(
+        &QuqMethod::without_optimization(),
+        &model,
+        &calib,
+        PtqConfig::full_w6a6(),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let images = (0..2)
+        .map(|_| synthetic_image(model.config(), &mut rng))
+        .collect();
+    (model, tables, images)
+}
 
 /// Passes every op through, counting the activation operands the integer
 /// backend quantizes and the GEMMs it runs.
@@ -69,19 +95,8 @@ impl<B: Backend> Backend for Counting<B> {
 /// `gemm.i16_nt` span, and nothing builds a decode table or decodes codes.
 #[test]
 fn warm_forward_encodes_once_per_operand_and_builds_no_tables() {
-    let model = VitModel::synthesize(ModelConfig::test_config(), 33);
-    let calib = Dataset::calibration(model.config(), 4, 1);
-    let tables = calibrate(
-        &QuqMethod::without_optimization(),
-        &model,
-        &calib,
-        PtqConfig::full_w6a6(),
-    )
-    .unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let images: Vec<Tensor> = (0..2)
-        .map(|_| synthetic_image(model.config(), &mut rng))
-        .collect();
+    let _recorder = recorder();
+    let (model, tables, images) = calibrated();
     let cache = Arc::new(WeightQubCache::new());
     quq_obs::set_enabled(true);
     let mut cold = IntegerBackend::with_cache(&tables, Arc::clone(&cache));
@@ -111,4 +126,81 @@ fn warm_forward_encodes_once_per_operand_and_builds_no_tables() {
     assert_eq!(count("qub.encode"), warm.operands, "one encode per operand");
     assert_eq!(count("gemm.i16_nt"), warm.gemms, "one GEMM span per GEMM");
     assert_eq!(delta.counter_total("cache.weight_qub.miss"), 0);
+}
+
+/// Runs `images` through an `Observed` backend from `mk` with the recorder
+/// off and then on, asserts the logits agree bit for bit, and returns what
+/// the second run recorded.
+fn on_off_delta<B: Backend>(
+    model: &VitModel,
+    images: &[Tensor],
+    mk: impl Fn() -> B,
+) -> quq_obs::Snapshot {
+    quq_obs::set_enabled(false);
+    let off = model
+        .forward_batch(images, &mut Observed::new(mk()))
+        .unwrap();
+    quq_obs::set_enabled(true);
+    let before = quq_obs::snapshot();
+    let on = model
+        .forward_batch(images, &mut Observed::new(mk()))
+        .unwrap();
+    let delta = quq_obs::snapshot().delta_since(&before);
+    quq_obs::set_enabled(false);
+    for (i, (off, on)) in off.iter().zip(&on).enumerate() {
+        assert_eq!(off.data(), on.data(), "image {i}: recorder moved a bit");
+    }
+    delta
+}
+
+/// The recorder only watches: a warm integer forward, the fp32 one and the
+/// fake-quant one give the same bits with it off and on, and the spans
+/// `Observed` records cover every op kind, every block, and the sites
+/// outside the blocks.
+#[test]
+fn recorder_changes_no_bit_and_observed_spans_cover_every_site() {
+    let _recorder = recorder();
+    let (model, tables, images) = calibrated();
+    let cache = Arc::new(WeightQubCache::new());
+    let int = || IntegerBackend::with_cache(&tables, Arc::clone(&cache));
+    model.forward_batch(&images, &mut int()).unwrap();
+    let deltas = [
+        ("integer", on_off_delta(&model, &images, int)),
+        ("fp32", on_off_delta(&model, &images, Fp32Backend::new)),
+        (
+            "fake-quant",
+            on_off_delta(&model, &images, || tables.backend()),
+        ),
+    ];
+
+    let ops = [
+        "op.linear",
+        "op.matmul",
+        "op.matmul_nt",
+        "op.softmax",
+        "op.gelu",
+        "op.layer_norm",
+        "op.add",
+    ];
+    for (backend, delta) in &deltas {
+        let mut sites = Vec::new();
+        for op in ops {
+            let at = delta.hist_sites(op);
+            assert!(!at.is_empty(), "{backend}: no {op} span");
+            sites.extend(at);
+        }
+        for block in 0..model.config().total_depth() {
+            let prefix = format!("block{block}.");
+            assert!(
+                sites.iter().any(|s| s.starts_with(&prefix)),
+                "{backend}: no span in block {block}"
+            );
+        }
+        for global in ["PatchEmbed", "FinalNorm", "Head"] {
+            assert!(
+                sites.iter().any(|s| s == global),
+                "{backend}: no span at {global}"
+            );
+        }
+    }
 }

@@ -1,6 +1,7 @@
-//! # quq-bench — the experiment harness
+//! # quq-bench — the paper's tables and figures
 //!
-//! Regenerates every table and figure of the paper's evaluation:
+//! The experiments that regenerate every table and figure of the paper's
+//! evaluation:
 //!
 //! | Experiment | Module | Paper content |
 //! |---|---|---|
@@ -13,8 +14,9 @@
 //! | Table 4 | [`experiments::table4`] | accelerator area/power |
 //!
 //! Run `cargo run --release -p quq-bench --bin tables -- all` to print
-//! everything; Criterion benches (`cargo bench`) measure the throughput of
-//! the underlying kernels.
+//! everything. The package also carries the workspace's examples and the
+//! tests that span several crates. Speed is measured in one place, the
+//! standalone `benchmark/` package.
 
 pub mod capture_data;
 pub mod experiments;

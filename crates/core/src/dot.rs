@@ -53,9 +53,9 @@ fn check_nt_shapes(a: &QubTensor, b: &QubTensor) -> (usize, usize, usize) {
 /// [`quq_tensor::linalg::i16_matmul_nt_packed`], a dense widening MAC with
 /// no per-element shift: exactly the arithmetic split between the paper's
 /// decoding units and PE array. `(D_x·D_w) << (s_x+s_w)` equals
-/// `(D_x<<s_x)·(D_w<<s_w)`, so the accumulators are bit-identical to the
-/// [`matmul_nt_qub_reference`] path, and integer accumulation keeps them
-/// identical at every thread count.
+/// `(D_x<<s_x)·(D_w<<s_w)`, so the accumulators are bit-identical to
+/// [`dot_decoded`] applied per output element (the unit tests' reference),
+/// and integer accumulation keeps them identical at every thread count.
 ///
 /// The `gemm.i16_nt` span covers the kernel and, when `b` has no cached
 /// panel yet (an activation such as `K` or `Vᵀ`), its packing.
@@ -79,13 +79,10 @@ pub fn matmul_nt_qub(a: &QubTensor, b: &QubTensor) -> Vec<i64> {
 
 /// The pre-panel reference implementation of [`matmul_nt_qub`]: decodes
 /// both operands to `(D, n_sh)` pairs and applies [`dot_decoded`] per
-/// output element. Kept as the differential baseline the packed kernel is
-/// tested (and benchmarked) against.
-///
-/// # Panics
-///
-/// Panics when shapes are not rank-2 compatible.
-pub fn matmul_nt_qub_reference(a: &QubTensor, b: &QubTensor) -> Vec<i64> {
+/// output element. The differential oracle the packed kernel is tested
+/// against on every ISA.
+#[cfg(test)]
+fn matmul_nt_qub_reference(a: &QubTensor, b: &QubTensor) -> Vec<i64> {
     let (m, k, n) = check_nt_shapes(a, b);
     let mut out = vec![0i64; m * n];
     if m == 0 || n == 0 {
@@ -118,10 +115,41 @@ mod tests {
     use super::*;
     use crate::qub::QubCodec;
     use crate::relax::Pra;
+    use crate::scheme::SpaceLayout;
+    use proptest::prelude::*;
+    use quq_tensor::linalg::isa;
     use quq_tensor::rng::OutlierMixture;
     use quq_tensor::{linalg, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Tests that pin `QUQ_FORCE_ISA` hold this lock while they do, and put
+    /// back what they found: `scripts/check.sh` pins the ISA from outside,
+    /// once per kernel, and that pin must outlive the first test.
+    static ENV: Mutex<()> = Mutex::new(());
+
+    struct EnvPin {
+        saved: Option<String>,
+        _lock: MutexGuard<'static, ()>,
+    }
+
+    fn pin_env() -> EnvPin {
+        let lock = ENV.lock().unwrap_or_else(PoisonError::into_inner);
+        EnvPin {
+            saved: std::env::var("QUQ_FORCE_ISA").ok(),
+            _lock: lock,
+        }
+    }
+
+    impl Drop for EnvPin {
+        fn drop(&mut self) {
+            match &self.saved {
+                Some(v) => std::env::set_var("QUQ_FORCE_ISA", v),
+                None => std::env::remove_var("QUQ_FORCE_ISA"),
+            }
+        }
+    }
 
     #[test]
     fn dot_matches_float_reference_on_fake_quantized_values() {
@@ -224,5 +252,68 @@ mod tests {
         assert!(matmul_nt_qub(&empty_rows, &full).is_empty());
         assert!(matmul_nt_qub(&full, &empty_rows).is_empty());
         assert!(matmul_nt_qub_reference(&empty_rows, &full).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn packed_matmul_matches_reference_bitwise(
+            m in 0usize..7,
+            k in 1usize..24,
+            n in 0usize..7,
+            bits in 4u32..=8,
+            a_fine in 0usize..3,
+            a_coarse in 0usize..3,
+            w_fine in 0usize..3,
+            w_coarse in 0usize..3,
+            a_sh in (0u32..=7, 0u32..=7),
+            w_sh in (0u32..=7, 0u32..=7),
+            av in prop::collection::vec(-50.0f32..50.0, 7 * 24),
+            wv in prop::collection::vec(-50.0f32..50.0, 7 * 24),
+        ) {
+            // The pre-shifted packed i16 kernel must reproduce the pairwise
+            // decode-and-accumulate reference bit-for-bit, for every
+            // SpaceLayout variant pair, the full 4–8 bit range, empty shapes,
+            // and both pool and serial execution. Run the tier-2 sweep with
+            // QUQ_THREADS=4 to exercise a multi-worker pool (scripts/check.sh).
+            let base = 0.03125f32; // 2^-5, exact in f32
+            let delta = |sh: u32| base * (sh as f32).exp2();
+            let layout = |variant: usize, sh: (u32, u32)| match variant {
+                0 => SpaceLayout::Split { neg: delta(sh.0), pos: delta(sh.1) },
+                1 => SpaceLayout::MergedNeg { delta: delta(sh.0) },
+                _ => SpaceLayout::MergedPos { delta: delta(sh.0) },
+            };
+            let pa = QuqParams::new(bits, layout(a_fine, a_sh), layout(a_coarse, (a_sh.1, a_sh.0)))
+                .expect("valid layout");
+            let pw = QuqParams::new(bits, layout(w_fine, w_sh), layout(w_coarse, (w_sh.1, w_sh.0)))
+                .expect("valid layout");
+            let at = Tensor::from_vec(av[..m * k].to_vec(), &[m, k]).unwrap();
+            let wt = Tensor::from_vec(wv[..n * k].to_vec(), &[n, k]).unwrap();
+            let qa = QubCodec::new(pa).encode_tensor(&at);
+            let qw = QubCodec::new(pw).encode_tensor(&wt);
+            let reference = matmul_nt_qub_reference(&qa, &qw);
+            let packed = matmul_nt_qub(&qa, &qw);
+            prop_assert_eq!(&packed, &reference, "packed kernel diverged from reference");
+            let serial = quq_tensor::pool::run_serial(|| matmul_nt_qub(&qa, &qw));
+            prop_assert_eq!(&packed, &serial, "pool execution diverged from serial");
+            // The kernel matrix: every ISA this host supports (QUQ_FORCE_ISA
+            // reaches the dispatch) must reproduce the reference bytes, pooled
+            // and serial. scripts/check.sh re-runs this test once per ISA with
+            // QUQ_FORCE_ISA pinned from outside.
+            let _pin = pin_env();
+            for &isa in isa::supported() {
+                std::env::set_var("QUQ_FORCE_ISA", isa.name());
+                let forced = matmul_nt_qub(&qa, &qw);
+                prop_assert_eq!(&forced, &reference, "{} diverged from reference", isa.name());
+                let forced_serial =
+                    quq_tensor::pool::run_serial(|| matmul_nt_qub(&qa, &qw));
+                prop_assert_eq!(
+                    &forced, &forced_serial,
+                    "{} diverged between pool and serial",
+                    isa.name()
+                );
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@ pub mod scheme;
 pub mod uniform;
 
 pub use calib::{Collector, Coverage, Operand, ParamKey, SampleSet};
-pub use dot::{accumulator_value, dot_decoded, matmul_nt_qub, matmul_nt_qub_reference, requantize};
+pub use dot::{accumulator_value, dot_decoded, matmul_nt_qub, requantize};
 pub use hessian::{grid_search_quq, Objective};
 pub use io::{read_qub_tensor, read_qub_tensor_bounded, write_qub_tensor, WireError};
 pub use packing::{pack_qubs, unpack_qubs};

@@ -249,65 +249,6 @@ proptest! {
     }
 
     #[test]
-    fn packed_matmul_matches_reference_bitwise(
-        m in 0usize..7,
-        k in 1usize..24,
-        n in 0usize..7,
-        bits in 4u32..=8,
-        a_fine in 0usize..3,
-        a_coarse in 0usize..3,
-        w_fine in 0usize..3,
-        w_coarse in 0usize..3,
-        a_sh in (0u32..=7, 0u32..=7),
-        w_sh in (0u32..=7, 0u32..=7),
-        av in prop::collection::vec(-50.0f32..50.0, 7 * 24),
-        wv in prop::collection::vec(-50.0f32..50.0, 7 * 24),
-    ) {
-        // The pre-shifted packed i16 kernel must reproduce the pairwise
-        // decode-and-accumulate reference bit-for-bit, for every
-        // SpaceLayout variant pair, the full 4–8 bit range, empty shapes,
-        // and both pool and serial execution. Run the tier-2 sweep with
-        // QUQ_THREADS=4 to exercise a multi-worker pool (scripts/check.sh).
-        let base = 0.03125f32; // 2^-5, exact in f32
-        let delta = |sh: u32| base * (sh as f32).exp2();
-        let layout = |variant: usize, sh: (u32, u32)| match variant {
-            0 => SpaceLayout::Split { neg: delta(sh.0), pos: delta(sh.1) },
-            1 => SpaceLayout::MergedNeg { delta: delta(sh.0) },
-            _ => SpaceLayout::MergedPos { delta: delta(sh.0) },
-        };
-        let pa = QuqParams::new(bits, layout(a_fine, a_sh), layout(a_coarse, (a_sh.1, a_sh.0)))
-            .expect("valid layout");
-        let pw = QuqParams::new(bits, layout(w_fine, w_sh), layout(w_coarse, (w_sh.1, w_sh.0)))
-            .expect("valid layout");
-        let at = quq_tensor::Tensor::from_vec(av[..m * k].to_vec(), &[m, k]).unwrap();
-        let wt = quq_tensor::Tensor::from_vec(wv[..n * k].to_vec(), &[n, k]).unwrap();
-        let qa = QubCodec::new(pa).encode_tensor(&at);
-        let qw = QubCodec::new(pw).encode_tensor(&wt);
-        let reference = quq_core::matmul_nt_qub_reference(&qa, &qw);
-        let packed = quq_core::matmul_nt_qub(&qa, &qw);
-        prop_assert_eq!(&packed, &reference, "packed kernel diverged from reference");
-        let serial = quq_tensor::pool::run_serial(|| quq_core::matmul_nt_qub(&qa, &qw));
-        prop_assert_eq!(&packed, &serial, "pool execution diverged from serial");
-        // The kernel matrix: every ISA this host supports (QUQ_FORCE_ISA
-        // reaches the dispatch) must reproduce the reference bytes, pooled
-        // and serial. scripts/check.sh re-runs this test once per ISA with
-        // QUQ_FORCE_ISA pinned from outside.
-        let _pin = pin_env();
-        for &isa in isa::supported() {
-            std::env::set_var("QUQ_FORCE_ISA", isa.name());
-            let forced = quq_core::matmul_nt_qub(&qa, &qw);
-            prop_assert_eq!(&forced, &reference, "{} diverged from reference", isa.name());
-            let forced_serial =
-                quq_tensor::pool::run_serial(|| quq_core::matmul_nt_qub(&qa, &qw));
-            prop_assert_eq!(
-                &forced, &forced_serial,
-                "{} diverged between pool and serial",
-                isa.name()
-            );
-        }
-    }
-
-    #[test]
     fn mode_a_dequantize_is_monotone(values in sample_strategy()) {
         let params = Pra::with_defaults(6).run(&values).params;
         let mut last = f32::NEG_INFINITY;

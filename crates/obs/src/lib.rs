@@ -24,12 +24,12 @@
 //! one branch. While enabled, recording takes a registry lock per event;
 //! callers only enable it for measurement runs. Instrumentation never
 //! touches computed values, so results are bit-identical with metrics on or
-//! off (asserted by the throughput benchmark).
+//! off (asserted by `quq-accel`'s counters test).
 //!
 //! **Export.** [`snapshot`] captures every metric; [`Snapshot::delta_since`]
 //! subtracts an earlier capture to scope a measurement window, and
-//! [`Snapshot::to_json`] renders the machine-readable form embedded in
-//! `BENCH_throughput.json`.
+//! [`Snapshot::to_json`] renders the machine-readable form `quq-serve
+//! --metrics-json` writes.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

@@ -1,11 +1,9 @@
 //! Human-readable reports over metric [`Snapshot`] deltas.
 //!
-//! The per-op breakdowns that used to be duplicated between
-//! `examples/integer_inference.rs` and the throughput benchmark live here
-//! once: total GEMM span time, the slowest op sites, and a short text
-//! summary of cache and SFU activity. Every consumer of a measurement
-//! window (`throughput`, `loadgen`, the integer-inference example) formats
-//! it the same way.
+//! Total GEMM span time, the slowest op sites, and a short text summary
+//! of cache and SFU activity, written once so that every consumer of a
+//! measurement window (`quq-serve --metrics`, the integer-inference
+//! example) formats it the same way.
 
 use crate::Snapshot;
 use std::fmt::Write as _;

@@ -1,5 +1,5 @@
-//! A blocking client for the serve protocol, used by the load generator,
-//! the smoke tests, and as the README example.
+//! A blocking client for the serve protocol, used by the benchmark, the
+//! tests, and as the README example.
 //!
 //! The client keeps a [`FrameDecoder`] per connection, so a response that
 //! arrives in dribs and drabs (or one that lands *after* a read timeout

@@ -40,8 +40,11 @@
 //! * `--metrics`          — enable the `quq-obs` recorder and print a
 //!   summary (`serve.*` counters, slowest op sites) after the drain
 //! * `--metrics-json FILE` — write the drained metrics window as JSON to
-//!   `FILE` (implies the recorder is enabled); what `scripts/check.sh`
-//!   asserts `sched.*` / `shadow.*` coverage against
+//!   `FILE` (implies the recorder is enabled); `tests/cli.rs` asserts
+//!   `sched.*` / `shadow.*` coverage against it
+//! * `--list-isas`        — print the GEMM/SFU kernel ISAs this host
+//!   supports, one per line (always including `scalar`), and exit; the
+//!   per-ISA test matrix in `scripts/check.sh` loops over them
 //!
 //! Count/duration flags (`--workers`, `--reactors`, `--max-batch`,
 //! `--max-wait-us`, `--queue`) must be positive integers and
@@ -170,6 +173,12 @@ fn parse_shadow(v: &str) -> Result<(String, f64), String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    if std::env::args().any(|a| a == "--list-isas") {
+        for isa in quq_tensor::linalg::isa::supported() {
+            println!("{}", isa.name());
+        }
+        return Ok(());
+    }
     let backend = arg_value("--backend").unwrap_or_else(|| "int".into());
     let model_name = arg_value("--model").unwrap_or_else(|| "vits".into());
     let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".into());

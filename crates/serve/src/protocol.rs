@@ -66,7 +66,7 @@
 //! too short to carry an id is answered with id 0.
 //!
 //! Everything is plain `std::io` on byte slices, shared verbatim by the
-//! server, the [`crate::client::Client`], and the load generator. Frames
+//! server, the [`crate::client::Client`], and the benchmark. Frames
 //! are read with the stateful [`crate::framing::FrameDecoder`].
 
 use std::io::{self, Write};

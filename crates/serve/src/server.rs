@@ -566,16 +566,6 @@ impl Server {
         self.shared.registry.snapshot()
     }
 
-    /// Registers an in-process model state under `name` (no artifact
-    /// source, so it is never evicted). The in-process counterpart of
-    /// LOAD for states that did not come from disk — e.g. a shadow
-    /// candidate built by a test or benchmark.
-    pub fn register_model(&self, name: &str, state: Arc<ModelState>) {
-        self.shared
-            .registry
-            .register_state(resolve_name(name), state, None);
-    }
-
     /// Starts mirroring `fraction` (0.0..=1.0) of default-model traffic
     /// to the registered candidate `name`, comparing top-1 results. The
     /// in-process counterpart of the wire SHADOW SET.

@@ -192,8 +192,8 @@ pub fn set_recv_buffer(fd: RawFd, bytes: i32) -> io::Result<()> {
 }
 
 /// Resident-set size of the current process in kibibytes, from
-/// `/proc/self/status` (`VmRSS`). Used by the load generator to assert
-/// flat per-connection memory.
+/// `/proc/self/status` (`VmRSS`). The connection-sweep test bounds the
+/// memory each open connection costs with it.
 pub fn current_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {

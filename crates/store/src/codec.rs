@@ -33,7 +33,7 @@
 //! ([`MIN_SAVINGS_PERMILLE`]) — QUB chunks are already near-entropy-packed
 //! and stay raw; the f32 tensor/table chunks compress well. The decision
 //! is recorded per chunk (the manifest stack *is* the record) and
-//! surfaces in `storebench --codec` reports.
+//! surfaces in the writer's [`crate::SaveReport`].
 //!
 //! Decode is hardened like every other load path: hostile or corrupt
 //! streams yield a structured [`StoreError::Format`], output is grown

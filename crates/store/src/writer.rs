@@ -8,7 +8,7 @@
 //! stays raw. QUB payloads are already near-entropy-packed and routinely
 //! take this raw path; the decision lands in the manifest (the declared
 //! stack *is* the record) and in the returned [`SaveReport`], which
-//! `storebench --codec` turns into per-stack columns.
+//! `quq-serve --save-model` prints for every compressed chunk.
 
 use std::path::Path;
 
@@ -91,16 +91,6 @@ pub struct SaveReport {
     pub total_bytes: u64,
     /// Per-chunk decisions, in manifest order.
     pub chunks: Vec<ChunkReport>,
-}
-
-impl SaveReport {
-    /// Sums `(raw, stored)` bytes over chunks of one kind.
-    pub fn kind_totals(&self, kind: ChunkKind) -> (u64, u64) {
-        self.chunks
-            .iter()
-            .filter(|c| c.kind == kind)
-            .fold((0, 0), |(r, s), c| (r + c.raw_len, s + c.stored_len))
-    }
 }
 
 /// Writes QUQM artifacts.

@@ -309,8 +309,8 @@ impl<B: Backend + ?Sized> Backend for &mut B {
 
 /// Wraps any backend and records every operation as a per-site latency span
 /// on the global [`quq_obs`] recorder: `op.linear` at `block3.Qkv`,
-/// `op.softmax` at `block0.Softmax`, and so on — the per-layer breakdown the
-/// throughput benchmark embeds in `BENCH_throughput.json`.
+/// `op.softmax` at `block0.Softmax`, and so on — the per-layer breakdown
+/// `quq-serve --metrics` and the `integer_inference` example report.
 ///
 /// The wrapper only *times* calls; inputs and outputs pass through the inner
 /// backend untouched, so results are bit-identical wrapped or not, recorder
