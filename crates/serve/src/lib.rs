@@ -24,10 +24,12 @@
 //!   across tenants within a class, per-tenant token-bucket quotas
 //!   ([`ServeConfig::tenant_rate`]), class-aware shedding (batch before
 //!   interactive, over-quota tenants first — an arriving better-standing
-//!   request *displaces* a worse-standing one at capacity), and
+//!   request *displaces* a worse-standing one at capacity),
+//!   work-conserving batching (a request that finds the workers idle
+//!   ships at once; the `max_wait` window opens only under load), and
 //!   deadline-aware flushing that ships a partial batch early when the
-//!   oldest admitted deadline approaches instead of waiting out
-//!   `max_wait`;
+//!   oldest admitted deadline approaches instead of waiting out the
+//!   window;
 //! * **shadow/canary routing** on the registry: a configurable fraction
 //!   of default-model traffic is mirrored to a candidate model *after*
 //!   the primary replies are sent, top-1 agreement is tallied in

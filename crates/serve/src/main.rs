@@ -29,7 +29,9 @@
 //!   `auto` (default: per-chunk trial, raw unless compression wins ≥2%),
 //!   `raw`, or a forced stack (`lz`, `rc`, `shuffle-lz`, `shuffle-rc`)
 //! * `--addr HOST:PORT`   — bind address (default `127.0.0.1:7878`; port 0 = ephemeral)
-//! * `--workers N` `--max-batch N` `--max-wait-us N` `--queue N` — tuning
+//! * `--workers N` `--max-batch N` `--max-wait-us N` `--queue N` — tuning;
+//!   `--max-wait-us` (default 2000) bounds how long a partial batch waits
+//!   for company under load — an idle server ships a request at once
 //! * `--reactors N`       — event-loop reactor threads (default 1)
 //! * `--tenant-quota RATE[:BURST]` — per-tenant token-bucket quota in
 //!   requests/second (optional burst size, default `max(RATE, 1)`);

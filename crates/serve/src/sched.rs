@@ -29,23 +29,35 @@
 //!   request so the caller can answer it `OVERLOADED` — exactly once,
 //!   through its own reply route.
 //!
-//! ## Deadline-aware flushing
+//! ## Work-conserving batch formation
 //!
-//! [`Scheduler::next_batch`] has a two-phase shape (wait indefinitely for
-//! the first request, then batch within a `max_wait` window) with one
-//! addition: if any queued request's deadline would
-//! expire before the window closes, the batch is flushed early — at
-//! `deadline − deadline_slack` — so the request still makes it through
-//! compute. A request whose deadline has *already* passed at pickup is
-//! returned in [`Batch::expired`] instead of [`Batch::jobs`]; the worker
-//! answers it with `STATUS_DEADLINE` and spends no compute on it.
+//! [`Scheduler::next_batch`] waits indefinitely for the first request,
+//! then decides whether to hold a partial batch open for more. The
+//! batching window opens only under load: for `max_wait` after a consumer
+//! comes back from a batch of more than one request. The replies it just
+//! sent are what make closed-loop clients send their next requests, and
+//! those should share one batch. Even then the window holds only while
+//! every other consumer is busy. A request that finds the consumers idle
+//! — none has come back from a multi-request batch within `max_wait`, or
+//! a second one is waiting — ships at once, so no worker sits idle while
+//! a request waits for company. A saturated server still runs full
+//! batches; a trickle of requests, or one client sending one request at
+//! a time, pays no batching delay.
+//!
+//! An open window is cut short by a full batch, by draining, or by a
+//! queued deadline: the batch ships at `deadline − deadline_slack`, so
+//! the request still makes it through compute. A request whose deadline
+//! has *already* passed at pickup is returned in [`Batch::expired`]
+//! instead of [`Batch::jobs`]; the worker answers it with
+//! `STATUS_DEADLINE` and spends no compute on it.
 //!
 //! ## Observability
 //!
 //! `serve.queue_wait` (admission → pickup, per `class:tenant` site),
-//! `sched.deadline_flush`, `sched.deadline_expired` (counted by the
-//! worker), `sched.displaced`, and `sched.quota_shed` (over-quota request
-//! shed, whether displaced or refused at the door).
+//! `sched.idle_ship` (batches shipped at once because no window was
+//! open), `sched.deadline_flush`, `sched.deadline_expired` (counted by
+//! the worker), `sched.displaced`, and `sched.quota_shed` (over-quota
+//! request shed, whether displaced or refused at the door).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -69,8 +81,9 @@ pub enum PushError<T> {
 }
 
 /// Most per-tenant token buckets tracked at once: beyond this, buckets
-/// that are full (fully refilled) and have no queued requests are pruned,
-/// so a hostile client inventing tenant names cannot grow server memory.
+/// that have refilled to their burst and have no queued requests are
+/// pruned, so a hostile client inventing tenant names cannot grow server
+/// memory.
 const MAX_TENANT_BUCKETS: usize = 1024;
 
 /// Scheduler policy knobs.
@@ -186,6 +199,14 @@ struct State<T> {
     buckets: HashMap<Arc<str>, Bucket>,
     len: usize,
     draining: bool,
+    /// Consumers inside `next_batch`: idle workers.
+    waiting: usize,
+    /// Requests in the batch handed out last.
+    last_batch: usize,
+    /// When the batching window opened: a consumer came back from a batch
+    /// of more than one request. `None` while the pool is idle or serving
+    /// one request at a time.
+    window_from: Option<Instant>,
 }
 
 /// The SLO-aware admission queue (see module docs). Any number of
@@ -212,6 +233,9 @@ impl<T> Scheduler<T> {
                 buckets: HashMap::new(),
                 len: 0,
                 draining: false,
+                waiting: 0,
+                last_batch: 0,
+                window_from: None,
             }),
             available: Condvar::new(),
             cfg,
@@ -298,26 +322,15 @@ impl<T> Scheduler<T> {
             self.cfg.tenant_rate.max(1.0)
         };
         if st.buckets.len() >= MAX_TENANT_BUCKETS && !st.buckets.contains_key(tenant) {
-            // Prune buckets that carry no state worth keeping: fully
-            // refilled and nothing queued under that tenant.
-            let queued: std::collections::HashSet<&Arc<str>> =
-                st.lanes.iter().flat_map(|l| l.tenants.keys()).collect();
-            let keep: Vec<Arc<str>> = st
-                .buckets
-                .iter()
-                .filter(|(t, b)| b.tokens < burst || queued.contains(t))
-                .map(|(t, _)| Arc::clone(t))
-                .collect();
-            let kept: HashMap<Arc<str>, Bucket> = {
-                let mut m = HashMap::new();
-                for t in keep {
-                    if let Some(b) = st.buckets.remove(&t) {
-                        m.insert(t, b);
-                    }
-                }
-                m
-            };
-            st.buckets = kept;
+            // Prune buckets that carry no state worth keeping: refilled by
+            // now (a new bucket starts full) and nothing queued under that
+            // tenant.
+            let State { lanes, buckets, .. } = &mut *st;
+            let rate = self.cfg.tenant_rate;
+            buckets.retain(|t, b| {
+                let dt = now.saturating_duration_since(b.refilled).as_secs_f64();
+                b.tokens + dt * rate < burst || lanes.iter().any(|l| l.tenants.contains_key(t))
+            });
         }
         let b = st.buckets.entry(Arc::clone(tenant)).or_insert(Bucket {
             tokens: burst,
@@ -335,17 +348,23 @@ impl<T> Scheduler<T> {
     }
 
     /// Blocks for the next batch: interactive requests first, DRR across
-    /// tenants within a class, flushed at `max_batch` requests, `max_wait`
-    /// after the first pickup attempt, or `deadline − slack` of the most
-    /// urgent queued request — whichever comes first. Returns `None` once
-    /// draining *and* empty.
+    /// tenants within a class. A consumer calls this again once it has
+    /// run the batch it took; coming back from a batch of more than one
+    /// request opens the batching window (see the module docs). A partial
+    /// batch ships at once when no window is open, and otherwise at
+    /// `max_batch` requests, `max_wait` after the window opened, or
+    /// `deadline − slack` of the most urgent queued request — whichever
+    /// comes first. Returns `None` once draining *and* empty.
     pub fn next_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Batch<T>> {
         assert!(max_batch > 0, "max_batch must be positive");
         let mut st = self.lock();
+        st.window_from = (st.last_batch > 1).then(Instant::now);
+        st.waiting += 1;
         loop {
             // Phase 1: wait (indefinitely) for the first request.
             while st.len == 0 {
                 if st.draining {
+                    st.waiting -= 1;
                     return None;
                 }
                 st = self
@@ -353,22 +372,26 @@ impl<T> Scheduler<T> {
                     .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            // Phase 2: the batching window, cut short by any queued
-            // deadline approaching. Draining flushes immediately.
-            let window_end = Instant::now() + max_wait;
+            // Phase 2: the batching window, open only under load and cut
+            // short by any queued deadline approaching. A second idle
+            // consumer or draining flushes immediately.
+            let now = Instant::now();
+            let window_end = st.window_from.map_or(now, |t| t + max_wait);
+            let idle = now >= window_end || st.waiting > 1;
             let mut deadline_cut = false;
-            while st.len < max_batch && !st.draining {
+            while !idle && st.len < max_batch && !st.draining {
                 let now = Instant::now();
+                if now >= window_end {
+                    break;
+                }
                 let mut due = window_end;
                 if let Some(d) = earliest_deadline(&st) {
                     let early = d.checked_sub(self.cfg.deadline_slack).unwrap_or(now);
-                    if early < due {
-                        due = early;
+                    if now >= early {
+                        deadline_cut = true;
+                        break;
                     }
-                }
-                if now >= due {
-                    deadline_cut = due < window_end;
-                    break;
+                    due = due.min(early);
                 }
                 let (guard, _timeout) = self
                     .available
@@ -383,6 +406,8 @@ impl<T> Scheduler<T> {
             if jobs.is_empty() && expired.is_empty() {
                 continue; // a racing consumer took everything; re-wait
             }
+            st.last_batch = jobs.len();
+            st.waiting -= 1;
             if st.len > 0 {
                 // Leftovers (batch was full): hand them to another consumer.
                 self.available.notify_one();
@@ -390,6 +415,9 @@ impl<T> Scheduler<T> {
             drop(st);
             if deadline_cut {
                 quq_obs::add("sched.deadline_flush", 1);
+            }
+            if idle && !jobs.is_empty() {
+                quq_obs::add("sched.idle_ship", 1);
             }
             for a in &jobs {
                 quq_obs::record_at(
@@ -555,6 +583,61 @@ mod tests {
         b.jobs.into_iter().map(|a| a.item).collect()
     }
 
+    /// Hands out a batch of two, so the consumer's next `next_batch` call
+    /// comes back from a multi-request batch and opens the window.
+    fn open_window(q: &Scheduler<u32>) {
+        q.push(0, Class::Batch, "warm", None).unwrap();
+        q.push(0, Class::Batch, "warm", None).unwrap();
+        assert_eq!(jobs_of(q.next_batch(8, Duration::ZERO).unwrap()).len(), 2);
+    }
+
+    #[test]
+    fn an_idle_consumer_ships_a_lone_request_at_once() {
+        // No consumer has come back from a multi-request batch, so no
+        // window is open: a 10 s max_wait must not hold the request, nor
+        // the next one after a batch of one.
+        let q = sched(16);
+        let t0 = Instant::now();
+        for i in 0..2 {
+            q.push(i, Class::Interactive, "a", None).unwrap();
+            assert_eq!(
+                jobs_of(q.next_batch(8, Duration::from_secs(10)).unwrap()),
+                [i]
+            );
+        }
+        let waited = t0.elapsed();
+        assert!(
+            waited < Duration::from_secs(5),
+            "an idle consumer held the batch open: waited {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_consumer_back_from_a_batch_holds_the_window_until_it_fills() {
+        // Coming back from a batch of two is load: the requests that
+        // replies provoke should share one batch, not ship one by one.
+        let q = sched(16);
+        open_window(&q);
+        q.push(1, Class::Interactive, "a", None).unwrap();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| jobs_of(q.next_batch(8, Duration::from_secs(10)).unwrap()));
+            // The consumer has seen the lone request and is holding it.
+            let t0 = Instant::now();
+            while q.lock().waiting == 0 {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "the window shipped early"
+                );
+                std::thread::yield_now();
+            }
+            for i in 2..=8 {
+                q.push(i, Class::Interactive, "a", None).unwrap();
+            }
+            let got = consumer.join().unwrap();
+            assert_eq!(got, (1..=8).collect::<Vec<_>>(), "the window shipped early");
+        });
+    }
+
     #[test]
     fn interactive_is_dequeued_strictly_before_batch() {
         let q = sched(16);
@@ -602,6 +685,63 @@ mod tests {
             over,
             vec![false, false, true, true],
             "burst of 2, then over"
+        );
+    }
+
+    #[test]
+    fn a_second_idle_consumer_ships_without_waiting_for_the_window() {
+        // The window is open, but another consumer is idle too: holding
+        // the request would leave a worker idle while it waits.
+        let q = sched(16);
+        open_window(&q);
+        let consume = || q.next_batch(8, Duration::from_secs(10)).map(jobs_of);
+        std::thread::scope(|s| {
+            let first = s.spawn(consume);
+            let t0 = Instant::now();
+            while q.lock().waiting == 0 {
+                assert!(t0.elapsed() < Duration::from_secs(30), "no idle consumer");
+                std::thread::yield_now();
+            }
+            q.push(1, Class::Interactive, "a", None).unwrap();
+            let second = s.spawn(consume);
+            let t0 = Instant::now();
+            while !q.is_empty() && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            let waited = t0.elapsed();
+            q.drain();
+            let got: Vec<Vec<u32>> = [first, second]
+                .into_iter()
+                .filter_map(|h| h.join().unwrap())
+                .collect();
+            assert_eq!(got, [vec![1]], "delivered exactly once");
+            assert!(
+                waited < Duration::from_secs(5),
+                "a request waited {waited:?} beside an idle consumer"
+            );
+        });
+    }
+
+    #[test]
+    fn invented_tenant_names_do_not_grow_the_bucket_table() {
+        // Every push debits its bucket, so no stored bucket is ever full;
+        // a refilled one must still be pruned. At a million tokens per
+        // second the first buckets have refilled long before the table
+        // reaches its cap.
+        let q = Scheduler::new(SchedConfig {
+            capacity: 4,
+            tenant_rate: 1e6,
+            tenant_burst: 1.0,
+            ..SchedConfig::default()
+        });
+        for i in 0..=MAX_TENANT_BUCKETS {
+            let _ = q.push(0, Class::Batch, &format!("t{i}"), None);
+        }
+        let buckets = q.lock().buckets.len();
+        assert!(
+            buckets < MAX_TENANT_BUCKETS,
+            "{buckets} buckets kept after {} tenant names",
+            MAX_TENANT_BUCKETS + 1
         );
     }
 
@@ -654,11 +794,12 @@ mod tests {
             deadline_slack: Duration::from_millis(30),
             ..SchedConfig::default()
         });
+        open_window(&q);
         let deadline = Instant::now() + Duration::from_millis(60);
         q.push(7, Class::Interactive, "a", Some(deadline)).unwrap();
         let t0 = Instant::now();
-        // max_wait of 10 s would hold a lone request that long; the
-        // deadline cuts the window to ~30 ms.
+        // The open window of 10 s would hold a lone request that long;
+        // the deadline cuts it to ~30 ms.
         let batch = q.next_batch(8, Duration::from_secs(10)).unwrap();
         let waited = t0.elapsed();
         assert_eq!(batch.jobs.len(), 1);

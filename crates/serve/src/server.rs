@@ -152,7 +152,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Flush a batch at this many requests…
     pub max_batch: usize,
-    /// …or this long after its first request, whichever comes first.
+    /// …or, under load, this long after a worker came back from a batch
+    /// of more than one request, whichever comes first. A request that
+    /// finds the workers idle ships at once (see [`crate::sched`]).
     pub max_wait: Duration,
     /// Bounded admission-queue capacity; beyond it requests are shed.
     pub queue_capacity: usize,

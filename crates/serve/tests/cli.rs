@@ -316,6 +316,7 @@ fn quota_and_shadow_flags_shield_the_compliant_tenant_and_reach_the_metrics() {
         "serve.accepted",
         "serve.shed",
         "sched.quota_shed",
+        "sched.idle_ship",
         "shadow.mirrored",
     ] {
         assert!(!entries(&json, counter).is_empty(), "{counter} missing");

@@ -2,8 +2,9 @@
 //! forward, backpressure under overload, graceful drain, artifact
 //! cold-start + hot swap by LOAD, the framing state machines — slow-client
 //! dribble reassembly on the event loop, pipelining by request id, the
-//! client's timeout resync — and the SLO scheduler: deadline-aware
-//! flushing and expiry, interactive-over-batch displacement under
+//! client's timeout resync — and the SLO scheduler: no batching delay
+//! for a request that finds the worker idle, deadline-aware flushing and
+//! expiry, interactive-over-batch displacement under
 //! quota, shadow/canary mirroring + promotion, and exactly-once replies
 //! when shutdown lands mid-overload.
 
@@ -11,7 +12,7 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use quq_serve::protocol::{
@@ -988,18 +989,95 @@ fn never_reading_pipelined_client_is_paused_not_buffered_unboundedly() {
     server.shutdown();
 }
 
+/// An Fp32 provider whose every batch waits for a token from the test, so
+/// the test decides what is queued when the worker picks up next.
+struct GateProvider {
+    entered: AtomicUsize,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl GateProvider {
+    fn new() -> (Arc<GateProvider>, mpsc::Sender<()>) {
+        let (tx, rx) = mpsc::channel();
+        let provider = GateProvider {
+            entered: AtomicUsize::new(0),
+            release: Mutex::new(rx),
+        };
+        (Arc::new(provider), tx)
+    }
+}
+
+impl BackendProvider for GateProvider {
+    fn name(&self) -> &'static str {
+        "gated-fp32"
+    }
+
+    fn with_backend(&self, work: &mut dyn FnMut(&mut dyn Backend)) {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        self.release.lock().unwrap().recv().unwrap();
+        let mut be = Observed::new(Fp32Backend::new());
+        work(&mut be);
+    }
+}
+
+/// Spins until `ready` holds; panics after 30 s.
+fn await_state(what: &str, ready: impl Fn() -> bool) {
+    let t0 = std::time::Instant::now();
+    while !ready() {
+        assert!(t0.elapsed() < Duration::from_secs(30), "never saw {what}");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
-fn deadline_flushes_a_partial_batch_ahead_of_max_wait() {
-    // With a 10 s batching window, a lone request would normally sit
-    // until max_wait elapses. A 500 ms deadline must pull the flush
-    // forward: the scheduler ships the partial batch at deadline − slack
-    // and the reply arrives bit-exact long before the window closes. The
-    // slack is half the deadline, so a late wake-up on a busy host still
-    // ships the request before it expires.
+fn one_request_at_a_time_never_waits_out_max_wait() {
+    // The batching window opens only under load. A client that sends one
+    // request at a time always finds the worker idle, so with a 10 s
+    // max_wait every request still ships the moment it is admitted.
     let model = test_model();
     let server = Server::start(
         Arc::clone(&model),
         Arc::new(Fp32Provider),
+        ServeConfig {
+            workers: 1,
+            max_batch: 8,
+            max_wait: Duration::from_secs(10),
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let t0 = std::time::Instant::now();
+    for img in images(&model, 3, 30) {
+        let offline = model.forward(&img, &mut Fp32Backend::new()).unwrap();
+        match client.infer(&img).unwrap() {
+            InferResponse::Ok { logits, .. } => assert_eq!(logits, offline.data()),
+            other => panic!("expected Ok, got {other:?}"),
+        }
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "sequential requests waited for company: {elapsed:?} against a 10 s max_wait"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn deadline_flushes_a_partial_batch_ahead_of_max_wait() {
+    // Once the worker comes back from a batch of two, the 10 s batching
+    // window is open and a lone request would sit until it closes. A
+    // 500 ms deadline must pull the flush forward: the scheduler ships
+    // the partial batch at deadline − slack and the reply arrives
+    // bit-exact long before the window closes. The slack is half the
+    // deadline, so a late wake-up on a busy host still ships the request
+    // before it expires.
+    let model = test_model();
+    let (provider, release) = GateProvider::new();
+    let server = Server::start(
+        Arc::clone(&model),
+        Arc::clone(&provider) as Arc<dyn BackendProvider>,
         ServeConfig {
             workers: 1,
             max_batch: 8,
@@ -1014,6 +1092,26 @@ fn deadline_flushes_a_partial_batch_ahead_of_max_wait() {
     let img = images(&model, 1, 31).remove(0);
     let offline = model.forward(&img, &mut Fp32Backend::new()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
+    // The idle worker takes the first request alone; two more queue
+    // behind it and then run as one batch.
+    client.send_infer(&img).unwrap();
+    await_state("the first batch in the worker", || {
+        provider.entered.load(Ordering::SeqCst) == 1
+    });
+    client.send_infer(&img).unwrap();
+    client.send_infer(&img).unwrap();
+    await_state("two requests queued", || server.queue_depth() == 2);
+    // One token per batch: these two, and the deadline request's below.
+    for _ in 0..3 {
+        release.send(()).unwrap();
+    }
+    for _ in 0..3 {
+        match client.recv_response().unwrap().1 {
+            InferResponse::Ok { logits, .. } => assert_eq!(logits, offline.data()),
+            other => panic!("expected Ok, got {other:?}"),
+        }
+    }
+    assert_eq!(provider.entered.load(Ordering::SeqCst), 2);
     let opts = InferOptions {
         class: Class::Interactive,
         deadline: Some(Duration::from_millis(500)),
