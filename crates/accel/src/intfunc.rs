@@ -22,10 +22,10 @@
 //! Softmax and LayerNorm run as row bodies ([`Vectorized`]) that
 //! `quq_tensor::linalg::isa` compiles once per ISA and picks with
 //! `isa::resolve()`, so `QUQ_FORCE_ISA` pins them like the GEMM. A body
-//! reads its rows as integers ([`Codes::Ints`], the public functions) or as
-//! code bytes through the decoding unit's table ([`Codes::Bytes`], the
+//! reads its rows as integers (`Codes::Ints`, the public functions) or as
+//! code bytes through the decoding unit's table (`Codes::Bytes`, the
 //! integer backend), and writes integers or their `f32` values
-//! ([`Output`]). Its inner loops have no branch and no integer divide: they
+//! (`Output`). Its inner loops have no branch and no integer divide: they
 //! run on `f64` lanes holding integers below 2^53, where every operation is
 //! exact, and each quotient is corrected by one integer step. The integers
 //! are those of the per-element definitions (the test module keeps them as

@@ -9,7 +9,7 @@
 //! * [`scheme`] — [`QuqParams`]: the four zero-bounded subranges, modes A–D
 //!   (Fig. 4), quantize/dequantize (Eq. 3), the power-of-two scale
 //!   constraint (Eq. 4).
-//! * [`relax`] — Algorithm 1 ([`relax`](relax::relax)) and the progressive
+//! * [`relax`](mod@relax) — Algorithm 1 ([`relax`](relax::relax)) and the progressive
 //!   relaxation algorithm ([`Pra`], Algorithm 2).
 //! * [`qub`] — quadruplet uniform bytes and FC registers (§4.1, Eq. 6/7).
 //! * [`dot`] — integer-only dot products with per-element shifts (Eq. 5).

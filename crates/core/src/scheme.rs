@@ -139,8 +139,8 @@ impl QuqParams {
     /// * `bits` is outside `2..=8` (a QUB needs a flag bit + payload, and the
     ///   paper's QUBs are at most a byte);
     /// * any scale factor is non-positive or non-finite;
-    /// * the scale factors violate Eq. 4 (each must be `2^k · Δ_base` for
-    ///   integer `k` in `0..=`[`MAX_SHIFT`]).
+    /// * the scale factors violate Eq. 4 (each must equal `2^k · Δ_base`
+    ///   exactly in f32, for integer `k` in `0..=`[`MAX_SHIFT`]).
     ///
     /// Every pairing of layouts is accepted, including all-negative ones
     /// (Mode B on non-positive data, where no code is exactly zero): there
@@ -156,18 +156,19 @@ impl QuqParams {
                 return Err(InvalidParams(format!("non-positive scale factor {d}")));
             }
         }
-        // Eq. 4: power-of-two ratios within the 3-bit shift budget.
+        // Eq. 4: every scale is exactly `2^k · Δ_base` in f32, with `k`
+        // within the 3-bit shift budget. The FC registers store only `k`, so
+        // a scale off by even one ulp would not survive the wire.
         let base = params.base_delta();
         for d in params.deltas() {
-            let ratio = d / base;
-            let k = ratio.log2().round();
-            if (ratio.log2() - k).abs() > 1e-4 {
-                return Err(InvalidParams(format!(
-                    "Δ ratio {ratio} is not a power of two"
-                )));
-            }
+            let k = (d / base).log2().round();
             if !(0.0..=MAX_SHIFT as f32).contains(&k) {
                 return Err(InvalidParams(format!("shift {k} outside 0..={MAX_SHIFT}")));
+            }
+            if d != base * k.exp2() {
+                return Err(InvalidParams(format!(
+                    "Δ {d} is not exactly 2^{k} · Δ_base {base}"
+                )));
             }
         }
         Ok(params)

@@ -169,6 +169,38 @@ proptest! {
     }
 
     #[test]
+    fn every_accepted_set_roundtrips_through_the_fc_registers_bit_for_bit(
+        bits in 2u32..=8,
+        base in 1e-6f32..10.0,
+        variants in (0usize..3, 0usize..3),
+        shifts in ((0u32..=7, 0u32..=7), (0u32..=7, 0u32..=7)),
+        nudges in ((0u32..3, 0u32..3), (0u32..3, 0u32..3)),
+    ) {
+        // Scales of the form 2^k · base, each possibly moved up a few ulps.
+        // The FC registers keep only k, so whatever `QuqParams::new` accepts
+        // must come back bit for bit from (bits, FC, Δ_base); an un-nudged
+        // set is always accepted.
+        let delta = |sh: u32, ulps: u32| f32::from_bits((base * (sh as f32).exp2()).to_bits() + ulps);
+        let layout = |variant: usize, sh: (u32, u32), ulps: (u32, u32)| match variant {
+            0 => SpaceLayout::Split { neg: delta(sh.0, ulps.0), pos: delta(sh.1, ulps.1) },
+            1 => SpaceLayout::MergedNeg { delta: delta(sh.0, ulps.0) },
+            _ => SpaceLayout::MergedPos { delta: delta(sh.0, ulps.0) },
+        };
+        let fine = layout(variants.0, shifts.0, nudges.0);
+        let coarse = layout(variants.1, shifts.1, nudges.1);
+        let bits_of = |p: &QuqParams| p.deltas().map(f32::to_bits).collect::<Vec<_>>();
+        match QuqParams::new(bits, fine, coarse) {
+            Ok(params) => {
+                let fc = quq_core::FcRegisters::from_params(&params);
+                let rebuilt = quq_core::params_from_fc(bits, fc, params.base_delta()).unwrap();
+                prop_assert_eq!(rebuilt.mode(), params.mode());
+                prop_assert_eq!(bits_of(&rebuilt), bits_of(&params));
+            }
+            Err(e) => prop_assert!(nudges != ((0, 0), (0, 0)), "exact set refused: {e}"),
+        }
+    }
+
+    #[test]
     fn wire_roundtrip_preserves_tensors(values in sample_strategy(), bits in 4u32..=8) {
         let params = Pra::new(bits, PraConfig::default()).run(&values).params;
         let n = values.len();

@@ -11,7 +11,7 @@
 //!   name (empty = the default model) routing it through the registry,
 //!   and SLO metadata: a priority [`Class`] (`interactive`/`batch`), an
 //!   optional relative deadline, and a tenant id;
-//! * a **readiness-driven front end** ([`reactor`]): a few epoll-based
+//! * a **readiness-driven front end** (`reactor`): a few epoll-based
 //!   reactor threads own *all* client sockets, keeping one
 //!   [`FrameDecoder`] per connection so a request that trickles in over
 //!   many reads (a slow client) is reassembled byte-for-byte instead of

@@ -26,8 +26,10 @@
 //!   (lazily reloaded on demand) beyond it (default 0 = unbounded)
 //! * `--save-model FILE`  — calibrate, save a QUQM artifact, and exit
 //! * `--codec NAME`       — chunk codec policy for `--save-model`:
-//!   `auto` (default: per-chunk trial, raw unless compression wins ≥2%),
-//!   `raw`, or a forced stack (`lz`, `rc`, `shuffle-lz`, `shuffle-rc`)
+//!   `auto` (default: `byte-shuffle → rc` on f32 chunks, `rc` on QUB
+//!   records, each kept only if it saves ≥2%), `raw`, or a forced stack
+//!   (`lz`, `rc`, `shuffle-lz`, `shuffle-rc`; `rc` is the static rANS
+//!   coder)
 //! * `--addr HOST:PORT`   — bind address (default `127.0.0.1:7878`; port 0 = ephemeral)
 //! * `--workers N` `--max-batch N` `--max-wait-us N` `--queue N` — tuning;
 //!   `--max-wait-us` (default 2000) bounds how long a partial batch waits

@@ -10,14 +10,14 @@
 //!  responses╚══════════════▲ id-tagged completions ◀─────────────┘
 //! ```
 //!
-//! One or a few [`reactor`](crate::reactor) threads own every socket;
+//! One or a few `reactor` threads own every socket;
 //! requests carry a `u32` id so a connection can pipeline many and take
 //! responses out of order. Workers pull micro-batches from the bounded
-//! SLO-aware [`Scheduler`](crate::sched::Scheduler) — interactive ahead
+//! SLO-aware [`Scheduler`] — interactive ahead
 //! of batch, deficit-round-robin across tenants, deadline-aware flushing;
 //! see the [`crate::sched`] docs — and run [`VitModel::forward_batch`] on
 //! a backend built per batch by the shared [`BackendProvider`] (integer
-//! workers share one [`WeightQubCache`](quq_accel::WeightQubCache)
+//! workers share one [`WeightQubCache`]
 //! through their provider). Because `forward_batch` is bit-identical to
 //! per-image `forward`, a client observes the same logits regardless of
 //! which requests it was batched with — or in which order the responses

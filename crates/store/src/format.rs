@@ -25,7 +25,8 @@
 //! crc         u32   CRC-32 of the STORED bytes
 //! n_codecs    u8    codec-stack length (0 = raw)
 //! codecs      per codec: id u8, then its params
-//!                   (byte-shuffle = 1, stride u8; lz = 2, no params)
+//!                   (byte-shuffle = 1, stride u8; lz = 2, no params;
+//!                   rc = 4, no params; id 3 is retired and refused)
 //! rank        u8
 //! dims        u64 × rank
 //! ```
@@ -65,10 +66,10 @@ pub const VERSION: u32 = 2;
 /// decoded. The LZ token format tops out at ~44× (a 3-byte match token
 /// yielding 131 bytes), so any manifest declaring more than 64× is lying;
 /// rejecting it at open time means a CRC-valid-but-hostile `raw_len` can
-/// never drive decode toward an attacker-sized output. The range coder
-/// could legitimately exceed this on degenerate (near-constant) data, so
-/// the writer refuses to pick any encoding past the cap — weight chunks
-/// sit nowhere near it in practice.
+/// never drive decode toward an attacker-sized output. The rANS coder
+/// could exceed this on near-constant data, so its encoder falls back to a
+/// verbatim stream rather than emit one past the cap, and its decoder
+/// refuses any length past it.
 pub const MAX_DECODE_EXPANSION: u64 = 64;
 
 /// Fixed header size (through `header_crc`).
@@ -451,7 +452,12 @@ fn decode_stack(d: &mut Dec<'_>) -> Result<CodecStack, StoreError> {
         specs.push(match d.u8()? {
             1 => CodecSpec::ByteShuffle { stride: d.u8()? },
             2 => CodecSpec::Lz,
-            3 => CodecSpec::Rc,
+            3 => {
+                return Err(StoreError::Format(
+                    "codec id 3 is the retired adaptive range coder; re-save the artifact".into(),
+                ))
+            }
+            4 => CodecSpec::Rc,
             other => return Err(StoreError::Format(format!("unknown codec id {other}"))),
         });
     }
@@ -796,6 +802,31 @@ mod tests {
             decode_manifest(&encode_manifest(&entries)).unwrap(),
             entries
         );
+    }
+
+    #[test]
+    fn retired_codec_id_3_is_refused() {
+        let entry = ChunkInfo {
+            key: "model/patch_w".into(),
+            kind: ChunkKind::TensorF32,
+            offset: 0,
+            length: 10,
+            raw_length: 40,
+            crc: 0,
+            stack: CodecStack::rc(),
+            shape: vec![],
+        };
+        let mut manifest = encode_manifest(&[entry]);
+        assert!(decode_manifest(&manifest).is_ok());
+        // The stack is the last field before the rank: `n_codecs 1, id 4`,
+        // then `rank 0`. Rewrite the id to the retired coder's.
+        let n = manifest.len();
+        assert_eq!(&manifest[n - 3..], &[1, 4, 0]);
+        manifest[n - 2] = 3;
+        match decode_manifest(&manifest) {
+            Err(StoreError::Format(m)) => assert!(m.contains("codec id 3"), "{m}"),
+            other => panic!("codec id 3 was accepted: {other:?}"),
+        }
     }
 
     #[test]

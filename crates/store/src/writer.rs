@@ -1,14 +1,13 @@
 //! Serializing a calibrated model into a QUQM artifact.
 //!
-//! The writer runs a **codec trial** per chunk: each payload is
-//! encoded under every candidate stack for its kind (f32 tensors and
-//! params tables: `byte-shuffle(4)+lz` and `lz`; QUB records: `lz`) and
-//! the smallest wins — unless the best saving is under 2%
-//! ([`crate::codec::MIN_SAVINGS_PERMILLE`]), in which case the chunk
-//! stays raw. QUB payloads are already near-entropy-packed and routinely
-//! take this raw path; the decision lands in the manifest (the declared
-//! stack *is* the record) and in the returned [`SaveReport`], which
-//! `quq-serve --save-model` prints for every compressed chunk.
+//! Under the `auto` policy the writer runs one **codec trial** per chunk:
+//! f32-backed payloads (tensors and the params tables) are encoded under
+//! `byte-shuffle(4) → rc`, QUB records under `rc`, and the coded form is
+//! kept only if it saves at least 2%
+//! ([`crate::codec::MIN_SAVINGS_PERMILLE`]); otherwise the chunk stays
+//! raw. The decision lands in the manifest (the declared stack *is* the
+//! record) and in the returned [`SaveReport`], which `quq-serve
+//! --save-model` prints for every compressed chunk.
 
 use std::path::Path;
 
@@ -32,8 +31,9 @@ use crate::StoreError;
 /// How the writer picks each chunk's codec stack.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CodecChoice {
-    /// Trial every candidate stack per chunk, keep raw unless compression
-    /// wins ≥ 2%. The default.
+    /// Trial the chunk kind's stack (`byte-shuffle(4) → rc` for f32
+    /// payloads, `rc` for QUB records), keep raw unless it wins ≥ 2%. The
+    /// default.
     #[default]
     Auto,
     /// Store every chunk raw.
@@ -148,22 +148,21 @@ fn quq_params_of(
     })
 }
 
-/// Candidate stacks the Auto trial runs for a chunk kind. f32 payloads
-/// (tensors and the params tables, whose bulk is raw `f32` scale bits)
-/// get the shuffle variants — the lane transpose exposes the low-entropy
-/// sign/exponent byte, which the range coder then squeezes; QUB payloads
-/// are packed codes with no lane structure, so only whole-payload codecs
-/// are worth measuring.
-fn candidate_stacks(kind: ChunkKind) -> Vec<CodecStack> {
+/// The one stack the Auto trial runs for a chunk kind. f32 payloads
+/// (tensors and the params tables, whose bulk is raw `f32` scale bits) are
+/// lane-transposed first, so the rANS coder sees the low-entropy
+/// sign/exponent lane as its own segments and stores the near-random
+/// mantissa lanes verbatim. QUB payloads are packed codes with no lane
+/// structure, so they go to the coder as they are. The LZ stacks stay
+/// selectable through [`CodecChoice::Force`]; on these payloads they win
+/// little (under 0.1% of the ViT-S artifact) for two more encodes per
+/// chunk, so Auto does not trial them.
+fn auto_stack(kind: ChunkKind) -> CodecStack {
     match kind {
         ChunkKind::TensorF32 | ChunkKind::ActivationParams | ChunkKind::WeightParams => {
-            vec![
-                CodecStack::shuffle_rc(4),
-                CodecStack::shuffle_lz(4),
-                CodecStack::lz(),
-            ]
+            CodecStack::shuffle_rc(4)
         }
-        ChunkKind::Qub => vec![CodecStack::lz(), CodecStack::rc()],
+        ChunkKind::Qub => CodecStack::rc(),
     }
 }
 
@@ -176,30 +175,21 @@ fn choose_encoding(kind: ChunkKind, raw: Vec<u8>, choice: &CodecChoice) -> (Vec<
             (stored, stack.clone())
         }
         CodecChoice::Auto => {
-            let mut best: Option<(Vec<u8>, CodecStack)> = None;
-            for stack in candidate_stacks(kind) {
-                let stored = stack.encode(&raw);
-                // A candidate past the reader's decode-expansion cap
-                // (possible for the range coder on near-constant data)
-                // would be rejected at open time — never pick it.
-                if (raw.len() as u64)
-                    > (stored.len() as u64).saturating_mul(crate::format::MAX_DECODE_EXPANSION)
-                {
-                    continue;
-                }
-                if best.as_ref().is_none_or(|(b, _)| stored.len() < b.len()) {
-                    best = Some((stored, stack));
-                }
-            }
-            match best {
-                // Raw keeps the chunk unless the winner saves ≥ 2%.
-                Some((stored, stack))
-                    if (stored.len() as u64).saturating_mul(1000)
-                        <= (raw.len() as u64).saturating_mul(1000 - MIN_SAVINGS_PERMILLE) =>
-                {
-                    (stored, stack)
-                }
-                _ => (raw, CodecStack::raw()),
+            let stack = auto_stack(kind);
+            let stored = stack.encode(&raw);
+            // The rc encoder never emits a stream that decodes past the
+            // reader's expansion cap, so the coded form is always openable.
+            debug_assert!(
+                raw.len() as u64
+                    <= (stored.len() as u64).saturating_mul(crate::format::MAX_DECODE_EXPANSION)
+            );
+            // Raw keeps the chunk unless the coded form saves ≥ 2%.
+            if (stored.len() as u64).saturating_mul(1000)
+                <= (raw.len() as u64).saturating_mul(1000 - MIN_SAVINGS_PERMILLE)
+            {
+                (stored, stack)
+            } else {
+                (raw, CodecStack::raw())
             }
         }
     }

@@ -96,7 +96,7 @@ pub fn linear_dims(
 
 /// Multiplies two rank-2 tensors: `C[m,n] = A[m,k] · B[k,n]`.
 ///
-/// Row-parallel i-k-j kernel with `k` blocked in [`KC`]-row panels of `B`:
+/// Row-parallel i-k-j kernel with `k` blocked in `KC`-row panels of `B`:
 /// each panel is reused across every output row of a chunk while the inner
 /// loop streams both operands contiguously. Zero entries of `A` are *not*
 /// skipped — `0 × NaN` and `0 × ∞` must propagate into the product exactly
@@ -158,7 +158,7 @@ fn matmul_block(ad: &[f32], bd: &[f32], block: &mut [f32], first_row: usize, k: 
 /// Multiplies `A[m,k]` by the transpose of `B[n,k]`: `C[m,n] = A · Bᵀ`.
 ///
 /// Attention scores `Q·Kᵀ` use this directly so `K` never needs an explicit
-/// transpose copy. Row-parallel dot-product kernel computing [`JB`] output
+/// transpose copy. Row-parallel dot-product kernel computing `JB` output
 /// columns per pass over the `A` row (one load of `A` feeds four
 /// independent accumulators).
 ///
@@ -305,7 +305,7 @@ thread_local! {
 /// per-image activations are `image_rows` tall, until the guard drops.
 /// While active, the packed GEMM enlarges its parallel row grain so a
 /// decoded weight panel streams over whole images instead of being
-/// re-fetched every [`ROW_GRAIN`] rows.
+/// re-fetched every `ROW_GRAIN` rows.
 pub fn batch_rows_hint(image_rows: usize) -> BatchRowsGuard {
     let prev = BATCH_IMAGE_ROWS.with(|c| c.replace(image_rows));
     BatchRowsGuard { prev }

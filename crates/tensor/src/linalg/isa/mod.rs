@@ -4,12 +4,12 @@
 //!
 //! Every GEMM kernel here computes the same thing — a block of output rows
 //! of `A[m,k] · B[n,k]ᵀ` with `B` in the packed layout of
-//! [`crate::linalg::PackedB`] — through one register tile ([`tile`]) and
-//! one loop nest ([`nest`]). The tile is *lane-per-output-column*: each
+//! [`crate::linalg::PackedB`] — through one register tile (`tile`) and
+//! one loop nest (`nest`). The tile is *lane-per-output-column*: each
 //! `i32` lane owns one output column, an `A` pair `(a[2p], a[2p+1])` is
 //! broadcast as one `i32`, and a multiply-add of adjacent `i16` pairs
 //! folds it into every lane at once, with no horizontal sum. ISAs differ
-//! only in the [`Lanes`] operations the tile is built from:
+//! only in the `Lanes` operations the tile is built from:
 //!
 //! * [`scalar`] — portable `i32` arithmetic on 16-element arrays (also
 //!   what aarch64 runs).
@@ -18,18 +18,18 @@
 //!   or a single `vpdpwssd` where the host has `avx512vnni`.
 //!
 //! Exactness is what makes the dispatch safe to vary: every lane takes
-//! [`Gemm::chunk`] pairs in `i32` — as many as `2·max|a|·max|b|·pairs ≤
+//! `Gemm::chunk` pairs in `i32` — as many as `2·max|a|·max|b|·pairs ≤
 //! i32::MAX` allows — then widens into an `i64` tile, so no intermediate
 //! can wrap; integer addition is associative, and therefore every ISA
 //! produces identical accumulators. The tile hands each finished block of
-//! them to an [`Epilogue`] while it still holds it: [`RawAcc`] stores the
-//! `i64`s, [`Rescale`] stores `acc as f32 · scale (+ bias)` — plain Rust
+//! them to an `Epilogue` while it still holds it: `RawAcc` stores the
+//! `i64`s, `Rescale` stores `acc as f32 · scale (+ bias)` — plain Rust
 //! inlined into the ISA's `#[target_feature]` kernel, with the same
 //! correctly rounded operations on every ISA.
 //!
 //! Selection happens **once per matmul** via [`resolve`] (the best
 //! supported ISA, overridable with `QUQ_FORCE_ISA`), and the chosen kernel
-//! travels down to the thread pool as a plain [`GemmFn`] pointer — workers
+//! travels down to the thread pool as a plain `GemmFn` pointer — workers
 //! never re-query CPUID or the environment.
 //!
 //! Loops with no hand-written kernel — the integer SFU rows — are written

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, the tier-1 build+test cycle, the
-# per-ISA kernel matrix, the 4-worker pool runs and the benchmark's quick run.
+# Repository gate: formatting, lints, rustdoc links, the tier-1 build+test
+# cycle, the per-ISA kernel matrix, the 4-worker pool runs and the
+# benchmark's quick run.
 #
 #   scripts/check.sh            # everything
 #   QUQ_THREADS=1 scripts/check.sh   # serial reference run
@@ -17,6 +18,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> rustdoc: no broken or private intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
