@@ -44,9 +44,8 @@ use quq_tensor::Tensor;
 
 use crate::framing::FrameDecoder;
 use crate::protocol::{
-    decode_response, encode_infer_request, encode_infer_request_for, encode_infer_request_with,
-    encode_list_request, encode_load_request, encode_shadow_request, encode_unload_request,
-    write_frame, InferOptions, InferResponse, ShadowCmd,
+    decode_response, infer_payload, write_frame, AdminOp, InferOptions, InferResponse, Request,
+    ShadowCmd,
 };
 
 /// Most stale (timed-out) request ids remembered at once. Beyond this the
@@ -190,16 +189,26 @@ impl Client {
     }
 
     /// Allocates an id, encodes the request with it, sends it, and tracks
-    /// it as in flight. All request paths funnel through here.
-    fn send_request(&mut self, build: impl FnOnce(u32) -> Vec<u8>) -> io::Result<u32> {
+    /// it as in flight. All request paths funnel through here. A request
+    /// that cannot be encoded (a field too long for its length prefix) is
+    /// refused before anything is sent, and the connection stays usable.
+    fn send_request(&mut self, build: impl FnOnce(u32) -> io::Result<Vec<u8>>) -> io::Result<u32> {
         self.check_usable()?;
         let id = self.alloc_id();
-        if let Err(e) = write_frame(&mut self.stream, &build(id)) {
+        let payload = build(id)?;
+        if let Err(e) = write_frame(&mut self.stream, &payload) {
             self.poisoned = true;
             return Err(e);
         }
         self.inflight.insert(id);
         Ok(id)
+    }
+
+    /// Sends one admin operation and waits for its response.
+    fn admin(&mut self, op: AdminOp) -> io::Result<InferResponse> {
+        let request = Request::Admin(op);
+        let id = self.send_request(|id| request.encode(id))?;
+        self.wait_for(id)
     }
 
     /// Sends one image and waits for *its* verdict (matched by id).
@@ -251,26 +260,10 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// As for [`Client::infer`].
+    /// As for [`Client::infer`]; a fraction outside `[0, 1]` is
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn shadow_set(&mut self, name: &str, fraction: f64) -> io::Result<InferResponse> {
-        let permille = if (0.0..=1.0).contains(&fraction) {
-            (fraction * 1000.0).round() as u16
-        } else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("shadow fraction {fraction} outside [0, 1]"),
-            ));
-        };
-        let id = self.send_request(|id| {
-            encode_shadow_request(
-                id,
-                &ShadowCmd::Set {
-                    name: name.to_string(),
-                    permille,
-                },
-            )
-        })?;
-        self.wait_for(id)
+        self.admin(AdminOp::Shadow(ShadowCmd::set(name, fraction)?))
     }
 
     /// Promotes the armed shadow candidate to be the default model and
@@ -281,8 +274,7 @@ impl Client {
     ///
     /// As for [`Client::infer`].
     pub fn shadow_promote(&mut self) -> io::Result<InferResponse> {
-        let id = self.send_request(|id| encode_shadow_request(id, &ShadowCmd::Promote))?;
-        self.wait_for(id)
+        self.admin(AdminOp::Shadow(ShadowCmd::Promote))
     }
 
     /// Disarms shadow routing without promoting. Returns the final
@@ -292,8 +284,7 @@ impl Client {
     ///
     /// As for [`Client::infer`].
     pub fn shadow_abort(&mut self) -> io::Result<InferResponse> {
-        let id = self.send_request(|id| encode_shadow_request(id, &ShadowCmd::Abort))?;
-        self.wait_for(id)
+        self.admin(AdminOp::Shadow(ShadowCmd::Abort))
     }
 
     /// Fetches the current shadow report ([`InferResponse::Shadow`])
@@ -303,8 +294,7 @@ impl Client {
     ///
     /// As for [`Client::infer`].
     pub fn shadow_status(&mut self) -> io::Result<InferResponse> {
-        let id = self.send_request(|id| encode_shadow_request(id, &ShadowCmd::Status))?;
-        self.wait_for(id)
+        self.admin(AdminOp::Shadow(ShadowCmd::Status))
     }
 
     /// Asks the server to register and load model `name` from the QUQM
@@ -315,10 +305,14 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// As for [`Client::infer`].
+    /// As for [`Client::infer`]; a name over 255 bytes or a path over
+    /// 65,535 bytes is [`io::ErrorKind::InvalidInput`], refused before
+    /// anything is sent.
     pub fn load(&mut self, name: &str, path: &str) -> io::Result<InferResponse> {
-        let id = self.send_request(|id| encode_load_request(id, name, path))?;
-        self.wait_for(id)
+        self.admin(AdminOp::Load {
+            name: name.to_string(),
+            path: path.to_string(),
+        })
     }
 
     /// Asks the server to drop model `name` from its registry. Returns
@@ -329,8 +323,9 @@ impl Client {
     ///
     /// As for [`Client::infer`].
     pub fn unload(&mut self, name: &str) -> io::Result<InferResponse> {
-        let id = self.send_request(|id| encode_unload_request(id, name))?;
-        self.wait_for(id)
+        self.admin(AdminOp::Unload {
+            name: name.to_string(),
+        })
     }
 
     /// Fetches the server's model registry snapshot
@@ -340,8 +335,7 @@ impl Client {
     ///
     /// As for [`Client::infer`].
     pub fn list(&mut self) -> io::Result<InferResponse> {
-        let id = self.send_request(encode_list_request)?;
-        self.wait_for(id)
+        self.admin(AdminOp::List)
     }
 
     /// Pipelining: sends an infer request without waiting and returns its
@@ -351,7 +345,7 @@ impl Client {
     ///
     /// Propagates socket errors (which poison the client).
     pub fn send_infer(&mut self, image: &Tensor) -> io::Result<u32> {
-        self.send_request(|id| encode_infer_request(id, image))
+        self.send_infer_with("", image, &InferOptions::default())
     }
 
     /// Pipelining: like [`Client::send_infer`], against a named model.
@@ -360,21 +354,23 @@ impl Client {
     ///
     /// Propagates socket errors (which poison the client).
     pub fn send_infer_model(&mut self, model: &str, image: &Tensor) -> io::Result<u32> {
-        self.send_request(|id| encode_infer_request_for(id, model, image))
+        self.send_infer_with(model, image, &InferOptions::default())
     }
 
     /// Pipelining: like [`Client::infer_with`] without waiting.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (which poison the client).
+    /// Propagates socket errors (which poison the client); a model name
+    /// or tenant over 255 bytes is [`io::ErrorKind::InvalidInput`],
+    /// refused before anything is sent.
     pub fn send_infer_with(
         &mut self,
         model: &str,
         image: &Tensor,
         opts: &InferOptions,
     ) -> io::Result<u32> {
-        self.send_request(|id| encode_infer_request_with(id, model, image, opts))
+        self.send_request(|id| infer_payload(id, model, image, opts))
     }
 
     /// Pipelining: blocks for the next response in *arrival* order —
@@ -533,6 +529,26 @@ mod tests {
         assert!(client.inflight.is_empty(), "timed-out ids left in flight");
         // Still usable: timeouts are recoverable.
         assert!(client.check_usable().is_ok());
+        drop(client);
+        drop(done);
+        let _ = srv.join();
+    }
+
+    #[test]
+    fn an_over_long_load_path_is_refused_before_sending_and_keeps_the_client() {
+        let (addr, done, srv) = silent_server();
+        let mut client = Client::builder()
+            .timeout(Duration::from_secs(5))
+            .connect(addr)
+            .expect("connect");
+        // 70,000 bytes do not fit LOAD's u16 path length: a wrapped prefix
+        // would send a frame the server can only answer with an error.
+        let err = client
+            .load("b", &"p".repeat(70_000))
+            .expect_err("a path over 65,535 bytes cannot be encoded");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(client.inflight.is_empty(), "nothing was sent");
+        assert!(client.check_usable().is_ok(), "the client is not poisoned");
         drop(client);
         drop(done);
         let _ = srv.join();

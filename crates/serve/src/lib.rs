@@ -1,8 +1,8 @@
 //! `quq-serve`: an event-loop TCP inference server with dynamic batching
 //! over the QUQ integer runtime.
 //!
-//! The offline stack (PRs 1–3) evaluates datasets; this crate serves
-//! individual requests the way the ROADMAP's production framing demands:
+//! The offline stack evaluates datasets; this crate serves individual
+//! requests:
 //!
 //! * a **length-prefixed TCP protocol** ([`protocol`], version 4) — image
 //!   tensor in, logits + top-1 out — where every request carries a `u32`
@@ -49,8 +49,9 @@
 //!   artifact format: [`server::artifact_state`] cold-starts a served
 //!   model from a QUQM file without synthesis or calibration; the admin
 //!   `LOAD`/`UNLOAD`/`LIST` messages ([`Client::load`],
-//!   [`Client::unload`], [`Client::list`]) register, drop, and inspect
-//!   named models live; a `LOAD` of the empty name hot-swaps the default
+//!   [`Client::unload`], [`Client::list`], or [`Server::admin`] in
+//!   process) register, drop, and inspect named models live, and refuse
+//!   with a typed [`ServeError`]; a `LOAD` of the empty name hot-swaps the default
 //!   — in-flight requests finish on the old model. Residency is
 //!   bounded by [`ServeConfig::max_resident_bytes`]: LRU models are
 //!   evicted past the budget and lazily — bit-identically — reloaded
@@ -89,6 +90,7 @@
 //! ```
 
 pub mod client;
+pub mod error;
 pub mod framing;
 pub mod poller;
 pub mod protocol;
@@ -99,9 +101,11 @@ pub mod server;
 pub mod sys;
 
 pub use client::{Client, ClientBuilder};
+pub use error::ServeError;
 pub use framing::{FrameDecoder, WriteBuf};
 pub use protocol::{
-    Class, InferOptions, InferResponse, ModelEntry, RegistrySnapshot, ShadowReport,
+    AdminOp, Class, InferOptions, InferResponse, ModelEntry, RegistrySnapshot, Request, ShadowCmd,
+    ShadowReport,
 };
 pub use registry::DEFAULT_MODEL;
 pub use sched::{Admission, Admitted, Batch, PushError, SchedConfig, Scheduler};

@@ -70,7 +70,10 @@ use std::time::{Duration, Instant};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::QuqMethod;
 use quq_serve::server::artifact_state;
-use quq_serve::{BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server};
+use quq_serve::{
+    AdminOp, BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server,
+    ShadowCmd,
+};
 use quq_store::{ArtifactWriter, CodecChoice, WriteOptions};
 use quq_vit::{Dataset, ModelConfig, ModelId, VitModel};
 
@@ -297,7 +300,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             name.ok_or_else(|| format!("extra --model-path needs a NAME= prefix: {extra}"))?;
         let t0 = Instant::now();
         server
-            .load_model(name, Path::new(path))
+            .admin(AdminOp::Load {
+                name: name.to_string(),
+                path: path.to_string(),
+            })
             .map_err(|e| format!("--model-path {extra}: {e}"))?;
         eprintln!(
             "loaded {name:?} from {path} in {:.1} ms",
@@ -306,7 +312,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some((name, fraction)) = &shadow {
         server
-            .set_shadow(name, *fraction)
+            .admin(AdminOp::Shadow(ShadowCmd::set(name, *fraction)?))
             .map_err(|e| format!("--shadow: {e}"))?;
         eprintln!(
             "shadowing {:.1}% of default traffic to {name:?}",

@@ -1,80 +1,61 @@
-//! The wire protocol: length-prefixed frames over TCP, little-endian.
-//! This is **protocol version 4**, which tags every request and response
-//! with a `u32` request id (so many requests can be in flight on one
-//! connection and responses may return out of order), routes every INFER
-//! request to a named model in the server's registry, and carries the
-//! request's SLO metadata — priority class, relative deadline, and tenant
-//! id — for the scheduler ([`crate::sched`]).
-//!
-//! Every message is one frame: a `u32` payload length followed by the
-//! payload. A request payload is
+//! The wire protocol, version 4: length-prefixed frames over TCP,
+//! little-endian. Every message is one frame, a `u32` payload length and
+//! then the payload. A request payload is an opcode, a `u32` request id
+//! and an opcode-specific body; a response payload echoes the id, then a
+//! status byte and a status-specific body. Strings carry their byte
+//! length in front (`u8` unless noted) and are UTF-8.
 //!
 //! ```text
-//! opcode: u8 (1 = INFER, 3 = LOAD, 4 = UNLOAD, 5 = LIST, 6 = SHADOW;
-//!             2 is unassigned and answered "unknown opcode")
-//! id: u32, then
-//! INFER:  u8 class (0 = interactive, 1 = batch)
-//!         · u32 deadline_us (relative to arrival; 0 = no deadline)
-//!         · u8 tenant_len · tenant_len × u8 (UTF-8 tenant; empty = "anon")
-//!         · u8 name_len · name_len × u8 (UTF-8 model name; empty = default)
-//!         · rank u8 · rank × u32 dims · Π dims × f32 data
-//! LOAD:   u8 name_len · name · u16 path_len · path (register + load
-//!         model; the empty name hot-swaps the default model)
-//! UNLOAD: u8 name_len · name (drop the model from the registry)
-//! LIST:   (empty — snapshot the registry)
-//! SHADOW: u8 action, then
-//!         0 SET     u8 name_len · name · u16 permille (mirror fraction)
-//!         1 PROMOTE (empty — make the shadow candidate the default model)
-//!         2 ABORT   (empty — stop mirroring, keep the default)
-//!         3 STATUS  (empty — report the shadow comparison counters)
+//! request:  opcode u8 · id u32 · body
+//! 1 INFER   class u8 (0 interactive, 1 batch) · deadline_us u32 (relative
+//!           to arrival; 0 = none) · tenant (empty = "anon") · model name
+//!           (empty = default) · rank u8 · rank × dim u32 · Π dims × f32
+//! 3 LOAD    model name · path (u16 length) — register and load the model
+//!           (the empty name replaces the default model)
+//! 4 UNLOAD  model name — drop the model from the registry
+//! 5 LIST    (empty) — snapshot the registry
+//! 6 SHADOW  action u8, then
+//!           0 SET     model name · permille u16 (mirror fraction)
+//!           1 PROMOTE (empty) — make the candidate the default model
+//!           2 ABORT   (empty) — stop mirroring, keep the default
+//!           3 STATUS  (empty) — report the comparison counters
+//!
+//! response: id u32 · status u8 · body
+//! 0 OK         top1 u32 · n u32 · n × f32 logits
+//! 1 OVERLOADED (empty) — shed at admission, or displaced from the queue
+//!              by a higher-standing request; retry later
+//! 2 ERROR      message (u32 length; UTF-8)
+//! 3 DRAINING   (empty) — the server is shutting down; not admitted
+//! 4 RELOADED   (empty) — LOAD registered and loaded the model
+//! 5 LIST       count u16 · count × (model name · resident u8 · bytes u64
+//!              · requests u64) · loads u64 · evictions u64
+//! 6 UNLOADED   (empty) — the model was dropped from the registry
+//! 7 DEADLINE   (empty) — the deadline passed while queued; nothing ran
+//! 8 SHADOW     active u8 · model name · permille u16 · mirrored u64 ·
+//!              agree u64 · disagree u64
 //! ```
 //!
-//! and a response payload echoes the id, then a status byte:
+//! Every request is decoded by [`Request::decode`] and every response by
+//! [`decode_response`]; both read through one checked field reader that
+//! owns every bounds, UTF-8, element-count and trailing-byte check and
+//! names the field in its [`io::ErrorKind::InvalidData`] error. One
+//! matching writer builds every frame and refuses, with
+//! [`io::ErrorKind::InvalidInput`], a field too long for its length
+//! prefix. Opcode 2 carries no request.
 //!
-//! ```text
-//! id: u32, then
-//! 0 OK         u32 top1 · u32 n_logits · n_logits × f32
-//! 1 OVERLOADED (empty — shed at admission or displaced from the queue by
-//!               a higher-standing request, retry later)
-//! 2 ERROR      u32 len · len × u8 (UTF-8 message)
-//! 3 DRAINING   (empty — server is shutting down, request not admitted)
-//! 4 RELOADED   (empty — LOAD registered and loaded the named model)
-//! 5 LIST       u16 count · count × (u8 name_len · name · u8 resident ·
-//!               u64 bytes · u64 requests) · u64 loads · u64 evictions
-//! 6 UNLOADED   (empty — the named model was dropped from the registry)
-//! 7 DEADLINE   (empty — the request's deadline passed while it was
-//!               queued; no inference was run)
-//! 8 SHADOW     u8 active · u8 name_len · name · u16 permille ·
-//!              u64 mirrored · u64 agree · u64 disagree (answer to SHADOW)
-//! ```
-//!
-//! ## Version compatibility
-//!
-//! v4 is a breaking wire change from v3: INFER carries a class byte, a
-//! `u32` relative deadline, and a tenant field between the id and the
-//! model name (all-default SLO metadata costs six extra bytes), and the
-//! SHADOW opcode plus DEADLINE/SHADOW statuses are new. Opcode 2 carries
-//! no request: a peer that sends it gets the `unknown opcode` ERROR, and
-//! LOAD with the empty name replaces the default model. Ids remain
-//! client-chosen, echoed verbatim, and unique only per connection —
-//! reusing an id across concurrently in-flight requests makes the two
-//! responses indistinguishable. There is no version negotiation; both
-//! ends of this workspace speak v4. A v3 INFER payload fails the v4
-//! length or class check deterministically and is answered with an
-//! `ERROR` frame (tagged with whatever the id bytes decode to), so a
-//! stale peer gets a structured rejection rather than silence. A request
-//! too short to carry an id is answered with id 0.
-//!
-//! Everything is plain `std::io` on byte slices, shared verbatim by the
-//! server, the [`crate::client::Client`], and the benchmark. Frames
-//! are read with the stateful [`crate::framing::FrameDecoder`].
+//! Ids are chosen by the client, echoed verbatim and unique only per
+//! connection. There is no version negotiation: a frame that does not
+//! decode — an older peer's included — is answered with ERROR, tagged
+//! with whatever its id bytes read ([`request_id`]), or 0 when it is too
+//! short to carry an id. Frames are read with the stateful
+//! [`crate::framing::FrameDecoder`].
 
 use std::io::{self, Write};
+use std::time::Duration;
 
 use quq_tensor::Tensor;
 
-/// Wire protocol version implemented by this crate (see module docs for
-/// the v3 → v4 change).
+/// Wire protocol version implemented by this crate.
 pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Largest accepted frame: a generous bound for one image tensor
@@ -82,39 +63,24 @@ pub const PROTOCOL_VERSION: u8 = 4;
 /// a hostile or corrupt length prefix.
 pub const MAX_FRAME: u32 = 16 << 20;
 
-/// Request opcode: run inference on one image tensor.
-pub const OP_INFER: u8 = 1;
-/// Request opcode (admin): register a named model from an artifact path
-/// and load it (the empty name replaces the default model).
-pub const OP_LOAD: u8 = 3;
-/// Request opcode (admin): drop a named model from the registry.
-pub const OP_UNLOAD: u8 = 4;
-/// Request opcode (admin): snapshot the model registry.
-pub const OP_LIST: u8 = 5;
-/// Request opcode (admin): configure, promote, abort, or inspect
-/// shadow/canary routing.
-pub const OP_SHADOW: u8 = 6;
+// Request opcodes (2 is unassigned) and response statuses, as tabled in
+// the module docs.
+const OP_INFER: u8 = 1;
+const OP_LOAD: u8 = 3;
+const OP_UNLOAD: u8 = 4;
+const OP_LIST: u8 = 5;
+const OP_SHADOW: u8 = 6;
+const STATUS_OK: u8 = 0;
+const STATUS_OVERLOADED: u8 = 1;
+const STATUS_ERROR: u8 = 2;
+const STATUS_DRAINING: u8 = 3;
+const STATUS_RELOADED: u8 = 4;
+const STATUS_LIST: u8 = 5;
+const STATUS_UNLOADED: u8 = 6;
+const STATUS_DEADLINE: u8 = 7;
+const STATUS_SHADOW: u8 = 8;
 
-/// Response status bytes.
-pub const STATUS_OK: u8 = 0;
-/// The admission queue was full; the request was shed.
-pub const STATUS_OVERLOADED: u8 = 1;
-/// The backend failed on this request (message follows).
-pub const STATUS_ERROR: u8 = 2;
-/// The server is draining; the request was not admitted.
-pub const STATUS_DRAINING: u8 = 3;
-/// The model was registered and loaded (LOAD).
-pub const STATUS_RELOADED: u8 = 4;
-/// A registry snapshot follows.
-pub const STATUS_LIST: u8 = 5;
-/// The named model was dropped from the registry.
-pub const STATUS_UNLOADED: u8 = 6;
-/// The request's deadline passed while it was queued; no inference ran.
-pub const STATUS_DEADLINE: u8 = 7;
-/// A shadow-routing report follows.
-pub const STATUS_SHADOW: u8 = 8;
-
-/// Request priority class, carried on every v4 INFER. `Interactive`
+/// Request priority class, carried on every INFER. `Interactive`
 /// requests are dequeued strictly ahead of `Batch` and shed last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Class {
@@ -133,14 +99,6 @@ impl Class {
             Class::Batch => "batch",
         }
     }
-
-    fn from_wire(byte: u8) -> Option<Class> {
-        match byte {
-            0 => Some(Class::Interactive),
-            1 => Some(Class::Batch),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Class {
@@ -149,9 +107,8 @@ impl std::fmt::Display for Class {
     }
 }
 
-/// Per-request SLO options for an INFER request: what v4 added to the
-/// wire. `Default` is an interactive, deadline-free, anonymous-tenant
-/// request — the closest v4 spelling of a v3 request.
+/// Per-request SLO options for an INFER request. `Default` is an
+/// interactive, deadline-free, anonymous-tenant request.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InferOptions {
     /// Priority class (default `Interactive`).
@@ -159,7 +116,7 @@ pub struct InferOptions {
     /// Relative deadline from server arrival; `None` (the default) never
     /// expires. Encoded in whole microseconds, saturating at `u32::MAX`
     /// (~71 minutes).
-    pub deadline: Option<std::time::Duration>,
+    pub deadline: Option<Duration>,
     /// Tenant id for quota/fairness accounting. Empty (the default) is
     /// accounted to the shared `"anon"` tenant.
     pub tenant: String,
@@ -172,7 +129,7 @@ impl InferOptions {
     }
 }
 
-/// The SLO metadata decoded from a v4 INFER request.
+/// The SLO metadata of an INFER request, as it travels on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InferMeta {
     /// Priority class.
@@ -183,7 +140,7 @@ pub struct InferMeta {
     pub tenant: String,
 }
 
-/// A decoded SHADOW admin command.
+/// A SHADOW admin command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShadowCmd {
     /// Start mirroring `permille`/1000 of default-model traffic to the
@@ -202,22 +159,195 @@ pub enum ShadowCmd {
     Status,
 }
 
-/// A point-in-time shadow-routing report, as carried by a SHADOW
-/// response.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShadowReport {
-    /// Whether a shadow candidate is currently configured.
-    pub active: bool,
-    /// Candidate model name (empty when inactive).
-    pub name: String,
-    /// Mirror fraction in thousandths.
-    pub permille: u16,
-    /// Requests mirrored to the candidate so far.
-    pub mirrored: u64,
-    /// Mirrored requests whose candidate top-1 matched the primary.
-    pub agree: u64,
-    /// Mirrored requests whose candidate top-1 differed.
-    pub disagree: u64,
+impl ShadowCmd {
+    /// A `Set` that mirrors `fraction` (0.0–1.0) of default-model traffic
+    /// to `name`, rounded to the nearest thousandth.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for a fraction outside `[0, 1]`.
+    pub fn set(name: &str, fraction: f64) -> io::Result<ShadowCmd> {
+        if !(0.0..=1.0).contains(&fraction) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shadow fraction {fraction} outside [0, 1]"),
+            ));
+        }
+        Ok(ShadowCmd::Set {
+            name: name.to_string(),
+            permille: (fraction * 1000.0).round() as u16,
+        })
+    }
+}
+
+/// An admin operation: what LOAD, UNLOAD, LIST and SHADOW carry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdminOp {
+    /// Register model `name` from the artifact at `path` (on the server's
+    /// filesystem) and load it; the empty name replaces the default model.
+    Load {
+        /// Registry name (empty = the default model).
+        name: String,
+        /// Artifact path.
+        path: String,
+    },
+    /// Drop model `name` from the registry.
+    Unload {
+        /// Registry name (empty = the default model).
+        name: String,
+    },
+    /// Snapshot the registry.
+    List,
+    /// Configure, promote, abort or inspect shadow routing.
+    Shadow(ShadowCmd),
+}
+
+/// One request, as [`Request::decode`] reads it off the wire.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Run inference on `image` against `model` (empty = the default
+    /// model).
+    Infer {
+        /// SLO metadata.
+        meta: InferMeta,
+        /// Model name (empty = the default model).
+        model: String,
+        /// The image tensor.
+        image: Tensor,
+    },
+    /// An admin operation.
+    Admin(AdminOp),
+}
+
+impl Request {
+    /// Decodes a request payload into its id and request. This is the
+    /// only request decoder.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] naming the field at fault: an
+    /// unknown opcode, class or SHADOW action, a truncated field,
+    /// non-UTF-8 text, an element count that overflows or cannot fit a
+    /// frame, or trailing bytes.
+    pub fn decode(payload: &[u8]) -> io::Result<(u32, Request)> {
+        let mut r = Reader(payload);
+        let op: u8 = r.get("opcode")?;
+        let id = r.get("request id")?;
+        let request = match op {
+            OP_INFER => {
+                let class = match r.get::<u8>("class")? {
+                    0 => Class::Interactive,
+                    1 => Class::Batch,
+                    _ => return Err(invalid("unknown priority class")),
+                };
+                let meta = InferMeta {
+                    class,
+                    deadline_us: r.get("deadline")?,
+                    tenant: r.string::<u8>("tenant id")?,
+                };
+                let model = r.name()?;
+                let rank: u8 = r.get("rank")?;
+                let shape = (0..rank)
+                    .map(|_| r.get::<u32>("dims").map(|d| d as usize))
+                    .collect::<io::Result<Vec<usize>>>()?;
+                // A hostile header (up to rank 255 of u32 dims) can
+                // overflow the element product; reject it before it sizes
+                // anything.
+                let n = shape
+                    .iter()
+                    .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                    .filter(|&n| n <= (MAX_FRAME as usize) / 4)
+                    .ok_or_else(|| invalid("element count overflows"))?;
+                let image = Tensor::from_vec(r.f32s("image data", n)?, &shape)
+                    .map_err(|e| invalid(format!("bad tensor shape: {e:?}")))?;
+                Request::Infer { meta, model, image }
+            }
+            OP_LOAD => Request::Admin(AdminOp::Load {
+                name: r.name()?,
+                path: r.string::<u16>("path")?,
+            }),
+            OP_UNLOAD => Request::Admin(AdminOp::Unload { name: r.name()? }),
+            OP_LIST => Request::Admin(AdminOp::List),
+            OP_SHADOW => Request::Admin(AdminOp::Shadow(match r.get::<u8>("SHADOW action")? {
+                0 => ShadowCmd::Set {
+                    name: r.name()?,
+                    permille: r.get("permille")?,
+                },
+                1 => ShadowCmd::Promote,
+                2 => ShadowCmd::Abort,
+                3 => ShadowCmd::Status,
+                action => return Err(invalid(format!("unknown SHADOW action {action}"))),
+            })),
+            op => return Err(invalid(format!("unknown opcode {op}"))),
+        };
+        r.finish()?;
+        Ok((id, request))
+    }
+
+    /// Encodes the request payload, tagged with `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when a field is too long for its
+    /// length prefix (a name over 255 bytes, a path over 65,535 bytes).
+    pub fn encode(&self, id: u32) -> io::Result<Vec<u8>> {
+        let op = match self {
+            Request::Infer { meta, model, image } => {
+                let opts = InferOptions {
+                    class: meta.class,
+                    deadline: (meta.deadline_us > 0)
+                        .then(|| Duration::from_micros(meta.deadline_us.into())),
+                    tenant: meta.tenant.clone(),
+                };
+                return infer_payload(id, model, image, &opts);
+            }
+            Request::Admin(op) => op,
+        };
+        let mut w = Writer(Vec::with_capacity(16));
+        match op {
+            AdminOp::Load { name, path } => w
+                .put(OP_LOAD)
+                .put(id)
+                .name(name)?
+                .bytes::<u16>("path", path.as_bytes())?,
+            AdminOp::Unload { name } => w.put(OP_UNLOAD).put(id).name(name)?,
+            AdminOp::List => w.put(OP_LIST).put(id),
+            AdminOp::Shadow(ShadowCmd::Set { name, permille }) => {
+                w.put(OP_SHADOW).put(id).put(0u8).name(name)?.put(*permille)
+            }
+            AdminOp::Shadow(ShadowCmd::Promote) => w.put(OP_SHADOW).put(id).put(1u8),
+            AdminOp::Shadow(ShadowCmd::Abort) => w.put(OP_SHADOW).put(id).put(2u8),
+            AdminOp::Shadow(ShadowCmd::Status) => w.put(OP_SHADOW).put(id).put(3u8),
+        };
+        Ok(w.0)
+    }
+}
+
+/// The INFER payload, written from borrowed parts so that encoding never
+/// copies the image.
+pub(crate) fn infer_payload(
+    id: u32,
+    model: &str,
+    image: &Tensor,
+    opts: &InferOptions,
+) -> io::Result<Vec<u8>> {
+    let (shape, data) = (image.shape(), image.data());
+    let tenant = opts.tenant.as_bytes();
+    let mut w = Writer(Vec::with_capacity(
+        13 + tenant.len() + model.len() + 4 * shape.len() + 4 * data.len(),
+    ));
+    w.put(OP_INFER)
+        .put(id)
+        .put(opts.class as u8)
+        .put(opts.deadline_us())
+        .bytes::<u8>("tenant id", tenant)?
+        .name(model)?
+        .len::<u8>("rank", shape.len())?;
+    for &d in shape {
+        w.len::<u32>("dim", d)?;
+    }
+    w.f32s(data);
+    Ok(w.0)
 }
 
 /// Writes one length-prefixed frame.
@@ -227,13 +357,9 @@ pub struct ShadowReport {
 /// Propagates I/O errors from the underlying writer.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame too large",
-        ));
-    }
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -243,332 +369,42 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// replies to frames that fail full decoding. Payloads too short to carry
 /// an id report 0.
 pub fn request_id(payload: &[u8]) -> u32 {
-    match payload.get(1..5) {
-        Some(b) => u32::from_le_bytes(b.try_into().expect("sized")),
-        None => 0,
-    }
+    let mut r = Reader(payload);
+    r.get::<u8>("opcode")
+        .and_then(|_| r.get("request id"))
+        .unwrap_or(0)
 }
 
-/// Encodes an INFER request for `image` against the default model,
-/// tagged with `id`, with default SLO options (shorthand for
-/// [`encode_infer_request_with`]).
-pub fn encode_infer_request(id: u32, image: &Tensor) -> Vec<u8> {
-    encode_infer_request_with(id, "", image, &InferOptions::default())
-}
-
-/// Encodes an INFER request for `image` against the named model, tagged
-/// with `id`, with default SLO options. An empty `model` addresses the
-/// server's default model.
-///
-/// # Panics
-///
-/// Panics if `model` exceeds 255 bytes (the wire field is one byte).
-pub fn encode_infer_request_for(id: u32, model: &str, image: &Tensor) -> Vec<u8> {
-    encode_infer_request_with(id, model, image, &InferOptions::default())
-}
-
-/// Encodes an INFER request for `image` against the named model, tagged
-/// with `id` and carrying the SLO metadata in `opts`.
+/// Encodes an INFER request for `image` against the named model (empty =
+/// the default model), tagged with `id` and carrying the SLO metadata in
+/// `opts`.
 ///
 /// # Panics
 ///
 /// Panics if `model` or `opts.tenant` exceeds 255 bytes (the wire fields
-/// are one byte).
+/// are one byte); [`crate::Client`] refuses those with an error instead.
 pub fn encode_infer_request_with(
     id: u32,
     model: &str,
     image: &Tensor,
     opts: &InferOptions,
 ) -> Vec<u8> {
-    let name = model.as_bytes();
-    assert!(
-        name.len() <= u8::MAX as usize,
-        "model name exceeds 255 bytes"
-    );
-    let tenant = opts.tenant.as_bytes();
-    assert!(
-        tenant.len() <= u8::MAX as usize,
-        "tenant id exceeds 255 bytes"
-    );
-    let shape = image.shape();
-    let mut out = Vec::with_capacity(
-        13 + tenant.len() + name.len() + 4 * shape.len() + 4 * image.data().len(),
-    );
-    out.push(OP_INFER);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.push(opts.class as u8);
-    out.extend_from_slice(&opts.deadline_us().to_le_bytes());
-    out.push(tenant.len() as u8);
-    out.extend_from_slice(tenant);
-    out.push(name.len() as u8);
-    out.extend_from_slice(name);
-    out.push(shape.len() as u8);
-    for &d in shape {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    for &v in image.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    infer_payload(id, model, image, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Decodes an INFER request payload into its id, SLO metadata, model
-/// name (empty = default model), and image tensor.
+/// name (empty = default model), and image tensor: [`Request::decode`]
+/// for a frame that must be an INFER.
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad opcode, unknown class,
-/// truncated payload, non-UTF-8 tenant/model name, element-count
-/// overflow, or element-count mismatch.
+/// As for [`Request::decode`], and [`io::ErrorKind::InvalidData`] for a
+/// request of another kind.
 pub fn decode_infer_request(payload: &[u8]) -> io::Result<(u32, InferMeta, String, Tensor)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if payload.len() < 13 {
-        return Err(bad("truncated request header"));
+    match Request::decode(payload)? {
+        (id, Request::Infer { meta, model, image }) => Ok((id, meta, model, image)),
+        _ => Err(invalid("not an INFER request")),
     }
-    if payload[0] != OP_INFER {
-        return Err(bad("unknown opcode"));
-    }
-    let id = request_id(payload);
-    let class = Class::from_wire(payload[5]).ok_or_else(|| bad("unknown priority class"))?;
-    let deadline_us = u32::from_le_bytes(payload[6..10].try_into().expect("sized"));
-    let tenant_len = payload[10] as usize;
-    let name_len_at = 11 + tenant_len;
-    if payload.len() < name_len_at + 1 {
-        return Err(bad("truncated tenant id"));
-    }
-    let tenant = std::str::from_utf8(&payload[11..name_len_at])
-        .map_err(|_| bad("non-UTF-8 tenant id"))?
-        .to_string();
-    let name_len = payload[name_len_at] as usize;
-    let rank_at = name_len_at + 1 + name_len;
-    if payload.len() < rank_at + 1 {
-        return Err(bad("truncated model name"));
-    }
-    let model = std::str::from_utf8(&payload[name_len_at + 1..rank_at])
-        .map_err(|_| bad("non-UTF-8 model name"))?
-        .to_string();
-    let rank = payload[rank_at] as usize;
-    let dims_start = rank_at + 1;
-    let dims_end = dims_start + 4 * rank;
-    if payload.len() < dims_end {
-        return Err(bad("truncated dims"));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    for i in 0..rank {
-        let b: [u8; 4] = payload[dims_start + 4 * i..dims_start + 4 * i + 4]
-            .try_into()
-            .expect("sized");
-        shape.push(u32::from_le_bytes(b) as usize);
-    }
-    // A hostile header (up to rank 255 of u32 dims) can overflow the
-    // element product; reject instead of wrapping into a bogus — possibly
-    // passing — length check.
-    let n = shape
-        .iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .filter(|&n| n <= (MAX_FRAME as usize) / 4)
-        .ok_or_else(|| bad("element count overflows"))?;
-    if payload.len() != dims_end + 4 * n {
-        return Err(bad("element count mismatch"));
-    }
-    let data: Vec<f32> = payload[dims_end..]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("sized")))
-        .collect();
-    let image =
-        Tensor::from_vec(data, &shape).map_err(|e| bad(&format!("bad tensor shape: {e:?}")))?;
-    Ok((
-        id,
-        InferMeta {
-            class,
-            deadline_us,
-            tenant,
-        },
-        model,
-        image,
-    ))
-}
-
-/// Encodes a LOAD request: register model `name` from the artifact at
-/// `path` and load it, tagged with `id`. The empty name replaces the
-/// default model.
-///
-/// # Panics
-///
-/// Panics if `name` exceeds 255 bytes (the wire field is one byte).
-pub fn encode_load_request(id: u32, name: &str, path: &str) -> Vec<u8> {
-    let name = name.as_bytes();
-    assert!(
-        name.len() <= u8::MAX as usize,
-        "model name exceeds 255 bytes"
-    );
-    let path = path.as_bytes();
-    let mut out = Vec::with_capacity(8 + name.len() + path.len());
-    out.push(OP_LOAD);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.push(name.len() as u8);
-    out.extend_from_slice(name);
-    out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-    out.extend_from_slice(path);
-    out
-}
-
-/// Decodes a LOAD request payload into its id, model name, and artifact
-/// path.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad opcode, truncated
-/// payload, or non-UTF-8 name/path.
-pub fn decode_load_request(payload: &[u8]) -> io::Result<(u32, String, String)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if payload.len() < 8 {
-        return Err(bad("truncated LOAD request"));
-    }
-    if payload[0] != OP_LOAD {
-        return Err(bad("unknown opcode"));
-    }
-    let id = request_id(payload);
-    let name_len = payload[5] as usize;
-    let path_len_at = 6 + name_len;
-    if payload.len() < path_len_at + 2 {
-        return Err(bad("truncated model name"));
-    }
-    let name = std::str::from_utf8(&payload[6..path_len_at])
-        .map_err(|_| bad("non-UTF-8 model name"))?
-        .to_string();
-    let path_len = u16::from_le_bytes(
-        payload[path_len_at..path_len_at + 2]
-            .try_into()
-            .expect("sized"),
-    ) as usize;
-    if payload.len() != path_len_at + 2 + path_len {
-        return Err(bad("path length mismatch"));
-    }
-    let path = String::from_utf8(payload[path_len_at + 2..].to_vec())
-        .map_err(|_| bad("non-UTF-8 path"))?;
-    Ok((id, name, path))
-}
-
-/// Encodes an UNLOAD request for model `name`, tagged with `id`.
-///
-/// # Panics
-///
-/// Panics if `name` exceeds 255 bytes (the wire field is one byte).
-pub fn encode_unload_request(id: u32, name: &str) -> Vec<u8> {
-    let name = name.as_bytes();
-    assert!(
-        name.len() <= u8::MAX as usize,
-        "model name exceeds 255 bytes"
-    );
-    let mut out = Vec::with_capacity(6 + name.len());
-    out.push(OP_UNLOAD);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.push(name.len() as u8);
-    out.extend_from_slice(name);
-    out
-}
-
-/// Decodes an UNLOAD request payload into its id and model name.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad opcode, truncated
-/// payload, or non-UTF-8 name.
-pub fn decode_unload_request(payload: &[u8]) -> io::Result<(u32, String)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if payload.len() < 6 {
-        return Err(bad("truncated UNLOAD request"));
-    }
-    if payload[0] != OP_UNLOAD {
-        return Err(bad("unknown opcode"));
-    }
-    let id = request_id(payload);
-    let name_len = payload[5] as usize;
-    if payload.len() != 6 + name_len {
-        return Err(bad("name length mismatch"));
-    }
-    let name = std::str::from_utf8(&payload[6..])
-        .map_err(|_| bad("non-UTF-8 model name"))?
-        .to_string();
-    Ok((id, name))
-}
-
-/// Encodes a LIST request, tagged with `id`.
-pub fn encode_list_request(id: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5);
-    out.push(OP_LIST);
-    out.extend_from_slice(&id.to_le_bytes());
-    out
-}
-
-/// Encodes a SHADOW admin request, tagged with `id`.
-///
-/// # Panics
-///
-/// Panics if a `Set` name exceeds 255 bytes (the wire field is one byte).
-pub fn encode_shadow_request(id: u32, cmd: &ShadowCmd) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8);
-    out.push(OP_SHADOW);
-    out.extend_from_slice(&id.to_le_bytes());
-    match cmd {
-        ShadowCmd::Set { name, permille } => {
-            let name = name.as_bytes();
-            assert!(
-                name.len() <= u8::MAX as usize,
-                "model name exceeds 255 bytes"
-            );
-            out.push(0);
-            out.push(name.len() as u8);
-            out.extend_from_slice(name);
-            out.extend_from_slice(&permille.to_le_bytes());
-        }
-        ShadowCmd::Promote => out.push(1),
-        ShadowCmd::Abort => out.push(2),
-        ShadowCmd::Status => out.push(3),
-    }
-    out
-}
-
-/// Decodes a SHADOW request payload into its id and command.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] on a bad opcode, unknown
-/// action, truncated payload, or non-UTF-8 name.
-pub fn decode_shadow_request(payload: &[u8]) -> io::Result<(u32, ShadowCmd)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if payload.len() < 6 {
-        return Err(bad("truncated SHADOW request"));
-    }
-    if payload[0] != OP_SHADOW {
-        return Err(bad("unknown opcode"));
-    }
-    let id = request_id(payload);
-    let cmd = match payload[5] {
-        0 => {
-            if payload.len() < 7 {
-                return Err(bad("truncated SHADOW SET"));
-            }
-            let name_len = payload[6] as usize;
-            if payload.len() != 7 + name_len + 2 {
-                return Err(bad("SHADOW SET length mismatch"));
-            }
-            let name = std::str::from_utf8(&payload[7..7 + name_len])
-                .map_err(|_| bad("non-UTF-8 model name"))?
-                .to_string();
-            let permille = u16::from_le_bytes(payload[7 + name_len..].try_into().expect("sized"));
-            ShadowCmd::Set { name, permille }
-        }
-        1 => ShadowCmd::Promote,
-        2 => ShadowCmd::Abort,
-        3 => ShadowCmd::Status,
-        _ => return Err(bad("unknown SHADOW action")),
-    };
-    if !matches!(cmd, ShadowCmd::Set { .. }) && payload.len() != 6 {
-        return Err(bad("SHADOW action carries no body"));
-    }
-    Ok((id, cmd))
 }
 
 /// One model's row in a registry snapshot.
@@ -597,7 +433,25 @@ pub struct RegistrySnapshot {
     pub evictions: u64,
 }
 
-/// A decoded inference response.
+/// A point-in-time shadow-routing report, as carried by a SHADOW
+/// response.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ShadowReport {
+    /// Whether a shadow candidate is currently configured.
+    pub active: bool,
+    /// Candidate model name (empty when inactive).
+    pub name: String,
+    /// Mirror fraction in thousandths.
+    pub permille: u16,
+    /// Requests mirrored to the candidate so far.
+    pub mirrored: u64,
+    /// Mirrored requests whose candidate top-1 matched the primary.
+    pub agree: u64,
+    /// Mirrored requests whose candidate top-1 differed.
+    pub disagree: u64,
+}
+
+/// A response: one variant per status.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InferResponse {
     /// Inference completed; `top1` is the argmax class of `logits`.
@@ -622,220 +476,303 @@ pub enum InferResponse {
     DeadlineExceeded,
     /// A shadow-routing report (answer to SHADOW).
     Shadow(ShadowReport),
-    /// The backend failed on this request.
+    /// The request failed (message follows).
     Error(String),
 }
 
-/// Encodes an OK response *body* (status onward, no id) from logits.
-/// Bodies are id-free so workers stay ignorant of connections; the
-/// framing layer tags them with [`tag_response`].
-pub fn encode_ok_response(logits: &[f32]) -> Vec<u8> {
-    let top1 = logits
+impl InferResponse {
+    /// Encodes the response *body* (status onward, no id). Bodies are
+    /// id-free so workers stay ignorant of connections; the reactor tags
+    /// them with [`tag_response`].
+    pub fn encode(&self) -> Vec<u8> {
+        let capacity = match self {
+            InferResponse::Ok { logits, .. } => 9 + 4 * logits.len(),
+            _ => 32,
+        };
+        body(capacity, |w| self.write(w))
+    }
+
+    fn write(&self, w: &mut Writer) -> io::Result<()> {
+        match self {
+            InferResponse::Ok { top1, logits } => return write_ok(w, *top1, logits),
+            InferResponse::Overloaded => w.put(STATUS_OVERLOADED),
+            InferResponse::Draining => w.put(STATUS_DRAINING),
+            InferResponse::Reloaded => w.put(STATUS_RELOADED),
+            InferResponse::Unloaded => w.put(STATUS_UNLOADED),
+            InferResponse::DeadlineExceeded => w.put(STATUS_DEADLINE),
+            InferResponse::ModelList(s) => {
+                w.put(STATUS_LIST)
+                    .len::<u16>("model count", s.models.len())?;
+                for m in &s.models {
+                    w.name(&m.name)?
+                        .put(u8::from(m.resident))
+                        .put(m.bytes)
+                        .put(m.requests);
+                }
+                w.put(s.loads).put(s.evictions)
+            }
+            InferResponse::Shadow(r) => w
+                .put(STATUS_SHADOW)
+                .put(u8::from(r.active))
+                .name(&r.name)?
+                .put(r.permille)
+                .put(r.mirrored)
+                .put(r.agree)
+                .put(r.disagree),
+            InferResponse::Error(msg) => w
+                .put(STATUS_ERROR)
+                .bytes::<u32>("error message", msg.as_bytes())?,
+        };
+        Ok(())
+    }
+}
+
+/// A response body built by `write`. A field too long for its length
+/// prefix turns the body into an ERROR that names the field.
+fn body(capacity: usize, write: impl FnOnce(&mut Writer) -> io::Result<()>) -> Vec<u8> {
+    let mut w = Writer(Vec::with_capacity(capacity));
+    match write(&mut w) {
+        Ok(()) => w.0,
+        Err(e) => InferResponse::Error(e.to_string()).encode(),
+    }
+}
+
+fn write_ok(w: &mut Writer, top1: u32, logits: &[f32]) -> io::Result<()> {
+    w.put(STATUS_OK)
+        .put(top1)
+        .len::<u32>("logit count", logits.len())?
+        .f32s(logits);
+    Ok(())
+}
+
+/// The top-1 class of `logits`: the argmax by `total_cmp`, the last
+/// index on ties.
+pub(crate) fn top1(logits: &[f32]) -> u32 {
+    logits
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
-        .map_or(0, |(i, _)| i) as u32;
-    let mut out = Vec::with_capacity(9 + 4 * logits.len());
-    out.push(STATUS_OK);
-    out.extend_from_slice(&top1.to_le_bytes());
-    out.extend_from_slice(&(logits.len() as u32).to_le_bytes());
-    for &v in logits {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+        .map_or(0, |(i, _)| i) as u32
 }
 
-/// Encodes a status-only response body (`OVERLOADED` / `DRAINING` /
-/// `RELOADED` / `UNLOADED`).
-pub fn encode_status_response(status: u8) -> Vec<u8> {
-    vec![status]
-}
-
-/// Encodes a LIST response body from a registry snapshot.
-pub fn encode_list_response(snapshot: &RegistrySnapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(19 + 19 * snapshot.models.len());
-    out.push(STATUS_LIST);
-    out.extend_from_slice(&(snapshot.models.len() as u16).to_le_bytes());
-    for m in &snapshot.models {
-        let name = m.name.as_bytes();
-        debug_assert!(name.len() <= u8::MAX as usize);
-        out.push(name.len() as u8);
-        out.extend_from_slice(name);
-        out.push(u8::from(m.resident));
-        out.extend_from_slice(&m.bytes.to_le_bytes());
-        out.extend_from_slice(&m.requests.to_le_bytes());
-    }
-    out.extend_from_slice(&snapshot.loads.to_le_bytes());
-    out.extend_from_slice(&snapshot.evictions.to_le_bytes());
-    out
-}
-
-fn decode_list_body(body: &[u8]) -> io::Result<RegistrySnapshot> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if body.len() < 3 {
-        return Err(bad("truncated LIST response"));
-    }
-    let count = u16::from_le_bytes(body[1..3].try_into().expect("sized")) as usize;
-    let mut at = 3;
-    let mut models = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name_len = *body.get(at).ok_or_else(|| bad("truncated LIST entry"))? as usize;
-        let entry_end = at + 1 + name_len + 1 + 8 + 8;
-        if body.len() < entry_end {
-            return Err(bad("truncated LIST entry"));
-        }
-        let name = std::str::from_utf8(&body[at + 1..at + 1 + name_len])
-            .map_err(|_| bad("non-UTF-8 model name"))?
-            .to_string();
-        let resident = body[at + 1 + name_len] != 0;
-        let bytes = u64::from_le_bytes(
-            body[at + 2 + name_len..at + 10 + name_len]
-                .try_into()
-                .expect("sized"),
-        );
-        let requests = u64::from_le_bytes(
-            body[at + 10 + name_len..entry_end]
-                .try_into()
-                .expect("sized"),
-        );
-        models.push(ModelEntry {
-            name,
-            resident,
-            bytes,
-            requests,
-        });
-        at = entry_end;
-    }
-    if body.len() != at + 16 {
-        return Err(bad("LIST footer length mismatch"));
-    }
-    let loads = u64::from_le_bytes(body[at..at + 8].try_into().expect("sized"));
-    let evictions = u64::from_le_bytes(body[at + 8..at + 16].try_into().expect("sized"));
-    Ok(RegistrySnapshot {
-        models,
-        loads,
-        evictions,
-    })
-}
-
-/// Encodes a SHADOW response body from a report.
-pub fn encode_shadow_response(report: &ShadowReport) -> Vec<u8> {
-    let name = report.name.as_bytes();
-    debug_assert!(name.len() <= u8::MAX as usize);
-    let mut out = Vec::with_capacity(29 + name.len());
-    out.push(STATUS_SHADOW);
-    out.push(u8::from(report.active));
-    out.push(name.len() as u8);
-    out.extend_from_slice(name);
-    out.extend_from_slice(&report.permille.to_le_bytes());
-    out.extend_from_slice(&report.mirrored.to_le_bytes());
-    out.extend_from_slice(&report.agree.to_le_bytes());
-    out.extend_from_slice(&report.disagree.to_le_bytes());
-    out
-}
-
-fn decode_shadow_body(body: &[u8]) -> io::Result<ShadowReport> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if body.len() < 3 {
-        return Err(bad("truncated SHADOW response"));
-    }
-    let active = body[1] != 0;
-    let name_len = body[2] as usize;
-    let fixed_at = 3 + name_len;
-    if body.len() != fixed_at + 2 + 24 {
-        return Err(bad("SHADOW response length mismatch"));
-    }
-    let name = std::str::from_utf8(&body[3..fixed_at])
-        .map_err(|_| bad("non-UTF-8 model name"))?
-        .to_string();
-    let permille = u16::from_le_bytes(body[fixed_at..fixed_at + 2].try_into().expect("sized"));
-    let at = fixed_at + 2;
-    let mirrored = u64::from_le_bytes(body[at..at + 8].try_into().expect("sized"));
-    let agree = u64::from_le_bytes(body[at + 8..at + 16].try_into().expect("sized"));
-    let disagree = u64::from_le_bytes(body[at + 16..at + 24].try_into().expect("sized"));
-    Ok(ShadowReport {
-        active,
-        name,
-        permille,
-        mirrored,
-        agree,
-        disagree,
-    })
-}
-
-/// Encodes an ERROR response body with a message.
-pub fn encode_error_response(msg: &str) -> Vec<u8> {
-    let bytes = msg.as_bytes();
-    let mut out = Vec::with_capacity(5 + bytes.len());
-    out.push(STATUS_ERROR);
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-    out
+/// Encodes an OK response body from logits, with their top-1 class
+/// (the argmax by `total_cmp`, the last index on ties).
+pub fn encode_ok_response(logits: &[f32]) -> Vec<u8> {
+    body(9 + 4 * logits.len(), |w| write_ok(w, top1(logits), logits))
 }
 
 /// Prepends the request id to a response body, producing the full wire
 /// payload.
 pub fn tag_response(id: u32, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    let mut w = Writer(Vec::with_capacity(4 + body.len()));
+    w.put(id);
+    w.0.extend_from_slice(body);
+    w.0
 }
 
 /// Decodes a response payload into its request id and response.
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] on an unknown status byte or a
-/// truncated body.
+/// [`io::ErrorKind::InvalidData`] naming the field at fault: an unknown
+/// status, a truncated field, non-UTF-8 model names, or trailing bytes.
 pub fn decode_response(payload: &[u8]) -> io::Result<(u32, InferResponse)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if payload.len() < 5 {
-        return Err(bad("truncated response"));
-    }
-    let id = u32::from_le_bytes(payload[..4].try_into().expect("sized"));
-    let body = &payload[4..];
-    let resp = match body[0] {
+    let mut r = Reader(payload);
+    let id = r.get("response id")?;
+    let resp = match r.get("status")? {
         STATUS_OK => {
-            if body.len() < 9 {
-                return Err(bad("truncated OK response"));
+            let top1 = r.get("top-1")?;
+            let n: u32 = r.get("logit count")?;
+            InferResponse::Ok {
+                top1,
+                logits: r.f32s("logits", n as usize)?,
             }
-            let top1 = u32::from_le_bytes(body[1..5].try_into().expect("sized"));
-            let n = u32::from_le_bytes(body[5..9].try_into().expect("sized")) as usize;
-            if body.len() != 9 + 4 * n {
-                return Err(bad("logit count mismatch"));
-            }
-            let logits = body[9..]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("sized")))
-                .collect();
-            InferResponse::Ok { top1, logits }
         }
         STATUS_OVERLOADED => InferResponse::Overloaded,
         STATUS_DRAINING => InferResponse::Draining,
         STATUS_RELOADED => InferResponse::Reloaded,
         STATUS_UNLOADED => InferResponse::Unloaded,
         STATUS_DEADLINE => InferResponse::DeadlineExceeded,
-        STATUS_LIST => InferResponse::ModelList(decode_list_body(body)?),
-        STATUS_SHADOW => InferResponse::Shadow(decode_shadow_body(body)?),
-        STATUS_ERROR => {
-            if body.len() < 5 {
-                return Err(bad("truncated ERROR response"));
-            }
-            let n = u32::from_le_bytes(body[1..5].try_into().expect("sized")) as usize;
-            if body.len() != 5 + n {
-                return Err(bad("message length mismatch"));
-            }
-            InferResponse::Error(String::from_utf8_lossy(&body[5..]).into_owned())
+        STATUS_LIST => {
+            let count: u16 = r.get("model count")?;
+            let models = (0..count)
+                .map(|_| {
+                    Ok(ModelEntry {
+                        name: r.name()?,
+                        resident: r.get::<u8>("resident flag")? != 0,
+                        bytes: r.get("model bytes")?,
+                        requests: r.get("request count")?,
+                    })
+                })
+                .collect::<io::Result<Vec<ModelEntry>>>()?;
+            InferResponse::ModelList(RegistrySnapshot {
+                models,
+                loads: r.get("load count")?,
+                evictions: r.get("eviction count")?,
+            })
         }
-        _ => return Err(bad("unknown response status")),
+        STATUS_SHADOW => InferResponse::Shadow(ShadowReport {
+            active: r.get::<u8>("active flag")? != 0,
+            name: r.name()?,
+            permille: r.get("permille")?,
+            mirrored: r.get("mirrored count")?,
+            agree: r.get("agree count")?,
+            disagree: r.get("disagree count")?,
+        }),
+        STATUS_ERROR => InferResponse::Error(
+            String::from_utf8_lossy(r.bytes::<u32>("error message")?).into_owned(),
+        ),
+        status => return Err(invalid(format!("unknown response status {status}"))),
     };
+    r.finish()?;
     Ok((id, resp))
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// A fixed-width little-endian wire field.
+trait Field: Sized {
+    const WIDTH: usize;
+    fn put(self, out: &mut Vec<u8>);
+    /// Reads the field from exactly `WIDTH` bytes.
+    fn get(bytes: &[u8]) -> Self;
+}
+
+macro_rules! field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("sized by the reader"))
+            }
+        }
+    )*};
+}
+field!(u8, u16, u32, u64, f32);
+
+/// A field that prefixes a length or a count.
+trait Len: Field + TryFrom<usize> + Into<u64> {}
+impl Len for u8 {}
+impl Len for u16 {}
+impl Len for u32 {}
+
+/// The one payload reader: every bounds, UTF-8, element-count and
+/// trailing-byte check lives here, and every error names its field.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    #[inline]
+    fn take(&mut self, field: &str, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(invalid(format!("truncated {field}")));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    fn get<T: Field>(&mut self, field: &str) -> io::Result<T> {
+        self.take(field, T::WIDTH).map(T::get)
+    }
+
+    /// Bytes behind a length prefix of type `L`.
+    fn bytes<L: Len>(&mut self, field: &str) -> io::Result<&'a [u8]> {
+        let n: u64 = self.get::<L>(field)?.into();
+        self.take(field, n as usize)
+    }
+
+    fn name(&mut self) -> io::Result<String> {
+        self.string::<u8>("model name")
+    }
+
+    fn string<L: Len>(&mut self, field: &str) -> io::Result<String> {
+        let bytes = self.bytes::<L>(field)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| invalid(format!("non-UTF-8 {field}")))
+    }
+
+    fn f32s(&mut self, field: &str, n: usize) -> io::Result<Vec<f32>> {
+        let len = n
+            .checked_mul(4)
+            .ok_or_else(|| invalid(format!("{field} count overflows")))?;
+        Ok(self
+            .take(field, len)?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("sized by the reader")))
+            .collect())
+    }
+
+    fn finish(&self) -> io::Result<()> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(invalid(format!("{n} trailing bytes"))),
+        }
+    }
+}
+
+/// The one payload writer; a length that overflows its prefix is
+/// refused, never truncated.
+struct Writer(Vec<u8>);
+
+impl Writer {
+    #[inline]
+    fn put<T: Field>(&mut self, v: T) -> &mut Self {
+        v.put(&mut self.0);
+        self
+    }
+
+    /// A length or count `n` in a field of type `L`.
+    fn len<L: Len>(&mut self, field: &str, n: usize) -> io::Result<&mut Self> {
+        let n = L::try_from(n).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{field}: length {n} does not fit its {}-byte prefix",
+                    L::WIDTH
+                ),
+            )
+        })?;
+        Ok(self.put(n))
+    }
+
+    fn name(&mut self, name: &str) -> io::Result<&mut Self> {
+        self.bytes::<u8>("model name", name.as_bytes())
+    }
+
+    /// `values` back to back, with no count (the caller writes it).
+    fn f32s(&mut self, values: &[f32]) -> &mut Self {
+        let start = self.0.len();
+        self.0.resize(start + 4 * values.len(), 0);
+        for (out, v) in self.0[start..].chunks_exact_mut(4).zip(values) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+        self
+    }
+
+    /// `bytes` behind a length prefix of type `L`.
+    fn bytes<L: Len>(&mut self, field: &str, bytes: &[u8]) -> io::Result<&mut Self> {
+        self.len::<L>(field, bytes.len())?;
+        self.0.extend_from_slice(bytes);
+        Ok(self)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn shadow(cmd: ShadowCmd) -> Request {
+        Request::Admin(AdminOp::Shadow(cmd))
+    }
 
     #[test]
     fn request_roundtrip_preserves_id_and_tensor_bits() {
@@ -844,7 +781,7 @@ mod tests {
             &[2, 3],
         )
         .unwrap();
-        let enc = encode_infer_request(0xdead_beef, &t);
+        let enc = encode_infer_request_with(0xdead_beef, "", &t, &InferOptions::default());
         let (id, meta, model, dec) = decode_infer_request(&enc).unwrap();
         assert_eq!(id, 0xdead_beef);
         assert_eq!(request_id(&enc), 0xdead_beef);
@@ -862,18 +799,18 @@ mod tests {
     #[test]
     fn named_model_request_roundtrips() {
         let t = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let enc = encode_infer_request_for(7, "tenant-a/vits-w4a8", &t);
+        let enc = encode_infer_request_with(7, "tenant-a/vits-w4a8", &t, &InferOptions::default());
         let (id, _meta, model, dec) = decode_infer_request(&enc).unwrap();
         assert_eq!(id, 7);
         assert_eq!(model, "tenant-a/vits-w4a8");
         assert_eq!(dec.data(), t.data());
         // A truncated name is rejected structurally.
-        let mut short = encode_infer_request_for(7, "model", &t);
+        let mut short = encode_infer_request_with(7, "model", &t, &InferOptions::default());
         short.truncate(14);
         assert!(decode_infer_request(&short).is_err());
         // Non-UTF-8 name bytes are rejected (an empty tenant puts the
         // name at byte 12: header 11 + name_len byte).
-        let mut bad = encode_infer_request_for(7, "ab", &t);
+        let mut bad = encode_infer_request_with(7, "ab", &t, &InferOptions::default());
         bad[12] = 0xff;
         bad[13] = 0xfe;
         assert!(decode_infer_request(&bad).is_err());
@@ -907,7 +844,7 @@ mod tests {
 
         // Class bytes beyond the two defined values are a structured
         // error, not a silent default.
-        let mut bad = encode_infer_request(1, &t);
+        let mut bad = encode_infer_request_with(1, "", &t, &InferOptions::default());
         bad[5] = 2;
         let err = decode_infer_request(&bad).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -935,24 +872,24 @@ mod tests {
             ShadowCmd::Abort,
             ShadowCmd::Status,
         ] {
-            let enc = encode_shadow_request(17, &cmd);
+            let request = Request::Admin(AdminOp::Shadow(cmd));
+            let enc = request.encode(17).unwrap();
             assert_eq!(request_id(&enc), 17);
-            assert_eq!(decode_shadow_request(&enc).unwrap(), (17, cmd));
+            assert_eq!(Request::decode(&enc).unwrap(), (17, request));
         }
-        assert!(decode_shadow_request(&[]).is_err());
-        assert!(decode_shadow_request(&[OP_SHADOW, 0, 0, 0, 0, 9]).is_err()); // unknown action
-        let mut extra = encode_shadow_request(1, &ShadowCmd::Promote);
+        assert!(Request::decode(&[]).is_err());
+        assert!(Request::decode(&[OP_SHADOW, 0, 0, 0, 0, 9]).is_err()); // unknown action
+        let mut extra = shadow(ShadowCmd::Promote).encode(1).unwrap();
         extra.push(0);
-        assert!(decode_shadow_request(&extra).is_err());
-        let mut short = encode_shadow_request(
-            1,
-            &ShadowCmd::Set {
-                name: "cand".into(),
-                permille: 250,
-            },
-        );
+        assert!(Request::decode(&extra).is_err());
+        let mut short = shadow(ShadowCmd::Set {
+            name: "cand".into(),
+            permille: 250,
+        })
+        .encode(1)
+        .unwrap();
         short.pop();
-        assert!(decode_shadow_request(&short).is_err());
+        assert!(Request::decode(&short).is_err());
 
         let report = ShadowReport {
             active: true,
@@ -962,35 +899,44 @@ mod tests {
             agree: 399,
             disagree: 1,
         };
-        match decode_response(&tag_response(8, &encode_shadow_response(&report))).unwrap() {
+        let encoded = InferResponse::Shadow(report.clone()).encode();
+        match decode_response(&tag_response(8, &encoded)).unwrap() {
             (8, InferResponse::Shadow(got)) => assert_eq!(got, report),
             other => panic!("{other:?}"),
         }
-        let mut body = encode_shadow_response(&report);
+        let mut body = encoded;
         body.pop();
         assert!(decode_response(&tag_response(8, &body)).is_err());
     }
 
     #[test]
     fn load_unload_list_requests_roundtrip_and_reject_malformed() {
-        let enc = encode_load_request(11, "b", "/tmp/b.quqm");
-        assert_eq!(
-            decode_load_request(&enc).unwrap(),
-            (11, "b".to_string(), "/tmp/b.quqm".to_string())
-        );
-        assert!(decode_load_request(&[]).is_err());
-        let mut short = encode_load_request(11, "b", "/tmp/b.quqm");
+        let load = Request::Admin(AdminOp::Load {
+            name: "b".into(),
+            path: "/tmp/b.quqm".into(),
+        });
+        let enc = load.encode(11).unwrap();
+        assert_eq!(Request::decode(&enc).unwrap(), (11, load.clone()));
+        assert!(Request::decode(&[]).is_err());
+        let mut short = load.encode(11).unwrap();
         short.pop();
-        assert!(decode_load_request(&short).is_err());
+        assert!(Request::decode(&short).is_err());
 
-        let enc = encode_unload_request(12, "b");
-        assert_eq!(decode_unload_request(&enc).unwrap(), (12, "b".to_string()));
-        let mut extra = encode_unload_request(12, "b");
+        let unload = Request::Admin(AdminOp::Unload { name: "b".into() });
+        let enc = unload.encode(12).unwrap();
+        assert_eq!(Request::decode(&enc).unwrap(), (12, unload.clone()));
+        let mut extra = unload.encode(12).unwrap();
         extra.push(0);
-        assert!(decode_unload_request(&extra).is_err());
+        assert!(Request::decode(&extra).is_err());
 
-        assert_eq!(encode_list_request(13), vec![OP_LIST, 13, 0, 0, 0]);
-        assert_eq!(request_id(&encode_list_request(13)), 13);
+        let list = Request::Admin(AdminOp::List);
+        assert_eq!(list.encode(13).unwrap(), vec![OP_LIST, 13, 0, 0, 0]);
+        assert_eq!(request_id(&list.encode(13).unwrap()), 13);
+        // LIST follows the same rules as every other kind: a frame too
+        // short for its id, or one with trailing bytes, is an error.
+        assert_eq!(request_id(&[OP_LIST]), 0);
+        assert!(Request::decode(&[OP_LIST]).is_err());
+        assert!(Request::decode(&[OP_LIST, 13, 0, 0, 0, 0]).is_err());
     }
 
     #[test]
@@ -1013,18 +959,28 @@ mod tests {
             loads: 3,
             evictions: 1,
         };
-        match decode_response(&tag_response(5, &encode_list_response(&snap))).unwrap() {
+        match decode_response(&tag_response(
+            5,
+            &InferResponse::ModelList(snap.clone()).encode(),
+        ))
+        .unwrap()
+        {
             (5, InferResponse::ModelList(got)) => assert_eq!(got, snap),
             other => panic!("{other:?}"),
         }
         // Empty registry is representable.
         let empty = RegistrySnapshot::default();
-        match decode_response(&tag_response(6, &encode_list_response(&empty))).unwrap() {
+        match decode_response(&tag_response(
+            6,
+            &InferResponse::ModelList(empty.clone()).encode(),
+        ))
+        .unwrap()
+        {
             (6, InferResponse::ModelList(got)) => assert_eq!(got, empty),
             other => panic!("{other:?}"),
         }
         // Truncated LIST bodies are rejected, not mis-read.
-        let mut body = encode_list_response(&snap);
+        let mut body = InferResponse::ModelList(snap).encode();
         body.pop();
         assert!(decode_response(&tag_response(5, &body)).is_err());
     }
@@ -1046,13 +1002,18 @@ mod tests {
             (STATUS_UNLOADED, InferResponse::Unloaded),
             (STATUS_DEADLINE, InferResponse::DeadlineExceeded),
         ] {
+            assert_eq!(want.encode(), vec![status]);
             assert_eq!(
-                decode_response(&tag_response(7, &encode_status_response(status))).unwrap(),
+                decode_response(&tag_response(7, &want.encode())).unwrap(),
                 (7, want)
             );
         }
         assert_eq!(
-            decode_response(&tag_response(1, &encode_error_response("boom"))).unwrap(),
+            decode_response(&tag_response(
+                1,
+                &InferResponse::Error("boom".into()).encode()
+            ))
+            .unwrap(),
             (1, InferResponse::Error("boom".into()))
         );
     }
@@ -1086,7 +1047,8 @@ mod tests {
     fn malformed_requests_are_rejected() {
         assert!(decode_infer_request(&[]).is_err());
         assert!(decode_infer_request(&[9, 0, 0, 0, 0, 0]).is_err()); // bad opcode
-        let mut short = encode_infer_request(1, &Tensor::from_vec(vec![1.0; 6], &[2, 3]).unwrap());
+        let image = Tensor::from_vec(vec![1.0; 6], &[2, 3]).unwrap();
+        let mut short = encode_infer_request_with(1, "", &image, &InferOptions::default());
         short.pop();
         assert!(decode_infer_request(&short).is_err());
     }
@@ -1118,5 +1080,175 @@ mod tests {
         assert!(decode_infer_request(&payload).is_err());
         let payload = vec![OP_INFER, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 1];
         assert!(decode_infer_request(&payload).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One frame of every request kind, byte for byte as version 4 lays
+    /// it out.
+    const GOLDEN_REQUESTS: [(&str, &str); 8] = [
+        (
+            "infer",
+            "01040302010190d003000174016d0201000000020000000000c03f000000c0",
+        ),
+        ("load", "030b00000001620b002f746d702f622e7175716d"),
+        ("unload", "040c0000000162"),
+        ("list", "050d000000"),
+        ("shadow set", "060e000000000463616e64fa00"),
+        ("shadow promote", "060f00000001"),
+        ("shadow abort", "061000000002"),
+        ("shadow status", "061100000003"),
+    ];
+
+    /// One frame of every response status, tagged with id 9, byte for
+    /// byte as version 4 lays it out.
+    const GOLDEN_RESPONSES: [(&str, &str); 9] = [
+        ("ok", "09000000000100000003000000cdcccc3d00002040000040c0"),
+        ("overloaded", "0900000001"),
+        ("error", "090000000204000000626f6f6d"),
+        ("draining", "0900000003"),
+        ("reloaded", "0900000004"),
+        (
+            "list",
+            "090000000502000764656661756c740140e20100000000002a00000000000000016200070000\
+             0000000000000000000000000003000000000000000100000000000000",
+        ),
+        ("unloaded", "0900000006"),
+        ("deadline", "0900000007"),
+        (
+            "shadow",
+            "0900000008010463616e64fa0090010000000000008f010000000000000100000000000000",
+        ),
+    ];
+
+    fn golden_requests() -> Vec<Request> {
+        let image = Tensor::from_vec(vec![1.5, -2.0], &[1, 2]).unwrap();
+        let opts = InferOptions {
+            class: Class::Batch,
+            deadline: Some(std::time::Duration::from_millis(250)),
+            tenant: "t".into(),
+        };
+        let infer = encode_infer_request_with(0x0102_0304, "m", &image, &opts);
+        vec![
+            Request::decode(&infer).unwrap().1,
+            Request::Admin(AdminOp::Load {
+                name: "b".into(),
+                path: "/tmp/b.quqm".into(),
+            }),
+            Request::Admin(AdminOp::Unload { name: "b".into() }),
+            Request::Admin(AdminOp::List),
+            shadow(ShadowCmd::Set {
+                name: "cand".into(),
+                permille: 250,
+            }),
+            shadow(ShadowCmd::Promote),
+            shadow(ShadowCmd::Abort),
+            shadow(ShadowCmd::Status),
+        ]
+    }
+
+    fn golden_responses() -> Vec<InferResponse> {
+        let ok = decode_response(&tag_response(9, &encode_ok_response(&[0.1, 2.5, -3.0])));
+        vec![
+            ok.unwrap().1,
+            InferResponse::Overloaded,
+            InferResponse::Error("boom".into()),
+            InferResponse::Draining,
+            InferResponse::Reloaded,
+            InferResponse::ModelList(RegistrySnapshot {
+                models: vec![
+                    ModelEntry {
+                        name: "default".into(),
+                        resident: true,
+                        bytes: 123_456,
+                        requests: 42,
+                    },
+                    ModelEntry {
+                        name: "b".into(),
+                        resident: false,
+                        bytes: 7,
+                        requests: 0,
+                    },
+                ],
+                loads: 3,
+                evictions: 1,
+            }),
+            InferResponse::Unloaded,
+            InferResponse::DeadlineExceeded,
+            InferResponse::Shadow(ShadowReport {
+                active: true,
+                name: "cand".into(),
+                permille: 250,
+                mirrored: 400,
+                agree: 399,
+                disagree: 1,
+            }),
+        ]
+    }
+
+    /// Every strict prefix of `frame`, and `frame` plus one byte, must be
+    /// refused as `InvalidData` (a panic fails the test).
+    fn assert_every_mutation_rejected<T: std::fmt::Debug>(
+        what: &str,
+        frame: &[u8],
+        decode: impl Fn(&[u8]) -> io::Result<T>,
+    ) {
+        for cut in 0..frame.len() {
+            match decode(&frame[..cut]) {
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what} cut at {cut}"),
+                Ok(got) => panic!("{what} cut at {cut} decoded as {got:?}"),
+            }
+        }
+        let mut longer = frame.to_vec();
+        longer.push(0);
+        match decode(&longer) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what} plus a byte"),
+            Ok(got) => panic!("{what} plus a byte decoded as {got:?}"),
+        }
+    }
+
+    #[test]
+    fn golden_frames_are_pinned_and_every_mutation_is_rejected() {
+        let ids = [0x0102_0304, 11, 12, 13, 14, 15, 16, 17];
+        for (((what, golden), request), id) in
+            GOLDEN_REQUESTS.iter().zip(golden_requests()).zip(ids)
+        {
+            let frame = request.encode(id).unwrap();
+            assert_eq!(hex(&frame), *golden, "{what} request bytes moved");
+            assert_eq!(Request::decode(&frame).unwrap(), (id, request));
+            assert_every_mutation_rejected(what, &frame, Request::decode);
+        }
+        for ((what, golden), response) in GOLDEN_RESPONSES.iter().zip(golden_responses()) {
+            let frame = tag_response(9, &response.encode());
+            assert_eq!(hex(&frame), *golden, "{what} response bytes moved");
+            assert_eq!(decode_response(&frame).unwrap(), (9, response));
+            assert_every_mutation_rejected(what, &frame, decode_response);
+        }
+    }
+
+    #[test]
+    fn the_writer_refuses_fields_longer_than_their_prefix() {
+        let long_path = Request::Admin(AdminOp::Load {
+            name: "b".into(),
+            path: "p".repeat(70_000),
+        });
+        let err = long_path.encode(1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("path"), "{err}");
+        let long_name = Request::Admin(AdminOp::Unload {
+            name: "n".repeat(256),
+        });
+        assert!(long_name.encode(1).is_err());
+        // A response that cannot carry its field says so in an ERROR.
+        let report = ShadowReport {
+            name: "n".repeat(256),
+            ..ShadowReport::default()
+        };
+        match decode_response(&tag_response(1, &InferResponse::Shadow(report).encode())) {
+            Ok((1, InferResponse::Error(msg))) => assert!(msg.contains("model name"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 }

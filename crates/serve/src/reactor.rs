@@ -1,15 +1,9 @@
 //! The readiness-driven event-loop front end: one (or a few) reactor
 //! threads own *all* client sockets behind an epoll [`Poller`].
 //!
-//! ## Why framing is stateful
-//!
 //! Every connection owns a [`FrameDecoder`](crate::framing::FrameDecoder)
-//! that *retains* partial bytes across readiness events — "no bytes right
-//! now" is simply the absence of an event, never an error that can shear
-//! a frame. A stateless reader that gives up mid-frame on a timeout drops
-//! the bytes it already consumed and parses every later frame from
-//! mid-stream garbage (see [`crate::framing`]); here that desync cannot
-//! happen by construction, whatever the timeouts.
+//! that keeps partial bytes across readiness events, so no timeout can
+//! shear a frame (see [`crate::framing`]).
 //!
 //! ## Shape
 //!
@@ -22,14 +16,16 @@
 //!                 └────────────────────────────────────────────┘
 //! ```
 //!
-//! Requests are tagged with a per-request id
-//! ([`crate::protocol::PROTOCOL_VERSION`] 4), so one connection may keep
-//! many requests in flight and receive responses out of order — whichever
-//! micro-batch finishes first replies first. Decoded requests enter the
-//! bounded SLO-aware [`Scheduler`](crate::sched::Scheduler): admission
-//! control (shed with `OVERLOADED`, or displace a lower-standing queued
-//! request), class/tenant-fair micro-batching, drain on shutdown, and the
-//! `LOAD`/`UNLOAD`/`LIST`/`SHADOW` admin paths.
+//! Each frame is decoded once, by
+//! [`Request::decode`](crate::protocol::Request::decode). Requests carry
+//! an id, so one connection may keep many in flight and receive responses
+//! out of order — whichever micro-batch finishes first replies first.
+//! INFER requests enter the bounded SLO-aware
+//! [`Scheduler`](crate::sched::Scheduler): admission control (shed with
+//! `OVERLOADED`, or displace a lower-standing queued request),
+//! class/tenant-fair micro-batching, drain on shutdown. Admin requests run
+//! through the one admin executor the in-process
+//! [`Server::admin`](crate::Server::admin) also runs.
 //!
 //! ## Write-backlog backpressure
 //!
@@ -50,24 +46,19 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use quq_obs::SiteKey;
 
+use crate::error::ServeError;
 use crate::framing::{FrameDecoder, WriteBuf};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::protocol::{
-    decode_infer_request, decode_load_request, decode_shadow_request, decode_unload_request,
-    encode_error_response, encode_list_response, encode_status_response, request_id, tag_response,
-    OP_INFER, OP_LIST, OP_LOAD, OP_SHADOW, OP_UNLOAD, STATUS_DRAINING, STATUS_OVERLOADED,
-    STATUS_RELOADED, STATUS_UNLOADED,
-};
+use crate::protocol::{request_id, tag_response, AdminOp, InferResponse, Request};
 use crate::registry::{resolve_name, Admit};
 use crate::sched::PushError;
-use crate::server::{answer_displaced, flow_label, shadow_command, Job, Reply, Shared};
+use crate::server::{admin, answer_displaced, check_shape, flow_label, Job, Reply, Shared};
 
 /// Metrics site for LOAD, which runs on a side thread rather than a
 /// backend worker.
@@ -158,6 +149,12 @@ impl Conn {
             close_after_flush: false,
             paused: false,
         }
+    }
+
+    /// Queues `response` for request `id`.
+    fn reply(&mut self, id: u32, response: &InferResponse) {
+        self.out
+            .enqueue_frame(&tag_response(id, &response.encode()));
     }
 }
 
@@ -549,11 +546,11 @@ impl Reactor {
     }
 }
 
-/// Dispatches one decoded frame on `conn`: admission for INFER, a
-/// side-thread for LOAD (artifact loads must never stall the reactor),
-/// inline answers for UNLOAD/LIST/SHADOW, structured errors for
-/// everything else. All replies are id-tagged; failure to decode an id
-/// tags with 0.
+/// Dispatches one frame on `conn`. The frame is decoded once; a frame
+/// that does not decode is answered ERROR here, tagged with its id (0 if
+/// it has none). INFER goes to admission, LOAD to a side thread (artifact
+/// loads must never stall the reactor), and the other admin operations
+/// are answered inline. Every reply is tagged with the request's id.
 fn handle_frame(
     shared: &Arc<Shared>,
     comp: &CompletionSender,
@@ -561,42 +558,28 @@ fn handle_frame(
     conn: &mut Conn,
     frame: &[u8],
 ) {
-    match frame.first() {
-        Some(&OP_INFER) => {
-            let t0 = Instant::now();
-            let (id, meta, model, image) = match decode_infer_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
+    let t0 = Instant::now();
+    let (id, request) = match Request::decode(frame) {
+        Ok(decoded) => decoded,
+        Err(e) => return conn.reply(request_id(frame), &InferResponse::Error(e.to_string())),
+    };
+    match request {
+        Request::Infer { meta, model, image } => {
             let name = resolve_name(&model);
-            let site: &'static str = match shared.registry.admit(name) {
-                Admit::Unknown => {
-                    let msg = format!("unknown model {name:?}");
-                    conn.out
-                        .enqueue_frame(&tag_response(id, &encode_error_response(&msg)));
-                    return;
-                }
+            let site = match shared.registry.admit(name) {
+                Admit::Unknown => Err(ServeError::UnknownModel(name.to_string())),
+                // Validate the shape up front so one malformed request
+                // can never fail a whole batch inside the worker.
                 Admit::Resident(state) => {
-                    // Validate the shape up front so one malformed request
-                    // can never fail a whole batch inside the worker.
-                    let cfg = state.model.config();
-                    let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
-                    if image.shape() != want {
-                        let msg = format!("expected image shape {want:?}, got {:?}", image.shape());
-                        conn.out
-                            .enqueue_frame(&tag_response(id, &encode_error_response(&msg)));
-                        return;
-                    }
-                    state.provider.name()
+                    check_shape(&state, &image).map(|()| state.provider.name())
                 }
                 // Evicted model: a worker lazily reloads it and validates
                 // the shape there.
-                Admit::Cold => "cold-start",
+                Admit::Cold => Ok("cold-start"),
+            };
+            let site = match site {
+                Ok(site) => site,
+                Err(e) => return conn.reply(id, &e.into()),
             };
             let flow = flow_label(meta.class, &meta.tenant);
             let deadline = (meta.deadline_us > 0)
@@ -628,42 +611,16 @@ fn handle_frame(
                     // not ALSO answer as it drops.
                     job.reply.forget();
                     quq_obs::add("serve.shed", 1);
-                    conn.out.enqueue_frame(&tag_response(
-                        id,
-                        &encode_status_response(STATUS_OVERLOADED),
-                    ));
+                    conn.reply(id, &InferResponse::Overloaded);
                 }
                 Err(PushError::Draining(job)) => {
                     job.reply.forget();
-                    conn.out
-                        .enqueue_frame(&tag_response(id, &encode_status_response(STATUS_DRAINING)));
+                    conn.reply(id, &InferResponse::Draining);
                     conn.close_after_flush = true;
                 }
             }
         }
-        Some(&OP_SHADOW) => {
-            // All SHADOW actions are cheap (registry metadata + counter
-            // reads; PROMOTE copies one registry entry): answer inline.
-            let body = match decode_shadow_request(frame) {
-                Ok((_, cmd)) => {
-                    shadow_command(shared, cmd).unwrap_or_else(|msg| encode_error_response(&msg))
-                }
-                Err(e) => encode_error_response(&e.to_string()),
-            };
-            conn.out
-                .enqueue_frame(&tag_response(request_id(frame), &body));
-        }
-        Some(&OP_LOAD) => {
-            let t0 = Instant::now();
-            let (id, name, path) = match decode_load_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
+        Request::Admin(op @ AdminOp::Load { .. }) => {
             // The artifact open/verify/load can take tens of milliseconds
             // (or seconds for a big model) — never stall the reactor for
             // it. A one-off thread does the load and swap, then answers
@@ -677,53 +634,17 @@ fn handle_frame(
             std::thread::Builder::new()
                 .name("quq-serve-load".into())
                 .spawn(move || {
-                    let backend = shared.registry.default_backend();
-                    let body =
-                        match shared
-                            .registry
-                            .load(resolve_name(&name), Path::new(&path), &backend)
-                        {
-                            Ok(()) => encode_status_response(STATUS_RELOADED),
-                            Err(msg) => encode_error_response(&msg),
-                        };
-                    comp.send(Completion {
-                        token,
-                        id,
-                        body,
-                        t0,
-                        site: ADMIN_SITE,
-                        flow: String::new(),
-                    });
+                    // Built first, so a load that panics still answers.
+                    let reply = Reply::new(comp, token, id, t0, ADMIN_SITE, String::new());
+                    let response = admin(&shared, op).unwrap_or_else(InferResponse::from);
+                    reply.send(response.encode());
                 })
                 .expect("spawn load thread");
         }
-        Some(&OP_UNLOAD) => {
-            let (id, name) = match decode_unload_request(frame) {
-                Ok(p) => p,
-                Err(e) => {
-                    let body = encode_error_response(&e.to_string());
-                    conn.out
-                        .enqueue_frame(&tag_response(request_id(frame), &body));
-                    return;
-                }
-            };
-            let body = if shared.registry.unload(resolve_name(&name)) {
-                encode_status_response(STATUS_UNLOADED)
-            } else {
-                encode_error_response(&format!("unknown model {name:?}"))
-            };
-            conn.out.enqueue_frame(&tag_response(id, &body));
-        }
-        Some(&OP_LIST) => {
-            let body = encode_list_response(&shared.registry.snapshot());
-            conn.out
-                .enqueue_frame(&tag_response(request_id(frame), &body));
-        }
-        _ => {
-            conn.out.enqueue_frame(&tag_response(
-                request_id(frame),
-                &encode_error_response("unknown opcode"),
-            ));
+        // UNLOAD, LIST and SHADOW touch registry metadata and counters
+        // only (PROMOTE copies one registry entry): answered inline.
+        Request::Admin(op) => {
+            conn.reply(id, &admin(shared, op).unwrap_or_else(InferResponse::from))
         }
     }
 }

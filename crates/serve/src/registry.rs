@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use quq_obs::SiteKey;
 use quq_vit::VitModel;
 
+use crate::error::ServeError;
 use crate::protocol::{ModelEntry, RegistrySnapshot};
 use crate::server::{artifact_state, ModelState};
 
@@ -104,7 +105,8 @@ impl Registry {
     }
 
     /// Registers `name` with an already-built state (no artifact source
-    /// unless `source` is given). Replaces any existing entry.
+    /// unless `source` is given), replacing any existing entry under that
+    /// name but keeping its request counter.
     pub(crate) fn register_state(
         &self,
         name: &str,
@@ -119,6 +121,7 @@ impl Registry {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
+        let requests = inner.entries.get(name).map_or(0, |e| e.requests);
         inner.entries.insert(
             name.to_string(),
             Entry {
@@ -126,7 +129,7 @@ impl Registry {
                 resident: Some(state),
                 bytes,
                 last_used: tick,
-                requests: 0,
+                requests,
                 loading: Arc::new(Mutex::new(())),
             },
         );
@@ -159,31 +162,21 @@ impl Registry {
     /// replacing any existing entry under that name but keeping its
     /// request counter — so a LOAD of [`DEFAULT_MODEL`] is a hot swap of
     /// the default. The entry becomes evictable (it now has a source).
-    pub(crate) fn load(&self, name: &str, path: &Path, backend: &str) -> Result<(), String> {
-        let state = artifact_state(path, backend)
-            .map_err(|e| format!("load of model {name:?} from {path:?} failed: {e}"))?;
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        let mut inner = self.lock();
-        inner.tick += 1;
-        inner.loads += 1;
+    /// A name longer than the 255 bytes the wire can carry is refused, so
+    /// every name a LIST or SHADOW reply sends fits its field.
+    pub(crate) fn load(&self, name: &str, path: &Path, backend: &str) -> Result<(), ServeError> {
+        if name.len() > usize::from(u8::MAX) {
+            return Err(ServeError::NameTooLong(name.len()));
+        }
+        let state = artifact_state(path, backend).map_err(|source| ServeError::Load {
+            name: name.to_string(),
+            path: path.to_path_buf(),
+            lazy: false,
+            source,
+        })?;
+        self.lock().loads += 1;
         quq_obs::add("registry.loads", 1);
-        let tick = inner.tick;
-        let requests = inner.entries.get(name).map_or(0, |e| e.requests);
-        inner.entries.insert(
-            name.to_string(),
-            Entry {
-                source: Some(ModelSource {
-                    path: path.to_path_buf(),
-                    backend: backend.to_string(),
-                }),
-                resident: Some(Arc::new(state)),
-                bytes,
-                last_used: tick,
-                requests,
-                loading: Arc::new(Mutex::new(())),
-            },
-        );
-        self.evict_locked(&mut inner, name);
+        self.register_state(name, Arc::new(state), Some(path.to_path_buf()));
         Ok(())
     }
 
@@ -207,7 +200,7 @@ impl Registry {
     /// keeping the default entry's request counter (as [`Registry::load`]
     /// does). The candidate entry itself stays
     /// registered under its own name. Used by shadow/canary promotion.
-    pub(crate) fn promote(&self, name: &str) -> Result<(), String> {
+    pub(crate) fn promote(&self, name: &str) -> Result<(), ServeError> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -215,11 +208,9 @@ impl Registry {
             let e = inner
                 .entries
                 .get(name)
-                .ok_or_else(|| format!("unknown model {name:?}"))?;
+                .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
             if e.resident.is_none() && e.source.is_none() {
-                return Err(format!(
-                    "model {name:?} has neither a resident state nor an artifact source"
-                ));
+                return Err(ServeError::NoArtifact(name.to_string()));
             }
             (
                 e.source.clone(),
@@ -280,7 +271,7 @@ impl Registry {
     /// artifact if it was evicted. This is the worker-side call: the
     /// artifact open happens on the calling thread, serialized per entry,
     /// never under the registry lock.
-    pub(crate) fn get(&self, name: &str) -> Result<Arc<ModelState>, String> {
+    pub(crate) fn get(&self, name: &str) -> Result<Arc<ModelState>, ServeError> {
         let (loading, source) = {
             let mut inner = self.lock();
             inner.tick += 1;
@@ -288,14 +279,15 @@ impl Registry {
             let e = inner
                 .entries
                 .get_mut(name)
-                .ok_or_else(|| format!("unknown model {name:?}"))?;
+                .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
             e.last_used = tick;
             if let Some(state) = &e.resident {
                 return Ok(Arc::clone(state));
             }
-            let source = e.source.clone().ok_or_else(|| {
-                format!("model {name:?} was evicted and has no artifact to reload from")
-            })?;
+            let source = e
+                .source
+                .clone()
+                .ok_or_else(|| ServeError::NoArtifact(name.to_string()))?;
             (Arc::clone(&e.loading), source)
         };
 
@@ -310,12 +302,13 @@ impl Registry {
         {
             return Ok(state);
         }
-        let state = artifact_state(&source.path, &source.backend).map_err(|e| {
-            format!(
-                "lazy reload of model {name:?} from {:?} failed: {e}",
-                source.path
-            )
-        })?;
+        let state =
+            artifact_state(&source.path, &source.backend).map_err(|e| ServeError::Load {
+                name: name.to_string(),
+                path: source.path.clone(),
+                lazy: true,
+                source: e,
+            })?;
         let bytes = std::fs::metadata(&source.path)
             .map(|m| m.len())
             .unwrap_or(0);

@@ -48,8 +48,8 @@
 //! queued deadline: the batch ships at `deadline − deadline_slack`, so
 //! the request still makes it through compute. A request whose deadline
 //! has *already* passed at pickup is returned in [`Batch::expired`]
-//! instead of [`Batch::jobs`]; the worker answers it with
-//! `STATUS_DEADLINE` and spends no compute on it.
+//! instead of [`Batch::jobs`]; the worker answers it with a DEADLINE
+//! reply and spends no compute on it.
 //!
 //! ## Observability
 //!
@@ -152,7 +152,7 @@ pub struct Batch<T> {
     /// Requests to compute, in dequeue (class-then-DRR) order.
     pub jobs: Vec<Admitted<T>>,
     /// Requests whose deadline had already passed at pickup: answer with
-    /// `STATUS_DEADLINE`, spend no compute.
+    /// DEADLINE, spend no compute.
     pub expired: Vec<Admitted<T>>,
 }
 

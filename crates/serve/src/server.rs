@@ -1,27 +1,15 @@
 //! The TCP inference server: the event-loop front end, the worker shard
 //! that runs batched forwards, and the shared model state with hot reload.
 //!
-//! ## Data flow
-//!
-//! ```text
-//! clients ══╗  epoll   ┌ FrameDecoder ┐ push  ┌───────────┐ next_batch
-//!  (many) ══╬═▶ reactor│ per-conn     ├──────▶│ Scheduler │────▶ workers
-//!           ║          └ WriteBuf ◀───┘       └───────────┘ forward_batch
-//!  responses╚══════════════▲ id-tagged completions ◀─────────────┘
-//! ```
-//!
-//! One or a few `reactor` threads own every socket;
-//! requests carry a `u32` id so a connection can pipeline many and take
-//! responses out of order. Workers pull micro-batches from the bounded
-//! SLO-aware [`Scheduler`] — interactive ahead
-//! of batch, deficit-round-robin across tenants, deadline-aware flushing;
-//! see the [`crate::sched`] docs — and run [`VitModel::forward_batch`] on
-//! a backend built per batch by the shared [`BackendProvider`] (integer
-//! workers share one [`WeightQubCache`]
+//! Reactor threads (`reactor`) own every socket and decode each frame
+//! once; workers pull micro-batches from the bounded SLO-aware
+//! [`Scheduler`] (see [`crate::sched`]) and run
+//! [`VitModel::forward_batch`] on a backend built per batch by the shared
+//! [`BackendProvider`] (integer workers share one [`WeightQubCache`]
 //! through their provider). Because `forward_batch` is bit-identical to
-//! per-image `forward`, a client observes the same logits regardless of
-//! which requests it was batched with — or in which order the responses
-//! came back.
+//! per-image `forward`, a client observes the same logits whichever
+//! requests it was batched with, and in whatever order the responses
+//! come back. DESIGN.md's "Serving" section draws the whole path.
 //!
 //! ## Shadow/canary routing
 //!
@@ -30,7 +18,7 @@
 //! the primary replies are sent, and top-1 agreement is tallied
 //! (`shadow.mirrored/agree/disagree`). The primary path is untouched —
 //! same batches, same bit-exact logits — so a canary can soak under real
-//! traffic before [`Server::promote_shadow`] (or the wire SHADOW PROMOTE)
+//! traffic before a SHADOW PROMOTE ([`Server::admin`] or the wire)
 //! atomically makes it the default.
 //!
 //! ## Backpressure
@@ -65,12 +53,10 @@ use quq_core::pipeline::PtqTables;
 use quq_obs::SiteKey;
 use quq_store::{Artifact, StoreError};
 use quq_tensor::Tensor;
-use quq_vit::{Backend, Fp32Backend, Observed, VitModel};
+use quq_vit::{Backend, BackendError, Fp32Backend, Observed, VitModel};
 
-use crate::protocol::{
-    encode_error_response, encode_ok_response, encode_shadow_response, encode_status_response,
-    RegistrySnapshot, ShadowCmd, ShadowReport, STATUS_DEADLINE, STATUS_OVERLOADED,
-};
+use crate::error::ServeError;
+use crate::protocol::{encode_ok_response, top1, AdminOp, InferResponse, ShadowCmd, ShadowReport};
 use crate::reactor::{Completion, CompletionSender, Reactor, ReactorHandle};
 use crate::registry::{resolve_name, Registry, DEFAULT_MODEL};
 use crate::sched::{SchedConfig, Scheduler};
@@ -262,7 +248,7 @@ impl Reply {
 impl Drop for Reply {
     fn drop(&mut self) {
         if self.pending.is_some() {
-            self.dispatch(encode_error_response("worker dropped the request"));
+            self.dispatch(InferResponse::Error("worker dropped the request".into()).encode());
         }
     }
 }
@@ -366,13 +352,9 @@ impl Shadow {
         self.disagree.store(0, Ordering::Relaxed);
     }
 
-    /// Disarms shadowing; returns whether it was armed.
-    fn disarm(&self) -> bool {
-        self.cfg
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .is_some()
+    /// Disarms shadowing.
+    fn disarm(&self) {
+        *self.cfg.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// One deterministic mirror decision: `true` when the accumulated
@@ -535,25 +517,15 @@ impl Server {
         self.shared.queue.len()
     }
 
-    /// Registers and loads model `name` from the QUQM artifact at `path`,
-    /// using the default model's backend family. The in-process
-    /// counterpart of the wire LOAD request.
+    /// Runs one admin operation in process, exactly as the wire LOAD,
+    /// UNLOAD, LIST and SHADOW requests run it, and returns the response
+    /// they would carry.
     ///
     /// # Errors
     ///
-    /// Returns the load error message if the artifact cannot be opened or
-    /// restored.
-    pub fn load_model(&self, name: &str, path: &Path) -> Result<(), String> {
-        let backend = self.shared.registry.default_backend();
-        self.shared
-            .registry
-            .load(resolve_name(name), path, &backend)
-    }
-
-    /// Drops model `name` from the registry. Returns `false` if no such
-    /// model was registered.
-    pub fn unload_model(&self, name: &str) -> bool {
-        self.shared.registry.unload(resolve_name(name))
+    /// The [`ServeError`] a wire client would receive as ERROR.
+    pub fn admin(&self, op: AdminOp) -> Result<InferResponse, ServeError> {
+        admin(&self.shared, op)
     }
 
     /// Attaches an artifact source to the default model, making it
@@ -561,61 +533,6 @@ impl Server {
     /// [`Server::start_with_state`] when the state came from an artifact.
     pub fn set_default_source(&self, path: &Path) {
         self.shared.registry.set_source(DEFAULT_MODEL, path);
-    }
-
-    /// Point-in-time snapshot of the model registry.
-    pub fn registry_snapshot(&self) -> RegistrySnapshot {
-        self.shared.registry.snapshot()
-    }
-
-    /// Starts mirroring `fraction` (0.0..=1.0) of default-model traffic
-    /// to the registered candidate `name`, comparing top-1 results. The
-    /// in-process counterpart of the wire SHADOW SET.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an unknown candidate, the default model itself, or a
-    /// fraction outside `[0, 1]`.
-    pub fn set_shadow(&self, name: &str, fraction: f64) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&fraction) {
-            return Err(format!("shadow fraction {fraction} outside [0, 1]"));
-        }
-        let permille = (fraction * 1000.0).round() as u16;
-        match shadow_command(
-            &self.shared,
-            ShadowCmd::Set {
-                name: name.to_string(),
-                permille,
-            },
-        ) {
-            Ok(_) => Ok(()),
-            Err(msg) => Err(msg),
-        }
-    }
-
-    /// The current shadow-routing report (candidate, mirror fraction,
-    /// agreement tallies).
-    pub fn shadow_report(&self) -> ShadowReport {
-        self.shared.shadow.report()
-    }
-
-    /// Promotes the shadow candidate to default model and stops
-    /// mirroring. The in-process counterpart of SHADOW PROMOTE.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no shadow is configured or the candidate can no longer
-    /// be resolved.
-    pub fn promote_shadow(&self) -> Result<(), String> {
-        shadow_command(&self.shared, ShadowCmd::Promote).map(|_| ())
-    }
-
-    /// Stops mirroring without touching the default model; returns
-    /// whether a shadow was active. The counterpart of SHADOW ABORT.
-    pub fn abort_shadow(&self) -> bool {
-        let was = self.shared.shadow.target().is_some();
-        let _ = shadow_command(&self.shared, ShadowCmd::Abort);
-        was
     }
 
     /// Times any connection's reads were paused at the write-backlog
@@ -657,46 +574,77 @@ impl Server {
     }
 }
 
-/// Executes one SHADOW admin command against the shared state; shared by
-/// the reactor and the in-process [`Server`] methods. `Ok` carries the
-/// SHADOW response body (the post-command report); `Err` the message for
-/// an ERROR response.
-pub(crate) fn shadow_command(shared: &Shared, cmd: ShadowCmd) -> Result<Vec<u8>, String> {
-    match cmd {
-        ShadowCmd::Set { name, permille } => {
-            let name = resolve_name(&name).to_string();
-            if name == DEFAULT_MODEL {
-                return Err("cannot shadow the default model onto itself".into());
-            }
-            if permille > 1000 {
-                return Err(format!("shadow permille {permille} exceeds 1000"));
-            }
-            if !shared
+/// Runs one admin operation against the shared state: the one place
+/// LOAD, UNLOAD, LIST and SHADOW are carried out, for the reactor and for
+/// [`Server::admin`] alike. `Ok` is the response to send.
+pub(crate) fn admin(shared: &Shared, op: AdminOp) -> Result<InferResponse, ServeError> {
+    match op {
+        AdminOp::Load { name, path } => {
+            let backend = shared.registry.default_backend();
+            shared
                 .registry
-                .snapshot()
-                .models
-                .iter()
-                .any(|m| m.name == name)
-            {
-                return Err(format!("unknown shadow candidate {name:?}"));
+                .load(resolve_name(&name), Path::new(&path), &backend)?;
+            Ok(InferResponse::Reloaded)
+        }
+        AdminOp::Unload { name } => {
+            let name = resolve_name(&name);
+            if shared.registry.unload(name) {
+                Ok(InferResponse::Unloaded)
+            } else {
+                Err(ServeError::UnknownModel(name.to_string()))
             }
-            shared.shadow.arm(name, permille);
         }
-        ShadowCmd::Promote => {
-            let (name, _) = shared
-                .shadow
-                .target()
-                .ok_or_else(|| "no shadow candidate configured".to_string())?;
-            shared.registry.promote(&name)?;
-            shared.shadow.disarm();
-            quq_obs::add("shadow.promotions", 1);
+        AdminOp::List => Ok(InferResponse::ModelList(shared.registry.snapshot())),
+        AdminOp::Shadow(cmd) => {
+            match cmd {
+                ShadowCmd::Set { name, permille } => {
+                    let name = resolve_name(&name).to_string();
+                    if name == DEFAULT_MODEL {
+                        return Err(ServeError::ShadowOfDefault);
+                    }
+                    if permille > 1000 {
+                        return Err(ServeError::ShadowPermille(permille));
+                    }
+                    if !shared
+                        .registry
+                        .snapshot()
+                        .models
+                        .iter()
+                        .any(|m| m.name == name)
+                    {
+                        return Err(ServeError::UnknownCandidate(name));
+                    }
+                    shared.shadow.arm(name, permille);
+                }
+                ShadowCmd::Promote => {
+                    let (name, _) = shared.shadow.target().ok_or(ServeError::NoShadow)?;
+                    shared.registry.promote(&name)?;
+                    shared.shadow.disarm();
+                    quq_obs::add("shadow.promotions", 1);
+                }
+                ShadowCmd::Abort => {
+                    shared.shadow.disarm();
+                }
+                ShadowCmd::Status => {}
+            }
+            Ok(InferResponse::Shadow(shared.shadow.report()))
         }
-        ShadowCmd::Abort => {
-            shared.shadow.disarm();
-        }
-        ShadowCmd::Status => {}
     }
-    Ok(encode_shadow_response(&shared.shadow.report()))
+}
+
+/// Checks that `image` has the `[channels, height, width]` shape the
+/// state's model takes.
+pub(crate) fn check_shape(state: &ModelState, image: &Tensor) -> Result<(), ServeError> {
+    let cfg = state.model.config();
+    let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
+    if image.shape() == want {
+        Ok(())
+    } else {
+        Err(ServeError::Shape {
+            want,
+            got: image.shape().to_vec(),
+        })
+    }
 }
 
 /// The `class:tenant` obs site label for a request's per-flow records.
@@ -716,10 +664,7 @@ pub(crate) fn flow_label(class: crate::protocol::Class, tenant: &str) -> String 
 /// also counts it as shed).
 pub(crate) fn answer_displaced(victim: crate::sched::Admitted<Job>) {
     quq_obs::add("serve.shed", 1);
-    victim
-        .item
-        .reply
-        .send(encode_status_response(STATUS_OVERLOADED));
+    victim.item.reply.send(InferResponse::Overloaded.encode());
 }
 
 fn worker_loop(shared: &Arc<Shared>, cfg: &ServeConfig) {
@@ -731,7 +676,7 @@ fn worker_loop(shared: &Arc<Shared>, cfg: &ServeConfig) {
             expired
                 .item
                 .reply
-                .send(encode_status_response(STATUS_DEADLINE));
+                .send(InferResponse::DeadlineExceeded.encode());
         }
         // Group by model: one forward_batch per model keeps the
         // bit-identity guarantee while letting one queue serve N models.
@@ -756,10 +701,10 @@ fn run_group(shared: &Arc<Shared>, name: &str, jobs: Vec<Job>) {
     // resident models keep flowing through the other workers.
     let state = match shared.registry.get(name) {
         Ok(state) => state,
-        Err(msg) => {
-            let msg = format!("model {name:?} unavailable: {msg}");
+        Err(e) => {
+            let body = InferResponse::Error(format!("model {name:?} unavailable: {e}")).encode();
             for job in jobs {
-                job.reply.send(encode_error_response(&msg));
+                job.reply.send(body.clone());
             }
             return;
         }
@@ -767,13 +712,12 @@ fn run_group(shared: &Arc<Shared>, name: &str, jobs: Vec<Job>) {
     // Cold-admitted jobs skipped the front end's shape check (the model
     // wasn't resident to check against), so every job is validated here —
     // one malformed request must never fail the whole group.
-    let cfg = state.model.config();
-    let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
-    let (valid, invalid): (Vec<Job>, Vec<Job>) =
-        jobs.into_iter().partition(|j| j.image.shape() == want);
-    for job in invalid {
-        let msg = format!("expected image shape {want:?}, got {:?}", job.image.shape());
-        job.reply.send(encode_error_response(&msg));
+    let mut valid = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        match check_shape(&state, &job.image) {
+            Ok(()) => valid.push(job),
+            Err(e) => job.reply.send(InferResponse::from(e).encode()),
+        }
     }
     if valid.is_empty() {
         return;
@@ -781,20 +725,7 @@ fn run_group(shared: &Arc<Shared>, name: &str, jobs: Vec<Job>) {
     let site = || SiteKey::global(state.provider.name());
     quq_obs::record_at("serve.batch_size", site, valid.len() as u64);
     let images: Vec<Tensor> = valid.iter().map(|j| j.image.clone()).collect();
-    // The closure can run more than once in principle (it can't move
-    // the jobs out), so the forward result is parked here and the
-    // replies — which consume their Reply — are sent afterwards.
-    let mut result: Option<Result<Vec<Tensor>, String>> = None;
-    state.provider.with_backend(&mut |be| {
-        let mut be: &mut dyn Backend = be;
-        result = Some(
-            state
-                .model
-                .forward_batch(&images, &mut be)
-                .map_err(|e| format!("backend error: {e:?}")),
-        );
-    });
-    match result {
+    match forward(&state, &images) {
         Some(Ok(logits)) => {
             for (job, l) in valid.into_iter().zip(&logits) {
                 job.reply.send(encode_ok_response(l.data()));
@@ -808,9 +739,10 @@ fn run_group(shared: &Arc<Shared>, name: &str, jobs: Vec<Job>) {
                 }
             }
         }
-        Some(Err(msg)) => {
+        Some(Err(e)) => {
+            let body = InferResponse::Error(format!("backend error: {e:?}")).encode();
             for job in valid {
-                job.reply.send(encode_error_response(&msg));
+                job.reply.send(body.clone());
             }
         }
         // Provider never ran the work: dropping the jobs delivers
@@ -819,13 +751,16 @@ fn run_group(shared: &Arc<Shared>, name: &str, jobs: Vec<Job>) {
     }
 }
 
-/// Argmax by `total_cmp`, matching [`encode_ok_response`]'s top-1 rule.
-fn top1(logits: &[f32]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map_or(0, |(i, _)| i)
+/// Runs one batched forward on a backend built by the state's provider;
+/// `None` if the provider never ran the work. The closure can run more
+/// than once in principle, so the result is parked and returned after it.
+fn forward(state: &ModelState, images: &[Tensor]) -> Option<Result<Vec<Tensor>, BackendError>> {
+    let mut result = None;
+    state.provider.with_backend(&mut |be| {
+        let mut be: &mut dyn Backend = be;
+        result = Some(state.model.forward_batch(images, &mut be));
+    });
+    result
 }
 
 /// Mirrors the deterministically-selected subset of one default-model
@@ -853,27 +788,15 @@ fn run_shadow(
     };
     // The candidate may expect a different input shape than the default
     // (mismatched canary): skip those images rather than failing a batch.
-    let cfg = state.model.config();
-    let want = [cfg.in_chans, cfg.img_size, cfg.img_size];
     let selected: Vec<usize> = selected
         .into_iter()
-        .filter(|&i| images[i].shape() == want)
+        .filter(|&i| check_shape(&state, &images[i]).is_ok())
         .collect();
     if selected.is_empty() {
         return;
     }
     let mirror_images: Vec<Tensor> = selected.iter().map(|&i| images[i].clone()).collect();
-    let mut result: Option<Result<Vec<Tensor>, String>> = None;
-    state.provider.with_backend(&mut |be| {
-        let mut be: &mut dyn Backend = be;
-        result = Some(
-            state
-                .model
-                .forward_batch(&mirror_images, &mut be)
-                .map_err(|e| format!("backend error: {e:?}")),
-        );
-    });
-    let shadow_logits = match result {
+    let shadow_logits = match forward(&state, &mirror_images) {
         Some(Ok(logits)) => logits,
         _ => {
             quq_obs::add("shadow.errors", selected.len() as u64);

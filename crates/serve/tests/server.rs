@@ -16,11 +16,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use quq_serve::protocol::{
-    decode_response, encode_infer_request, encode_ok_response, tag_response, write_frame,
+    decode_response, encode_infer_request_with, encode_ok_response, tag_response, write_frame,
 };
 use quq_serve::{
-    artifact_state, BackendProvider, Class, Client, Fp32Provider, FrameDecoder, InferOptions,
-    InferResponse, IntegerProvider, ServeConfig, Server,
+    artifact_state, AdminOp, BackendProvider, Class, Client, Fp32Provider, FrameDecoder,
+    InferOptions, InferResponse, IntegerProvider, ServeConfig, ServeError, Server,
 };
 use quq_store::ArtifactWriter;
 use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, VitModel};
@@ -462,7 +462,7 @@ fn reload_hot_swaps_between_artifacts_under_concurrent_load() {
 
 /// The full wire bytes (length prefix + payload) of one infer request.
 fn wire_request(id: u32, img: &quq_tensor::Tensor) -> Vec<u8> {
-    let payload = encode_infer_request(id, img);
+    let payload = encode_infer_request_with(id, "", img, &InferOptions::default());
     let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
     wire.extend_from_slice(&payload);
     wire
@@ -716,6 +716,16 @@ fn load_unload_list_admin_ops_over_the_wire() {
         other => panic!("expected Ok, got {other:?}"),
     }
 
+    // A name longer than the wire's 255-byte field is refused at
+    // registration, so LIST below still decodes.
+    match server.admin(AdminOp::Load {
+        name: "n".repeat(256),
+        path: path_b.display().to_string(),
+    }) {
+        Err(ServeError::NameTooLong(256)) => {}
+        other => panic!("expected NameTooLong, got {other:?}"),
+    }
+
     // LIST reflects both entries, resident, with request counts.
     match client.list().unwrap() {
         InferResponse::ModelList(snap) => {
@@ -802,8 +812,18 @@ fn registry_hammer_evicts_and_lazily_reloads_with_bit_identical_logits() {
     )
     .unwrap();
     server.set_default_source(&path_a);
-    server.load_model("b", &path_b).unwrap();
-    server.load_model("c", &path_c).unwrap();
+    server
+        .admin(AdminOp::Load {
+            name: "b".into(),
+            path: path_b.display().to_string(),
+        })
+        .unwrap();
+    server
+        .admin(AdminOp::Load {
+            name: "c".into(),
+            path: path_c.display().to_string(),
+        })
+        .unwrap();
     let addr = server.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -844,7 +864,10 @@ fn registry_hammer_evicts_and_lazily_reloads_with_bit_identical_logits() {
         "every model must have been served: {answered:?}"
     );
 
-    let snap = server.registry_snapshot();
+    let snap = match server.admin(AdminOp::List).unwrap() {
+        InferResponse::ModelList(snap) => snap,
+        other => panic!("expected ModelList, got {other:?}"),
+    };
     assert_eq!(snap.models.len(), 3);
     assert!(
         snap.evictions >= 1,
@@ -1286,8 +1309,18 @@ fn shadow_mirrors_deterministically_and_promotes_the_candidate() {
     let state = artifact_state(&path_a, "int").unwrap();
     let server =
         Server::start_with_state(Arc::new(state), ServeConfig::default(), "127.0.0.1:0").unwrap();
-    server.load_model("same", &path_a).unwrap();
-    server.load_model("cand", &path_b).unwrap();
+    server
+        .admin(AdminOp::Load {
+            name: "same".into(),
+            path: path_a.display().to_string(),
+        })
+        .unwrap();
+    server
+        .admin(AdminOp::Load {
+            name: "cand".into(),
+            path: path_b.display().to_string(),
+        })
+        .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     // Shadow routing runs after the primary replies; poll the report

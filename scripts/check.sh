@@ -13,20 +13,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+# Each step prints how long the one before it took (a report, not a gate).
+step_name=""
+step_start=$SECONDS
+step() {
+    if [ -n "$step_name" ]; then
+        echo "    ($step_name: $((SECONDS - step_start)) s)"
+    fi
+    step_name="$1"
+    step_start=$SECONDS
+    echo "==> $1"
+}
+
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
+step "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> rustdoc: no broken or private intra-doc links"
+step "rustdoc: no broken or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+step "tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
+step "tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # One pass per host-supported kernel ISA with the dispatch pinned: the
 # packed GEMM against its reference, the QUB encoder against the
 # per-element quantizer, its operand output against the bytes decoded and
@@ -51,13 +63,13 @@ for isa in $isas; do
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test counters
 done
 
-echo "==> tier-2: packed GEMM and batched-forward bit-identity under a 4-worker pool"
+step "tier-2: packed GEMM and batched-forward bit-identity under a 4-worker pool"
 QUQ_THREADS=4 cargo test -q -p quq-core --lib -- dot::
 QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-vit --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-accel --test batch_identity
 
-echo "==> tier-2: benchmark builds against the crates and its quick run passes"
+step "tier-2: benchmark builds against the crates and its quick run passes"
 # `benchmark/` is its own package, so tier-1 never compiles it: this is the
 # one step that notices an API the benchmark uses going missing. The run
 # checks every output against the solo-forward oracle and exits non-zero on
@@ -65,4 +77,5 @@ echo "==> tier-2: benchmark builds against the crates and its quick run passes"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --quick --workload offline_int_b8 --seconds 2
 
-echo "All checks passed."
+step "done"
+echo "All checks passed in $SECONDS s."
