@@ -17,13 +17,13 @@
 //! top-1 predictions agree with FP32 at the same rate.
 
 use crate::intfunc::{self, Codes};
-use quq_core::calib::{Coverage, Operand, ParamKey};
+use quq_core::calib::{Operand, ParamKey};
 use quq_core::pipeline::PtqTables;
 use quq_core::qub::{preshift_lut, QubCodec, QubTensor};
 use quq_core::scheme::QuqParams;
 use quq_tensor::linalg::{self, isa, PackedB};
 use quq_tensor::{IntTensor, Tensor, TensorError};
-use quq_vit::backend::{Backend, BackendError, OpKind, OpSite, Result};
+use quq_vit::backend::{Backend, BackendError, Op, OpKind, OpSite, Result};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -209,8 +209,9 @@ impl<'a> IntegerBackend<'a> {
         Arc::clone(&self.weights)
     }
 
-    fn coverage(&self) -> Coverage {
-        self.tables.config().coverage
+    /// Whether `site` runs quantized; the rest run [`Op::eval`].
+    fn covers(&self, site: OpSite) -> bool {
+        self.tables.config().coverage.covers(site.kind)
     }
 
     fn act_params(&self, site: OpSite, operand: Operand) -> Result<QuqParams> {
@@ -251,8 +252,8 @@ impl Backend for IntegerBackend<'_> {
         w: &Tensor,
         bias: Option<&Tensor>,
     ) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(linalg::linear(x, w, bias)?);
+        if !self.covers(site) {
+            return Op::Linear { x, w, b: bias }.eval();
         }
         // Shapes `linalg::linear` rejects, rejected alike before any encode.
         // Leading axes flatten: only the shape tag changes.
@@ -269,8 +270,8 @@ impl Backend for IntegerBackend<'_> {
     }
 
     fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(linalg::matmul(a, b)?);
+        if !self.covers(site) {
+            return Op::Matmul { a, b }.eval();
         }
         let (m, k, n) = linalg::matmul_dims(a.shape(), b.shape())?;
         let (qa, qb) = (
@@ -285,8 +286,8 @@ impl Backend for IntegerBackend<'_> {
     }
 
     fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(linalg::matmul_nt(a, b)?);
+        if !self.covers(site) {
+            return Op::MatmulNt { a, b }.eval();
         }
         let (m, k, n) = linalg::matmul_nt_dims(a.shape(), b.shape())?;
         let (qa, qb) = (
@@ -299,8 +300,8 @@ impl Backend for IntegerBackend<'_> {
     }
 
     fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(quq_tensor::nn::softmax(x)?);
+        if !self.covers(site) {
+            return Op::Softmax { x }.eval();
         }
         let (_, cols) = x.as_matrix()?;
         let q = self.quant(site, Operand::Input)?;
@@ -311,8 +312,8 @@ impl Backend for IntegerBackend<'_> {
     }
 
     fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(quq_tensor::nn::gelu_tensor(x));
+        if !self.covers(site) {
+            return Op::Gelu { x }.eval();
         }
         let q = self.quant(site, Operand::Input)?;
         let bytes = q.codec.encode_tensor(x).bytes;
@@ -323,8 +324,8 @@ impl Backend for IntegerBackend<'_> {
     }
 
     fn layer_norm(&mut self, site: OpSite, x: &Tensor, g: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(quq_tensor::nn::layer_norm(x, g, b, 1e-6)?);
+        if !self.covers(site) {
+            return Op::LayerNorm { x, g, b }.eval();
         }
         let cols = quq_tensor::nn::layer_norm_width(x, g, b)?;
         let q = self.quant(site, Operand::Input)?;
@@ -336,8 +337,8 @@ impl Backend for IntegerBackend<'_> {
     }
 
     fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(a.add(b)?);
+        if !self.covers(site) {
+            return Op::Add { a, b }.eval();
         }
         if a.shape() != b.shape() {
             return Err(BackendError::from(TensorError::ShapeMismatch {
@@ -372,7 +373,7 @@ mod tests {
     use quq_core::dot;
     use quq_core::pipeline::{calibrate, PtqConfig};
     use quq_core::QuqMethod;
-    use quq_vit::{Dataset, ModelConfig, VitModel};
+    use quq_vit::{Dataset, ModelConfig, Tap, Tapped, VitModel};
 
     fn setup(cfg: PtqConfig) -> (VitModel, PtqTables, Dataset) {
         let model = VitModel::synthesize(ModelConfig::test_config(), 33);
@@ -483,96 +484,141 @@ mod tests {
         }
     }
 
-    /// Runs every op on both backends and insists on the same bits.
-    struct Lockstep<'a> {
-        ops: IntegerBackend<'a>,
-        reference: Reference<'a>,
+    /// Runs every op the inner backend runs on `reference` too, and
+    /// insists on the same bits.
+    struct Lockstep<R> {
+        reference: R,
         compared: usize,
     }
 
-    impl<'a> Lockstep<'a> {
-        fn new(tables: &'a PtqTables) -> Self {
-            Self {
-                ops: IntegerBackend::new(tables),
-                reference: Reference(IntegerBackend::new(tables)),
-                compared: 0,
-            }
+    impl<R: Backend> Tap for Lockstep<R> {
+        type Pending = Tensor;
+
+        fn before(&mut self, site: OpSite, op: &Op<'_>) -> Tensor {
+            op.run(&mut self.reference, site).expect("reference op")
         }
 
-        fn same(
-            &mut self,
-            site: OpSite,
-            got: Result<Tensor>,
-            want: Result<Tensor>,
-        ) -> Result<Tensor> {
-            let (got, want) = (got?, want?);
+        fn after(&mut self, site: OpSite, got: &Tensor, want: Tensor) {
             assert_eq!(got.shape(), want.shape(), "{site}: shape");
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{site}: bits");
+            assert_eq!(bits(got), bits(&want), "{site}: bits");
             self.compared += 1;
-            Ok(got)
         }
     }
 
-    impl Backend for Lockstep<'_> {
-        fn linear(
-            &mut self,
-            site: OpSite,
-            x: &Tensor,
-            w: &Tensor,
-            bias: Option<&Tensor>,
-        ) -> Result<Tensor> {
-            let (got, want) = (
-                self.ops.linear(site, x, w, bias),
-                self.reference.linear(site, x, w, bias),
+    /// The integer backend in lockstep with [`Reference`].
+    fn lockstep(tables: &PtqTables) -> Tapped<IntegerBackend<'_>, Lockstep<Reference<'_>>> {
+        let reference = Reference(IntegerBackend::new(tables));
+        Tapped::new(
+            IntegerBackend::new(tables),
+            Lockstep {
+                reference,
+                compared: 0,
+            },
+        )
+    }
+
+    /// Counts the calls that reach it.
+    #[derive(Default)]
+    struct Calls(usize);
+
+    impl Tap for Calls {
+        type Pending = ();
+
+        fn before(&mut self, _: OpSite, _: &Op<'_>) {
+            self.0 += 1;
+        }
+    }
+
+    /// Each op, on its own, through each tap over a counting fp32 backend:
+    /// the inner backend runs it exactly once, the output has the bits of
+    /// [`Op::eval`], and the tap saw what it watches.
+    #[test]
+    fn every_op_runs_once_through_every_tap() {
+        use quq_core::calib::{Collector, Coverage};
+        use quq_vit::{Capture, Fp32Backend, Observed, TapPoint, TapSide};
+
+        let t = |shape: &[usize], seed: f32| {
+            let len = shape.iter().product::<usize>();
+            let data = (0..len).map(|i| ((i as f32 + seed) * 0.37).sin()).collect();
+            Tensor::from_vec(data, shape).unwrap()
+        };
+        let (x, y, w, bias) = (
+            t(&[3, 4], 0.0),
+            t(&[3, 4], 1.0),
+            t(&[5, 4], 2.0),
+            t(&[5], 3.0),
+        );
+        let (rhs, g, beta) = (t(&[4, 2], 4.0), t(&[4], 5.0), t(&[4], 6.0));
+        let ops = [
+            (
+                OpKind::Qkv,
+                Op::Linear {
+                    x: &x,
+                    w: &w,
+                    b: Some(&bias),
+                },
+            ),
+            (OpKind::PvMatmul, Op::Matmul { a: &x, b: &rhs }),
+            (OpKind::QkMatmul, Op::MatmulNt { a: &x, b: &y }),
+            (OpKind::Softmax, Op::Softmax { x: &x }),
+            (OpKind::Gelu, Op::Gelu { x: &x }),
+            (
+                OpKind::Norm1,
+                Op::LayerNorm {
+                    x: &x,
+                    g: &g,
+                    b: &beta,
+                },
+            ),
+            (OpKind::Residual1, Op::Add { a: &x, b: &y }),
+        ];
+        // A fresh tap per op; returns each with the op's output.
+        fn run<T: Tap>(ops: &[(OpKind, Op<'_>)], mk: impl Fn() -> T) -> Vec<(T, Tensor)> {
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut seen = Vec::new();
+            for &(kind, op) in ops {
+                let site = OpSite::in_block(0, kind);
+                let mut be = Tapped::new(Tapped::new(Fp32Backend::new(), Calls::default()), mk());
+                let out = op.run(&mut be, site).unwrap();
+                let (inner, tap) = be.into_parts();
+                assert_eq!(inner.tap().0, 1, "{}: inner calls", op.name());
+                assert_eq!(bits(&out), bits(&op.eval().unwrap()), "{}", op.name());
+                seen.push((tap, out));
+            }
+            seen
+        }
+
+        run(&ops, || Observed);
+        let every = |side| ops.map(|(kind, _)| TapPoint { kind, side });
+        let points = [
+            every(TapSide::Input),
+            every(TapSide::InputB),
+            every(TapSide::Output),
+        ];
+        let captured = run(&ops, || Capture::new(points.concat()));
+        for ((kind, op), (cap, out)) in ops.iter().zip(&captured) {
+            let got = |side| cap.samples_for(*kind, side);
+            assert_eq!(got(TapSide::Input), op.input().data());
+            assert_eq!(
+                got(TapSide::InputB),
+                op.input_b().map_or(&[][..], Tensor::data)
             );
-            self.same(site, got, want)
+            assert_eq!(got(TapSide::Output), out.data());
         }
-
-        fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-            let (got, want) = (
-                self.ops.matmul(site, a, b),
-                self.reference.matmul(site, a, b),
-            );
-            self.same(site, got, want)
+        let collected = run(&ops, || Collector::new(Coverage::Full));
+        for ((_, op), (c, _)) in ops.iter().zip(&collected) {
+            let operands = 1 + usize::from(op.input_b().is_some());
+            assert_eq!(c.samples().len(), operands, "{}", op.name());
+            assert_eq!(c.weights().len(), usize::from(op.weight().is_some()));
         }
-
-        fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-            let (got, want) = (
-                self.ops.matmul_nt(site, a, b),
-                self.reference.matmul_nt(site, a, b),
-            );
-            self.same(site, got, want)
-        }
-
-        fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-            let (got, want) = (self.ops.softmax(site, x), self.reference.softmax(site, x));
-            self.same(site, got, want)
-        }
-
-        fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-            let (got, want) = (self.ops.gelu(site, x), self.reference.gelu(site, x));
-            self.same(site, got, want)
-        }
-
-        fn layer_norm(
-            &mut self,
-            site: OpSite,
-            x: &Tensor,
-            g: &Tensor,
-            b: &Tensor,
-        ) -> Result<Tensor> {
-            let (got, want) = (
-                self.ops.layer_norm(site, x, g, b),
-                self.reference.layer_norm(site, x, g, b),
-            );
-            self.same(site, got, want)
-        }
-
-        fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-            let (got, want) = (self.ops.add(site, a, b), self.reference.add(site, a, b));
-            self.same(site, got, want)
-        }
+        let counted = run(&ops, Calls::default);
+        assert!(counted.iter().all(|(calls, _)| calls.0 == 1));
+        let compared = run(&ops, || Lockstep {
+            reference: Fp32Backend::new(),
+            compared: 0,
+        });
+        assert!(compared.iter().all(|(lockstep, _)| lockstep.compared == 1));
     }
 
     /// Activations of a real forward, solo and batched, at both presets
@@ -584,12 +630,15 @@ mod tests {
         for cfg in [PtqConfig::full_w6a6(), PtqConfig::full_w8a8()] {
             let (model, tables, eval) = setup(cfg);
             let images = &eval.images[..2];
-            let mut both = Lockstep::new(&tables);
+            let mut both = lockstep(&tables);
             model.forward(&images[0], &mut both).unwrap();
-            let per_forward = both.compared;
+            let per_forward = both.tap().compared;
             assert!(per_forward > 20, "only {per_forward} ops compared");
             model.forward_batch(images, &mut both).unwrap();
-            assert!(both.compared > 2 * per_forward, "attention runs per image");
+            assert!(
+                both.tap().compared > 2 * per_forward,
+                "attention runs per image"
+            );
         }
     }
 
@@ -620,7 +669,7 @@ mod tests {
             }
             Tensor::from_vec(data, shape).unwrap()
         };
-        let mut both = Lockstep::new(&tables);
+        let mut both = lockstep(&tables);
         let site = |kind| OpSite::in_block(0, kind);
         for spread in [0.05f32, 1.0, 30.0] {
             let x = random(&[2, 3, dim], spread);
@@ -654,7 +703,7 @@ mod tests {
                 .unwrap();
             }
         }
-        assert_eq!(both.compared, 3 * 20);
+        assert_eq!(both.tap().compared, 3 * 20);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! post-GELU activations.
 
 use quq_tensor::Tensor;
-use quq_vit::{CaptureBackend, ModelConfig, ModelId, OpKind, Tap, TapSide, VitModel};
+use quq_vit::{
+    Capture, Fp32Backend, ModelConfig, ModelId, OpKind, TapPoint, TapSide, Tapped, VitModel,
+};
 
 /// The four tensor families of the paper's Fig. 3 / Table 1.
 #[derive(Debug, Clone)]
@@ -43,26 +45,28 @@ pub fn capture_fig3(images: usize, seed: u64) -> Fig3Tensors {
     let qkv = &model.weights().stages[0].blocks[0].qkv_w;
     let query_w: Vec<f32> = qkv.data()[..d * d].to_vec();
 
-    let mut cap = CaptureBackend::new([
-        Tap::output(OpKind::Softmax),
-        Tap {
+    let points = [
+        TapPoint::output(OpKind::Softmax),
+        TapPoint {
             kind: OpKind::Residual1,
-            side: TapSide::ResidualBranch,
+            side: TapSide::InputB,
         },
-        Tap {
+        TapPoint {
             kind: OpKind::Residual2,
-            side: TapSide::ResidualBranch,
+            side: TapSide::InputB,
         },
-        Tap::output(OpKind::Gelu),
-    ]);
+        TapPoint::output(OpKind::Gelu),
+    ];
+    let mut cap = Tapped::new(Fp32Backend::new(), Capture::new(points));
     let mut rng = rand::SeedableRng::seed_from_u64(seed ^ 0x5eed);
     for _ in 0..images.max(1) {
         let img = quq_vit::data::synthetic_image(model.config(), &mut rng);
         model.forward(&img, &mut cap).expect("synthetic forward");
     }
+    let (_, cap) = cap.into_parts();
     let post_softmax = cap.samples_for(OpKind::Softmax, TapSide::Output);
-    let mut pre_addition = cap.samples_for(OpKind::Residual1, TapSide::ResidualBranch);
-    pre_addition.extend(cap.samples_for(OpKind::Residual2, TapSide::ResidualBranch));
+    let mut pre_addition = cap.samples_for(OpKind::Residual1, TapSide::InputB);
+    pre_addition.extend(cap.samples_for(OpKind::Residual2, TapSide::InputB));
     let post_gelu = cap.samples_for(OpKind::Gelu, TapSide::Output);
     Fig3Tensors {
         query_w,

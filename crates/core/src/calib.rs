@@ -1,13 +1,13 @@
 //! Calibration-sample collection.
 //!
-//! The paper calibrates on 32 images (§6.1). [`Collector`] is a [`Backend`]
-//! that executes exactly like FP32 while recording, per quantizable operand
-//! (a [`ParamKey`]), a reservoir-subsampled set of the values that flowed
+//! The paper calibrates on 32 images (§6.1). [`Collector`] is a [`Tap`]:
+//! over an fp32 forward it records, per quantizable operand (a
+//! [`ParamKey`]), a reservoir-subsampled set of the values that flowed
 //! through it, plus one copy of every weight tensor it saw. PTQ pipelines
 //! then fit per-tensor quantizers from these samples.
 
-use quq_tensor::{linalg, Tensor};
-use quq_vit::backend::{Backend, OpKind, OpSite, Result};
+use quq_tensor::Tensor;
+use quq_vit::backend::{Op, OpKind, OpSite, Tap};
 use std::collections::BTreeMap;
 
 /// Which operand of an operation a parameter set belongs to.
@@ -149,8 +149,8 @@ impl SampleSet {
 /// Default per-site reservoir capacity.
 pub const DEFAULT_SAMPLE_CAP: usize = 32_768;
 
-/// A calibration collector: executes FP32 and records operand samples and
-/// weight tensors under the configured coverage.
+/// The calibration tap: records operand samples and weight tensors under
+/// the configured coverage.
 #[derive(Debug)]
 pub struct Collector {
     coverage: Coverage,
@@ -194,82 +194,37 @@ impl Collector {
         &self.weights
     }
 
-    /// The configured coverage.
-    pub fn coverage(&self) -> Coverage {
-        self.coverage
-    }
-
     /// Consumes the collector, returning samples and weights.
     pub fn into_parts(self) -> (BTreeMap<ParamKey, SampleSet>, BTreeMap<OpSite, Tensor>) {
         (self.samples, self.weights)
     }
 }
 
-impl Backend for Collector {
-    fn linear(
-        &mut self,
-        site: OpSite,
-        x: &Tensor,
-        w: &Tensor,
-        b: Option<&Tensor>,
-    ) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), x);
+impl Tap for Collector {
+    type Pending = ();
+
+    fn before(&mut self, site: OpSite, op: &Op<'_>) {
+        if !self.coverage.covers(site.kind) {
+            return;
+        }
+        self.record(ParamKey::input(site), op.input());
+        if let Some(b) = op.input_b() {
+            self.record(ParamKey::input_b(site), b);
+        }
+        if let Some(w) = op.weight() {
             self.weights.entry(site).or_insert_with(|| w.clone());
         }
-        Ok(linalg::linear(x, w, b)?)
-    }
-
-    fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), a);
-            self.record(ParamKey::input_b(site), b);
-        }
-        Ok(linalg::matmul(a, b)?)
-    }
-
-    fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), a);
-            self.record(ParamKey::input_b(site), b);
-        }
-        Ok(linalg::matmul_nt(a, b)?)
-    }
-
-    fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), x);
-        }
-        Ok(quq_tensor::nn::softmax(x)?)
-    }
-
-    fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), x);
-        }
-        Ok(quq_tensor::nn::gelu_tensor(x))
-    }
-
-    fn layer_norm(&mut self, site: OpSite, x: &Tensor, g: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), x);
-        }
-        Ok(quq_tensor::nn::layer_norm(x, g, b, 1e-6)?)
-    }
-
-    fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if self.coverage.covers(site.kind) {
-            self.record(ParamKey::input(site), a);
-            self.record(ParamKey::input_b(site), b);
-        }
-        Ok(a.add(b)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quq_vit::{Fp32Backend, ModelConfig, VitModel};
+    use quq_vit::{Fp32Backend, ModelConfig, Tapped, VitModel};
+
+    fn collector(coverage: Coverage, cap: usize) -> Tapped<Fp32Backend, Collector> {
+        Tapped::new(Fp32Backend::new(), Collector::with_capacity(coverage, cap))
+    }
 
     #[test]
     fn reservoir_keeps_everything_under_cap() {
@@ -298,24 +253,24 @@ mod tests {
     fn partial_coverage_collects_only_gemm_sites() {
         let model = VitModel::synthesize(ModelConfig::test_config(), 5);
         let img = model.config().dummy_image(0.2);
-        let mut c = Collector::with_capacity(Coverage::Partial, 1024);
+        let mut c = collector(Coverage::Partial, 1024);
         let out = model.forward(&img, &mut c).unwrap();
         // Execution identical to FP32.
         let reference = model.forward(&img, &mut Fp32Backend::new()).unwrap();
         assert_eq!(out, reference);
-        assert!(c.samples().keys().all(|k| k.site.kind.is_gemm()));
-        assert!(c.samples().keys().any(|k| k.site.kind == OpKind::Qkv));
-        assert!(!c.weights().is_empty());
+        assert!(c.tap().samples().keys().all(|k| k.site.kind.is_gemm()));
+        assert!(c.tap().samples().keys().any(|k| k.site.kind == OpKind::Qkv));
+        assert!(!c.tap().weights().is_empty());
     }
 
     #[test]
     fn full_coverage_collects_special_functions_too() {
         let model = VitModel::synthesize(ModelConfig::test_config(), 5);
         let img = model.config().dummy_image(0.2);
-        let mut c = Collector::with_capacity(Coverage::Full, 1024);
+        let mut c = collector(Coverage::Full, 1024);
         model.forward(&img, &mut c).unwrap();
         let kinds: std::collections::BTreeSet<OpKind> =
-            c.samples().keys().map(|k| k.site.kind).collect();
+            c.tap().samples().keys().map(|k| k.site.kind).collect();
         for k in [
             OpKind::Softmax,
             OpKind::Gelu,
@@ -327,20 +282,20 @@ mod tests {
         }
         // Residual adds record both operands.
         let res_site = OpSite::in_block(0, OpKind::Residual1);
-        assert!(c.samples().contains_key(&ParamKey::input(res_site)));
-        assert!(c.samples().contains_key(&ParamKey::input_b(res_site)));
+        assert!(c.tap().samples().contains_key(&ParamKey::input(res_site)));
+        assert!(c.tap().samples().contains_key(&ParamKey::input_b(res_site)));
     }
 
     #[test]
     fn weights_recorded_once_per_site() {
         let model = VitModel::synthesize(ModelConfig::test_config(), 5);
         let img = model.config().dummy_image(0.2);
-        let mut c = Collector::with_capacity(Coverage::Partial, 256);
+        let mut c = collector(Coverage::Partial, 256);
         model.forward(&img, &mut c).unwrap();
         model.forward(&img, &mut c).unwrap();
         // Two forwards, still one weight per site; qkv weights match model.
         let qkv_site = OpSite::in_block(0, OpKind::Qkv);
-        let w = c.weights().get(&qkv_site).unwrap();
+        let w = c.tap().weights().get(&qkv_site).unwrap();
         assert_eq!(w, &model.weights().stages[0].blocks[0].qkv_w);
     }
 

@@ -10,9 +10,9 @@
 
 use crate::calib::{Collector, Coverage, Operand, ParamKey};
 use crate::quantizer::QuantMethod;
-use quq_tensor::{linalg, Tensor};
-use quq_vit::backend::{Backend, BackendError, OpSite, Result};
-use quq_vit::{Dataset, VitModel};
+use quq_tensor::Tensor;
+use quq_vit::backend::{Backend, BackendError, Op, OpSite, Result};
+use quq_vit::{Dataset, Fp32Backend, Tapped, VitModel};
 use std::collections::BTreeMap;
 
 /// Bit-widths and coverage of one PTQ experiment (the `W/A` column of the
@@ -184,10 +184,11 @@ pub fn calibrate(
     calibration: &Dataset,
     config: PtqConfig,
 ) -> Result<PtqTables> {
-    let mut collector = Collector::new(config.coverage);
+    let mut collector = Tapped::new(Fp32Backend::new(), Collector::new(config.coverage));
     for img in &calibration.images {
         model.forward(img, &mut collector)?;
     }
+    let (_, collector) = collector.into_parts();
     let (samples, weights) = collector.into_parts();
 
     let sites: Vec<(ParamKey, Vec<f32>)> = samples
@@ -247,16 +248,25 @@ pub struct QuantBackend<'a> {
 }
 
 impl QuantBackend<'_> {
-    fn coverage(&self) -> Coverage {
-        self.tables.config.coverage
-    }
-
-    fn apply(&self, site: OpSite, operand: Operand, t: &Tensor) -> Result<Tensor> {
-        let key = ParamKey { site, operand };
-        match self.tables.activations.get(&key) {
-            Some(q) => Ok(q.fake_quantize(t)),
-            None => Err(BackendError::MissingParams(site)),
+    /// `op` in `f32`: over its fake-quantized activations and pre-quantized
+    /// weight where `site` is covered, as it is elsewhere.
+    fn eval(&self, site: OpSite, op: Op<'_>) -> Result<Tensor> {
+        if !self.tables.config.coverage.covers(site.kind) {
+            return op.eval();
         }
+        let missing = || BackendError::MissingParams(site);
+        let quantize = |operand, t| {
+            let q = self.tables.activations.get(&ParamKey { site, operand });
+            q.map(|q| q.fake_quantize(t)).ok_or_else(missing)
+        };
+        let weight = |_| self.tables.quantized_weights.get(&site).ok_or_else(missing);
+        let x = quantize(Operand::Input, op.input())?;
+        let x_b = op
+            .input_b()
+            .map(|b| quantize(Operand::InputB, b))
+            .transpose()?;
+        let w = op.weight().map(weight).transpose()?;
+        op.with_operands(&x, x_b.as_ref(), w).eval()
     }
 }
 
@@ -268,70 +278,31 @@ impl Backend for QuantBackend<'_> {
         w: &Tensor,
         b: Option<&Tensor>,
     ) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(linalg::linear(x, w, b)?);
-        }
-        let xq = self.apply(site, Operand::Input, x)?;
-        let wq = self
-            .tables
-            .quantized_weights
-            .get(&site)
-            .ok_or(BackendError::MissingParams(site))?;
-        Ok(linalg::linear(&xq, wq, b)?)
+        self.eval(site, Op::Linear { x, w, b })
     }
 
     fn matmul(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(linalg::matmul(a, b)?);
-        }
-        let aq = self.apply(site, Operand::Input, a)?;
-        let bq = self.apply(site, Operand::InputB, b)?;
-        Ok(linalg::matmul(&aq, &bq)?)
+        self.eval(site, Op::Matmul { a, b })
     }
 
     fn matmul_nt(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(linalg::matmul_nt(a, b)?);
-        }
-        let aq = self.apply(site, Operand::Input, a)?;
-        let bq = self.apply(site, Operand::InputB, b)?;
-        Ok(linalg::matmul_nt(&aq, &bq)?)
+        self.eval(site, Op::MatmulNt { a, b })
     }
 
     fn softmax(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-        let x = if self.coverage().covers(site.kind) {
-            self.apply(site, Operand::Input, x)?
-        } else {
-            x.clone()
-        };
-        Ok(quq_tensor::nn::softmax(&x)?)
+        self.eval(site, Op::Softmax { x })
     }
 
     fn gelu(&mut self, site: OpSite, x: &Tensor) -> Result<Tensor> {
-        let x = if self.coverage().covers(site.kind) {
-            self.apply(site, Operand::Input, x)?
-        } else {
-            x.clone()
-        };
-        Ok(quq_tensor::nn::gelu_tensor(&x))
+        self.eval(site, Op::Gelu { x })
     }
 
     fn layer_norm(&mut self, site: OpSite, x: &Tensor, g: &Tensor, b: &Tensor) -> Result<Tensor> {
-        let x = if self.coverage().covers(site.kind) {
-            self.apply(site, Operand::Input, x)?
-        } else {
-            x.clone()
-        };
-        Ok(quq_tensor::nn::layer_norm(&x, g, b, 1e-6)?)
+        self.eval(site, Op::LayerNorm { x, g, b })
     }
 
     fn add(&mut self, site: OpSite, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        if !self.coverage().covers(site.kind) {
-            return Ok(a.add(b)?);
-        }
-        let aq = self.apply(site, Operand::Input, a)?;
-        let bq = self.apply(site, Operand::InputB, b)?;
-        Ok(aq.add(&bq)?)
+        self.eval(site, Op::Add { a, b })
     }
 }
 

@@ -53,7 +53,7 @@ use quq_core::pipeline::PtqTables;
 use quq_obs::SiteKey;
 use quq_store::{Artifact, StoreError};
 use quq_tensor::Tensor;
-use quq_vit::{Backend, BackendError, Fp32Backend, Observed, VitModel};
+use quq_vit::{Backend, BackendError, Fp32Backend, Observed, Tapped, VitModel};
 
 use crate::error::ServeError;
 use crate::protocol::{encode_ok_response, top1, AdminOp, InferResponse, ShadowCmd, ShadowReport};
@@ -86,7 +86,7 @@ impl BackendProvider for Fp32Provider {
     }
 
     fn with_backend(&self, work: &mut dyn FnMut(&mut dyn Backend)) {
-        let mut be = Observed::new(Fp32Backend::new());
+        let mut be = Tapped::new(Fp32Backend::new(), Observed);
         work(&mut be);
     }
 }
@@ -123,10 +123,10 @@ impl BackendProvider for IntegerProvider {
     }
 
     fn with_backend(&self, work: &mut dyn FnMut(&mut dyn Backend)) {
-        let mut be = Observed::new(IntegerBackend::with_cache(
-            &self.tables,
-            Arc::clone(&self.cache),
-        ));
+        let mut be = Tapped::new(
+            IntegerBackend::with_cache(&self.tables, Arc::clone(&self.cache)),
+            Observed,
+        );
         work(&mut be);
     }
 }

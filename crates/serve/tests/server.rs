@@ -23,7 +23,7 @@ use quq_serve::{
     InferOptions, InferResponse, IntegerProvider, ServeConfig, ServeError, Server,
 };
 use quq_store::ArtifactWriter;
-use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, VitModel};
+use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, Tapped, VitModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -185,7 +185,7 @@ impl BackendProvider for SlowProvider {
     fn with_backend(&self, work: &mut dyn FnMut(&mut dyn Backend)) {
         std::thread::sleep(self.delay);
         self.batches.fetch_add(1, Ordering::SeqCst);
-        let mut be = Observed::new(Fp32Backend::new());
+        let mut be = Tapped::new(Fp32Backend::new(), Observed);
         work(&mut be);
     }
 }
@@ -1038,7 +1038,7 @@ impl BackendProvider for GateProvider {
     fn with_backend(&self, work: &mut dyn FnMut(&mut dyn Backend)) {
         self.entered.fetch_add(1, Ordering::SeqCst);
         self.release.lock().unwrap().recv().unwrap();
-        let mut be = Observed::new(Fp32Backend::new());
+        let mut be = Tapped::new(Fp32Backend::new(), Observed);
         work(&mut be);
     }
 }

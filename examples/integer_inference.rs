@@ -14,7 +14,7 @@
 use quq_accel::IntegerBackend;
 use quq_core::pipeline::{calibrate, PtqConfig};
 use quq_core::QuqMethod;
-use quq_vit::{evaluate, Dataset, Fp32Backend, ModelConfig, ModelId, Observed, VitModel};
+use quq_vit::{evaluate, Dataset, Fp32Backend, ModelConfig, ModelId, Observed, Tapped, VitModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let metrics = std::env::args().any(|a| a == "--metrics");
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fake_acc = evaluate(&model, &mut fake, &eval)?;
     quq_obs::set_enabled(metrics);
     let before = quq_obs::snapshot();
-    let mut int = Observed::new(IntegerBackend::new(&tables));
+    let mut int = Tapped::new(IntegerBackend::new(&tables), Observed);
     let int_acc = evaluate(&model, &mut int, &eval)?;
     let delta = quq_obs::snapshot().delta_since(&before);
     quq_obs::set_enabled(false);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, rustdoc links, the tier-1 build+test
 # cycle, the per-ISA kernel matrix, the 4-worker pool runs and the
-# benchmark's quick run.
+# benchmark's two quick runs.
 #
 #   scripts/check.sh            # everything
 #   QUQ_THREADS=1 scripts/check.sh   # serial reference run
@@ -69,13 +69,16 @@ QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-vit --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-accel --test batch_identity
 
-step "tier-2: benchmark builds against the crates and its quick run passes"
+step "tier-2: benchmark builds against the crates and its quick runs pass"
 # `benchmark/` is its own package, so tier-1 never compiles it: this is the
-# one step that notices an API the benchmark uses going missing. The run
+# one step that notices an API the benchmark uses going missing. Each run
 # checks every output against the solo-forward oracle and exits non-zero on
-# a flipped bit.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --quick --workload offline_int_b8 --seconds 2
+# a flipped bit: `offline_int_b8` is the integer forward alone, and
+# `serve_toy_pipelined` is the served path, through the server's span tap.
+for workload in offline_int_b8 serve_toy_pipelined; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --quick --workload "$workload" --seconds 2
+done
 
 step "done"
 echo "All checks passed in $SECONDS s."
