@@ -7,7 +7,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use quq_accel::{IntegerBackend, WeightQubCache};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
-use quq_core::QuqMethod;
+use quq_core::{QubCodec, QuqMethod, QuqParams, SpaceLayout};
+use quq_tensor::linalg::isa::{self, Isa};
 use quq_tensor::Tensor;
 use quq_vit::{
     synthetic_image, Backend, Dataset, Fp32Backend, ModelConfig, Observed, Op, OpSite, Tap, Tapped,
@@ -23,15 +24,14 @@ fn recorder() -> MutexGuard<'static, ()> {
 
 /// The toy model calibrated at W6/A6, and two images.
 fn calibrated() -> (VitModel, PtqTables, Vec<Tensor>) {
+    calibrated_at(PtqConfig::full_w6a6())
+}
+
+/// The toy model calibrated under `config`, and two images.
+fn calibrated_at(config: PtqConfig) -> (VitModel, PtqTables, Vec<Tensor>) {
     let model = VitModel::synthesize(ModelConfig::test_config(), 33);
     let calib = Dataset::calibration(model.config(), 4, 1);
-    let tables = calibrate(
-        &QuqMethod::without_optimization(),
-        &model,
-        &calib,
-        PtqConfig::full_w6a6(),
-    )
-    .unwrap();
+    let tables = calibrate(&QuqMethod::without_optimization(), &model, &calib, config).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let images = (0..2)
         .map(|_| synthetic_image(model.config(), &mut rng))
@@ -167,6 +167,76 @@ fn recorder_changes_no_bit_and_observed_spans_cover_every_site() {
                 sites.iter().any(|s| s == global),
                 "{backend}: no span at {global}"
             );
+        }
+    }
+}
+
+/// Whether `params` admits region tables, by the layout alone: no scale
+/// below `1e-7`, and on each sign both spaces cover, the coarse scale at
+/// least the fine one. Otherwise the two grids interleave, and from 4 bits
+/// up that is more than three runs on that sign.
+fn admits_region_tables(params: &QuqParams) -> bool {
+    let ordered = |side: fn(&SpaceLayout) -> Option<f32>| match (
+        side(&params.fine()),
+        side(&params.coarse()),
+    ) {
+        (Some(fine), Some(coarse)) => coarse >= fine,
+        _ => true,
+    };
+    params.base_delta() >= 1e-7
+        && ordered(SpaceLayout::neg_delta)
+        && ordered(SpaceLayout::pos_delta)
+}
+
+/// The encoder's region path carries the integer forward. Calibrated at
+/// W6/A6 and at W8/A8, every quantizer whose layout admits region tables
+/// has them, and on an AVX-512 kernel a cold forward (weights included)
+/// sends under 1% of its groups of sixteen to the search. Other kernels
+/// always search and count nothing. A change that keeps the bits but
+/// loses the region path fails here.
+#[test]
+fn region_path_encodes_nearly_every_group_of_a_calibrated_forward() {
+    let _recorder = recorder();
+    let avx512 = matches!(isa::resolve(), Isa::Avx512 | Isa::Avx512Vnni);
+    for config in [PtqConfig::full_w6a6(), PtqConfig::full_w8a8()] {
+        let (model, tables, images) = calibrated_at(config);
+        let params = tables
+            .activations()
+            .map(|(_, q)| q)
+            .chain(tables.weight_quantizers().map(|(_, q)| q))
+            .filter_map(|q| q.quq_params().copied());
+        let (mut with, mut without) = (0, 0);
+        for params in params {
+            let has = QubCodec::new(params).has_region_tables();
+            assert_eq!(has, admits_region_tables(&params), "{params:?}");
+            if has {
+                with += 1;
+            } else {
+                without += 1;
+            }
+        }
+        assert!(
+            with > without,
+            "{config:?}: {with} quantizers with tables, {without} without"
+        );
+
+        quq_obs::set_enabled(true);
+        let before = quq_obs::snapshot();
+        model
+            .forward_batch(&images, &mut IntegerBackend::new(&tables))
+            .unwrap();
+        let delta = quq_obs::snapshot().delta_since(&before);
+        quq_obs::set_enabled(false);
+        let region = delta.counter_total("qub.encode_region_groups");
+        let fallback = delta.counter_total("qub.encode_fallback_groups");
+        if avx512 {
+            assert!(
+                region > 0 && fallback * 100 < region + fallback,
+                "{config:?}: {fallback} of {} groups searched",
+                region + fallback
+            );
+        } else {
+            assert_eq!((region, fallback), (0, 0), "{config:?}");
         }
     }
 }

@@ -193,6 +193,7 @@ fn encode_plan(params: &QuqParams, fc: FcRegisters) -> EncodePlan {
         nan_operand: operand(zero),
         pos_inf_operand: operand(pos_inf),
         neg_inf_operand: operand(neg_inf),
+        regions: None,
     }
 }
 
@@ -208,15 +209,22 @@ pub struct QubCodec {
 
 impl QubCodec {
     /// Builds the codec for a parameter set: FC registers, base scale and
-    /// the encoder plan are derived here, once.
+    /// the encoder plan, with its region tables when the layout admits
+    /// them ([`isa::Regions`]), are derived here, once.
     pub fn new(params: QuqParams) -> Self {
         let fc = FcRegisters::from_params(&params);
         Self {
             params,
             fc,
             base_delta: params.base_delta(),
-            plan: encode_plan(&params, fc),
+            plan: encode_plan(&params, fc).with_regions(),
         }
+    }
+
+    /// Whether the encoder plan has region tables, so the AVX-512 kernel
+    /// can skip the search for most values.
+    pub fn has_region_tables(&self) -> bool {
+        self.plan.regions.is_some()
     }
 
     /// The underlying parameters.

@@ -511,3 +511,101 @@ fn encoder_operands_match_bytes_then_decode_on_every_isa() {
         }
     }
 }
+
+/// The three layouts of one space, with its negative and positive scales.
+fn space_layouts(neg: f32, pos: f32) -> [SpaceLayout; 3] {
+    [
+        SpaceLayout::Split { neg, pos },
+        SpaceLayout::MergedNeg { delta: neg },
+        SpaceLayout::MergedPos { delta: pos },
+    ]
+}
+
+/// Where the encoder's region path can go wrong: every bound between
+/// neighbouring values (the region bounds are among them), the edges of
+/// the `2^-14` fallback band around each, and the far edge
+/// `Δ_base · 2^20` on both signs, each ±4 ulp; then random bit patterns
+/// (NaN, ±∞ and huge values among them) and random values across the
+/// range, which mostly take the region path.
+fn region_probes(params: &QuqParams, seed: u64) -> Vec<f32> {
+    const BAND: f32 = 1.0 / 16384.0;
+    let points = params.quantization_points();
+    let reach = params.base_delta() * 1_048_576.0;
+    let mut centres = vec![reach, -reach];
+    for w in points.windows(2) {
+        let mid = (w[0] + w[1]) / 2.0;
+        centres.extend([mid, mid * (1.0 - BAND), mid * (1.0 + BAND)]);
+    }
+    let mut probes: Vec<f32> = centres
+        .iter()
+        .flat_map(|&c| (-4..=4).map(move |u| nudge(c, u)))
+        .collect();
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let span = points.iter().fold(0f32, |m, v| m.max(v.abs())) * 1.25;
+    for _ in 0..512 {
+        probes.push(f32::from_bits(next() as u32));
+        let unit = (next() >> 40) as f32 / (1u64 << 24) as f32;
+        probes.push((2.0 * unit - 1.0) * span);
+    }
+    probes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The region path against `QubCodec::quantize` (bytes) and
+    /// `preshift_lut` (operands) on generated Eq. 4 layouts: all nine
+    /// fine × coarse pairings, including a coarse space finer than the
+    /// fine one (which has no tables and searches), bits 2–8, per-subrange
+    /// shifts 0–7 and base scales from 1e-9 (below the tables' `1e-7` floor)
+    /// to 1e3, on every kernel this
+    /// host has. `scripts/check.sh` re-runs it with `QUQ_FORCE_ISA` pinned.
+    #[test]
+    fn encoder_region_path_matches_quantize_on_generated_eq4_layouts(
+        bits in 2u32..=8,
+        shifts in prop::collection::vec(0i32..8, 4),
+        log_base in -9.0f32..3.0,
+        seed in any::<u64>(),
+    ) {
+        use quq_core::qub::preshift_lut;
+
+        let _pin = pin_env();
+        let base = 10f32.powf(log_base);
+        let delta = |k: i32| base * (k as f32).exp2();
+        let fine = space_layouts(delta(shifts[0]), delta(shifts[1]));
+        let coarse = space_layouts(delta(shifts[2]), delta(shifts[3]));
+        for (f, c) in fine.iter().flat_map(|&f| coarse.iter().map(move |&c| (f, c))) {
+            let params = QuqParams::new(bits, f, c).unwrap();
+            let codec = QubCodec::new(params);
+            let lut = preshift_lut(codec.fc(), bits);
+            let probes = region_probes(&params, seed);
+            let want: Vec<u8> = probes.iter().map(|&x| codec.quantize(x)).collect();
+            for &which in isa::supported() {
+                std::env::set_var("QUQ_FORCE_ISA", which.name());
+                let mut bytes = vec![0u8; probes.len()];
+                codec.encode_slice(&probes, &mut bytes);
+                let operands = codec.encode_preshifted(&probes);
+                if let Some(i) = (0..probes.len())
+                    .find(|&i| bytes[i] != want[i] || operands[i] != lut[usize::from(want[i])])
+                {
+                    panic!(
+                        "{}: x = {:e} ({:#010x}) encoded {:#04x} / {}, quantize says {:#04x} / {} ({params:?})",
+                        which.name(),
+                        probes[i],
+                        probes[i].to_bits(),
+                        bytes[i],
+                        operands[i],
+                        want[i],
+                        lut[usize::from(want[i])],
+                    );
+                }
+            }
+        }
+    }
+}

@@ -386,16 +386,23 @@ impl PackedB {
         assert_eq!(x.len(), k * n, "rhs panel must be k·n elements");
         let block_len = Self::block_len(k);
         let mut data = vec![0i16; n.div_ceil(isa::BLOCK) * block_len];
-        if n > 0 {
-            for (p, rows) in x.chunks(2 * n).enumerate() {
-                // Row `2p + h` of `x` is the half `h` of pair `p`.
-                for (h, row) in rows.chunks_exact(n).enumerate() {
-                    for (block, cols) in
-                        data.chunks_exact_mut(block_len).zip(row.chunks(isa::BLOCK))
-                    {
-                        let pair = &mut block[2 * isa::BLOCK * p..2 * isa::BLOCK * (p + 1)];
-                        for (c, &v) in cols.iter().enumerate() {
-                            pair[2 * c + h] = v;
+        if k > 0 {
+            // Written in block order: pair `p` interleaves rows `2p` and
+            // `2p + 1` of `x`, over the block's columns.
+            for (b, block) in data.chunks_exact_mut(block_len).enumerate() {
+                let cols = b * isa::BLOCK..n.min((b + 1) * isa::BLOCK);
+                for (p, pair) in block.chunks_exact_mut(2 * isa::BLOCK).enumerate() {
+                    let row = |r: usize| &x[r * n..][cols.clone()];
+                    if 2 * p + 1 < k {
+                        for ((out, &even), &odd) in
+                            pair.chunks_exact_mut(2).zip(row(2 * p)).zip(row(2 * p + 1))
+                        {
+                            out[0] = even;
+                            out[1] = odd;
+                        }
+                    } else {
+                        for (out, &even) in pair.chunks_exact_mut(2).zip(row(2 * p)) {
+                            out[0] = even;
                         }
                     }
                 }
@@ -414,19 +421,19 @@ impl PackedB {
         let block_len = Self::block_len(k);
         let mut data = vec![0i16; n.div_ceil(isa::BLOCK) * block_len];
         if k > 0 {
+            // Written in block order: pair `p` holds elements `2p` and
+            // `2p + 1` of each of the block's rows, row after row.
             for (block, cols) in data
                 .chunks_exact_mut(block_len)
                 .zip(rows.chunks(isa::BLOCK * k))
             {
-                for (c, row) in cols.chunks_exact(k).enumerate() {
-                    // Column `c`'s pair `p` lands at `2·BLOCK·p + 2c`.
-                    for (p, pair) in row.chunks_exact(2).enumerate() {
-                        let at = 2 * isa::BLOCK * p + 2 * c;
-                        block[at] = value(pair[0]);
-                        block[at + 1] = value(pair[1]);
-                    }
-                    if k % 2 == 1 {
-                        block[2 * isa::BLOCK * (k / 2) + 2 * c] = value(row[k - 1]);
+                for (p, pair) in block.chunks_exact_mut(2 * isa::BLOCK).enumerate() {
+                    let d = 2 * p;
+                    for (out, row) in pair.chunks_exact_mut(2).zip(cols.chunks_exact(k)) {
+                        out[0] = value(row[d]);
+                        if d + 1 < k {
+                            out[1] = value(row[d + 1]);
+                        }
                     }
                 }
             }

@@ -50,7 +50,7 @@ pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
 
-pub use encode::{encode_qub, Code, EncodePlan, EncodeRange, EncodeSide};
+pub use encode::{encode_qub, Code, EncodePlan, EncodeRange, EncodeSide, Regions};
 use std::sync::OnceLock;
 
 /// One kernel family. Ordering is preference: later variants are faster

@@ -40,15 +40,17 @@ cargo test -q
 
 step "tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # One pass per host-supported kernel ISA with the dispatch pinned: the
-# packed GEMM against its reference, the QUB encoder against the
-# per-element quantizer, its operand output against the bytes decoded and
-# packed, and a check that the encoder really ran the pinned kernel. Then,
-# in a release build where they are vectorized: the GEMM kernels and their
-# f32 epilogue against the i64 result rescaled, the SFU row bodies against
-# the per-element oracles, the lockstep reference backend, the golden
-# integer logits and the warm-forward work counters. `--list-isas` always
-# reports scalar, so the portable kernels are always in the matrix even on
-# fully-featured hosts.
+# packed GEMM against its reference, the QUB encoder (search and region
+# path) against the per-element quantizer, its operand output against the
+# bytes decoded and packed, and a check that the encoder really ran the
+# pinned kernel, the encoder tests both at the dev profile and in the
+# release build that ships. Then, in a release build where they are
+# vectorized: the GEMM kernels and their f32 epilogue against the i64
+# result rescaled, the SFU row bodies against the per-element oracles, the
+# lockstep reference backend, the golden integer logits and the work
+# counters (one encode per operand, and the region path's share of the
+# encoder's groups). `--list-isas` always reports scalar, so the portable
+# kernels are always in the matrix even on fully-featured hosts.
 isas="$(cargo run --release -q -p quq-serve -- --list-isas)"
 case "$isas" in *scalar*) ;; *)
     echo "kernel matrix: scalar ISA missing from --list-isas" >&2; exit 1;;
@@ -57,6 +59,7 @@ for isa in $isas; do
     echo "    ISA: $isa"
     QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --lib -- dot::
     QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests -- encoder_
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-core --test proptests -- encoder_
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-tensor --lib -- linalg::
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --lib -- intfunc:: backend_int::
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test batch_identity -- golden
