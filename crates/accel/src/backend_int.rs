@@ -260,9 +260,8 @@ impl Backend for IntegerBackend<'_> {
         let (rows, _, n) = linalg::linear_dims(x, w, bias)?;
         let w_params = self.weight_params(site)?;
         let act = self.quant(site, Operand::Input)?;
-        let w_src = self.tables.original_weight(&site).unwrap_or(w);
         // Weights recur image after image: encode + pack once.
-        let qw = self.weights.get_or_encode(site, w_params, w_src);
+        let qw = self.weights.get_or_encode(site, w_params, w);
         let y = act.gemm(x.data(), rows, &qw.preshifted(), qw.base_delta, bias);
         let mut shape = x.shape().to_vec();
         *shape.last_mut().expect("rank >= 1") = n;
@@ -428,8 +427,7 @@ mod tests {
             let w_params = self.0.weight_params(site)?;
             let (rows, cols) = x.as_matrix().map_err(BackendError::from)?;
             let x2 = x.reshape(&[rows, cols]).map_err(BackendError::from)?;
-            let w_src = self.0.tables.original_weight(&site).unwrap_or(w);
-            let qw = self.0.weights.get_or_encode(site, w_params, w_src);
+            let qw = self.0.weights.get_or_encode(site, w_params, w);
             let qa = QubCodec::new(a_params).encode_tensor(&x2);
             let y = Self::int_matmul_nt_qub(&qa, &qw)?;
             let y = match bias {
@@ -610,7 +608,6 @@ mod tests {
         for ((_, op), (c, _)) in ops.iter().zip(&collected) {
             let operands = 1 + usize::from(op.input_b().is_some());
             assert_eq!(c.samples().len(), operands, "{}", op.name());
-            assert_eq!(c.weights().len(), usize::from(op.weight().is_some()));
         }
         let counted = run(&ops, Calls::default);
         assert!(counted.iter().all(|(calls, _)| calls.0 == 1));

@@ -3,8 +3,8 @@
 //! The paper calibrates on 32 images (§6.1). [`Collector`] is a [`Tap`]:
 //! over an fp32 forward it records, per quantizable operand (a
 //! [`ParamKey`]), a reservoir-subsampled set of the values that flowed
-//! through it, plus one copy of every weight tensor it saw. PTQ pipelines
-//! then fit per-tensor quantizers from these samples.
+//! through it. PTQ pipelines then fit per-tensor quantizers from these
+//! samples, and weight quantizers from the model's own weights.
 
 use quq_tensor::Tensor;
 use quq_vit::backend::{Op, OpKind, OpSite, Tap};
@@ -149,14 +149,13 @@ impl SampleSet {
 /// Default per-site reservoir capacity.
 pub const DEFAULT_SAMPLE_CAP: usize = 32_768;
 
-/// The calibration tap: records operand samples and weight tensors under
-/// the configured coverage.
+/// The calibration tap: records operand samples under the configured
+/// coverage.
 #[derive(Debug)]
 pub struct Collector {
     coverage: Coverage,
     cap: usize,
     samples: BTreeMap<ParamKey, SampleSet>,
-    weights: BTreeMap<OpSite, Tensor>,
 }
 
 impl Collector {
@@ -171,7 +170,6 @@ impl Collector {
             coverage,
             cap,
             samples: BTreeMap::new(),
-            weights: BTreeMap::new(),
         }
     }
 
@@ -189,14 +187,9 @@ impl Collector {
         &self.samples
     }
 
-    /// Recorded weight tensors (one per linear site).
-    pub fn weights(&self) -> &BTreeMap<OpSite, Tensor> {
-        &self.weights
-    }
-
-    /// Consumes the collector, returning samples and weights.
-    pub fn into_parts(self) -> (BTreeMap<ParamKey, SampleSet>, BTreeMap<OpSite, Tensor>) {
-        (self.samples, self.weights)
+    /// Consumes the collector, returning its samples.
+    pub fn into_samples(self) -> BTreeMap<ParamKey, SampleSet> {
+        self.samples
     }
 }
 
@@ -210,9 +203,6 @@ impl Tap for Collector {
         self.record(ParamKey::input(site), op.input());
         if let Some(b) = op.input_b() {
             self.record(ParamKey::input_b(site), b);
-        }
-        if let Some(w) = op.weight() {
-            self.weights.entry(site).or_insert_with(|| w.clone());
         }
     }
 }
@@ -260,7 +250,6 @@ mod tests {
         assert_eq!(out, reference);
         assert!(c.tap().samples().keys().all(|k| k.site.kind.is_gemm()));
         assert!(c.tap().samples().keys().any(|k| k.site.kind == OpKind::Qkv));
-        assert!(!c.tap().weights().is_empty());
     }
 
     #[test]
@@ -284,19 +273,6 @@ mod tests {
         let res_site = OpSite::in_block(0, OpKind::Residual1);
         assert!(c.tap().samples().contains_key(&ParamKey::input(res_site)));
         assert!(c.tap().samples().contains_key(&ParamKey::input_b(res_site)));
-    }
-
-    #[test]
-    fn weights_recorded_once_per_site() {
-        let model = VitModel::synthesize(ModelConfig::test_config(), 5);
-        let img = model.config().dummy_image(0.2);
-        let mut c = collector(Coverage::Partial, 256);
-        model.forward(&img, &mut c).unwrap();
-        model.forward(&img, &mut c).unwrap();
-        // Two forwards, still one weight per site; qkv weights match model.
-        let qkv_site = OpSite::in_block(0, OpKind::Qkv);
-        let w = c.tap().weights().get(&qkv_site).unwrap();
-        assert_eq!(w, &model.weights().stages[0].blocks[0].qkv_w);
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! End-to-end PTQ pipelines: calibrate → fit → execute quantized.
 //!
-//! [`calibrate`] runs the calibration images through a [`Collector`], fits a
-//! quantizer for every recorded operand with the chosen [`QuantMethod`], and
-//! pre-quantizes the weights. The resulting [`PtqTables`] build a
-//! [`QuantBackend`] that fake-quantizes every covered operand during
-//! inference — the functional model of a partially (Table 2) or fully
-//! (Table 3) quantized ViT. Bit-exact integer execution of the same
-//! arithmetic lives in `quq-accel`.
+//! [`calibrate`] runs the calibration images through a [`Collector`] and
+//! fits a quantizer for every recorded operand, and for every covered
+//! linear weight of the model, with the chosen [`QuantMethod`]. The
+//! resulting [`PtqTables`] hold those fitted quantizers and nothing else:
+//! the weights stay in the model. The tables build a [`QuantBackend`] that
+//! fake-quantizes every covered operand during inference — the functional
+//! model of a partially (Table 2) or fully (Table 3) quantized ViT.
+//! Bit-exact integer execution of the same arithmetic lives in `quq-accel`.
 
 use crate::calib::{Collector, Coverage, Operand, ParamKey};
-use crate::quantizer::QuantMethod;
+use crate::quantizer::{FittedQuantizer, QuantMethod};
 use quq_tensor::Tensor;
 use quq_vit::backend::{Backend, BackendError, Op, OpSite, Result};
 use quq_vit::{Dataset, Fp32Backend, Tapped, VitModel};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Bit-widths and coverage of one PTQ experiment (the `W/A` column of the
 /// paper's tables).
@@ -56,17 +58,22 @@ impl PtqConfig {
     }
 }
 
-/// Fitted quantization state of one model under one method and config.
+/// Fitted quantization state of one model under one method and config: a
+/// quantizer per covered activation operand and per linear weight, as the
+/// paper's calibrated state is quantizer parameters (Fig. 5). The weights
+/// themselves stay in the model.
 pub struct PtqTables {
     config: PtqConfig,
     method_name: &'static str,
-    activations: BTreeMap<ParamKey, Box<dyn crate::quantizer::FittedQuantizer>>,
-    /// Weights pre-fake-quantized at calibration time (per linear site).
-    quantized_weights: BTreeMap<OpSite, Tensor>,
-    /// The fitted weight quantizers (integer paths need their parameters).
-    weight_quantizers: BTreeMap<OpSite, Box<dyn crate::quantizer::FittedQuantizer>>,
-    /// The original FP32 weights (integer paths re-encode from these).
-    original_weights: BTreeMap<OpSite, Tensor>,
+    activations: BTreeMap<ParamKey, Box<dyn FittedQuantizer>>,
+    weights: BTreeMap<OpSite, WeightSite>,
+}
+
+/// A linear site's fitted weight quantizer, and the weight it
+/// fake-quantizes once [`QuantBackend`] first runs the site.
+struct WeightSite {
+    quantizer: Box<dyn FittedQuantizer>,
+    fake_quantized: OnceLock<Tensor>,
 }
 
 impl std::fmt::Debug for PtqTables {
@@ -75,12 +82,41 @@ impl std::fmt::Debug for PtqTables {
             .field("config", &self.config)
             .field("method", &self.method_name)
             .field("activation_sites", &self.activations.len())
-            .field("weight_sites", &self.quantized_weights.len())
+            .field("weight_sites", &self.weights.len())
             .finish()
     }
 }
 
 impl PtqTables {
+    /// Assembles tables from fitted quantizers: the inverse of walking
+    /// [`PtqTables::activations`] and [`PtqTables::weight_quantizers`].
+    pub fn from_parts(
+        config: PtqConfig,
+        method_name: &'static str,
+        activations: BTreeMap<ParamKey, Box<dyn FittedQuantizer>>,
+        weight_quantizers: BTreeMap<OpSite, Box<dyn FittedQuantizer>>,
+    ) -> Self {
+        let weights = weight_quantizers
+            .into_iter()
+            .map(|(site, quantizer)| {
+                let fake_quantized = OnceLock::new();
+                (
+                    site,
+                    WeightSite {
+                        quantizer,
+                        fake_quantized,
+                    },
+                )
+            })
+            .collect();
+        Self {
+            config,
+            method_name,
+            activations,
+            weights,
+        }
+    }
+
     /// The experiment configuration.
     pub fn config(&self) -> PtqConfig {
         self.config
@@ -97,26 +133,27 @@ impl PtqTables {
     }
 
     /// Fitted quantizer for an operand, if present.
-    pub fn activation(&self, key: &ParamKey) -> Option<&dyn crate::quantizer::FittedQuantizer> {
+    pub fn activation(&self, key: &ParamKey) -> Option<&dyn FittedQuantizer> {
         self.activations.get(key).map(|b| b.as_ref())
     }
 
     /// Human-readable description of a weight quantizer.
     pub fn weight_description(&self, site: &OpSite) -> Option<String> {
-        self.weight_quantizers.get(site).map(|q| q.describe())
+        self.weight_quantizer(site).map(|q| q.describe())
     }
 
     /// Fitted quantizer for a weight site, if present.
-    pub fn weight_quantizer(
-        &self,
-        site: &OpSite,
-    ) -> Option<&dyn crate::quantizer::FittedQuantizer> {
-        self.weight_quantizers.get(site).map(|b| b.as_ref())
+    pub fn weight_quantizer(&self, site: &OpSite) -> Option<&dyn FittedQuantizer> {
+        self.weights.get(site).map(|w| w.quantizer.as_ref())
     }
 
-    /// The original (FP32) weight tensor recorded for a site.
-    pub fn original_weight(&self, site: &OpSite) -> Option<&Tensor> {
-        self.original_weights.get(site)
+    /// `w`, the weight the linear at `site` multiplies, fake-quantized by
+    /// the site's quantizer. Computed on the site's first use and kept for
+    /// every later one, so the tables serve the model they were fitted on.
+    fn fake_quantized_weight(&self, site: &OpSite, w: &Tensor) -> Option<&Tensor> {
+        let entry = self.weights.get(site)?;
+        let fake_quantize = || entry.quantizer.fake_quantize(w);
+        Some(entry.fake_quantized.get_or_init(fake_quantize))
     }
 
     /// Builds an execution backend over these tables.
@@ -126,43 +163,14 @@ impl PtqTables {
 
     /// Iterates every fitted activation quantizer with its operand key, in
     /// `BTreeMap` (deterministic) order. Serialization paths walk this.
-    pub fn activations(
-        &self,
-    ) -> impl Iterator<Item = (&ParamKey, &dyn crate::quantizer::FittedQuantizer)> {
+    pub fn activations(&self) -> impl Iterator<Item = (&ParamKey, &dyn FittedQuantizer)> {
         self.activations.iter().map(|(k, q)| (k, q.as_ref()))
     }
 
     /// Iterates every weight site with its fitted quantizer, in
     /// deterministic order.
-    pub fn weight_quantizers(
-        &self,
-    ) -> impl Iterator<Item = (&OpSite, &dyn crate::quantizer::FittedQuantizer)> {
-        self.weight_quantizers.iter().map(|(k, q)| (k, q.as_ref()))
-    }
-
-    /// Reassembles tables from previously serialized parts (the inverse of
-    /// walking [`PtqTables::activations`] / [`PtqTables::weight_quantizers`]).
-    ///
-    /// `original_weights` may be empty: execution backends that re-encode
-    /// from FP32 fall back to the live model weight at each site, which for
-    /// a model restored alongside these tables is exactly the tensor
-    /// calibration recorded.
-    pub fn from_parts(
-        config: PtqConfig,
-        method_name: &'static str,
-        activations: BTreeMap<ParamKey, Box<dyn crate::quantizer::FittedQuantizer>>,
-        weight_quantizers: BTreeMap<OpSite, Box<dyn crate::quantizer::FittedQuantizer>>,
-        quantized_weights: BTreeMap<OpSite, Tensor>,
-        original_weights: BTreeMap<OpSite, Tensor>,
-    ) -> Self {
-        Self {
-            config,
-            method_name,
-            activations,
-            quantized_weights,
-            weight_quantizers,
-            original_weights,
-        }
+    pub fn weight_quantizers(&self) -> impl Iterator<Item = (&OpSite, &dyn FittedQuantizer)> {
+        self.weights.iter().map(|(k, w)| (k, w.quantizer.as_ref()))
     }
 }
 
@@ -189,67 +197,58 @@ pub fn calibrate(
         model.forward(img, &mut collector)?;
     }
     let (_, collector) = collector.into_parts();
-    let (samples, weights) = collector.into_parts();
+    let samples = collector.into_samples();
 
     let sites: Vec<(ParamKey, Vec<f32>)> = samples
         .into_iter()
         .map(|(key, set)| (key, set.to_values()))
         .collect();
-    let mut fitted: Vec<Option<Box<dyn crate::quantizer::FittedQuantizer>>> = Vec::new();
-    fitted.resize_with(sites.len(), || None);
-    quq_tensor::pool::parallel_chunks_mut(&mut fitted, 1, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let (key, values) = &sites[start + off];
-            *slot = Some(method.fit_activation_for(*key, values, config.bits_a));
-        }
+    let fitted = fit_each(&sites, |(key, values)| {
+        method.fit_activation_for(*key, values, config.bits_a)
     });
-    let activations: BTreeMap<_, _> = sites
-        .iter()
-        .zip(fitted)
-        .map(|((key, _), q)| (*key, q.expect("every site fitted")))
+    let activations = sites.iter().map(|(key, _)| *key).zip(fitted).collect();
+    let weights: Vec<(OpSite, &Tensor)> = (model.weights().tensors(model.config()))
+        .filter_map(|(slot, w)| Some((slot.site?, w)))
+        .filter(|(site, _)| config.coverage.covers(site.kind))
         .collect();
-
-    type WeightFit = Option<(Box<dyn crate::quantizer::FittedQuantizer>, Tensor)>;
-    let weight_sites: Vec<(OpSite, Tensor)> = weights.into_iter().collect();
-    let mut weight_fits: Vec<WeightFit> = Vec::new();
-    weight_fits.resize_with(weight_sites.len(), || None);
-    quq_tensor::pool::parallel_chunks_mut(&mut weight_fits, 1, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let (_, w) = &weight_sites[start + off];
-            let q = method.fit_weight(w, config.bits_w);
-            let fq = q.fake_quantize(w);
-            *slot = Some((q, fq));
-        }
-    });
-    let mut quantized_weights = BTreeMap::new();
-    let mut weight_quantizers = BTreeMap::new();
-    let mut original_weights = BTreeMap::new();
-    for ((site, w), fit) in weight_sites.into_iter().zip(weight_fits) {
-        let (q, fq) = fit.expect("every weight fitted");
-        quantized_weights.insert(site, fq);
-        weight_quantizers.insert(site, q);
-        original_weights.insert(site, w);
-    }
-    Ok(PtqTables {
+    let fitted = fit_each(&weights, |(_, w)| method.fit_weight(w, config.bits_w));
+    let weight_quantizers = weights.iter().map(|(site, _)| *site).zip(fitted).collect();
+    Ok(PtqTables::from_parts(
         config,
-        method_name: method.name(),
+        method.name(),
         activations,
-        quantized_weights,
         weight_quantizers,
-        original_weights,
-    })
+    ))
 }
 
-/// Quantized-execution backend: fake-quantizes every covered operand and
-/// swaps weights for their pre-quantized copies.
+/// `fit` applied to every item on the [`quq_tensor::pool`], in item order.
+fn fit_each<T: Sync>(
+    items: &[T],
+    fit: impl Fn(&T) -> Box<dyn FittedQuantizer> + Sync,
+) -> Vec<Box<dyn FittedQuantizer>> {
+    let mut fitted: Vec<Option<Box<dyn FittedQuantizer>>> = Vec::new();
+    fitted.resize_with(items.len(), || None);
+    quq_tensor::pool::parallel_chunks_mut(&mut fitted, 1, |start, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            *slot = Some(fit(&items[start + off]));
+        }
+    });
+    fitted
+        .into_iter()
+        .map(|q| q.expect("every item fitted"))
+        .collect()
+}
+
+/// Quantized-execution backend: fake-quantizes every covered operand,
+/// weights included (each site's weight once per tables, on first use).
 #[derive(Debug)]
 pub struct QuantBackend<'a> {
     tables: &'a PtqTables,
 }
 
 impl QuantBackend<'_> {
-    /// `op` in `f32`: over its fake-quantized activations and pre-quantized
-    /// weight where `site` is covered, as it is elsewhere.
+    /// `op` in `f32`: over its fake-quantized activations and weight where
+    /// `site` is covered, as it is elsewhere.
     fn eval(&self, site: OpSite, op: Op<'_>) -> Result<Tensor> {
         if !self.tables.config.coverage.covers(site.kind) {
             return op.eval();
@@ -259,7 +258,11 @@ impl QuantBackend<'_> {
             let q = self.tables.activations.get(&ParamKey { site, operand });
             q.map(|q| q.fake_quantize(t)).ok_or_else(missing)
         };
-        let weight = |_| self.tables.quantized_weights.get(&site).ok_or_else(missing);
+        let weight = |w| {
+            self.tables
+                .fake_quantized_weight(&site, w)
+                .ok_or_else(missing)
+        };
         let x = quantize(Operand::Input, op.input())?;
         let x_b = op
             .input_b()

@@ -20,8 +20,8 @@
 //!   the client drains its responses, so a never-reading pipelined
 //!   client cannot grow server memory;
 //! * an **SLO-aware scheduler** ([`sched`]) as the bounded admission
-//!   queue: interactive strictly ahead of batch, deficit round-robin
-//!   across tenants within a class, per-tenant token-bucket quotas
+//!   queue: interactive strictly ahead of batch, round-robin across
+//!   tenants within a class, per-tenant token-bucket quotas
 //!   ([`ServeConfig::tenant_rate`]), class-aware shedding (batch before
 //!   interactive, over-quota tenants first — an arriving better-standing
 //!   request *displaces* a worse-standing one at capacity),

@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use quq_obs::SiteKey;
-use quq_vit::VitModel;
 
 use crate::error::ServeError;
 use crate::protocol::{ModelEntry, RegistrySnapshot};
@@ -116,7 +115,8 @@ impl Registry {
         let bytes = source
             .as_ref()
             .and_then(|p| std::fs::metadata(p).ok().map(|m| m.len()))
-            .unwrap_or_else(|| weight_bytes(&state.model));
+            // A sourceless entry is charged its f32 weights' footprint.
+            .unwrap_or_else(|| 4 * state.model.config().param_count() as u64);
         let backend = state.provider.name().to_string();
         let mut inner = self.lock();
         inner.tick += 1;
@@ -395,33 +395,4 @@ impl Registry {
             .sum();
         quq_obs::record("registry.resident_bytes", resident);
     }
-}
-
-/// In-memory weight footprint of a model, used to charge sourceless
-/// entries (no artifact to stat) against the residency budget.
-fn weight_bytes(model: &VitModel) -> u64 {
-    let w = model.weights();
-    let mut elems = w.patch_w.data().len() + w.patch_b.data().len() + w.pos_embed.data().len();
-    if let Some(cls) = &w.cls_token {
-        elems += cls.data().len();
-    }
-    for stage in &w.stages {
-        for b in &stage.blocks {
-            elems += [
-                &b.ln1_g, &b.ln1_b, &b.qkv_w, &b.qkv_b, &b.proj_w, &b.proj_b, &b.ln2_g, &b.ln2_b,
-                &b.fc1_w, &b.fc1_b, &b.fc2_w, &b.fc2_b,
-            ]
-            .iter()
-            .map(|t| t.data().len())
-            .sum::<usize>();
-        }
-        if let Some((mw, mb)) = &stage.merge {
-            elems += mw.data().len() + mb.data().len();
-        }
-    }
-    elems += w.final_g.data().len()
-        + w.final_b.data().len()
-        + w.head_w.data().len()
-        + w.head_b.data().len();
-    4 * elems as u64
 }

@@ -9,12 +9,11 @@
 //! * **Class ordering** — every request carries a [`Class`]:
 //!   `interactive` requests are *strictly* dequeued before `batch`
 //!   requests. Batch traffic only runs when no interactive work is queued.
-//! * **Per-tenant fairness** — within a class, tenants are served by
-//!   deficit round-robin (DRR): each ring visit grants a tenant
-//!   [`SchedConfig::quantum`] requests of credit; unused credit carries
-//!   over while the tenant stays backlogged and resets when its queue
-//!   empties. One hot tenant cannot starve its siblings: everyone makes
-//!   `quantum` requests of progress per rotation.
+//! * **Per-tenant fairness** — within a class, tenants are served
+//!   round-robin: each visit of the lane's ring takes one request from
+//!   the tenant at its front, which rejoins the back while it stays
+//!   backlogged. One hot tenant cannot starve its siblings: every
+//!   backlogged tenant makes one request of progress per rotation.
 //! * **Token-bucket quotas** — each tenant has a bucket refilled at
 //!   [`SchedConfig::tenant_rate`] requests/second up to
 //!   [`SchedConfig::tenant_burst`]. An empty bucket does not reject the
@@ -91,8 +90,6 @@ const MAX_TENANT_BUCKETS: usize = 1024;
 pub struct SchedConfig {
     /// Bounded queue capacity across all classes and tenants.
     pub capacity: usize,
-    /// DRR credit granted per tenant per ring visit, in requests.
-    pub quantum: usize,
     /// Token-bucket refill per tenant, in requests/second. 0 disables
     /// quotas (no request is ever marked over-quota).
     pub tenant_rate: f64,
@@ -108,7 +105,6 @@ impl Default for SchedConfig {
     fn default() -> Self {
         Self {
             capacity: 64,
-            quantum: 1,
             tenant_rate: 0.0,
             tenant_burst: 0.0,
             deadline_slack: Duration::from_millis(1),
@@ -149,24 +145,18 @@ pub struct Admission<T> {
 
 /// One picked-up batch.
 pub struct Batch<T> {
-    /// Requests to compute, in dequeue (class-then-DRR) order.
+    /// Requests to compute, in dequeue (class, then round-robin) order.
     pub jobs: Vec<Admitted<T>>,
     /// Requests whose deadline had already passed at pickup: answer with
     /// DEADLINE, spend no compute.
     pub expired: Vec<Admitted<T>>,
 }
 
-/// One tenant's FIFO within a class lane, with its DRR deficit counter.
-struct TenantQ<T> {
-    items: VecDeque<Admitted<T>>,
-    deficit: usize,
-}
-
-/// One class lane: per-tenant queues plus the DRR visiting ring. The map
+/// One class lane: per-tenant FIFOs plus the visiting ring. The map
 /// holds exactly the tenants with a non-empty queue; `ring` holds the
 /// same names in visiting order.
 struct Lane<T> {
-    tenants: BTreeMap<Arc<str>, TenantQ<T>>,
+    tenants: BTreeMap<Arc<str>, VecDeque<Admitted<T>>>,
     ring: VecDeque<Arc<str>>,
 }
 
@@ -178,10 +168,9 @@ impl<T> Lane<T> {
         }
     }
 
-    /// Drops `tenant` from the lane if its queue is empty (classic DRR:
-    /// deficit resets when the backlog clears).
+    /// Drops `tenant` from the lane if its queue is empty.
     fn prune_if_empty(&mut self, tenant: &Arc<str>) {
-        if self.tenants.get(tenant).is_some_and(|q| q.items.is_empty()) {
+        if self.tenants.get(tenant).is_some_and(VecDeque::is_empty) {
             self.tenants.remove(tenant);
             self.ring.retain(|t| t != tenant);
         }
@@ -347,8 +336,8 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Blocks for the next batch: interactive requests first, DRR across
-    /// tenants within a class. A consumer calls this again once it has
+    /// Blocks for the next batch: interactive requests first, round-robin
+    /// across tenants within a class. A consumer calls this again once it has
     /// run the batch it took; coming back from a batch of more than one
     /// request opens the batching window (see the module docs). A partial
     /// batch ships at once when no window is open, and otherwise at
@@ -399,10 +388,10 @@ impl<T> Scheduler<T> {
                     .unwrap_or_else(PoisonError::into_inner);
                 st = guard;
             }
-            // Collect: expired requests first (no compute), then DRR.
+            // Collect: expired requests first (no compute), then round-robin.
             let now = Instant::now();
             let expired = remove_expired(&mut st, now);
-            let jobs = collect(&mut st, max_batch, self.cfg.quantum.max(1));
+            let jobs = collect(&mut st, max_batch);
             if jobs.is_empty() && expired.is_empty() {
                 continue; // a racing consumer took everything; re-wait
             }
@@ -458,17 +447,11 @@ impl<T> Scheduler<T> {
 fn enqueue<T>(st: &mut State<T>, a: Admitted<T>) {
     let lane = &mut st.lanes[a.class as usize];
     let tenant = Arc::clone(&a.tenant);
-    let q = lane
-        .tenants
-        .entry(Arc::clone(&tenant))
-        .or_insert_with(|| TenantQ {
-            items: VecDeque::new(),
-            deficit: 0,
-        });
-    if q.items.is_empty() {
+    let q = lane.tenants.entry(Arc::clone(&tenant)).or_default();
+    if q.is_empty() {
         lane.ring.push_back(tenant);
     }
-    q.items.push_back(a);
+    q.push_back(a);
     st.len += 1;
 }
 
@@ -483,17 +466,16 @@ fn find_victim<T>(st: &mut State<T>, incoming_rank: u8) -> Option<Admitted<T>> {
         let tenant = lane
             .tenants
             .iter()
-            .filter(|(_, q)| q.items.iter().any(|a| a.over_quota == want_over))
-            .max_by_key(|(_, q)| q.items.len())
+            .filter(|(_, q)| q.iter().any(|a| a.over_quota == want_over))
+            .max_by_key(|(_, q)| q.len())
             .map(|(t, _)| Arc::clone(t));
         if let Some(tenant) = tenant {
             let q = lane.tenants.get_mut(&tenant).expect("tenant just found");
             let idx = q
-                .items
                 .iter()
                 .rposition(|a| a.over_quota == want_over)
                 .expect("matching item just found");
-            let victim = q.items.remove(idx).expect("index in bounds");
+            let victim = q.remove(idx).expect("index in bounds");
             lane.prune_if_empty(&tenant);
             st.len -= 1;
             return Some(victim);
@@ -507,7 +489,7 @@ fn earliest_deadline<T>(st: &State<T>) -> Option<Instant> {
     st.lanes
         .iter()
         .flat_map(|l| l.tenants.values())
-        .flat_map(|q| q.items.iter())
+        .flat_map(|q| q.iter())
         .filter_map(|a| a.deadline)
         .min()
 }
@@ -520,9 +502,9 @@ fn remove_expired<T>(st: &mut State<T>, now: Instant) -> Vec<Admitted<T>> {
         for tenant in tenants {
             if let Some(q) = lane.tenants.get_mut(&tenant) {
                 let mut i = 0;
-                while i < q.items.len() {
-                    if q.items[i].deadline.is_some_and(|d| d <= now) {
-                        out.push(q.items.remove(i).expect("index in bounds"));
+                while i < q.len() {
+                    if q[i].deadline.is_some_and(|d| d <= now) {
+                        out.push(q.remove(i).expect("index in bounds"));
                     } else {
                         i += 1;
                     }
@@ -535,31 +517,27 @@ fn remove_expired<T>(st: &mut State<T>, now: Instant) -> Vec<Admitted<T>> {
     out
 }
 
-/// DRR collection: interactive lane drains fully ahead of batch; within a
-/// lane, the visiting ring grants each tenant `quantum` credit per visit.
-fn collect<T>(st: &mut State<T>, max_batch: usize, quantum: usize) -> Vec<Admitted<T>> {
+/// Round-robin collection: the interactive lane drains fully ahead of
+/// batch; within a lane, each ring visit takes one request from the tenant
+/// at the front, which rejoins the back while it stays backlogged.
+fn collect<T>(st: &mut State<T>, max_batch: usize) -> Vec<Admitted<T>> {
     let mut out = Vec::new();
     for lane in st.lanes.iter_mut() {
-        while out.len() < max_batch && !lane.ring.is_empty() {
-            let tenant = lane.ring.pop_front().expect("ring non-empty");
+        while out.len() < max_batch {
+            let Some(tenant) = lane.ring.pop_front() else {
+                break;
+            };
             let Some(q) = lane.tenants.get_mut(&tenant) else {
                 continue;
             };
-            q.deficit += quantum;
-            while q.deficit > 0 && out.len() < max_batch {
-                match q.items.pop_front() {
-                    Some(a) => {
-                        q.deficit -= 1;
-                        st.len -= 1;
-                        out.push(a);
-                    }
-                    None => break,
-                }
+            if let Some(a) = q.pop_front() {
+                st.len -= 1;
+                out.push(a);
             }
-            if q.items.is_empty() {
-                lane.tenants.remove(&tenant); // deficit resets with the backlog
+            if q.is_empty() {
+                lane.tenants.remove(&tenant);
             } else {
-                lane.ring.push_back(tenant); // leftover deficit carries over
+                lane.ring.push_back(tenant);
             }
         }
     }
@@ -654,8 +632,8 @@ mod tests {
     #[test]
     fn drr_alternates_tenants_within_a_class() {
         let q = sched(16);
-        // Tenant a floods; tenant b trickles. DRR (quantum 1) must
-        // interleave them instead of serving a's backlog first.
+        // Tenant a floods; tenant b trickles. Round-robin must interleave
+        // them instead of serving a's backlog first.
         for i in 0..6 {
             q.push(100 + i, Class::Interactive, "a", None).unwrap();
         }

@@ -164,9 +164,6 @@ pub struct ServeConfig {
     pub tenant_rate: f64,
     /// Token-bucket burst capacity per tenant. 0 = `tenant_rate.max(1)`.
     pub tenant_burst: f64,
-    /// Deficit-round-robin quantum: requests one tenant may dequeue per
-    /// scheduler ring visit before yielding to the next tenant.
-    pub drr_quantum: usize,
     /// Flush a partial batch this long before the most urgent queued
     /// deadline, so the request clears compute in time.
     pub deadline_slack: Duration,
@@ -184,7 +181,6 @@ impl Default for ServeConfig {
             write_high_water: 1 << 20,
             tenant_rate: 0.0,
             tenant_burst: 0.0,
-            drr_quantum: 1,
             deadline_slack: Duration::from_millis(1),
         }
     }
@@ -451,7 +447,6 @@ impl Server {
             registry,
             queue: Scheduler::new(SchedConfig {
                 capacity: config.queue_capacity,
-                quantum: config.drr_quantum.max(1),
                 tenant_rate: config.tenant_rate,
                 tenant_burst: config.tenant_burst,
                 deadline_slack: config.deadline_slack,

@@ -188,7 +188,7 @@ impl Codec for ByteShuffle {
 /// LZ77-style match/literal compressor, RLE included as the distance-1
 /// special case.
 ///
-/// Token stream (byte-exact, documented in DESIGN.md §12):
+/// Token stream (byte-exact, documented in DESIGN.md, "The QUQM artifact store"):
 ///
 /// ```text
 /// token := ctrl < 0x80 : literal run, (ctrl + 1) raw bytes follow (1..=128)
@@ -704,7 +704,7 @@ fn decode_segment(
 /// Static order-0 rANS over 1, 2, 4 or 8 equal segments, each with its own
 /// 12-bit frequency table or stored verbatim.
 ///
-/// Stream (byte-exact, documented in DESIGN.md §12):
+/// Stream (byte-exact, documented in DESIGN.md, "The QUQM artifact store"):
 ///
 /// ```text
 /// stream  := n_seg u8 (1, 2, 4 or 8), then n_seg segments in order;

@@ -364,20 +364,36 @@ pub fn encode_metadata(config: &ModelConfig, ptq: PtqConfig, method: &str) -> Ve
     e.0
 }
 
+/// The largest configuration dimension an artifact may declare: far past
+/// every real model, and small enough that no shape derived from the
+/// configuration overflows.
+const MAX_DIM: u64 = 1 << 16;
+
+/// A configuration dimension read from an artifact: 0 and anything past
+/// [`MAX_DIM`] are refused.
+fn dim(v: u64) -> Result<usize, StoreError> {
+    match v {
+        1..=MAX_DIM => Ok(v as usize),
+        _ => Err(StoreError::Format(format!(
+            "configuration dimension {v} is outside 1..={MAX_DIM}"
+        ))),
+    }
+}
+
 /// Parses the metadata block.
 pub fn decode_metadata(bytes: &[u8]) -> Result<(ModelConfig, PtqConfig, String), StoreError> {
     let mut d = Dec::new(bytes);
     let id = enum_from_code(&MODEL_IDS, d.u8()?, "ModelId")?;
     let family = enum_from_code(&FAMILIES, d.u8()?, "Family")?;
-    let img_size = d.u64()? as usize;
-    let in_chans = d.u64()? as usize;
-    let patch_size = d.u64()? as usize;
-    let mlp_ratio = d.u64()? as usize;
+    let img_size = dim(d.u64()?)?;
+    let in_chans = dim(d.u64()?)?;
+    let patch_size = dim(d.u64()?)?;
+    let mlp_ratio = dim(d.u64()?)?;
     let window = match d.u64()? {
         0 => None,
-        w => Some(w as usize),
+        w => Some(dim(w)?),
     };
-    let num_classes = d.u64()? as usize;
+    let num_classes = dim(d.u64()?)?;
     let n_stages = d.u32()? as usize;
     if n_stages == 0 || n_stages > 64 {
         return Err(StoreError::Format(format!(
@@ -387,9 +403,9 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<(ModelConfig, PtqConfig, String),
     let mut stages = Vec::with_capacity(n_stages);
     for _ in 0..n_stages {
         stages.push(StageConfig {
-            depth: d.u64()? as usize,
-            embed_dim: d.u64()? as usize,
-            num_heads: d.u64()? as usize,
+            depth: dim(d.u64()?)?,
+            embed_dim: dim(d.u64()?)?,
+            num_heads: dim(d.u64()?)?,
         });
     }
     let config = ModelConfig {
@@ -665,38 +681,11 @@ pub fn decode_weight_params(bytes: &[u8]) -> Result<Vec<(OpSite, QuqParams)>, St
 // Model tensor keys.
 // ---------------------------------------------------------------------------
 
-/// The per-block tensor names, in wire order, paired with accessors.
-pub(crate) const BLOCK_TENSORS: [&str; 12] = [
-    "ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b", "ln2_g", "ln2_b", "fc1_w", "fc1_b",
-    "fc2_w", "fc2_b",
-];
-
-/// Enumerates every model-tensor key for `config`, in the canonical wire
-/// order. The writer emits chunks in this order; the reader requests them
-/// by the same names.
-pub fn model_tensor_keys(config: &ModelConfig) -> Vec<String> {
-    let mut keys = vec!["model/patch_w".to_string(), "model/patch_b".to_string()];
-    if matches!(config.family, Family::Vit | Family::Deit) {
-        keys.push("model/cls_token".to_string());
-    }
-    keys.push("model/pos_embed".to_string());
-    for (si, stage) in config.stages.iter().enumerate() {
-        for bi in 0..stage.depth {
-            for name in BLOCK_TENSORS {
-                keys.push(format!("model/s{si}/b{bi}/{name}"));
-            }
-        }
-        if si + 1 < config.stages.len() {
-            keys.push(format!("model/s{si}/merge_w"));
-            keys.push(format!("model/s{si}/merge_b"));
-        }
-    }
-    keys.extend(
-        ["final_g", "final_b", "head_w", "head_b"]
-            .iter()
-            .map(|n| format!("model/{n}")),
-    );
-    keys
+/// The chunk key of the model tensor named `name` in the model's tensor
+/// inventory (`quq_vit::ModelWeights::inventory`), e.g. `model/s0/b1/qkv_w`.
+/// The writer emits the tensors in inventory order.
+pub(crate) fn tensor_key(name: &str) -> String {
+    format!("model/{name}")
 }
 
 #[cfg(test)]
@@ -713,6 +702,19 @@ mod tests {
                 assert_eq!(ptq, PtqConfig::full_w8a8());
                 assert_eq!(method, "QUQ");
             }
+        }
+    }
+
+    #[test]
+    fn metadata_dimensions_outside_the_bounds_are_refused() {
+        let mut cfg = ModelConfig::test_config();
+        for patch_size in [0, (MAX_DIM + 1) as usize] {
+            cfg.patch_size = patch_size;
+            let bytes = encode_metadata(&cfg, PtqConfig::full_w8a8(), "QUQ");
+            assert!(matches!(
+                decode_metadata(&bytes),
+                Err(StoreError::Format(_))
+            ));
         }
     }
 
@@ -762,16 +764,6 @@ mod tests {
             decode_weight_params(&encode_weight_params(&ws)).unwrap(),
             ws
         );
-    }
-
-    #[test]
-    fn model_tensor_keys_cover_swin_merges_and_skip_cls() {
-        let cfg = ModelConfig::test_swin_config();
-        let keys = model_tensor_keys(&cfg);
-        assert!(keys.contains(&"model/s0/merge_w".to_string()));
-        assert!(!keys.iter().any(|k| k.contains("cls_token")));
-        let vit = ModelConfig::test_config();
-        assert!(model_tensor_keys(&vit).contains(&"model/cls_token".to_string()));
     }
 
     #[test]

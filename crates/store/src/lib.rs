@@ -12,17 +12,27 @@
 //! checksummed, so a reader can verify and load one layer at a time
 //! (the chunked-array / per-chunk-checksum shape proven by Zarr stores).
 //!
+//! The model tensors are the model's own tensor inventory
+//! (`quq_vit::ModelWeights::inventory`), keyed `model/<name>` and written
+//! in its order; nothing in this crate lists a model's tensors by hand.
+//!
 //! Artifacts are read and written through a pluggable [`Storage`] trait
 //! (filesystem [`FsStorage`] by default, in-memory [`MemStorage`] for
-//! tests) — the format layer never touches files directly.
+//! tests, [`MmapStorage`] for zero-copy opens) — the format layer never
+//! touches files directly.
 //!
 //! * [`ArtifactWriter::save`] writes to a temp file and atomically renames —
 //!   a crashed save never leaves a half-written artifact at the target path.
 //!   [`ArtifactWriter::save_on`] targets any [`Storage`] backend.
 //! * [`Artifact::open`] / [`Artifact::open_on`] validate the header,
-//!   metadata, and manifest (CRC-checked) without reading any chunk.
-//! * [`Artifact::load_site`] / [`Artifact::load_all`] read lazily and
-//!   verify each chunk's checksum before decoding it.
+//!   metadata, and manifest (CRC-checked) without reading any chunk,
+//!   including every model tensor's shape against the config and every
+//!   QUB record's shape against its weight.
+//! * [`Artifact::load_site`] reads one chunk, verifying its checksum
+//!   before decoding it. [`Artifact::load_all`] rebuilds the model and the
+//!   quantizer-only `PtqTables` and reads no QUB record; the integer
+//!   backend's weight cache reads those (`WeightQubCache::from_artifact`
+//!   in `quq-accel`).
 //!
 //! Every load path is hardened against corrupt or hostile files: all
 //! structural fields are covered by a checksum, lengths are validated

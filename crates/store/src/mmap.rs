@@ -16,7 +16,7 @@
 //!
 //! ## Why the mapped bytes stay valid
 //!
-//! The safety argument (spelled out in DESIGN.md §12) rests on how
+//! The safety argument (spelled out in DESIGN.md, "The QUQM artifact store") rests on how
 //! artifacts are written: [`crate::storage::FsStorage::write`] only ever
 //! *replaces* an artifact via temp-file + `rename(2)`. A rename unlinks
 //! the old directory entry but the old inode — the one this mapping is

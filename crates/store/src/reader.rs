@@ -27,14 +27,15 @@ use quq_core::pipeline::{PtqConfig, PtqTables};
 use quq_core::qub::QubTensor;
 use quq_core::read_qub_tensor_bounded;
 use quq_core::scheme::QuqParams;
+use quq_core::FittedQuantizer;
 use quq_tensor::Tensor;
-use quq_vit::{BlockWeights, Family, ModelConfig, ModelWeights, OpSite, StageWeights, VitModel};
+use quq_vit::{ModelConfig, ModelWeights, OpSite, VitModel};
 
 use crate::crc32::crc32;
 use crate::format::{
     decode_activation_params, decode_manifest, decode_metadata, decode_weight_params, qub_key,
-    site_from_qub_key, ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, HEADER_LEN, MAGIC, VERSION,
-    WEIGHT_PARAMS_KEY,
+    site_from_qub_key, tensor_key, ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, HEADER_LEN, MAGIC,
+    VERSION, WEIGHT_PARAMS_KEY,
 };
 use crate::mmap::MmapStorage;
 use crate::storage::{ByteView, FsStorage, Storage};
@@ -131,6 +132,61 @@ fn qub_record_len(shape: &[usize]) -> Result<u64, StoreError> {
     Ok(16 + 8 * shape.len() as u64 + shape_elems(shape)?)
 }
 
+/// Checks the manifest against the model's tensor inventory: every model
+/// tensor is an `f32` chunk of the shape the config gives it, and every QUB
+/// record has the shape of the weight its site multiplies, so no chunk
+/// that passes its CRC can reach a GEMM with the wrong dimensions.
+fn check_inventory(
+    config: &ModelConfig,
+    manifest: &[ChunkInfo],
+    index: &BTreeMap<String, usize>,
+) -> Result<(), StoreError> {
+    // Each block holds 12 tensors: a config with more blocks than the
+    // manifest has chunks is refused before its inventory is built.
+    if config.total_depth().saturating_mul(12) > manifest.len() {
+        return Err(StoreError::Format(format!(
+            "the config has {} blocks but the manifest lists {} chunks",
+            config.total_depth(),
+            manifest.len()
+        )));
+    }
+    let inventory = ModelWeights::inventory(config);
+    for slot in &inventory {
+        let key = tensor_key(&slot.name);
+        let &i = index
+            .get(&key)
+            .ok_or_else(|| StoreError::MissingChunk(key.clone()))?;
+        let c = &manifest[i];
+        if c.kind != ChunkKind::TensorF32 || c.shape != slot.shape {
+            return Err(StoreError::Format(format!(
+                "chunk {key:?} is a {:?} chunk of shape {:?}, but the model's tensor is f32 \
+                 of shape {:?}",
+                c.kind, c.shape, slot.shape
+            )));
+        }
+    }
+    for c in manifest.iter().filter(|c| c.kind == ChunkKind::Qub) {
+        let weight = site_from_qub_key(&c.key)
+            .and_then(|site| inventory.iter().find(|slot| slot.site == Some(site)));
+        match weight {
+            Some(slot) if slot.shape == c.shape => {}
+            Some(slot) => {
+                return Err(StoreError::Format(format!(
+                    "QUB record {:?} has shape {:?}, but its weight has shape {:?}",
+                    c.key, c.shape, slot.shape
+                )))
+            }
+            None => {
+                return Err(StoreError::Format(format!(
+                    "QUB record {:?} names no linear weight of the model",
+                    c.key
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 impl Artifact {
     /// Opens and validates an artifact without reading any chunk payload.
     ///
@@ -142,7 +198,9 @@ impl Artifact {
     /// the manifest's structural invariants: unique keys, chunks laid out
     /// contiguously from the end of the manifest to the end of the file,
     /// every chunk's decoded length consistent with its declared kind and
-    /// shape, and every codec stack well-formed. After this, any
+    /// shape, every codec stack well-formed, every model tensor present
+    /// with the shape the metadata's config gives it, and every QUB record
+    /// shaped like the weight it encodes. After this, any
     /// corruption in a chunk payload is caught by that chunk's own CRC at
     /// load time — before its codec stack ever runs on the bytes.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
@@ -281,6 +339,7 @@ impl Artifact {
                 "chunks end at offset {offset} but the file is {file_len} bytes"
             )));
         }
+        check_inventory(&config, &manifest, &index)?;
 
         let cells = manifest.iter().map(|_| ChunkCell::new()).collect();
         Ok(Self {
@@ -504,119 +563,39 @@ impl Artifact {
     /// Model tensors are restored bit-exactly from their `f32` chunks
     /// (decoding any codec stack first), and quantizer parameters from
     /// their raw `f32` scale factors, so the loaded pair produces logits
-    /// bit-identical to the calibrated in-memory pair on both backends.
-    /// The returned tables carry no `original_weights` — backends fall
-    /// back to the (identical) live model weight — and their
-    /// `quantized_weights` come from decoding the stored QUB records.
+    /// bit-identical to the calibrated in-memory pair on every backend.
+    /// No QUB record is read: the tables hold quantizers only, and the
+    /// integer backend's weight cache reads the records itself
+    /// (`quq_accel::WeightQubCache::from_artifact`).
     pub fn load_all(&self) -> Result<(VitModel, PtqTables), StoreError> {
         let _span = quq_obs::span("store.load_all");
-        let config = self.config.clone();
-
-        let mut stages = Vec::with_capacity(config.stages.len());
-        for (si, stage) in config.stages.iter().enumerate() {
-            let mut blocks = Vec::with_capacity(stage.depth);
-            for bi in 0..stage.depth {
-                let t = |name: &str| self.load_tensor(&format!("model/s{si}/b{bi}/{name}"));
-                blocks.push(BlockWeights {
-                    ln1_g: t("ln1_g")?,
-                    ln1_b: t("ln1_b")?,
-                    qkv_w: t("qkv_w")?,
-                    qkv_b: t("qkv_b")?,
-                    proj_w: t("proj_w")?,
-                    proj_b: t("proj_b")?,
-                    ln2_g: t("ln2_g")?,
-                    ln2_b: t("ln2_b")?,
-                    fc1_w: t("fc1_w")?,
-                    fc1_b: t("fc1_b")?,
-                    fc2_w: t("fc2_w")?,
-                    fc2_b: t("fc2_b")?,
-                    embed_dim: stage.embed_dim,
-                    num_heads: stage.num_heads,
-                });
-            }
-            let merge = if si + 1 < config.stages.len() {
-                Some((
-                    self.load_tensor(&format!("model/s{si}/merge_w"))?,
-                    self.load_tensor(&format!("model/s{si}/merge_b"))?,
-                ))
-            } else {
-                None
-            };
-            stages.push(StageWeights { blocks, merge });
-        }
-        let cls_token = if matches!(config.family, Family::Vit | Family::Deit) {
-            Some(self.load_tensor("model/cls_token")?)
-        } else {
-            None
-        };
-        let weights = ModelWeights {
-            patch_w: self.load_tensor("model/patch_w")?,
-            patch_b: self.load_tensor("model/patch_b")?,
-            cls_token,
-            pos_embed: self.load_tensor("model/pos_embed")?,
-            stages,
-            final_g: self.load_tensor("model/final_g")?,
-            final_b: self.load_tensor("model/final_b")?,
-            head_w: self.load_tensor("model/head_w")?,
-            head_b: self.load_tensor("model/head_b")?,
-        };
-        let model = VitModel::from_weights(config, weights);
-
         if self.method != "QUQ" {
             return Err(StoreError::Unsupported(format!(
                 "artifact was fitted by {:?}; this loader only restores QUQ tables",
                 self.method
             )));
         }
-        let acts = match self.load_site(ACTIVATION_PARAMS_KEY)? {
-            Chunk::ActivationParams(v) => v,
-            _ => {
-                return Err(StoreError::Format(
-                    "params/activations chunk has the wrong kind".into(),
-                ))
-            }
+        let weights = ModelWeights::build(&self.config, |slot| {
+            self.load_tensor(&tensor_key(&slot.name))
+        })?;
+        let Chunk::ActivationParams(acts) = self.load_site(ACTIVATION_PARAMS_KEY)? else {
+            return Err(StoreError::Format(
+                "params/activations chunk has the wrong kind".into(),
+            ));
         };
-        let wparams = match self.load_site(WEIGHT_PARAMS_KEY)? {
-            Chunk::WeightParams(v) => v,
-            _ => {
-                return Err(StoreError::Format(
-                    "params/weights chunk has the wrong kind".into(),
-                ))
-            }
+        let Chunk::WeightParams(wparams) = self.load_site(WEIGHT_PARAMS_KEY)? else {
+            return Err(StoreError::Format(
+                "params/weights chunk has the wrong kind".into(),
+            ));
         };
-
-        let mut quantized = BTreeMap::new();
-        for (site, _) in &wparams {
-            let qub = self.load_qub(*site)?;
-            quantized.insert(*site, qub.dequantize());
-        }
-        let activations: BTreeMap<_, _> = acts
-            .into_iter()
-            .map(|(k, p)| {
-                (
-                    k,
-                    Box::new(p) as Box<dyn quq_core::quantizer::FittedQuantizer>,
-                )
-            })
-            .collect();
-        let weight_quantizers: BTreeMap<_, _> = wparams
-            .into_iter()
-            .map(|(s, p)| {
-                (
-                    s,
-                    Box::new(p) as Box<dyn quq_core::quantizer::FittedQuantizer>,
-                )
-            })
-            .collect();
+        let boxed = |p| Box::new(p) as Box<dyn FittedQuantizer>;
         let tables = PtqTables::from_parts(
             self.ptq,
             "QUQ",
-            activations,
-            weight_quantizers,
-            quantized,
-            BTreeMap::new(),
+            acts.into_iter().map(|(k, p)| (k, boxed(p))).collect(),
+            wparams.into_iter().map(|(s, p)| (s, boxed(p))).collect(),
         );
-        Ok((model, tables))
+        Ok((VitModel::from_weights(self.config.clone(), weights), tables))
     }
 }
 

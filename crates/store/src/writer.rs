@@ -15,14 +15,13 @@ use quq_core::pipeline::PtqTables;
 use quq_core::qub::QubCodec;
 use quq_core::scheme::QuqParams;
 use quq_core::write_qub_tensor;
-use quq_tensor::Tensor;
-use quq_vit::{ModelConfig, ModelWeights, VitModel};
+use quq_vit::VitModel;
 
 use crate::codec::{CodecStack, MIN_SAVINGS_PERMILLE};
 use crate::crc32::crc32;
 use crate::format::{
     encode_activation_params, encode_manifest, encode_metadata, encode_weight_params, qub_key,
-    ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, BLOCK_TENSORS, HEADER_LEN, MAGIC, VERSION,
+    tensor_key, ChunkInfo, ChunkKind, ACTIVATION_PARAMS_KEY, HEADER_LEN, MAGIC, VERSION,
     WEIGHT_PARAMS_KEY,
 };
 use crate::storage::{FsStorage, Storage};
@@ -96,46 +95,6 @@ pub struct SaveReport {
 /// Writes QUQM artifacts.
 pub struct ArtifactWriter;
 
-/// Pairs every model-tensor chunk key with its tensor, in the canonical
-/// wire order (must agree with [`crate::format::model_tensor_keys`]).
-pub(crate) fn model_tensor_pairs<'a>(
-    config: &ModelConfig,
-    w: &'a ModelWeights,
-) -> Vec<(String, &'a Tensor)> {
-    let mut out: Vec<(String, &'a Tensor)> = vec![
-        ("model/patch_w".into(), &w.patch_w),
-        ("model/patch_b".into(), &w.patch_b),
-    ];
-    if let Some(cls) = &w.cls_token {
-        out.push(("model/cls_token".into(), cls));
-    }
-    out.push(("model/pos_embed".into(), &w.pos_embed));
-    for (si, stage) in w.stages.iter().enumerate() {
-        for (bi, b) in stage.blocks.iter().enumerate() {
-            let tensors: [&Tensor; 12] = [
-                &b.ln1_g, &b.ln1_b, &b.qkv_w, &b.qkv_b, &b.proj_w, &b.proj_b, &b.ln2_g, &b.ln2_b,
-                &b.fc1_w, &b.fc1_b, &b.fc2_w, &b.fc2_b,
-            ];
-            for (name, t) in BLOCK_TENSORS.iter().zip(tensors) {
-                out.push((format!("model/s{si}/b{bi}/{name}"), t));
-            }
-        }
-        if let Some((mw, mb)) = &stage.merge {
-            out.push((format!("model/s{si}/merge_w"), mw));
-            out.push((format!("model/s{si}/merge_b"), mb));
-        }
-    }
-    out.push(("model/final_g".into(), &w.final_g));
-    out.push(("model/final_b".into(), &w.final_b));
-    out.push(("model/head_w".into(), &w.head_w));
-    out.push(("model/head_b".into(), &w.head_b));
-    debug_assert_eq!(
-        out.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-        crate::format::model_tensor_keys(config)
-    );
-    out
-}
-
 fn quq_params_of(
     q: &dyn quq_core::quantizer::FittedQuantizer,
     what: &str,
@@ -204,8 +163,7 @@ impl ArtifactWriter {
     /// artifact at `path`. Returns the artifact size in bytes.
     ///
     /// Errors with [`StoreError::Unsupported`] if the tables were not fitted
-    /// by the QUQ method, or if any weight site lacks its original weight
-    /// tensor (re-quantized tables only; `calibrate` always records them).
+    /// by the QUQ method, or if a weight site is no linear of the model.
     pub fn save(model: &VitModel, tables: &PtqTables, path: &Path) -> Result<u64, StoreError> {
         Ok(Self::save_with(model, tables, path, &WriteOptions::default())?.total_bytes)
     }
@@ -269,67 +227,53 @@ impl ArtifactWriter {
             weight_params.push((*site, quq_params_of(q, "weight")?));
         }
 
-        // Assemble every raw chunk payload in wire order: model tensors,
-        // the two quantizer tables, then one QUB record per weight site.
-        let mut raw_chunks: Vec<(String, ChunkKind, Vec<usize>, Vec<u8>)> = Vec::new();
-        for (key, t) in model_tensor_pairs(config, model.weights()) {
+        use ChunkKind::{ActivationParams, Qub, TensorF32, WeightParams};
+        // Every chunk in wire order (model tensors, the two quantizer
+        // tables, then one QUB record per weight site), through the codec
+        // trial into its stored form. Offsets are filled in below.
+        let mut chunks: Vec<(ChunkInfo, Vec<u8>)> = Vec::new();
+        let mut push = |key: String, kind, shape, raw: Vec<u8>| {
+            let raw_length = raw.len() as u64;
+            let (stored, stack) = choose_encoding(kind, raw, &options.codec);
+            let info = ChunkInfo {
+                key,
+                kind,
+                offset: 0,
+                length: stored.len() as u64,
+                raw_length,
+                crc: crc32(&stored),
+                stack,
+                shape,
+            };
+            chunks.push((info, stored));
+        };
+        for (slot, t) in model.weights().tensors(config) {
             let mut bytes = Vec::with_capacity(t.data().len() * 4);
             for v in t.data() {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
-            raw_chunks.push((key, ChunkKind::TensorF32, t.shape().to_vec(), bytes));
+            push(tensor_key(&slot.name), TensorF32, slot.shape, bytes);
         }
-        raw_chunks.push((
-            ACTIVATION_PARAMS_KEY.into(),
-            ChunkKind::ActivationParams,
-            vec![],
-            encode_activation_params(&activations),
-        ));
-        raw_chunks.push((
-            WEIGHT_PARAMS_KEY.into(),
-            ChunkKind::WeightParams,
-            vec![],
-            encode_weight_params(&weight_params),
-        ));
+        let acts = encode_activation_params(&activations);
+        push(ACTIVATION_PARAMS_KEY.into(), ActivationParams, vec![], acts);
+        let weights = encode_weight_params(&weight_params);
+        push(WEIGHT_PARAMS_KEY.into(), WeightParams, vec![], weights);
         for (site, params) in &weight_params {
-            let w = tables.original_weight(site).ok_or_else(|| {
-                StoreError::Unsupported(format!(
-                    "weight site {site} has no recorded original weight tensor"
-                ))
+            let w = model.weights().linear_weight(config, *site);
+            let w = w.ok_or_else(|| {
+                StoreError::Unsupported(format!("weight site {site} is no linear of the model"))
             })?;
-            let qub = QubCodec::new(*params).encode_tensor(w);
             let mut bytes = Vec::new();
-            write_qub_tensor(&mut bytes, &qub)?;
-            raw_chunks.push((qub_key(*site), ChunkKind::Qub, w.shape().to_vec(), bytes));
+            write_qub_tensor(&mut bytes, &QubCodec::new(*params).encode_tensor(w))?;
+            push(qub_key(*site), Qub, w.shape().to_vec(), bytes);
         }
-
-        // Codec trial: turn each raw payload into its stored form.
-        type EncodedChunk = (String, ChunkKind, Vec<usize>, u64, Vec<u8>, CodecStack);
-        let mut chunks: Vec<EncodedChunk> = Vec::with_capacity(raw_chunks.len());
-        for (key, kind, shape, raw) in raw_chunks {
-            let raw_len = raw.len() as u64;
-            let (stored, stack) = choose_encoding(kind, raw, &options.codec);
-            chunks.push((key, kind, shape, raw_len, stored, stack));
-        }
+        let (mut entries, stored): (Vec<ChunkInfo>, Vec<Vec<u8>>) = chunks.into_iter().unzip();
 
         let metadata = encode_metadata(config, tables.config(), tables.method_name());
 
         // The manifest's encoded length does not depend on the offset
         // values, so encode once with placeholder offsets to learn where
         // the chunk region starts, then fill in the real offsets.
-        let mut entries: Vec<ChunkInfo> = chunks
-            .iter()
-            .map(|(key, kind, shape, raw_len, stored, stack)| ChunkInfo {
-                key: key.clone(),
-                kind: *kind,
-                offset: 0,
-                length: stored.len() as u64,
-                raw_length: *raw_len,
-                crc: crc32(stored),
-                stack: stack.clone(),
-                shape: shape.clone(),
-            })
-            .collect();
         let manifest_len = encode_manifest(&entries).len() as u64;
         let mut offset = HEADER_LEN + metadata.len() as u64 + 4 + manifest_len + 4;
         for e in &mut entries {
@@ -353,8 +297,8 @@ impl ArtifactWriter {
         out.extend_from_slice(&crc32(&metadata).to_le_bytes());
         out.extend_from_slice(&manifest);
         out.extend_from_slice(&crc32(&manifest).to_le_bytes());
-        for (_, _, _, _, stored, _) in &chunks {
-            out.extend_from_slice(stored);
+        for payload in &stored {
+            out.extend_from_slice(payload);
         }
         let total = out.len() as u64;
         debug_assert_eq!(total, offset);
@@ -362,14 +306,14 @@ impl ArtifactWriter {
         quq_obs::add("store.bytes_written", total);
         Ok(SaveReport {
             total_bytes: total,
-            chunks: chunks
+            chunks: entries
                 .into_iter()
-                .map(|(key, kind, _, raw_len, stored, stack)| ChunkReport {
-                    key,
-                    kind,
-                    raw_len,
-                    stored_len: stored.len() as u64,
-                    stack,
+                .map(|e| ChunkReport {
+                    key: e.key,
+                    kind: e.kind,
+                    raw_len: e.raw_length,
+                    stored_len: e.length,
+                    stack: e.stack,
                 })
                 .collect(),
         })

@@ -1,8 +1,10 @@
 //! Round-trip and corruption-hardening tests of the QUQM artifact store.
 //!
 //! The headline property: flipping **any** single byte of a saved artifact
-//! yields a structured [`StoreError`] from `open` + `load_all` — never a
-//! panic, never a silently wrong model, never a huge allocation. This holds
+//! yields a structured [`StoreError`] from a cold start (`open`,
+//! `load_all` and every QUB record, as an integer-served model reads them)
+//! — never a panic, never a silently wrong model, never a huge allocation.
+//! This holds
 //! because every byte of a QUQM file is covered by exactly one CRC-32
 //! (header, metadata, manifest, or a chunk), and a single-byte flip always
 //! changes a CRC-32.
@@ -15,14 +17,24 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::quantizer::QuqMethod;
-use quq_store::format::{decode_manifest, encode_manifest};
+use quq_store::format::{decode_manifest, encode_manifest, qub_key};
 use quq_store::{
-    crc32, Artifact, ArtifactWriter, Chunk, CodecChoice, CodecStack, FsStorage, MemStorage,
-    Storage, StoreError, WriteOptions,
+    crc32, Artifact, ArtifactWriter, Chunk, ChunkInfo, CodecChoice, CodecStack, FsStorage,
+    MemStorage, Storage, StoreError, WriteOptions,
 };
-use quq_vit::{Dataset, ModelConfig, VitModel};
+use quq_vit::{Dataset, ModelConfig, OpKind, OpSite, VitModel};
 
 static COUNTER: AtomicUsize = AtomicUsize::new(0);
+
+/// Everything a cold start of an integer-served model reads: the model and
+/// tables, then every stored QUB record.
+fn cold_start(art: Artifact) -> Result<(), StoreError> {
+    art.load_all()?;
+    for site in art.qub_sites() {
+        art.load_qub(site)?;
+    }
+    Ok(())
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -79,6 +91,20 @@ fn forced_artifact_bytes(
     })
 }
 
+/// The fixture model saved with every chunk raw.
+fn raw_artifact_bytes() -> &'static Vec<u8> {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (model, tables) = calibrated();
+        let mem = MemStorage::new();
+        let options = WriteOptions {
+            codec: CodecChoice::Raw,
+        };
+        ArtifactWriter::save_on_with(&model, &tables, &mem, "r.quqm", &options).expect("save");
+        mem.get("r.quqm").expect("object stored").to_vec()
+    })
+}
+
 fn shuffle_lz_artifact_bytes() -> &'static Vec<u8> {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     forced_artifact_bytes(|| CodecStack::shuffle_lz(4), &BYTES)
@@ -127,16 +153,16 @@ fn save_open_load_roundtrip_is_exact() {
             .expect("weight present");
         assert_eq!(loaded.quq_params(), q.quq_params(), "weight {site}");
     }
-    // Stored QUB records decode to the same fake-quantized weights the
-    // in-memory tables carry.
+    // Stored QUB records decode to the model's weights, fake-quantized by
+    // the in-memory tables.
     for site in art.qub_sites() {
         let qub = art.load_qub(site).expect("qub loads");
         let inmem = tables
             .weight_quantizer(&site)
             .and_then(|q| q.quq_params())
             .expect("site has QUQ params");
-        let original = tables.original_weight(&site).expect("original recorded");
-        let expect = inmem.fake_quantize_tensor(original);
+        let weight = model.weights().linear_weight(model.config(), site);
+        let expect = inmem.fake_quantize_tensor(weight.expect("site is a linear"));
         assert_eq!(qub.dequantize().data(), expect.data(), "site {site}");
     }
     let _ = fs::remove_file(&path);
@@ -177,7 +203,7 @@ fn truncated_artifact_is_rejected_at_every_length() {
     for cut in cuts {
         let path = temp_path("trunc");
         fs::write(&path, &bytes[..cut]).expect("write truncated");
-        let outcome = Artifact::open(&path).and_then(|a| a.load_all().map(|_| ()));
+        let outcome = Artifact::open(&path).and_then(cold_start);
         assert!(outcome.is_err(), "truncation to {cut} bytes was accepted");
         let _ = fs::remove_file(&path);
     }
@@ -218,7 +244,7 @@ fn with_header_lengths(bytes: &[u8], meta_len: u64, manifest_len: u64) -> Vec<u8
 fn open_bytes(tag: &str, bytes: &[u8]) -> Result<(), StoreError> {
     let path = temp_path(tag);
     fs::write(&path, bytes).expect("write artifact");
-    let outcome = Artifact::open(&path).and_then(|a| a.load_all().map(|_| ()));
+    let outcome = Artifact::open(&path).and_then(cold_start);
     let _ = fs::remove_file(&path);
     outcome
 }
@@ -255,34 +281,85 @@ fn hostile_header_lengths_with_valid_crc_are_rejected() {
     }
 }
 
+/// `bytes` with its manifest entries rewritten by `edit`, re-encoded to the
+/// same length and re-checksummed, so only the structural checks can
+/// refuse it.
+fn with_manifest(bytes: &[u8], edit: impl FnOnce(&mut Vec<ChunkInfo>)) -> Vec<u8> {
+    let meta_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+    let manifest_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    let start = 28 + meta_len + 4;
+    let mut entries = decode_manifest(&bytes[start..start + manifest_len]).expect("decodes");
+    edit(&mut entries);
+    let manifest = encode_manifest(&entries);
+    assert_eq!(manifest.len(), manifest_len, "fixed-width fields");
+    let mut out = bytes.to_vec();
+    out[start..start + manifest_len].copy_from_slice(&manifest);
+    let crc_at = start + manifest_len;
+    out[crc_at..crc_at + 4].copy_from_slice(&crc32(&manifest).to_le_bytes());
+    out
+}
+
 /// A manifest entry claiming a huge chunk length — re-encoded with valid
 /// manifest and header CRCs — must be rejected structurally, and the huge
 /// length must never reach an allocation.
 #[test]
 fn hostile_manifest_chunk_length_with_valid_crcs_is_rejected() {
     let bytes = artifact_bytes();
-    let meta_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let manifest_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let manifest_start = 28 + meta_len + 4;
-    let manifest_bytes = &bytes[manifest_start..manifest_start + manifest_len];
-    let entries = decode_manifest(manifest_bytes).expect("fixture manifest decodes");
-
-    for victim in [0, entries.len() / 2, entries.len() - 1] {
+    let mut chunks = 0;
+    with_manifest(bytes, |entries| chunks = entries.len());
+    for victim in [0, chunks / 2, chunks - 1] {
         for huge in [u64::MAX, u64::MAX / 2, 1 << 40, bytes.len() as u64] {
-            let mut tampered = entries.clone();
-            tampered[victim].length = huge;
-            let new_manifest = encode_manifest(&tampered);
-            assert_eq!(new_manifest.len(), manifest_len, "fixed-width lengths");
-            let mut corrupt = bytes.to_vec();
-            corrupt[manifest_start..manifest_start + manifest_len].copy_from_slice(&new_manifest);
-            let crc_at = manifest_start + manifest_len;
-            corrupt[crc_at..crc_at + 4].copy_from_slice(&crc32(&new_manifest).to_le_bytes());
+            let corrupt = with_manifest(bytes, |entries| entries[victim].length = huge);
             match open_bytes("hostile-manifest", &corrupt) {
                 Err(StoreError::Format(_)) => {}
                 other => panic!(
                     "chunk {victim} length={huge}: expected StoreError::Format, got {other:?}"
                 ),
             }
+        }
+    }
+}
+
+/// A model tensor or QUB record whose shape disagrees with the config —
+/// every CRC valid, every chunk consistent with its own declared shape —
+/// is refused when the artifact is opened. A QUB record with its weight's
+/// element count but transposed dimensions would otherwise reach the
+/// integer GEMM's dimension asserts on a serving worker.
+#[test]
+fn shapes_that_disagree_with_the_model_are_refused_at_open() {
+    let bytes = raw_artifact_bytes();
+    let position =
+        |entries: &[ChunkInfo], key: &str| entries.iter().position(|c| c.key == key).expect(key);
+
+    // A model tensor declared `[d, h]` where the config says `[h, d]`.
+    let tensor = with_manifest(bytes, |entries| {
+        let i = position(entries, "model/s0/b0/fc1_w");
+        entries[i].shape.reverse();
+    });
+    // `qub/block0.Fc1` holding the (valid, `[d, h]`) Fc2 record instead:
+    // the two records are the same length, so the layout still tiles.
+    let (fc1, fc2) = (
+        qub_key(OpSite::in_block(0, OpKind::Fc1)),
+        qub_key(OpSite::in_block(0, OpKind::Fc2)),
+    );
+    let mut copy = (0, 0..0);
+    let mut qub = with_manifest(bytes, |entries| {
+        let (i, j) = (position(entries, &fc1), position(entries, &fc2));
+        let (to, from) = (&entries[i], &entries[j]);
+        assert_eq!(to.length, from.length);
+        copy = (to.offset, from.offset..from.offset + from.length);
+        entries[i].shape = entries[j].shape.clone();
+        entries[i].crc = entries[j].crc;
+    });
+    let (to, from) = copy;
+    qub.copy_within(from.start as usize..from.end as usize, to as usize);
+
+    for (what, corrupt) in [("model tensor", tensor), ("QUB record", qub)] {
+        let mem = MemStorage::new();
+        mem.write("a", &corrupt).expect("mem write");
+        match Artifact::open_on(Arc::new(mem), "a").map(drop) {
+            Err(StoreError::Format(m)) => assert!(m.contains("shape"), "{what}: {m}"),
+            other => panic!("{what}: expected StoreError::Format, got {other:?}"),
         }
     }
 }
@@ -408,7 +485,7 @@ proptest! {
 
         let path = temp_path("flip");
         fs::write(&path, &corrupt).expect("write corrupted artifact");
-        let outcome = Artifact::open(&path).and_then(|a| a.load_all().map(|_| ()));
+        let outcome = Artifact::open(&path).and_then(cold_start);
         let _ = fs::remove_file(&path);
         match outcome {
             Err(_) => {} // structured StoreError: exactly what we want
@@ -440,8 +517,8 @@ proptest! {
 
         let mem = MemStorage::new();
         mem.write("flip.quqm", &corrupt).expect("mem write");
-        let outcome = Artifact::open_on(Arc::new(mem) as Arc<dyn Storage>, "flip.quqm")
-            .and_then(|a| a.load_all().map(|_| ()));
+        let outcome =
+            Artifact::open_on(Arc::new(mem) as Arc<dyn Storage>, "flip.quqm").and_then(cold_start);
         match outcome {
             Err(_) => {}
             Ok(()) => prop_assert!(

@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use crate::weights::{ModelWeights, TensorSlot};
+
 /// The three architecture families evaluated by the paper (§6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
@@ -369,33 +371,13 @@ impl ModelConfig {
         self.stages.iter().map(|s| s.depth).sum()
     }
 
-    /// Total parameter count of the model (weights + biases + norms).
+    /// Total parameter count of the model (weights + biases + norms): the
+    /// elements of its tensor inventory.
     pub fn param_count(&self) -> usize {
-        let mut params = self.patch_dim() * self.stages[0].embed_dim + self.stages[0].embed_dim;
-        // Positional embedding + CLS token.
-        params += self.seq_len() * self.stages[0].embed_dim;
-        if matches!(self.family, Family::Vit | Family::Deit) {
-            params += self.stages[0].embed_dim;
-        }
-        for (si, st) in self.stages.iter().enumerate() {
-            let d = st.embed_dim;
-            let h = d * self.mlp_ratio;
-            let per_block = 2 * (2 * d) // two LayerNorms
-                + (3 * d * d + 3 * d)   // qkv
-                + (d * d + d)           // proj
-                + (d * h + h)           // fc1
-                + (h * d + d); // fc2
-            params += st.depth * per_block;
-            // Patch merging into the next stage: concat 4·d -> d_next.
-            if si + 1 < self.stages.len() {
-                let dn = self.stages[si + 1].embed_dim;
-                params += 4 * d * dn + dn;
-            }
-        }
-        let d_last = self.stages.last().expect("at least one stage").embed_dim;
-        params += 2 * d_last; // final norm
-        params += d_last * self.num_classes + self.num_classes; // head
-        params
+        ModelWeights::inventory(self)
+            .iter()
+            .map(TensorSlot::elems)
+            .sum()
     }
 }
 

@@ -43,4 +43,4 @@ pub use capture::{Capture, TapPoint, TapSide};
 pub use config::{Family, ModelConfig, ModelId, StageConfig};
 pub use data::{evaluate, evaluate_parallel, synthetic_image, Dataset};
 pub use model::{AttentionMaps, VitModel};
-pub use weights::{BlockWeights, ModelWeights, StageWeights};
+pub use weights::{BlockWeights, ModelWeights, StageWeights, TensorSlot};

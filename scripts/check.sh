@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, rustdoc links, the tier-1 build+test
 # cycle, the per-ISA kernel matrix, the 4-worker pool runs and the
-# benchmark's two quick runs.
+# benchmark's three quick runs.
 #
 #   scripts/check.sh            # everything
 #   QUQ_THREADS=1 scripts/check.sh   # serial reference run
@@ -47,9 +47,10 @@ step "tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # release build that ships. Then, in a release build where they are
 # vectorized: the GEMM kernels and their f32 epilogue against the i64
 # result rescaled, the SFU row bodies against the per-element oracles, the
-# lockstep reference backend, the golden integer logits and the work
+# lockstep reference backend, the golden integer logits, the work
 # counters (one encode per operand, and the region path's share of the
-# encoder's groups). `--list-isas` always reports scalar, so the portable
+# encoder's groups), the fp32-side and saved-artifact goldens and the
+# store's fresh-process identity. `--list-isas` always reports scalar, so the portable
 # kernels are always in the matrix even on fully-featured hosts.
 isas="$(cargo run --release -q -p quq-serve -- --list-isas)"
 case "$isas" in *scalar*) ;; *)
@@ -64,6 +65,7 @@ for isa in $isas; do
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --lib -- intfunc:: backend_int::
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test batch_identity -- golden
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test counters
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-bench --test goldens --test store_e2e
 done
 
 step "tier-2: packed GEMM and batched-forward bit-identity under a 4-worker pool"
@@ -76,9 +78,10 @@ step "tier-2: benchmark builds against the crates and its quick runs pass"
 # `benchmark/` is its own package, so tier-1 never compiles it: this is the
 # one step that notices an API the benchmark uses going missing. Each run
 # checks every output against the solo-forward oracle and exits non-zero on
-# a flipped bit: `offline_int_b8` is the integer forward alone, and
-# `serve_toy_pipelined` is the served path, through the server's span tap.
-for workload in offline_int_b8 serve_toy_pipelined; do
+# a flipped bit: `offline_int_b8` is the integer forward alone,
+# `serve_toy_pipelined` is the served path, through the server's span tap,
+# and `store_cycle` checks every save, raw cold start and auto cold start.
+for workload in offline_int_b8 serve_toy_pipelined store_cycle; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --quick --workload "$workload" --seconds 2
 done

@@ -14,10 +14,12 @@
 use quq_baselines::{ApqVit, BaseQ, BiScaledFxp, FqVit, Ptq4Vit};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
 use quq_core::{Coverage, QuantMethod, QuqMethod};
+use quq_store::Artifact;
+use quq_store::{ArtifactWriter, CodecChoice, MemStorage, WriteOptions};
 use quq_tensor::Tensor;
 use quq_vit::{
-    synthetic_image, Capture, Dataset, Fp32Backend, ModelConfig, OpKind, TapPoint, TapSide, Tapped,
-    VitModel,
+    synthetic_image, Capture, Dataset, Fp32Backend, ModelConfig, ModelId, ModelWeights, OpKind,
+    TapPoint, TapSide, Tapped, VitModel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -159,4 +161,66 @@ fn fig3_capture_matches_golden_bits() {
         h.floats(&samples);
     }
     assert_eq!(h.0, GOLDEN_FIG3, "got {:#018x}", h.0);
+}
+
+/// `(codec policy, artifact bytes)`: the QUQ W6/A6 tables of the fake-quant
+/// goldens, saved under each policy. Pins the writer's every byte, the
+/// tensor inventory's order and the codec trial's choices.
+const GOLDEN_ARTIFACTS: [(&str, u64); 2] = [
+    ("raw", 0x68a0_7f92_95c7_8199),
+    ("auto", 0xa89c_9cb9_2afc_49d0),
+];
+
+#[test]
+fn saved_artifacts_match_golden_bits() {
+    let (model, _) = model_and_images();
+    let calib = Dataset::calibration(model.config(), 2, 1);
+    let tables = calibrate(&QuqMethod::paper(), &model, &calib, PtqConfig::full_w6a6()).unwrap();
+    for (policy, want) in GOLDEN_ARTIFACTS {
+        let storage = MemStorage::new();
+        let options = WriteOptions {
+            codec: CodecChoice::from_name(policy).unwrap(),
+        };
+        ArtifactWriter::save_on_with(&model, &tables, &storage, "a.quqm", &options).unwrap();
+        let mut h = Fnv::new();
+        h.bytes(&storage.get("a.quqm").unwrap());
+        assert_eq!(h.0, want, "{policy}: got {:#018x}", h.0);
+    }
+}
+
+/// The parameter count is the tensor inventory's, and synthesis draws
+/// exactly that inventory.
+#[test]
+fn param_count_is_the_element_count_of_a_synthesized_model() {
+    let eval = ModelId::PAPER_MODELS.map(ModelConfig::eval_scale);
+    for config in [ModelConfig::test_config(), ModelConfig::test_swin_config()]
+        .into_iter()
+        .chain(eval)
+    {
+        let weights = ModelWeights::synthesize(&config, 1);
+        let elems: usize = weights.tensors(&config).map(|(_, t)| t.len()).sum();
+        assert_eq!(config.param_count(), elems, "{:?}", config.id);
+    }
+}
+
+/// `load_all` reads the model tensors and the two quantizer tables, and
+/// no QUB record. (No other test in this file reads a chunk, so the
+/// process-wide counter moves only here.)
+#[test]
+fn load_all_reads_no_qub_record() {
+    let (model, _) = model_and_images();
+    let calib = Dataset::calibration(model.config(), 2, 1);
+    let tables = calibrate(&QuqMethod::paper(), &model, &calib, PtqConfig::full_w6a6()).unwrap();
+    let storage = std::sync::Arc::new(MemStorage::new());
+    ArtifactWriter::save_on(&model, &tables, &*storage, "a.quqm").unwrap();
+    let artifact = Artifact::open_on(storage, "a.quqm").unwrap();
+    assert!(!artifact.qub_sites().is_empty());
+
+    quq_obs::set_enabled(true);
+    let before = quq_obs::snapshot();
+    artifact.load_all().unwrap();
+    let loads = quq_obs::snapshot().delta_since(&before);
+    quq_obs::set_enabled(false);
+    let tensors = ModelWeights::inventory(model.config()).len() as u64;
+    assert_eq!(loads.counter_total("store.chunk_loads"), tensors + 2);
 }

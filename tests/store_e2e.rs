@@ -13,11 +13,12 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
 
 use quq_accel::IntegerBackend;
 use quq_core::pipeline::{calibrate, PtqConfig};
 use quq_core::quantizer::QuqMethod;
-use quq_store::{Artifact, ArtifactWriter, CodecChoice, WriteOptions};
+use quq_store::{Artifact, ArtifactWriter, CodecChoice, MemStorage, Storage, WriteOptions};
 use quq_vit::{Dataset, Fp32Backend, ModelConfig, VitModel};
 
 const IMG_FILL: f32 = 0.25;
@@ -172,4 +173,34 @@ fn compressed_artifact_matches_raw_in_fresh_processes() {
     }
     let _ = std::fs::remove_file(&raw_path);
     let _ = std::fs::remove_file(&auto_path);
+}
+
+/// Fake-quant execution over loaded tables fake-quantizes each weight from
+/// the loaded model on first use, as calibrated tables do from the model
+/// they were fitted on: the logits agree bit for bit.
+#[test]
+fn fake_quant_over_loaded_tables_matches_the_calibrated_bits() {
+    let model = VitModel::synthesize(ModelConfig::test_config(), 9);
+    let calib = Dataset::calibration(model.config(), 4, 3);
+    let img = model.config().dummy_image(IMG_FILL);
+    for config in [PtqConfig::full_w6a6(), PtqConfig::full_w8a8()] {
+        let tables = calibrate(&QuqMethod::paper(), &model, &calib, config).expect("calibration");
+        let storage = Arc::new(MemStorage::new());
+        ArtifactWriter::save_on(&model, &tables, &*storage, "a.quqm").expect("save");
+        let artifact = Artifact::open_on(storage as Arc<dyn Storage>, "a.quqm").expect("open");
+        let (loaded_model, loaded_tables) = artifact.load_all().expect("load_all");
+        let want = model.forward(&img, &mut tables.backend()).expect("forward");
+        let got = loaded_model
+            .forward(&img, &mut loaded_tables.backend())
+            .expect("forward over loaded tables");
+        let bits =
+            |t: &quq_tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "W{}/A{}",
+            config.bits_w,
+            config.bits_a
+        );
+    }
 }
