@@ -18,10 +18,15 @@
 //! The header carries exactly the sideband the paper's Fig. 5 defines: the
 //! two FC registers plus the base scale; [`crate::qub::params_from_fc`]
 //! reconstructs the full quantizer from it.
+//!
+//! Records are written to any [`Write`] and parsed straight from a byte
+//! slice — the store hands over a chunk's verified bytes, so parsing is
+//! header reads, one length check against the slice, one copy of the
+//! payload and one max over it for the `< 2^b` range check.
 
 use crate::qub::{params_from_fc, FcRegisters, QubTensor};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Magic prefix of the format.
 pub const MAGIC: [u8; 4] = *b"QUB1";
@@ -31,11 +36,6 @@ pub const MAGIC: [u8; 4] = *b"QUB1";
 /// that know the true payload size (e.g. a chunk length from a checksummed
 /// manifest) should pass it to [`read_qub_tensor_bounded`] instead.
 pub const MAX_PAYLOAD_BYTES: u64 = 1 << 34;
-
-/// Increment size for payload reads: corrupt headers cost at most one
-/// spare buffer of memory before the stream runs dry, never an up-front
-/// multi-GiB allocation.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Errors of the QUB wire format.
 #[derive(Debug)]
@@ -87,40 +87,42 @@ pub fn write_qub_tensor<W: Write>(mut w: W, t: &QubTensor) -> Result<(), WireErr
     Ok(())
 }
 
-/// Deserializes a QUB tensor with the default [`MAX_PAYLOAD_BYTES`] bound.
-/// A `&mut` reference may be passed as the reader.
+/// Parses a QUB tensor from the front of `bytes` with the default
+/// [`MAX_PAYLOAD_BYTES`] bound. Bytes after the record are ignored.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Format`] for bad magic, widths outside `2..=8`,
 /// non-positive scales, FC registers that do not describe a valid
-/// quantizer, or truncated payloads; I/O errors are propagated.
-pub fn read_qub_tensor<R: Read>(r: R) -> Result<QubTensor, WireError> {
-    read_qub_tensor_bounded(r, MAX_PAYLOAD_BYTES)
+/// quantizer, or payload bytes outside the `b`-bit range; a record cut
+/// short by the end of `bytes` is [`WireError::Io`] with
+/// [`std::io::ErrorKind::UnexpectedEof`].
+pub fn read_qub_tensor(bytes: &[u8]) -> Result<QubTensor, WireError> {
+    read_qub_tensor_bounded(bytes, MAX_PAYLOAD_BYTES)
 }
 
-/// Deserializes a QUB tensor whose payload may not exceed
-/// `max_payload_bytes`. Callers that already know the record's true size —
-/// the store passes its manifest chunk length — get headers rejected
-/// *before* any allocation, and the payload is read in bounded increments
-/// so a truncated stream errors after at most one spare buffer instead of
-/// provoking a huge up-front `vec![0u8; len]`.
+/// Parses a QUB tensor whose payload may not exceed `max_payload_bytes`.
+/// Callers that already know the record's true size — the store passes
+/// its manifest chunk length — get headers rejected before anything is
+/// allocated. The declared payload is checked against the bytes actually
+/// there before it is copied, so a header that claims more than the slice
+/// holds costs no allocation either; the payload is then copied once and
+/// range-checked with one max over it.
 ///
 /// # Errors
 ///
 /// As [`read_qub_tensor`], plus [`WireError::Format`] when the header
 /// declares more payload bytes than `max_payload_bytes`.
-pub fn read_qub_tensor_bounded<R: Read>(
-    mut r: R,
+pub fn read_qub_tensor_bounded(
+    bytes: &[u8],
     max_payload_bytes: u64,
 ) -> Result<QubTensor, WireError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
+    let mut rest = bytes;
+    let magic = take::<4>(&mut rest)?;
     if magic != MAGIC {
         return Err(WireError::Format(format!("bad magic {magic:02x?}")));
     }
-    let mut head = [0u8; 4];
-    r.read_exact(&mut head)?;
+    let head = take::<4>(&mut rest)?;
     let bits = head[0] as u32;
     if !(2..=8).contains(&bits) {
         return Err(WireError::Format(format!("unsupported bit-width {bits}")));
@@ -129,9 +131,7 @@ pub fn read_qub_tensor_bounded<R: Read>(
         fine: head[1],
         coarse: head[2],
     };
-    let mut f4 = [0u8; 4];
-    r.read_exact(&mut f4)?;
-    let base_delta = f32::from_le_bytes(f4);
+    let base_delta = f32::from_le_bytes(take(&mut rest)?);
     if !(base_delta.is_finite() && base_delta > 0.0) {
         return Err(WireError::Format(format!(
             "invalid base scale {base_delta}"
@@ -140,17 +140,14 @@ pub fn read_qub_tensor_bounded<R: Read>(
     // Validate that the sideband describes a real quantizer.
     params_from_fc(bits, fc, base_delta)
         .map_err(|e| WireError::Format(format!("invalid FC registers: {e}")))?;
-    r.read_exact(&mut f4)?;
-    let rank = u32::from_le_bytes(f4) as usize;
+    let rank = u32::from_le_bytes(take(&mut rest)?) as usize;
     if rank > 8 {
         return Err(WireError::Format(format!("implausible rank {rank}")));
     }
     let mut shape = Vec::with_capacity(rank);
-    let mut d8 = [0u8; 8];
     let mut len: u128 = 1;
     for _ in 0..rank {
-        r.read_exact(&mut d8)?;
-        let d = u64::from_le_bytes(d8);
+        let d = u64::from_le_bytes(take(&mut rest)?);
         len = len.saturating_mul(d as u128);
         shape.push(d as usize);
     }
@@ -159,21 +156,29 @@ pub fn read_qub_tensor_bounded<R: Read>(
             "payload of {len} bytes exceeds the caller's bound of {max_payload_bytes}"
         )));
     }
-    let len = len as usize;
-    let mut bytes = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut buf = [0u8; READ_CHUNK];
-    while bytes.len() < len {
-        let step = READ_CHUNK.min(len - bytes.len());
-        r.read_exact(&mut buf[..step])?;
-        bytes.extend_from_slice(&buf[..step]);
+    if len > rest.len() as u128 {
+        return Err(truncated());
     }
-    let limit = 1u16 << bits;
-    if let Some(bad) = bytes.iter().find(|&&b| b as u16 >= limit) {
+    let payload = rest[..len as usize].to_vec();
+    let max = payload.iter().copied().max().unwrap_or(0);
+    if u16::from(max) >= 1 << bits {
         return Err(WireError::Format(format!(
-            "payload byte {bad:#04x} exceeds {bits}-bit QUB range"
+            "payload byte {max:#04x} exceeds {bits}-bit QUB range"
         )));
     }
-    Ok(QubTensor::new(bytes, shape, fc, bits, base_delta))
+    Ok(QubTensor::new(payload, shape, fc, bits, base_delta))
+}
+
+/// Splits the next `N` bytes off the front of `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, tail) = rest.split_first_chunk::<N>().ok_or_else(truncated)?;
+    *rest = tail;
+    Ok(*head)
+}
+
+/// A record cut short: the error a stream that ran dry would give.
+fn truncated() -> WireError {
+    WireError::Io(std::io::ErrorKind::UnexpectedEof.into())
 }
 
 #[cfg(test)]
@@ -274,7 +279,7 @@ mod tests {
         write_qub_tensor(&mut buf, &t).unwrap();
         let n = t.bytes.len() as u64;
         // The exact payload size passes; one byte less rejects the header
-        // before any payload is read.
+        // before any payload is copied.
         assert_eq!(read_qub_tensor_bounded(buf.as_slice(), n).unwrap(), t);
         let err = read_qub_tensor_bounded(buf.as_slice(), n - 1).unwrap_err();
         assert!(
@@ -297,7 +302,8 @@ mod tests {
             Err(WireError::Format(_))
         ));
         // Even the permissive default cannot be driven to a 8 GiB
-        // allocation: incremental reads hit EOF after the real bytes.
+        // allocation: the declared length is checked against the bytes
+        // actually there first.
         assert!(matches!(
             read_qub_tensor(buf.as_slice()),
             Err(WireError::Io(_))

@@ -10,7 +10,7 @@
 //! 2. the fine subranges should cover as many elements as possible.
 
 use crate::scheme::{QuqParams, SpaceLayout, MAX_SHIFT};
-use quq_tensor::stats::quantile;
+use quq_tensor::stats::quantile_sorted;
 
 /// Hyperparameters of Algorithm 2 (paper §6.1 uses `4 / 0.99 / 0.95`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,18 +100,22 @@ impl Pra {
     /// calibration). Degenerate inputs (empty, all-zero, or all-non-finite)
     /// yield the uniform special case with `Δ = 1`.
     pub fn run(&self, values: &[f32]) -> PraOutcome {
-        let neg: Vec<f32> = values
+        // Each side is sorted once here; every recursion below reads its
+        // quantiles from the sorted magnitudes.
+        let mut neg: Vec<f32> = values
             .iter()
             .filter(|v| v.is_finite())
             .filter(|&&v| v < 0.0)
             .map(|&v| -v)
             .collect();
-        let pos: Vec<f32> = values
+        let mut pos: Vec<f32> = values
             .iter()
             .filter(|v| v.is_finite())
             .filter(|&&v| v > 0.0)
             .copied()
             .collect();
+        neg.sort_by(f32::total_cmp);
+        pos.sort_by(f32::total_cmp);
         if neg.is_empty() && pos.is_empty() {
             return PraOutcome {
                 params: QuqParams::uniform(self.bits, 1.0).expect("valid uniform"),
@@ -135,28 +139,25 @@ impl Pra {
     }
 
     /// Mode A parameter determination (Algorithm 2 lines 2–8) followed by
-    /// the relax-or-switch branches (lines 10–17).
+    /// the relax-or-switch branches (lines 10–17), on each side's
+    /// magnitudes sorted ascending.
     fn run_two_sided(&self, neg: &[f32], pos: &[f32]) -> PraOutcome {
         let cfg = self.config;
         let neg_codes = (1u32 << (self.bits - 2)) as f32;
         let pos_codes = ((1u32 << (self.bits - 2)) - 1).max(1) as f32;
-        let max_n = neg
-            .iter()
-            .copied()
-            .fold(0.0f32, f32::max)
-            .max(f32::MIN_POSITIVE);
-        let max_p = pos
-            .iter()
-            .copied()
-            .fold(0.0f32, f32::max)
-            .max(f32::MIN_POSITIVE);
+        let max_n = sorted_max(neg);
+        let max_p = sorted_max(pos);
         let (d_cn, d_cp) = relax(max_n / neg_codes, max_p / pos_codes);
 
         let mut q = cfg.q_init;
         let mut recursions = 0u32;
         loop {
-            let q_n = quantile(neg, q).unwrap_or(max_n).max(f32::MIN_POSITIVE);
-            let q_p = quantile(pos, q).unwrap_or(max_p).max(f32::MIN_POSITIVE);
+            let q_n = quantile_sorted(neg, q)
+                .unwrap_or(max_n)
+                .max(f32::MIN_POSITIVE);
+            let q_p = quantile_sorted(pos, q)
+                .unwrap_or(max_p)
+                .max(f32::MIN_POSITIVE);
             let (d_fn0, d_fp0) = relax(q_n / neg_codes, q_p / pos_codes);
             let s_f = d_fn0 / d_fp0;
             let s_c = d_cn / d_cp;
@@ -224,20 +225,19 @@ impl Pra {
     }
 
     /// Mode A determination on mirrored (symmetric) data for the Mode B
-    /// entry: returns `(Δ_fine, Δ_coarse, q_final, recursions)` for one side.
+    /// entry: returns `(Δ_fine, Δ_coarse, q_final, recursions)` for one
+    /// side's magnitudes, sorted ascending.
     fn run_symmetric(&self, mags: &[f32]) -> (f32, f32, f32, u32) {
         let cfg = self.config;
         let pos_codes = ((1u32 << (self.bits - 2)) - 1).max(1) as f32;
-        let max = mags
-            .iter()
-            .copied()
-            .fold(0.0f32, f32::max)
-            .max(f32::MIN_POSITIVE);
+        let max = sorted_max(mags);
         let d_c = max / pos_codes;
         let mut q = cfg.q_init;
         let mut recursions = 0u32;
         loop {
-            let q_v = quantile(mags, q).unwrap_or(max).max(f32::MIN_POSITIVE);
+            let q_v = quantile_sorted(mags, q)
+                .unwrap_or(max)
+                .max(f32::MIN_POSITIVE);
             let (d_f, d_c2) = relax(q_v / pos_codes, d_c);
             if d_c2 / d_f < cfg.lambda_a && q > cfg.q_acceptable + 1e-9 {
                 q = (q - 0.01).max(cfg.q_acceptable);
@@ -300,6 +300,12 @@ impl Pra {
         QuqParams::new(self.bits, lift_space(fine), lift_space(coarse))
             .expect("PRA produces Eq.4-consistent parameters")
     }
+}
+
+/// The largest of an ascending sample of magnitudes, floored at the
+/// smallest positive normal so a scale derived from it stays positive.
+fn sorted_max(sorted: &[f32]) -> f32 {
+    sorted.last().copied().unwrap_or(0.0).max(f32::MIN_POSITIVE)
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -749,13 +750,30 @@ fn run_group(shared: &Arc<Shared>, name: &str, jobs: Vec<Job>) {
 /// Runs one batched forward on a backend built by the state's provider;
 /// `None` if the provider never ran the work. The closure can run more
 /// than once in principle, so the result is parked and returned after it.
+///
+/// A panic anywhere in the provider or the forward is caught here and
+/// becomes a backend error for this batch alone (counted on
+/// `serve.worker_panics`), so the worker lives on to serve the next one.
 fn forward(state: &ModelState, images: &[Tensor]) -> Option<Result<Vec<Tensor>, BackendError>> {
     let mut result = None;
-    state.provider.with_backend(&mut |be| {
-        let mut be: &mut dyn Backend = be;
-        result = Some(state.model.forward_batch(images, &mut be));
-    });
-    result
+    let run = panic::catch_unwind(AssertUnwindSafe(|| {
+        state.provider.with_backend(&mut |be| {
+            let mut be: &mut dyn Backend = be;
+            result = Some(state.model.forward_batch(images, &mut be));
+        });
+    }));
+    match run {
+        Ok(()) => result,
+        Err(payload) => {
+            quq_obs::add("serve.worker_panics", 1);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Some(Err(BackendError::Other(format!("forward panicked: {msg}"))))
+        }
+    }
 }
 
 /// Mirrors the deterministically-selected subset of one default-model

@@ -5,8 +5,9 @@
 //! client's timeout resync — and the SLO scheduler: no batching delay
 //! for a request that finds the worker idle, deadline-aware flushing and
 //! expiry, interactive-over-batch displacement under
-//! quota, shadow/canary mirroring + promotion, and exactly-once replies
-//! when shutdown lands mid-overload.
+//! quota, shadow/canary mirroring + promotion, exactly-once replies
+//! when shutdown lands mid-overload, and a panicking forward answered
+//! with ERROR while the worker serves on.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -23,7 +24,7 @@ use quq_serve::{
     InferOptions, InferResponse, IntegerProvider, ServeConfig, ServeError, Server,
 };
 use quq_store::ArtifactWriter;
-use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, Tapped, VitModel};
+use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, Op, OpSite, Tap, Tapped, VitModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1532,4 +1533,90 @@ fn shutdown_under_overload_answers_every_admitted_request_exactly_once() {
     );
     assert!(shed > 0, "a 4-deep queue under this burst must shed");
     assert!(draining > 0, "late requests must see DRAINING");
+}
+
+/// Pixel value that makes [`PanicOnMark`] panic: a stand-in for any
+/// backend bug that one particular input reaches.
+const PANIC_MARK: f32 = 1234.5;
+
+/// A tap that panics when a linear op's input holds [`PANIC_MARK`].
+struct PanicOnMark;
+
+impl Tap for PanicOnMark {
+    type Pending = ();
+
+    fn before(&mut self, _site: OpSite, op: &Op<'_>) {
+        if let Op::Linear { x, .. } = op {
+            assert!(
+                !x.data().contains(&PANIC_MARK),
+                "marked image reached the backend"
+            );
+        }
+    }
+}
+
+/// An Fp32 provider whose forward panics on a marked image. It names
+/// itself `fp32`, so a LOAD beside it serves the loaded artifact on the
+/// real fp32 backend.
+struct PanickingProvider;
+
+impl BackendProvider for PanickingProvider {
+    fn name(&self) -> &'static str {
+        "fp32"
+    }
+
+    fn with_backend(&self, work: &mut dyn FnMut(&mut dyn Backend)) {
+        let mut be = Tapped::new(Fp32Backend::new(), PanicOnMark);
+        work(&mut be);
+    }
+}
+
+#[test]
+fn panicking_forward_costs_its_group_not_the_worker() {
+    // One worker: before panics were caught, the marked request took the
+    // worker thread down and every later request waited forever.
+    quq_obs::set_enabled(true);
+    let panics = quq_obs::counter("serve.worker_panics");
+    let panics_before = panics.get();
+    let model = test_model();
+    let server = Server::start(
+        Arc::clone(&model),
+        Arc::new(PanickingProvider),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let (model_b, _, path_b) = saved_artifact(77, "panic-b");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.load("b", path_b.to_str().unwrap()).unwrap(),
+        InferResponse::Reloaded
+    );
+
+    let img = images(&model, 1, 40).remove(0);
+    let marked = quq_tensor::Tensor::from_vec(vec![PANIC_MARK; img.len()], img.shape()).unwrap();
+    match client.infer(&marked).unwrap() {
+        InferResponse::Error(msg) => assert!(msg.contains("panicked"), "{msg}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+
+    // The same model serves its next request, bit for bit…
+    let offline = model.forward(&img, &mut Fp32Backend::new()).unwrap();
+    match client.infer(&img).unwrap() {
+        InferResponse::Ok { logits, .. } => assert_eq!(logits, offline.data()),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+    // …and so does another model on the same worker.
+    let offline_b = model_b.forward(&img, &mut Fp32Backend::new()).unwrap();
+    match client.infer_model("b", &img).unwrap() {
+        InferResponse::Ok { logits, .. } => assert_eq!(logits, offline_b.data()),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+    assert_eq!(panics.get() - panics_before, 1);
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&path_b);
 }

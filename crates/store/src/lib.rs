@@ -36,8 +36,9 @@
 //!
 //! Every load path is hardened against corrupt or hostile files: all
 //! structural fields are covered by a checksum, lengths are validated
-//! against the real file size before any allocation, and QUB payload reads
-//! are bounded by the manifest chunk length
+//! against the real file size before any allocation, and QUB records are
+//! parsed straight from the verified chunk bytes with their payload
+//! bounded by the manifest chunk length
 //! ([`quq_core::read_qub_tensor_bounded`]). Flipping any single byte of an
 //! artifact yields a structured [`StoreError`], never a panic, a wrong
 //! model, or a huge allocation (property-tested in `tests/corruption.rs`).

@@ -1,6 +1,8 @@
 //! Runtime ISA dispatch for the packed-i16 GEMM kernels, the QUB encoder
 //! kernels ([`encode`]) and the plain-Rust loop bodies of [`Vectorized`] —
-//! the one module that holds SIMD `unsafe`.
+//! the one module that holds the forward's SIMD `unsafe`. (The store's
+//! CRC-32 kernel lives with the checksum in `quq_store::crc32` and takes
+//! its ISA from [`resolve`] too.)
 //!
 //! Every GEMM kernel here computes the same thing — a block of output rows
 //! of `A[m,k] · B[n,k]ᵀ` with `B` in the packed layout of
@@ -123,10 +125,10 @@ pub fn detect() -> Isa {
     *supported().last().expect("scalar is always supported")
 }
 
-/// Resolves the ISA for one matmul call: `QUQ_FORCE_ISA` when set (its
-/// value must name a *supported* ISA — forcing an unsupported one is a
-/// loud panic, since silently falling back would defeat the kernel-matrix
-/// tests), otherwise [`detect`]. Read on the calling thread only; pool
+/// Resolves the ISA for one matmul (or checksum) call: `QUQ_FORCE_ISA`
+/// when set (its value must name a *supported* ISA — forcing an
+/// unsupported one is a loud panic, since silently falling back would
+/// defeat the kernel-matrix tests), otherwise [`detect`]. Read on the calling thread only; pool
 /// workers receive the resolved kernel pointer.
 pub fn resolve() -> Isa {
     match std::env::var("QUQ_FORCE_ISA") {
@@ -395,8 +397,8 @@ unsafe fn mac_pairs<L: Lanes, const R: usize, const C: usize>(
         bcol[C - 1] + hi * 2 * BLOCK <= g.b.len(),
         "B block out of bounds"
     );
-    // SAFETY (this and the blocks below): the caller vouches for `L`'s
-    // target features.
+    // SAFETY: the caller vouches for `L`'s target features (the blocks
+    // below rely on this too).
     let mut acc = [[unsafe { L::zero() }; C]; R];
     let whole = hi.min(g.k / 2);
     for p in lo..hi {

@@ -26,10 +26,20 @@ pub fn quantile(values: &[f32], q: f32) -> Option<f32> {
     if dropped > 0 {
         quq_obs::add("stats.nonfinite_dropped", dropped as u64);
     }
-    if sorted.is_empty() {
+    sorted.sort_by(f32::total_cmp);
+    quantile_sorted(&sorted, q)
+}
+
+/// The `q`-th quantile of a sample already sorted ascending and free of
+/// non-finite values, with [`quantile`]'s interpolation — for callers that
+/// read many quantiles of one sample and sort it once.
+///
+/// Returns `None` for an empty sample or a `q` outside `[0, 1]`.
+pub fn quantile_sorted(sorted: &[f32], q: f32) -> Option<f32> {
+    if !(0.0..=1.0).contains(&q) || q.is_nan() || sorted.is_empty() {
         return None;
     }
-    sorted.sort_by(f32::total_cmp);
+    debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
     let pos = q as f64 * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;

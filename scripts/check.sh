@@ -28,8 +28,8 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+step "cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks"
+cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 step "rustdoc: no broken or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
@@ -49,8 +49,9 @@ step "tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # result rescaled, the SFU row bodies against the per-element oracles, the
 # lockstep reference backend, the golden integer logits, the work
 # counters (one encode per operand, and the region path's share of the
-# encoder's groups), the fp32-side and saved-artifact goldens and the
-# store's fresh-process identity. `--list-isas` always reports scalar, so the portable
+# encoder's groups), the fp32-side and saved-artifact goldens, the
+# store's fresh-process identity and every CRC-32 kernel against the
+# bytewise reference. `--list-isas` always reports scalar, so the portable
 # kernels are always in the matrix even on fully-featured hosts.
 isas="$(cargo run --release -q -p quq-serve -- --list-isas)"
 case "$isas" in *scalar*) ;; *)
@@ -66,6 +67,7 @@ for isa in $isas; do
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test batch_identity -- golden
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test counters
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-bench --test goldens --test store_e2e
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-store --lib -- crc32::
 done
 
 step "tier-2: packed GEMM and batched-forward bit-identity under a 4-worker pool"
