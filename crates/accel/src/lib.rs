@@ -17,6 +17,8 @@
 //! assert!(report.area_mm2 > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend_int;
 pub mod cost;
 pub mod intfunc;

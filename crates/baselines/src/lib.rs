@@ -23,6 +23,8 @@
 //! assert_eq!(q.bits(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseq;
 pub mod biscaled;
 pub mod fqvit;

@@ -18,6 +18,8 @@
 //! tests that span several crates. Speed is measured in one place, the
 //! standalone `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 pub mod capture_data;
 pub mod experiments;
 pub mod report;

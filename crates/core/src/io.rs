@@ -19,14 +19,14 @@
 //! two FC registers plus the base scale; [`crate::qub::params_from_fc`]
 //! reconstructs the full quantizer from it.
 //!
-//! Records are written to any [`Write`] and parsed straight from a byte
-//! slice — the store hands over a chunk's verified bytes, so parsing is
-//! header reads, one length check against the slice, one copy of the
-//! payload and one max over it for the `< 2^b` range check.
+//! Records are appended to a byte vector and parsed straight from a byte
+//! slice through the checked [`ByteReader`] — the store hands over a
+//! chunk's verified bytes, so parsing is header reads, one length check
+//! against the slice, one copy of the payload and one max over it for the
+//! `< 2^b` range check.
 
+use crate::bytes::{ByteError, ByteReader};
 use crate::qub::{params_from_fc, FcRegisters, QubTensor};
-use std::fmt;
-use std::io::Write;
 
 /// Magic prefix of the format.
 pub const MAGIC: [u8; 4] = *b"QUB1";
@@ -37,67 +37,35 @@ pub const MAGIC: [u8; 4] = *b"QUB1";
 /// manifest) should pass it to [`read_qub_tensor_bounded`] instead.
 pub const MAX_PAYLOAD_BYTES: u64 = 1 << 34;
 
-/// Errors of the QUB wire format.
-#[derive(Debug)]
-pub enum WireError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// Structural problem in the byte stream.
-    Format(String),
-}
+/// The largest rank a record may declare.
+const MAX_RANK: u64 = 8;
 
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Io(e) => write!(f, "i/o error: {e}"),
-            WireError::Format(m) => write!(f, "malformed QUB stream: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WireError::Io(e) => Some(e),
-            WireError::Format(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        WireError::Io(e)
-    }
-}
-
-/// Serializes a QUB tensor. A `&mut` reference may be passed as the writer.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_qub_tensor<W: Write>(mut w: W, t: &QubTensor) -> Result<(), WireError> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&[t.bits as u8, t.fc.fine, t.fc.coarse, 0])?;
-    w.write_all(&t.base_delta.to_le_bytes())?;
-    w.write_all(&(t.shape.len() as u32).to_le_bytes())?;
+/// Appends a QUB tensor record to `out`.
+pub fn write_qub_tensor(out: &mut Vec<u8>, t: &QubTensor) {
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&[t.bits as u8, t.fc.fine, t.fc.coarse, 0]);
+    out.extend_from_slice(&t.base_delta.to_le_bytes());
+    out.extend_from_slice(&(t.shape.len() as u32).to_le_bytes());
     for &d in &t.shape {
-        w.write_all(&(d as u64).to_le_bytes())?;
+        out.extend_from_slice(&(d as u64).to_le_bytes());
     }
-    w.write_all(&t.bytes)?;
-    Ok(())
+    out.extend_from_slice(&t.bytes);
 }
 
-/// Parses a QUB tensor from the front of `bytes` with the default
-/// [`MAX_PAYLOAD_BYTES`] bound. Bytes after the record are ignored.
+/// Parses a QUB tensor record, which must fill `bytes` exactly, with the
+/// default [`MAX_PAYLOAD_BYTES`] bound.
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Format`] for bad magic, widths outside `2..=8`,
-/// non-positive scales, FC registers that do not describe a valid
-/// quantizer, or payload bytes outside the `b`-bit range; a record cut
-/// short by the end of `bytes` is [`WireError::Io`] with
-/// [`std::io::ErrorKind::UnexpectedEof`].
-pub fn read_qub_tensor(bytes: &[u8]) -> Result<QubTensor, WireError> {
+/// A [`ByteError`] naming the field at fault: bad magic, widths outside
+/// `2..=8`, non-positive scales, FC registers that do not describe a valid
+/// quantizer and payload bytes outside the `b`-bit range are
+/// [`Invalid`](crate::bytes::ByteErrorKind::Invalid); a rank past 8 is
+/// [`OverCap`](crate::bytes::ByteErrorKind::OverCap); a record cut short
+/// by the end of `bytes` is
+/// [`Truncated`](crate::bytes::ByteErrorKind::Truncated); bytes after it
+/// are [`Trailing`](crate::bytes::ByteErrorKind::Trailing).
+pub fn read_qub_tensor(bytes: &[u8]) -> Result<QubTensor, ByteError> {
     read_qub_tensor_bounded(bytes, MAX_PAYLOAD_BYTES)
 }
 
@@ -111,79 +79,69 @@ pub fn read_qub_tensor(bytes: &[u8]) -> Result<QubTensor, WireError> {
 ///
 /// # Errors
 ///
-/// As [`read_qub_tensor`], plus [`WireError::Format`] when the header
-/// declares more payload bytes than `max_payload_bytes`.
+/// As [`read_qub_tensor`], plus
+/// [`OverCap`](crate::bytes::ByteErrorKind::OverCap) when the header
+/// declares more payload bytes than `max_payload_bytes`, and
+/// [`Overflow`](crate::bytes::ByteErrorKind::Overflow) when its element
+/// count overflows `u64`.
 pub fn read_qub_tensor_bounded(
     bytes: &[u8],
     max_payload_bytes: u64,
-) -> Result<QubTensor, WireError> {
-    let mut rest = bytes;
-    let magic = take::<4>(&mut rest)?;
-    if magic != MAGIC {
-        return Err(WireError::Format(format!("bad magic {magic:02x?}")));
+) -> Result<QubTensor, ByteError> {
+    let mut r = ByteReader::new(bytes);
+    let magic = r.u32("QUB magic")?;
+    if magic != u32::from_le_bytes(MAGIC) {
+        return Err(r.invalid("QUB magic", magic.into()));
     }
-    let head = take::<4>(&mut rest)?;
-    let bits = head[0] as u32;
+    let bits = u32::from(r.u8("bit-width")?);
     if !(2..=8).contains(&bits) {
-        return Err(WireError::Format(format!("unsupported bit-width {bits}")));
+        return Err(r.invalid("bit-width", bits.into()));
     }
     let fc = FcRegisters {
-        fine: head[1],
-        coarse: head[2],
+        fine: r.u8("fine FC register")?,
+        coarse: r.u8("coarse FC register")?,
     };
-    let base_delta = f32::from_le_bytes(take(&mut rest)?);
+    r.u8("pad")?;
+    let base_delta = r.f32("base scale")?;
     if !(base_delta.is_finite() && base_delta > 0.0) {
-        return Err(WireError::Format(format!(
-            "invalid base scale {base_delta}"
-        )));
+        return Err(r.invalid("base scale", base_delta.to_bits().into()));
     }
     // Validate that the sideband describes a real quantizer.
-    params_from_fc(bits, fc, base_delta)
-        .map_err(|e| WireError::Format(format!("invalid FC registers: {e}")))?;
-    let rank = u32::from_le_bytes(take(&mut rest)?) as usize;
-    if rank > 8 {
-        return Err(WireError::Format(format!("implausible rank {rank}")));
+    if params_from_fc(bits, fc, base_delta).is_err() {
+        let registers = u16::from_le_bytes([fc.fine, fc.coarse]);
+        return Err(r.invalid("FC registers", registers.into()));
     }
-    let mut shape = Vec::with_capacity(rank);
-    let mut len: u128 = 1;
+    let rank = u64::from(r.u32("rank")?);
+    if rank > MAX_RANK {
+        return Err(r.over_cap("rank", rank, MAX_RANK));
+    }
+    let mut shape = Vec::with_capacity(rank as usize);
+    let mut len = 1u64;
     for _ in 0..rank {
-        let d = u64::from_le_bytes(take(&mut rest)?);
-        len = len.saturating_mul(d as u128);
+        let d = r.u64("dim")?;
+        len = len
+            .checked_mul(d)
+            .ok_or_else(|| r.overflow("element count"))?;
         shape.push(d as usize);
     }
-    if len > u128::from(max_payload_bytes) {
-        return Err(WireError::Format(format!(
-            "payload of {len} bytes exceeds the caller's bound of {max_payload_bytes}"
-        )));
+    if len > max_payload_bytes {
+        return Err(r.over_cap("QUB payload", len, max_payload_bytes));
     }
-    if len > rest.len() as u128 {
-        return Err(truncated());
-    }
-    let payload = rest[..len as usize].to_vec();
+    // A length past the address space is past the slice too.
+    let len = usize::try_from(len).unwrap_or(usize::MAX);
+    let payload = r.bytes("QUB payload", len)?.to_vec();
     let max = payload.iter().copied().max().unwrap_or(0);
     if u16::from(max) >= 1 << bits {
-        return Err(WireError::Format(format!(
-            "payload byte {max:#04x} exceeds {bits}-bit QUB range"
-        )));
+        return Err(r.invalid("QUB payload", max.into()));
     }
+    r.finish()?;
     Ok(QubTensor::new(payload, shape, fc, bits, base_delta))
-}
-
-/// Splits the next `N` bytes off the front of `rest`.
-fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], WireError> {
-    let (head, tail) = rest.split_first_chunk::<N>().ok_or_else(truncated)?;
-    *rest = tail;
-    Ok(*head)
-}
-
-/// A record cut short: the error a stream that ran dry would give.
-fn truncated() -> WireError {
-    WireError::Io(std::io::ErrorKind::UnexpectedEof.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytes::ByteErrorKind;
     use crate::qub::QubCodec;
     use crate::relax::Pra;
     use quq_tensor::rng::OutlierMixture;
@@ -203,7 +161,7 @@ mod tests {
         for bits in [4u32, 6, 8] {
             let t = sample_tensor(bits);
             let mut buf = Vec::new();
-            write_qub_tensor(&mut buf, &t).unwrap();
+            write_qub_tensor(&mut buf, &t);
             let back = read_qub_tensor(buf.as_slice()).unwrap();
             assert_eq!(back, t);
             // And the decoded values match too.
@@ -215,7 +173,7 @@ mod tests {
     fn params_survive_the_wire_via_fc_registers() {
         let t = sample_tensor(8);
         let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &t).unwrap();
+        write_qub_tensor(&mut buf, &t);
         let back = read_qub_tensor(buf.as_slice()).unwrap();
         let params = params_from_fc(back.bits, back.fc, back.base_delta).unwrap();
         // Reconstructed parameters dequantize every byte identically.
@@ -228,96 +186,103 @@ mod tests {
         }
     }
 
+    /// A saved 6-bit `[8, 12]` record: a 32-byte header, then 96 bytes.
+    fn record() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_qub_tensor(&mut buf, &sample_tensor(6));
+        buf
+    }
+
+    fn error(bytes: &[u8]) -> (&'static str, ByteErrorKind) {
+        let e = read_qub_tensor(bytes).unwrap_err();
+        (e.field, e.kind)
+    }
+
     #[test]
     fn bad_magic_is_rejected() {
-        let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &sample_tensor(6)).unwrap();
+        let mut buf = record();
         buf[0] = b'X';
-        assert!(matches!(
-            read_qub_tensor(buf.as_slice()),
-            Err(WireError::Format(_))
-        ));
+        let value = u32::from_le_bytes(*b"XUB1").into();
+        assert_eq!(error(&buf), ("QUB magic", ByteErrorKind::Invalid { value }));
     }
 
     #[test]
     fn truncated_payload_is_rejected() {
-        let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &sample_tensor(6)).unwrap();
+        let mut buf = record();
         buf.truncate(buf.len() - 3);
-        assert!(matches!(
-            read_qub_tensor(buf.as_slice()),
-            Err(WireError::Io(_))
-        ));
+        let kind = ByteErrorKind::Truncated {
+            needed: 96,
+            available: 93,
+        };
+        assert_eq!(error(&buf), ("QUB payload", kind));
     }
 
     #[test]
     fn out_of_range_payload_is_rejected() {
-        let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &sample_tensor(6)).unwrap();
+        let mut buf = record();
         let last = buf.len() - 1;
         buf[last] = 0xFF; // 6-bit QUBs must stay below 64
-        let err = read_qub_tensor(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("exceeds"));
+        let kind = ByteErrorKind::Invalid { value: 0xFF };
+        assert_eq!(error(&buf), ("QUB payload", kind));
     }
 
     #[test]
     fn invalid_scale_is_rejected() {
-        let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &sample_tensor(6)).unwrap();
+        let mut buf = record();
         // Overwrite delta with NaN.
         buf[8..12].copy_from_slice(&f32::NAN.to_le_bytes());
-        assert!(matches!(
-            read_qub_tensor(buf.as_slice()),
-            Err(WireError::Format(_))
-        ));
+        let value = f32::NAN.to_bits().into();
+        assert_eq!(
+            error(&buf),
+            ("base scale", ByteErrorKind::Invalid { value })
+        );
     }
 
     #[test]
     fn caller_byte_limit_bounds_the_payload() {
         let t = sample_tensor(6);
         let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &t).unwrap();
+        write_qub_tensor(&mut buf, &t);
         let n = t.bytes.len() as u64;
         // The exact payload size passes; one byte less rejects the header
         // before any payload is copied.
         assert_eq!(read_qub_tensor_bounded(buf.as_slice(), n).unwrap(), t);
         let err = read_qub_tensor_bounded(buf.as_slice(), n - 1).unwrap_err();
-        assert!(
-            err.to_string().contains("exceeds the caller's bound"),
-            "{err}"
-        );
+        assert_eq!(err.kind, ByteErrorKind::OverCap { len: n, cap: n - 1 });
     }
 
     #[test]
     fn huge_declared_payload_errors_without_a_huge_allocation() {
-        let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &sample_tensor(6)).unwrap();
+        let mut buf = record();
         // Rewrite the dims (rank 2 at offsets 16..32) to declare 2^33 × 1
         // elements, keeping the original (tiny) payload behind them.
         buf[16..24].copy_from_slice(&(1u64 << 33).to_le_bytes());
         buf[24..32].copy_from_slice(&1u64.to_le_bytes());
         // A caller-supplied bound rejects in the header.
-        assert!(matches!(
-            read_qub_tensor_bounded(buf.as_slice(), 1 << 20),
-            Err(WireError::Format(_))
-        ));
+        let err = read_qub_tensor_bounded(buf.as_slice(), 1 << 20).unwrap_err();
+        let kind = ByteErrorKind::OverCap {
+            len: 1 << 33,
+            cap: 1 << 20,
+        };
+        assert_eq!(err.kind, kind);
         // Even the permissive default cannot be driven to a 8 GiB
         // allocation: the declared length is checked against the bytes
         // actually there first.
-        assert!(matches!(
-            read_qub_tensor(buf.as_slice()),
-            Err(WireError::Io(_))
-        ));
+        let kind = ByteErrorKind::Truncated {
+            needed: 1 << 33,
+            available: 96,
+        };
+        assert_eq!(error(&buf), ("QUB payload", kind));
+        // A product past u64 is an overflow, not a wrapped small length.
+        buf[24..32].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        assert_eq!(error(&buf), ("element count", ByteErrorKind::Overflow));
     }
 
     #[test]
     fn implausible_rank_is_rejected() {
-        let mut buf = Vec::new();
-        write_qub_tensor(&mut buf, &sample_tensor(6)).unwrap();
+        let mut buf = record();
         buf[12..16].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(matches!(
-            read_qub_tensor(buf.as_slice()),
-            Err(WireError::Format(_))
-        ));
+        let kind = ByteErrorKind::OverCap { len: 1000, cap: 8 };
+        assert_eq!(error(&buf), ("rank", kind));
     }
 }

@@ -17,6 +17,8 @@
 //!   method, and the layer-wise Hessian-proxy grid search (§6.1).
 //! * [`calib`] / [`pipeline`] — calibration collection and the partial/full
 //!   PTQ execution pipelines behind Tables 2 and 3.
+//! * [`io`] — the `QUB1` record a weight ships as (Fig. 5), and [`bytes`],
+//!   the one checked reader every hostile byte is parsed through.
 //!
 //! ```
 //! use quq_core::{Pra, QuqParams};
@@ -29,6 +31,9 @@
 //! assert!((params.dequantize(code) - 0.04).abs() < 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
+
+pub mod bytes;
 pub mod calib;
 pub mod dot;
 pub mod hessian;
@@ -41,10 +46,11 @@ pub mod relax;
 pub mod scheme;
 pub mod uniform;
 
+pub use bytes::{ByteError, ByteErrorKind, ByteReader};
 pub use calib::{Collector, Coverage, Operand, ParamKey, SampleSet};
 pub use dot::{accumulator_value, dot_decoded, matmul_nt_qub, requantize};
 pub use hessian::{grid_search_quq, Objective};
-pub use io::{read_qub_tensor, read_qub_tensor_bounded, write_qub_tensor, WireError};
+pub use io::{read_qub_tensor, read_qub_tensor_bounded, write_qub_tensor};
 pub use packing::{pack_qubs, unpack_qubs};
 pub use pipeline::{calibrate, evaluate_quantized, PtqConfig, PtqTables, QuantBackend};
 pub use quantizer::{FittedQuantizer, QuantMethod, QuqMethod};

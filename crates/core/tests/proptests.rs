@@ -207,7 +207,7 @@ proptest! {
         let t = quq_tensor::Tensor::from_vec(values.clone(), &[n]).unwrap();
         let qt = QubCodec::new(params).encode_tensor(&t);
         let mut buf = Vec::new();
-        quq_core::write_qub_tensor(&mut buf, &qt).unwrap();
+        quq_core::write_qub_tensor(&mut buf, &qt);
         let back = quq_core::read_qub_tensor(buf.as_slice()).unwrap();
         prop_assert_eq!(back, qt);
     }
@@ -243,7 +243,7 @@ proptest! {
         let t = quq_tensor::Tensor::from_vec(values.clone(), &[n]).unwrap();
         let qt = QubCodec::new(params).encode_tensor(&t);
         let mut buf = Vec::new();
-        quq_core::write_qub_tensor(&mut buf, &qt).unwrap();
+        quq_core::write_qub_tensor(&mut buf, &qt);
         let back = quq_core::read_qub_tensor(buf.as_slice()).unwrap();
         prop_assert_eq!(&back, &qt);
         prop_assert_eq!(back.dequantize().data(), qt.dequantize().data());

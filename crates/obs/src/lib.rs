@@ -31,6 +31,8 @@
 //! [`Snapshot::to_json`] renders the machine-readable form `quq-serve
 //! --metrics-json` writes.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

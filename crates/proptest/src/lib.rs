@@ -9,6 +9,8 @@
 //! syntax are source-compatible with upstream, so swapping the registry
 //! crate back in later requires no test edits.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

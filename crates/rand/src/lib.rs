@@ -13,6 +13,8 @@
 //! only on determinism (same seed ⇒ same sequence) and on sound statistical
 //! behaviour, both of which xoshiro256++ provides.
 
+#![forbid(unsafe_code)]
+
 /// A source of 64-bit random words.
 pub trait RngCore {
     /// Returns the next 64 random bits.

@@ -18,6 +18,8 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
+use quq_core::bytes::{ByteErrorKind, ByteReader};
+
 use crate::protocol::MAX_FRAME;
 
 /// Per-connection incremental decoder for `u32`-length-prefixed frames.
@@ -94,25 +96,16 @@ impl FrameDecoder {
     /// [`MAX_FRAME`] — the stream is hostile or corrupt and the
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.pending() < 4 {
-            self.compact();
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().expect("sized");
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds MAX_FRAME",
-            ));
-        }
-        let len = len as usize;
-        if self.pending() < 4 + len {
-            self.compact();
-            return Ok(None);
-        }
-        let frame = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
+        let mut r = ByteReader::new(&self.buf[self.pos..]);
+        let frame = match r.len_prefixed::<u32>("frame", MAX_FRAME.into()) {
+            Ok(frame) => frame.to_vec(),
+            Err(e) if matches!(e.kind, ByteErrorKind::Truncated { .. }) => {
+                self.compact();
+                return Ok(None);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        self.pos += r.offset();
         self.compact();
         Ok(Some(frame))
     }

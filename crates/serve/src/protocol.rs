@@ -36,9 +36,10 @@
 //! ```
 //!
 //! Every request is decoded by [`Request::decode`] and every response by
-//! [`decode_response`]; both read through one checked field reader that
-//! owns every bounds, UTF-8, element-count and trailing-byte check and
-//! names the field in its [`io::ErrorKind::InvalidData`] error. One
+//! [`decode_response`]; both read through [`quq_core::bytes::ByteReader`],
+//! which owns every bounds, UTF-8, element-count and trailing-byte check.
+//! Every fault is a [`quq_core::ByteError`] naming the field and its
+//! offset, carried in an [`io::ErrorKind::InvalidData`] error. One
 //! matching writer builds every frame and refuses, with
 //! [`io::ErrorKind::InvalidInput`], a field too long for its length
 //! prefix. Opcode 2 carries no request.
@@ -53,6 +54,7 @@
 use std::io::{self, Write};
 use std::time::Duration;
 
+use quq_core::bytes::{ByteError, ByteErrorKind, ByteReader, LenPrefix};
 use quq_tensor::Tensor;
 
 /// Wire protocol version implemented by this crate.
@@ -230,55 +232,60 @@ impl Request {
     /// non-UTF-8 text, an element count that overflows or cannot fit a
     /// frame, or trailing bytes.
     pub fn decode(payload: &[u8]) -> io::Result<(u32, Request)> {
-        let mut r = Reader(payload);
-        let op: u8 = r.get("opcode")?;
-        let id = r.get("request id")?;
+        let mut r = ByteReader::new(payload);
+        let op = r.u8("opcode")?;
+        let id = r.u32("request id")?;
         let request = match op {
             OP_INFER => {
-                let class = match r.get::<u8>("class")? {
+                let class = match r.u8("priority class")? {
                     0 => Class::Interactive,
                     1 => Class::Batch,
-                    _ => return Err(invalid("unknown priority class")),
+                    c => return Err(r.invalid("priority class", c.into()).into()),
                 };
                 let meta = InferMeta {
                     class,
-                    deadline_us: r.get("deadline")?,
-                    tenant: r.string::<u8>("tenant id")?,
+                    deadline_us: r.u32("deadline")?,
+                    tenant: text::<u8>(&mut r, "tenant id")?,
                 };
-                let model = r.name()?;
-                let rank: u8 = r.get("rank")?;
+                let model = name(&mut r)?;
+                let rank = r.u8("rank")?;
                 let shape = (0..rank)
-                    .map(|_| r.get::<u32>("dims").map(|d| d as usize))
-                    .collect::<io::Result<Vec<usize>>>()?;
+                    .map(|_| r.u32("dim").map(|d| d as usize))
+                    .collect::<Result<Vec<usize>, ByteError>>()?;
                 // A hostile header (up to rank 255 of u32 dims) can
                 // overflow the element product; reject it before it sizes
                 // anything.
                 let n = shape
                     .iter()
                     .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                    .filter(|&n| n <= (MAX_FRAME as usize) / 4)
-                    .ok_or_else(|| invalid("element count overflows"))?;
+                    .ok_or_else(|| r.overflow("element count"))?;
+                let cap = u64::from(MAX_FRAME / 4);
+                if n as u64 > cap {
+                    return Err(r.over_cap("element count", n as u64, cap).into());
+                }
                 let image = Tensor::from_vec(r.f32s("image data", n)?, &shape)
-                    .map_err(|e| invalid(format!("bad tensor shape: {e:?}")))?;
+                    .map_err(|_| r.invalid("rank", rank.into()))?;
                 Request::Infer { meta, model, image }
             }
             OP_LOAD => Request::Admin(AdminOp::Load {
-                name: r.name()?,
-                path: r.string::<u16>("path")?,
+                name: name(&mut r)?,
+                path: text::<u16>(&mut r, "path")?,
             }),
-            OP_UNLOAD => Request::Admin(AdminOp::Unload { name: r.name()? }),
+            OP_UNLOAD => Request::Admin(AdminOp::Unload {
+                name: name(&mut r)?,
+            }),
             OP_LIST => Request::Admin(AdminOp::List),
-            OP_SHADOW => Request::Admin(AdminOp::Shadow(match r.get::<u8>("SHADOW action")? {
+            OP_SHADOW => Request::Admin(AdminOp::Shadow(match r.u8("SHADOW action")? {
                 0 => ShadowCmd::Set {
-                    name: r.name()?,
-                    permille: r.get("permille")?,
+                    name: name(&mut r)?,
+                    permille: r.u16("permille")?,
                 },
                 1 => ShadowCmd::Promote,
                 2 => ShadowCmd::Abort,
                 3 => ShadowCmd::Status,
-                action => return Err(invalid(format!("unknown SHADOW action {action}"))),
+                action => return Err(r.invalid("SHADOW action", action.into()).into()),
             })),
-            op => return Err(invalid(format!("unknown opcode {op}"))),
+            op => return Err(unknown_opcode(op)),
         };
         r.finish()?;
         Ok((id, request))
@@ -369,9 +376,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// replies to frames that fail full decoding. Payloads too short to carry
 /// an id report 0.
 pub fn request_id(payload: &[u8]) -> u32 {
-    let mut r = Reader(payload);
-    r.get::<u8>("opcode")
-        .and_then(|_| r.get("request id"))
+    let mut r = ByteReader::new(payload);
+    r.u8("opcode")
+        .and_then(|_| r.u32("request id"))
         .unwrap_or(0)
 }
 
@@ -403,7 +410,7 @@ pub fn encode_infer_request_with(
 pub fn decode_infer_request(payload: &[u8]) -> io::Result<(u32, InferMeta, String, Tensor)> {
     match Request::decode(payload)? {
         (id, Request::Infer { meta, model, image }) => Ok((id, meta, model, image)),
-        _ => Err(invalid("not an INFER request")),
+        _ => Err(unknown_opcode(payload.first().copied().unwrap_or_default())),
     }
 }
 
@@ -577,12 +584,12 @@ pub fn tag_response(id: u32, body: &[u8]) -> Vec<u8> {
 /// [`io::ErrorKind::InvalidData`] naming the field at fault: an unknown
 /// status, a truncated field, non-UTF-8 model names, or trailing bytes.
 pub fn decode_response(payload: &[u8]) -> io::Result<(u32, InferResponse)> {
-    let mut r = Reader(payload);
-    let id = r.get("response id")?;
-    let resp = match r.get("status")? {
+    let mut r = ByteReader::new(payload);
+    let id = r.u32("response id")?;
+    let resp = match r.u8("response status")? {
         STATUS_OK => {
-            let top1 = r.get("top-1")?;
-            let n: u32 = r.get("logit count")?;
+            let top1 = r.u32("top-1")?;
+            let n = r.u32("logit count")?;
             InferResponse::Ok {
                 top1,
                 logits: r.f32s("logits", n as usize)?,
@@ -594,50 +601,67 @@ pub fn decode_response(payload: &[u8]) -> io::Result<(u32, InferResponse)> {
         STATUS_UNLOADED => InferResponse::Unloaded,
         STATUS_DEADLINE => InferResponse::DeadlineExceeded,
         STATUS_LIST => {
-            let count: u16 = r.get("model count")?;
+            let count = r.u16("model count")?;
             let models = (0..count)
                 .map(|_| {
                     Ok(ModelEntry {
-                        name: r.name()?,
-                        resident: r.get::<u8>("resident flag")? != 0,
-                        bytes: r.get("model bytes")?,
-                        requests: r.get("request count")?,
+                        name: name(&mut r)?,
+                        resident: r.u8("resident flag")? != 0,
+                        bytes: r.u64("model bytes")?,
+                        requests: r.u64("request count")?,
                     })
                 })
-                .collect::<io::Result<Vec<ModelEntry>>>()?;
+                .collect::<Result<Vec<ModelEntry>, ByteError>>()?;
             InferResponse::ModelList(RegistrySnapshot {
                 models,
-                loads: r.get("load count")?,
-                evictions: r.get("eviction count")?,
+                loads: r.u64("load count")?,
+                evictions: r.u64("eviction count")?,
             })
         }
         STATUS_SHADOW => InferResponse::Shadow(ShadowReport {
-            active: r.get::<u8>("active flag")? != 0,
-            name: r.name()?,
-            permille: r.get("permille")?,
-            mirrored: r.get("mirrored count")?,
-            agree: r.get("agree count")?,
-            disagree: r.get("disagree count")?,
+            active: r.u8("active flag")? != 0,
+            name: name(&mut r)?,
+            permille: r.u16("permille")?,
+            mirrored: r.u64("mirrored count")?,
+            agree: r.u64("agree count")?,
+            disagree: r.u64("disagree count")?,
         }),
         STATUS_ERROR => InferResponse::Error(
-            String::from_utf8_lossy(r.bytes::<u32>("error message")?).into_owned(),
+            String::from_utf8_lossy(r.len_prefixed::<u32>("error message", MAX_FRAME.into())?)
+                .into_owned(),
         ),
-        status => return Err(invalid(format!("unknown response status {status}"))),
+        status => return Err(r.invalid("response status", status.into()).into()),
     };
     r.finish()?;
     Ok((id, resp))
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+/// The error for a payload whose opcode the decoder does not take.
+#[cold]
+fn unknown_opcode(op: u8) -> io::Error {
+    let kind = ByteErrorKind::Invalid { value: op.into() };
+    ByteError {
+        field: "opcode",
+        offset: 0,
+        kind,
+    }
+    .into()
+}
+
+/// UTF-8 text behind a length prefix of type `L`.
+fn text<L: LenPrefix>(r: &mut ByteReader<'_>, field: &'static str) -> Result<String, ByteError> {
+    r.utf8::<L>(field, u64::MAX).map(str::to_owned)
+}
+
+/// A model name: text behind a `u8` length.
+fn name(r: &mut ByteReader<'_>) -> Result<String, ByteError> {
+    text::<u8>(r, "model name")
 }
 
 /// A fixed-width little-endian wire field.
 trait Field: Sized {
     const WIDTH: usize;
     fn put(self, out: &mut Vec<u8>);
-    /// Reads the field from exactly `WIDTH` bytes.
-    fn get(bytes: &[u8]) -> Self;
 }
 
 macro_rules! field {
@@ -648,76 +672,16 @@ macro_rules! field {
             fn put(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
-            #[inline]
-            fn get(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("sized by the reader"))
-            }
         }
     )*};
 }
 field!(u8, u16, u32, u64, f32);
 
 /// A field that prefixes a length or a count.
-trait Len: Field + TryFrom<usize> + Into<u64> {}
+trait Len: Field + TryFrom<usize> {}
 impl Len for u8 {}
 impl Len for u16 {}
 impl Len for u32 {}
-
-/// The one payload reader: every bounds, UTF-8, element-count and
-/// trailing-byte check lives here, and every error names its field.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    #[inline]
-    fn take(&mut self, field: &str, n: usize) -> io::Result<&'a [u8]> {
-        if n > self.0.len() {
-            return Err(invalid(format!("truncated {field}")));
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    #[inline]
-    fn get<T: Field>(&mut self, field: &str) -> io::Result<T> {
-        self.take(field, T::WIDTH).map(T::get)
-    }
-
-    /// Bytes behind a length prefix of type `L`.
-    fn bytes<L: Len>(&mut self, field: &str) -> io::Result<&'a [u8]> {
-        let n: u64 = self.get::<L>(field)?.into();
-        self.take(field, n as usize)
-    }
-
-    fn name(&mut self) -> io::Result<String> {
-        self.string::<u8>("model name")
-    }
-
-    fn string<L: Len>(&mut self, field: &str) -> io::Result<String> {
-        let bytes = self.bytes::<L>(field)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| invalid(format!("non-UTF-8 {field}")))
-    }
-
-    fn f32s(&mut self, field: &str, n: usize) -> io::Result<Vec<f32>> {
-        let len = n
-            .checked_mul(4)
-            .ok_or_else(|| invalid(format!("{field} count overflows")))?;
-        Ok(self
-            .take(field, len)?
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("sized by the reader")))
-            .collect())
-    }
-
-    fn finish(&self) -> io::Result<()> {
-        match self.0.len() {
-            0 => Ok(()),
-            n => Err(invalid(format!("{n} trailing bytes"))),
-        }
-    }
-}
 
 /// The one payload writer; a length that overflows its prefix is
 /// refused, never truncated.

@@ -47,6 +47,8 @@
 //! ([`CodecStack::validate`]), so every intermediate decode step knows its
 //! exact expected size.
 
+use quq_core::bytes::ByteReader;
+
 use crate::StoreError;
 
 /// Minimum savings, in permille of the raw size, a compressed encoding
@@ -206,7 +208,7 @@ pub struct Lz;
 impl Lz {
     fn hash(window: &[u8]) -> usize {
         // Fibonacci hash of the 4-byte seed into a 16-bit table.
-        let seed = u32::from_le_bytes(window[..4].try_into().expect("sized"));
+        let seed = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
         (seed.wrapping_mul(0x9E37_79B9) >> 16) as usize
     }
 }
@@ -303,7 +305,7 @@ impl Codec for Lz {
                     .get(pos..pos + 2)
                     .ok_or_else(|| bad(format!("truncated match distance at {pos}")))?;
                 pos += 2;
-                let dist = u16::from_le_bytes(d.try_into().expect("sized")) as usize;
+                let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
                 if dist == 0 || dist > out.len() {
                     return Err(bad(format!(
                         "match distance {dist} outside the {}-byte decoded prefix",
@@ -625,10 +627,7 @@ fn decode_table(entries: &[u8]) -> Result<Box<[u32; RANS_SLOTS]>, StoreError> {
             "frequencies sum to {sum}, not {RANS_SLOTS}"
         )));
     }
-    let mut table: Box<[u32; RANS_SLOTS]> = vec![0u32; RANS_SLOTS]
-        .into_boxed_slice()
-        .try_into()
-        .expect("sized");
+    let mut table = Box::new([0u32; RANS_SLOTS]);
     let mut cum = 0usize;
     for e in entries.chunks_exact(3) {
         let f = usize::from(u16::from_le_bytes([e[1], e[2]]));
@@ -654,7 +653,8 @@ fn decode_segment(
     coded: &[u8],
     out: &mut [u8],
 ) -> Result<(), StoreError> {
-    let state = |at: usize| u32::from_le_bytes(coded[at..at + 4].try_into().expect("sized"));
+    let state =
+        |at: usize| u32::from_le_bytes([coded[at], coded[at + 1], coded[at + 2], coded[at + 3]]);
     let mut x = [state(0), state(4)];
     if x.iter().any(|&x| x < RANS_LOW) {
         return Err(rc_error(format!(
@@ -763,47 +763,32 @@ impl Codec for Rc {
             )));
         }
         // Parse and check every header before the output is allocated.
-        let mut pos = 0usize;
-        let mut take = |n: usize, what: &str| -> Result<&[u8], StoreError> {
-            let bytes = input
-                .get(pos..pos.saturating_add(n))
-                .ok_or_else(|| rc_error(format!("truncated {what} at byte {pos}")))?;
-            pos += n;
-            Ok(bytes)
-        };
-        let k = usize::from(take(1, "segment count")?[0]);
+        let mut r = ByteReader::new(input);
+        let k = usize::from(r.u8("segment count")?);
         if !SEGMENT_COUNTS.contains(&k) {
-            return Err(rc_error(format!(
-                "segment count {k} (must be 1, 2, 4 or 8)"
-            )));
+            return Err(r.invalid("segment count", k as u64).into());
         }
         let mut segments = Vec::with_capacity(k);
         for i in 0..k {
             let len = segment_start(raw_len, k, i + 1) - segment_start(raw_len, k, i);
-            match take(1, "segment tag")?[0] {
-                TAG_VERBATIM => segments.push((None, take(len, "verbatim segment")?)),
+            match r.u8("segment tag")? {
+                TAG_VERBATIM => segments.push((None, r.bytes("verbatim segment", len)?)),
                 TAG_RANS => {
-                    let symbols = usize::from(take(1, "symbol count")?[0]) + 1;
-                    let table = decode_table(take(3 * symbols, "frequency table")?)?;
-                    let coded_len = take(4, "coded length")?;
-                    let coded_len = u32::from_le_bytes(coded_len.try_into().expect("sized"));
-                    let coded = take(coded_len as usize, "rans payload")?;
+                    let symbols = usize::from(r.u8("symbol count")?) + 1;
+                    let table = decode_table(r.bytes("frequency table", 3 * symbols)?)?;
+                    let coded = r.len_prefixed::<u32>("rans payload", input.len() as u64)?;
                     if coded.len() < 8 {
                         return Err(rc_error(format!(
-                            "coded length {coded_len} is shorter than the two states"
+                            "coded length {} is shorter than the two states",
+                            coded.len()
                         )));
                     }
                     segments.push((Some(table), coded));
                 }
-                tag => return Err(rc_error(format!("unknown segment tag {tag}"))),
+                tag => return Err(r.invalid("segment tag", tag.into()).into()),
             }
         }
-        if pos != input.len() {
-            return Err(rc_error(format!(
-                "{} trailing bytes after the last segment",
-                input.len() - pos
-            )));
-        }
+        r.finish()?;
 
         let mut out = vec![0u8; raw_len];
         let mut rest: &mut [u8] = &mut out;

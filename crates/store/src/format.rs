@@ -51,6 +51,7 @@
 
 use crate::codec::{CodecSpec, CodecStack};
 use crate::StoreError;
+use quq_core::bytes::{ByteError, ByteReader};
 use quq_core::calib::{Coverage, Operand, ParamKey};
 use quq_core::pipeline::PtqConfig;
 use quq_core::scheme::{QuqParams, SpaceLayout};
@@ -94,26 +95,13 @@ pub enum ChunkKind {
     WeightParams,
 }
 
-impl ChunkKind {
-    fn code(self) -> u8 {
-        match self {
-            ChunkKind::TensorF32 => 0,
-            ChunkKind::Qub => 1,
-            ChunkKind::ActivationParams => 2,
-            ChunkKind::WeightParams => 3,
-        }
-    }
-
-    fn from_code(c: u8) -> Result<Self, StoreError> {
-        match c {
-            0 => Ok(ChunkKind::TensorF32),
-            1 => Ok(ChunkKind::Qub),
-            2 => Ok(ChunkKind::ActivationParams),
-            3 => Ok(ChunkKind::WeightParams),
-            other => Err(StoreError::Format(format!("unknown chunk kind {other}"))),
-        }
-    }
-}
+/// Every [`ChunkKind`], in wire order: a kind's code is its index here.
+const CHUNK_KINDS: [ChunkKind; 4] = [
+    ChunkKind::TensorF32,
+    ChunkKind::Qub,
+    ChunkKind::ActivationParams,
+    ChunkKind::WeightParams,
+];
 
 /// One manifest entry: where a chunk lives, how it is stored, and how to
 /// verify it.
@@ -163,7 +151,8 @@ impl ChunkInfo {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive little-endian encode/decode helpers.
+// Primitive little-endian encode helpers; every block is decoded through
+// `quq_core::bytes::ByteReader`.
 // ---------------------------------------------------------------------------
 
 /// Growable little-endian encoder.
@@ -193,63 +182,6 @@ impl Enc {
         debug_assert!(s.len() <= u16::MAX as usize);
         self.u16(s.len() as u16);
         self.0.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Bounded little-endian decoder over an in-memory block; every read is
-/// checked so truncated or corrupt blocks error instead of panicking.
-pub(crate) struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                StoreError::Format(format!(
-                    "truncated block: wanted {n} bytes at offset {}",
-                    self.pos
-                ))
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-    pub fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("sized")))
-    }
-    pub fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
-    }
-    pub fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
-    }
-    pub fn i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
-    }
-    pub fn f32(&mut self) -> Result<f32, StoreError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
-    }
-    pub fn str16(&mut self) -> Result<String, StoreError> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Format("non-UTF-8 string".into()))
     }
 }
 
@@ -297,11 +229,17 @@ fn enum_code<T: PartialEq + Copy>(table: &[T], v: T, what: &str) -> u8 {
         .unwrap_or_else(|| panic!("{what} missing from wire table")) as u8
 }
 
-fn enum_from_code<T: Copy>(table: &[T], c: u8, what: &str) -> Result<T, StoreError> {
+/// Reads a one-byte code and looks it up in its wire table.
+fn enum_from_code<T: Copy>(
+    r: &mut ByteReader<'_>,
+    table: &[T],
+    field: &'static str,
+) -> Result<T, ByteError> {
+    let c = r.u8(field)?;
     table
-        .get(c as usize)
+        .get(usize::from(c))
         .copied()
-        .ok_or_else(|| StoreError::Format(format!("unknown {what} code {c}")))
+        .ok_or_else(|| r.invalid(field, c.into()))
 }
 
 fn op_kind_from_name(name: &str) -> Option<OpKind> {
@@ -369,43 +307,43 @@ pub fn encode_metadata(config: &ModelConfig, ptq: PtqConfig, method: &str) -> Ve
 /// configuration overflows.
 const MAX_DIM: u64 = 1 << 16;
 
-/// A configuration dimension read from an artifact: 0 and anything past
-/// [`MAX_DIM`] are refused.
-fn dim(v: u64) -> Result<usize, StoreError> {
-    match v {
-        1..=MAX_DIM => Ok(v as usize),
-        _ => Err(StoreError::Format(format!(
-            "configuration dimension {v} is outside 1..={MAX_DIM}"
-        ))),
+/// The most stages a configuration may declare.
+const MAX_STAGES: u64 = 64;
+
+/// Reads a configuration dimension: 0 and anything past [`MAX_DIM`] are
+/// refused.
+fn dim(r: &mut ByteReader<'_>, field: &'static str) -> Result<usize, ByteError> {
+    match r.u64(field)? {
+        v @ 1..=MAX_DIM => Ok(v as usize),
+        v => Err(r.invalid(field, v)),
     }
 }
 
 /// Parses the metadata block.
 pub fn decode_metadata(bytes: &[u8]) -> Result<(ModelConfig, PtqConfig, String), StoreError> {
-    let mut d = Dec::new(bytes);
-    let id = enum_from_code(&MODEL_IDS, d.u8()?, "ModelId")?;
-    let family = enum_from_code(&FAMILIES, d.u8()?, "Family")?;
-    let img_size = dim(d.u64()?)?;
-    let in_chans = dim(d.u64()?)?;
-    let patch_size = dim(d.u64()?)?;
-    let mlp_ratio = dim(d.u64()?)?;
-    let window = match d.u64()? {
+    let mut r = ByteReader::new(bytes);
+    let id = enum_from_code(&mut r, &MODEL_IDS, "model id")?;
+    let family = enum_from_code(&mut r, &FAMILIES, "model family")?;
+    let img_size = dim(&mut r, "image size")?;
+    let in_chans = dim(&mut r, "input channels")?;
+    let patch_size = dim(&mut r, "patch size")?;
+    let mlp_ratio = dim(&mut r, "MLP ratio")?;
+    let window = match r.u64("window")? {
         0 => None,
-        w => Some(dim(w)?),
+        w @ 1..=MAX_DIM => Some(w as usize),
+        w => return Err(r.invalid("window", w).into()),
     };
-    let num_classes = dim(d.u64()?)?;
-    let n_stages = d.u32()? as usize;
-    if n_stages == 0 || n_stages > 64 {
-        return Err(StoreError::Format(format!(
-            "implausible stage count {n_stages}"
-        )));
+    let num_classes = dim(&mut r, "class count")?;
+    let n_stages = u64::from(r.u32("stage count")?);
+    if !(1..=MAX_STAGES).contains(&n_stages) {
+        return Err(r.invalid("stage count", n_stages).into());
     }
-    let mut stages = Vec::with_capacity(n_stages);
+    let mut stages = Vec::with_capacity(n_stages as usize);
     for _ in 0..n_stages {
         stages.push(StageConfig {
-            depth: dim(d.u64()?)?,
-            embed_dim: dim(d.u64()?)?,
-            num_heads: dim(d.u64()?)?,
+            depth: dim(&mut r, "stage depth")?,
+            embed_dim: dim(&mut r, "embedding width")?,
+            num_heads: dim(&mut r, "head count")?,
         });
     }
     let config = ModelConfig {
@@ -419,17 +357,11 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<(ModelConfig, PtqConfig, String),
         window,
         num_classes,
     };
-    let bits_w = u32::from(d.u8()?);
-    let bits_a = u32::from(d.u8()?);
-    let coverage = match d.u8()? {
-        0 => Coverage::Partial,
-        1 => Coverage::Full,
-        other => return Err(StoreError::Format(format!("unknown coverage code {other}"))),
-    };
-    let method = d.str16()?;
-    if !d.is_done() {
-        return Err(StoreError::Format("trailing bytes in metadata".into()));
-    }
+    let bits_w = u32::from(r.u8("weight bit-width")?);
+    let bits_a = u32::from(r.u8("activation bit-width")?);
+    let coverage = enum_from_code(&mut r, &[Coverage::Partial, Coverage::Full], "coverage")?;
+    let method = str16(&mut r, "method name")?;
+    r.finish()?;
     Ok((
         config,
         PtqConfig {
@@ -455,18 +387,23 @@ fn encode_stack(e: &mut Enc, stack: &CodecStack) {
     }
 }
 
-fn decode_stack(d: &mut Dec<'_>) -> Result<CodecStack, StoreError> {
-    let n = d.u8()? as usize;
-    if n > crate::codec::MAX_STACK_LEN {
-        return Err(StoreError::Format(format!(
-            "codec stack of {n} exceeds the {}-codec cap",
-            crate::codec::MAX_STACK_LEN
-        )));
+/// A `u16`-length-prefixed UTF-8 string.
+fn str16(r: &mut ByteReader<'_>, field: &'static str) -> Result<String, ByteError> {
+    r.utf8::<u16>(field, u16::MAX.into()).map(str::to_owned)
+}
+
+fn decode_stack(r: &mut ByteReader<'_>) -> Result<CodecStack, StoreError> {
+    let n = u64::from(r.u8("codec count")?);
+    let cap = crate::codec::MAX_STACK_LEN as u64;
+    if n > cap {
+        return Err(r.over_cap("codec count", n, cap).into());
     }
-    let mut specs = Vec::with_capacity(n);
+    let mut specs = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        specs.push(match d.u8()? {
-            1 => CodecSpec::ByteShuffle { stride: d.u8()? },
+        specs.push(match r.u8("codec id")? {
+            1 => CodecSpec::ByteShuffle {
+                stride: r.u8("shuffle stride")?,
+            },
             2 => CodecSpec::Lz,
             3 => {
                 return Err(StoreError::Format(
@@ -474,7 +411,7 @@ fn decode_stack(d: &mut Dec<'_>) -> Result<CodecStack, StoreError> {
                 ))
             }
             4 => CodecSpec::Rc,
-            other => return Err(StoreError::Format(format!("unknown codec id {other}"))),
+            other => return Err(r.invalid("codec id", other.into()).into()),
         });
     }
     Ok(CodecStack(specs))
@@ -486,7 +423,7 @@ pub fn encode_manifest(entries: &[ChunkInfo]) -> Vec<u8> {
     e.u32(entries.len() as u32);
     for c in entries {
         e.str16(&c.key);
-        e.u8(c.kind.code());
+        e.u8(enum_code(&CHUNK_KINDS, c.kind, "ChunkKind"));
         e.u64(c.offset);
         e.u64(c.length);
         e.u64(c.raw_length);
@@ -500,34 +437,44 @@ pub fn encode_manifest(entries: &[ChunkInfo]) -> Vec<u8> {
     e.0
 }
 
-fn decode_shape(d: &mut Dec<'_>, key: &str) -> Result<Vec<usize>, StoreError> {
-    let rank = d.u8()? as usize;
-    if rank > 8 {
-        return Err(StoreError::Format(format!(
-            "implausible rank {rank} for chunk {key:?}"
-        )));
+/// The largest rank a chunk may declare.
+const MAX_RANK: u64 = 8;
+
+fn decode_shape(r: &mut ByteReader<'_>) -> Result<Vec<usize>, ByteError> {
+    let rank = u64::from(r.u8("chunk rank")?);
+    if rank > MAX_RANK {
+        return Err(r.over_cap("chunk rank", rank, MAX_RANK));
     }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(d.u64()? as usize);
-    }
-    Ok(shape)
+    (0..rank)
+        .map(|_| r.u64("chunk dim").map(|d| d as usize))
+        .collect()
+}
+
+/// Parses a block of a `u32` count, that many entries, and nothing else.
+/// The count sizes no allocation: entries are collected as they parse.
+fn decode_list<T>(
+    bytes: &[u8],
+    count: &'static str,
+    mut entry: impl FnMut(&mut ByteReader<'_>) -> Result<T, StoreError>,
+) -> Result<Vec<T>, StoreError> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.u32(count)?;
+    let out = (0..n).map(|_| entry(&mut r)).collect::<Result<_, _>>()?;
+    r.finish()?;
+    Ok(out)
 }
 
 /// Parses the manifest block.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Vec<ChunkInfo>, StoreError> {
-    let mut d = Dec::new(bytes);
-    let count = d.u32()? as usize;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let key = d.str16()?;
-        let kind = ChunkKind::from_code(d.u8()?)?;
-        let offset = d.u64()?;
-        let length = d.u64()?;
-        let raw_length = d.u64()?;
-        let crc = d.u32()?;
-        let stack = decode_stack(&mut d)?;
-        let shape = decode_shape(&mut d, &key)?;
+    decode_list(bytes, "chunk count", |r| {
+        let key = str16(r, "chunk key")?;
+        let kind = enum_from_code(r, &CHUNK_KINDS, "chunk kind")?;
+        let offset = r.u64("chunk offset")?;
+        let length = r.u64("chunk length")?;
+        let raw_length = r.u64("decoded length")?;
+        let crc = r.u32("chunk CRC")?;
+        let stack = decode_stack(r)?;
+        let shape = decode_shape(r)?;
         let info = ChunkInfo {
             key,
             kind,
@@ -539,12 +486,8 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Vec<ChunkInfo>, StoreError> {
             shape,
         };
         info.validate_stack()?;
-        out.push(info);
-    }
-    if !d.is_done() {
-        return Err(StoreError::Format("trailing bytes in manifest".into()));
-    }
-    Ok(out)
+        Ok(info)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -569,17 +512,19 @@ fn encode_space(e: &mut Enc, s: SpaceLayout) {
     }
 }
 
-fn decode_space(d: &mut Dec<'_>) -> Result<SpaceLayout, StoreError> {
-    match d.u8()? {
+fn decode_space(r: &mut ByteReader<'_>) -> Result<SpaceLayout, ByteError> {
+    match r.u8("space-layout tag")? {
         0 => Ok(SpaceLayout::Split {
-            neg: d.f32()?,
-            pos: d.f32()?,
+            neg: r.f32("negative scale")?,
+            pos: r.f32("positive scale")?,
         }),
-        1 => Ok(SpaceLayout::MergedNeg { delta: d.f32()? }),
-        2 => Ok(SpaceLayout::MergedPos { delta: d.f32()? }),
-        other => Err(StoreError::Format(format!(
-            "unknown space-layout tag {other}"
-        ))),
+        1 => Ok(SpaceLayout::MergedNeg {
+            delta: r.f32("scale")?,
+        }),
+        2 => Ok(SpaceLayout::MergedPos {
+            delta: r.f32("scale")?,
+        }),
+        other => Err(r.invalid("space-layout tag", other.into())),
     }
 }
 
@@ -589,10 +534,10 @@ fn encode_params(e: &mut Enc, p: &QuqParams) {
     encode_space(e, p.coarse());
 }
 
-fn decode_params(d: &mut Dec<'_>) -> Result<QuqParams, StoreError> {
-    let bits = u32::from(d.u8()?);
-    let fine = decode_space(d)?;
-    let coarse = decode_space(d)?;
+fn decode_params(r: &mut ByteReader<'_>) -> Result<QuqParams, StoreError> {
+    let bits = u32::from(r.u8("quantizer bit-width")?);
+    let fine = decode_space(r)?;
+    let coarse = decode_space(r)?;
     QuqParams::new(bits, fine, coarse)
         .map_err(|e| StoreError::Format(format!("invalid quantizer parameters: {e}")))
 }
@@ -602,13 +547,13 @@ fn encode_site(e: &mut Enc, site: OpSite) {
     e.u8(enum_code(&OP_KINDS, site.kind, "OpKind"));
 }
 
-fn decode_site(d: &mut Dec<'_>) -> Result<OpSite, StoreError> {
-    let block = match d.i64()? {
+fn decode_site(r: &mut ByteReader<'_>) -> Result<OpSite, ByteError> {
+    let block = match r.i64("block index")? {
         -1 => None,
         b if b >= 0 => Some(b as usize),
-        b => return Err(StoreError::Format(format!("invalid block index {b}"))),
+        b => return Err(r.invalid("block index", b as u64)),
     };
-    let kind = enum_from_code(&OP_KINDS, d.u8()?, "OpKind")?;
+    let kind = enum_from_code(r, &OP_KINDS, "op kind")?;
     Ok(OpSite { block, kind })
 }
 
@@ -629,24 +574,11 @@ pub fn encode_activation_params(entries: &[(ParamKey, QuqParams)]) -> Vec<u8> {
 
 /// Parses the activation-quantizer table chunk payload.
 pub fn decode_activation_params(bytes: &[u8]) -> Result<Vec<(ParamKey, QuqParams)>, StoreError> {
-    let mut d = Dec::new(bytes);
-    let count = d.u32()? as usize;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let site = decode_site(&mut d)?;
-        let operand = match d.u8()? {
-            0 => Operand::Input,
-            1 => Operand::InputB,
-            other => return Err(StoreError::Format(format!("unknown operand code {other}"))),
-        };
-        out.push((ParamKey { site, operand }, decode_params(&mut d)?));
-    }
-    if !d.is_done() {
-        return Err(StoreError::Format(
-            "trailing bytes in activation-params table".into(),
-        ));
-    }
-    Ok(out)
+    decode_list(bytes, "quantizer count", |r| {
+        let site = decode_site(r)?;
+        let operand = enum_from_code(r, &[Operand::Input, Operand::InputB], "operand")?;
+        Ok((ParamKey { site, operand }, decode_params(r)?))
+    })
 }
 
 /// Serializes the weight-quantizer table chunk payload.
@@ -662,19 +594,9 @@ pub fn encode_weight_params(entries: &[(OpSite, QuqParams)]) -> Vec<u8> {
 
 /// Parses the weight-quantizer table chunk payload.
 pub fn decode_weight_params(bytes: &[u8]) -> Result<Vec<(OpSite, QuqParams)>, StoreError> {
-    let mut d = Dec::new(bytes);
-    let count = d.u32()? as usize;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let site = decode_site(&mut d)?;
-        out.push((site, decode_params(&mut d)?));
-    }
-    if !d.is_done() {
-        return Err(StoreError::Format(
-            "trailing bytes in weight-params table".into(),
-        ));
-    }
-    Ok(out)
+    decode_list(bytes, "quantizer count", |r| {
+        Ok((decode_site(r)?, decode_params(r)?))
+    })
 }
 
 // ---------------------------------------------------------------------------

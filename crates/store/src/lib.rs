@@ -35,8 +35,10 @@
 //!   in `quq-accel`).
 //!
 //! Every load path is hardened against corrupt or hostile files: all
-//! structural fields are covered by a checksum, lengths are validated
-//! against the real file size before any allocation, and QUB records are
+//! structural fields are covered by a checksum, every block is parsed
+//! through [`quq_core::bytes::ByteReader`] (a byte-level fault is
+//! [`StoreError::Format`]), lengths are validated against the real file
+//! size before any allocation, and QUB records are
 //! parsed straight from the verified chunk bytes with their payload
 //! bounded by the manifest chunk length
 //! ([`quq_core::read_qub_tensor_bounded`]). Flipping any single byte of an
@@ -56,6 +58,8 @@ pub mod storage;
 pub mod writer;
 
 use std::fmt;
+
+use quq_core::ByteError;
 
 pub use codec::{Codec, CodecSpec, CodecStack};
 pub use crc32::crc32;
@@ -123,11 +127,10 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-impl From<quq_core::WireError> for StoreError {
-    fn from(e: quq_core::WireError) -> Self {
-        match e {
-            quq_core::WireError::Io(e) => StoreError::Io(e),
-            quq_core::WireError::Format(m) => StoreError::Format(format!("QUB1 record: {m}")),
-        }
+/// Any byte-level fault in the artifact's bytes: a format fault, never an
+/// I/O one, because the bytes are already in memory.
+impl From<ByteError> for StoreError {
+    fn from(e: ByteError) -> Self {
+        StoreError::Format(e.to_string())
     }
 }

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use quq_core::bytes::ByteReader;
 use quq_core::calib::ParamKey;
 use quq_core::pipeline::{PtqConfig, PtqTables};
 use quq_core::qub::QubTensor;
@@ -241,7 +242,12 @@ impl Artifact {
         }
         let header = storage.read_range(key, 0, HEADER_LEN)?;
         quq_obs::add("store.bytes_read", HEADER_LEN);
-        let expected = u32::from_le_bytes(header[24..28].try_into().expect("sized"));
+        let mut r = ByteReader::new(&header);
+        let magic = r.bytes("magic", MAGIC.len())?;
+        let version = r.u32("version")?;
+        let meta_len = r.u64("metadata length")?;
+        let manifest_len = r.u64("manifest length")?;
+        let expected = r.u32("header CRC")?;
         let actual = crc32(&header[..24]);
         if expected != actual {
             quq_obs::add("store.checksum_failures", 1);
@@ -251,20 +257,16 @@ impl Artifact {
                 actual,
             });
         }
-        if header[..4] != MAGIC {
+        if magic != MAGIC {
             return Err(StoreError::Format(format!(
-                "bad magic {:?} (want {MAGIC:?})",
-                &header[..4]
+                "bad magic {magic:?} (want {MAGIC:?})"
             )));
         }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("sized"));
         if version != VERSION {
             return Err(StoreError::Unsupported(format!(
                 "artifact version {version}; this reader understands version {VERSION}"
             )));
         }
-        let meta_len = u64::from_le_bytes(header[8..16].try_into().expect("sized"));
-        let manifest_len = u64::from_le_bytes(header[16..24].try_into().expect("sized"));
         let chunks_start = HEADER_LEN
             .checked_add(meta_len)
             .and_then(|v| v.checked_add(4))
@@ -513,10 +515,11 @@ impl Artifact {
         let bytes = self.chunk_bytes_idx(idx)?;
         match info.kind {
             ChunkKind::TensorF32 => {
-                let data: Vec<f32> = bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("sized")))
-                    .collect();
+                // `open` checked that the decoded length is 4 × the shape's
+                // elements.
+                let mut r = ByteReader::new(&bytes);
+                let data = r.f32s("tensor data", bytes.len() / 4)?;
+                r.finish()?;
                 let t = Tensor::from_vec(data, &info.shape)
                     .map_err(|e| StoreError::Format(format!("chunk {:?}: {e}", info.key)))?;
                 Ok(Chunk::Tensor(t))
@@ -605,7 +608,7 @@ fn read_checked_block(
     key: &str,
     offset: u64,
     len: u64,
-    section: &str,
+    section: &'static str,
 ) -> Result<Vec<u8>, StoreError> {
     let total = len
         .checked_add(4)
@@ -613,10 +616,11 @@ fn read_checked_block(
     // `read_range` clamps `total` against the real object size before
     // allocating anything, so a hostile declared length stays harmless.
     let mut bytes = storage.read_range(key, offset, total)?;
-    let crc_bytes = bytes.split_off(len as usize);
     quq_obs::add("store.bytes_read", total);
-    let expected = u32::from_le_bytes(crc_bytes.try_into().expect("sized"));
-    let actual = crc32(&bytes);
+    let mut r = ByteReader::new(&bytes);
+    let block = r.bytes(section, bytes.len().saturating_sub(4))?;
+    let expected = r.u32("block CRC")?;
+    let actual = crc32(block);
     if expected != actual {
         quq_obs::add("store.checksum_failures", 1);
         return Err(StoreError::Checksum {
@@ -625,5 +629,6 @@ fn read_checked_block(
             actual,
         });
     }
+    bytes.truncate(block.len());
     Ok(bytes)
 }

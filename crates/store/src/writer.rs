@@ -264,7 +264,7 @@ impl ArtifactWriter {
                 StoreError::Unsupported(format!("weight site {site} is no linear of the model"))
             })?;
             let mut bytes = Vec::new();
-            write_qub_tensor(&mut bytes, &QubCodec::new(*params).encode_tensor(w))?;
+            write_qub_tensor(&mut bytes, &QubCodec::new(*params).encode_tensor(w));
             push(qub_key(*site), Qub, w.shape().to_vec(), bytes);
         }
         let (mut entries, stored): (Vec<ChunkInfo>, Vec<Vec<u8>>) = chunks.into_iter().unzip();

@@ -364,6 +364,37 @@ fn shapes_that_disagree_with_the_model_are_refused_at_open() {
     }
 }
 
+/// A QUB record whose header claims more payload than its CRC-valid chunk
+/// holds is a format fault in verified bytes, not an I/O error.
+#[test]
+fn qub_record_cut_short_inside_a_valid_chunk_is_a_format_error() {
+    let bytes = raw_artifact_bytes();
+    let site = OpSite::in_block(0, OpKind::Fc1);
+    let mut chunk = 0..0;
+    with_manifest(bytes, |entries| {
+        let c = entries.iter().find(|c| c.key == qub_key(site)).unwrap();
+        chunk = c.offset as usize..(c.offset + c.length) as usize;
+    });
+    // Rank 1 (a 24-byte header) declaring one element more than the bytes
+    // the record's rank-2 header leaves behind it.
+    let mut record = bytes[chunk.clone()].to_vec();
+    let elements = record.len() as u64 - 24 + 1;
+    record[12..16].copy_from_slice(&1u32.to_le_bytes());
+    record[16..24].copy_from_slice(&elements.to_le_bytes());
+    let mut corrupt = with_manifest(bytes, |entries| {
+        let c = entries.iter_mut().find(|c| c.key == qub_key(site)).unwrap();
+        c.crc = crc32(&record);
+    });
+    corrupt[chunk].copy_from_slice(&record);
+    let mem = MemStorage::new();
+    mem.write("a", &corrupt).expect("mem write");
+    let art = Artifact::open_on(Arc::new(mem), "a").expect("the manifest is intact");
+    match art.load_qub(site) {
+        Err(StoreError::Format(m)) => assert!(m.contains("truncated QUB payload"), "{m}"),
+        other => panic!("expected StoreError::Format, got {other:?}"),
+    }
+}
+
 /// The same calibrated model saved through the filesystem backend and the
 /// in-memory backend must produce byte-identical artifacts, and an
 /// artifact opened from either backend must reconstruct the same model.

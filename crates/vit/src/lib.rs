@@ -30,6 +30,8 @@
 //! # Ok::<(), quq_vit::BackendError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attention;
 pub mod backend;
 pub mod capture;

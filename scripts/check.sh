@@ -28,6 +28,18 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
+step "one byte reader: no try_into().expect( in quq-core, quq-store or quq-serve"
+# Every hostile byte is parsed through `quq_core::bytes::ByteReader`; a
+# fixed-width read outside it takes the array form
+# (`u16::from_le_bytes([b[0], b[1]])`), never a slice converted with a
+# panic on the wrong length. `-z` makes each file one record, so a chain
+# that rustfmt splits across lines is caught too.
+if grep -rPzl --include='*.rs' 'try_into\(\)\s*\.expect\(' \
+    crates/core/src crates/store/src crates/serve/src; then
+    echo "try_into().expect( found in the files above; read through ByteReader" >&2
+    exit 1
+fi
+
 step "cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks"
 cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
