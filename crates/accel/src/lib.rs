@@ -10,6 +10,11 @@
 //!   (DU → PE array → QU, Fig. 6) with a cycle model; differentially tested
 //!   against the software integer reference in `quq_core::dot`.
 //!
+//! These are evaluation tools beside the deployed model. The integer
+//! runtime that serves it ([`IntegerBackend`], [`WeightQubCache`] and the
+//! SFU kernels of [`intfunc`]) lives in `quq-core`; this crate re-exports
+//! those names only for `benchmark/`.
+//!
 //! ```
 //! use quq_accel::{estimate, AcceleratorConfig, Scheme, Tech};
 //!
@@ -19,17 +24,18 @@
 
 #![forbid(unsafe_code)]
 
-pub mod backend_int;
 pub mod cost;
-pub mod intfunc;
 pub mod memory;
 pub mod schedule;
 pub mod sim;
 
-pub use backend_int::{IntegerBackend, WeightQubCache};
 pub use cost::{
     estimate, gemm_energy_nj, table4_configs, AcceleratorConfig, CostReport, Scheme, Tech,
 };
 pub use memory::{pq_overhead, simulate_block, MemoryReport, Regime};
+/// Kept for `benchmark/`, which imports the SFU kernels from here.
+pub use quq_core::intfunc;
+/// Kept for `benchmark/`, which imports the integer runtime from here.
+pub use quq_core::{IntegerBackend, WeightQubCache};
 pub use schedule::{block_gemms, deploy, Deployment, GemmShape};
 pub use sim::{GemmStats, Qua};

@@ -13,14 +13,14 @@
 //! `M/2^N` requantization constants of Eq. 2.
 //!
 //! Differential expectation (tested in the integration suite): logits agree
-//! closely with the fake-quantization [`quq_core::QuantBackend`] path, and
+//! closely with the fake-quantization [`crate::QuantBackend`] path, and
 //! top-1 predictions agree with FP32 at the same rate.
 
+use crate::calib::{Operand, ParamKey};
 use crate::intfunc::{self, Codes};
-use quq_core::calib::{Operand, ParamKey};
-use quq_core::pipeline::PtqTables;
-use quq_core::qub::{preshift_lut, QubCodec, QubTensor};
-use quq_core::scheme::QuqParams;
+use crate::pipeline::PtqTables;
+use crate::qub::{preshift_lut, QubCodec, QubTensor};
+use crate::scheme::QuqParams;
 use quq_tensor::linalg::{self, isa, PackedB};
 use quq_tensor::{IntTensor, Tensor, TensorError};
 use quq_vit::backend::{Backend, BackendError, Op, OpKind, OpSite, Result};
@@ -69,25 +69,29 @@ impl WeightQubCache {
     }
 
     /// Pre-populates a cache from a stored artifact's QUB records, skipping
-    /// the per-site encode entirely — the cold-start path. Each record is
-    /// checksum-verified (once) by the store as it is read; on an mmap-backed
-    /// artifact the QUB wire bytes are parsed straight out of the mapped
-    /// pages with no intermediate copy, and compressed records decode lazily
-    /// on this first touch. The packed GEMM panel is built here, in one pass
-    /// from the code bytes, so the first inference pays no decode cost.
-    pub fn from_artifact(
-        artifact: &quq_store::Artifact,
-    ) -> std::result::Result<Self, quq_store::StoreError> {
-        let cache = Self::new();
-        {
-            let mut entries = lock(&cache.entries);
-            for site in artifact.qub_sites() {
-                let qub = artifact.load_qub(site)?;
+    /// the per-site encode entirely — the cold-start path. `records` yields
+    /// each weight site with its record, verified and parsed by the store
+    /// (`&quq_store::Artifact` is such an iterator: each record is
+    /// checksum-verified once as it is read, parsed straight out of mapped
+    /// pages on an mmap-backed artifact, and decoded lazily on this first
+    /// touch when compressed); the first error ends the fill. The packed
+    /// GEMM panel is built here, in one pass from the code bytes, so the
+    /// first inference pays no decode cost.
+    pub fn from_artifact<E>(
+        records: impl IntoIterator<Item = std::result::Result<(OpSite, QubTensor), E>>,
+    ) -> std::result::Result<Self, E> {
+        let entries = records
+            .into_iter()
+            .map(|record| {
+                let (site, qub) = record?;
                 qub.preshifted();
-                entries.insert(site, Arc::new(qub));
-            }
-        }
-        Ok(cache)
+                Ok((site, Arc::new(qub)))
+            })
+            .collect::<std::result::Result<_, E>>()?;
+        Ok(Self {
+            entries: Mutex::new(entries),
+            activations: Mutex::default(),
+        })
     }
 
     /// Returns the encoded weight for `site`, encoding (and packing its
@@ -132,7 +136,8 @@ impl WeightQubCache {
 struct ActQuant {
     codec: QubCodec,
     /// `D << n_sh` (Eq. 6/7): the SFU load path of Softmax and LayerNorm,
-    /// what [`crate::sim::Qua::sfu_load`] produces per element.
+    /// what the QUA simulator's `sfu_load` (`quq_accel::sim`) produces per
+    /// element.
     ints: [i32; 256],
     /// An `f32` per byte: GELU's output at a GELU site (the SFU's answer
     /// for every code), the dequantized value elsewhere (the adder's
@@ -369,9 +374,9 @@ impl Backend for IntegerBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quq_core::dot;
-    use quq_core::pipeline::{calibrate, PtqConfig};
-    use quq_core::QuqMethod;
+    use crate::dot;
+    use crate::pipeline::{calibrate, PtqConfig};
+    use crate::QuqMethod;
     use quq_vit::{Dataset, ModelConfig, Tap, Tapped, VitModel};
 
     fn setup(cfg: PtqConfig) -> (VitModel, PtqTables, Dataset) {
@@ -533,7 +538,7 @@ mod tests {
     /// [`Op::eval`], and the tap saw what it watches.
     #[test]
     fn every_op_runs_once_through_every_tap() {
-        use quq_core::calib::{Collector, Coverage};
+        use crate::calib::{Collector, Coverage};
         use quq_vit::{Capture, Fp32Backend, Observed, TapPoint, TapSide};
 
         let t = |shape: &[usize], seed: f32| {
@@ -793,7 +798,7 @@ mod tests {
         // so the integer path must refuse with MissingParams.
         #[derive(Debug)]
         struct UniformOnly;
-        impl quq_core::quantizer::QuantMethod for UniformOnly {
+        impl crate::quantizer::QuantMethod for UniformOnly {
             fn name(&self) -> &'static str {
                 "uniform-only"
             }
@@ -801,8 +806,8 @@ mod tests {
                 &self,
                 samples: &[f32],
                 bits: u32,
-            ) -> Box<dyn quq_core::FittedQuantizer> {
-                Box::new(quq_core::UniformQuantizer::fit_min_max(bits, samples))
+            ) -> Box<dyn crate::FittedQuantizer> {
+                Box::new(crate::UniformQuantizer::fit_min_max(bits, samples))
             }
         }
         let model = VitModel::synthesize(ModelConfig::test_config(), 33);

@@ -19,6 +19,12 @@
 //!   PTQ execution pipelines behind Tables 2 and 3.
 //! * [`io`] — the `QUB1` record a weight ships as (Fig. 5), and [`bytes`],
 //!   the one checked reader every hostile byte is parsed through.
+//! * [`backend_int`] / [`intfunc`] — the integer runtime a deployed model
+//!   runs on: [`IntegerBackend`] executes a calibrated model as the QUA and
+//!   its SFUs would, over a [`WeightQubCache`] of QUB-encoded weights, with
+//!   the integer-only Softmax, GELU and LayerNorm kernels of [`intfunc`].
+//!   The hardware models it stands in for (cost, memory, the RTL-level
+//!   simulator) live in `quq-accel`.
 //!
 //! ```
 //! use quq_core::{Pra, QuqParams};
@@ -33,10 +39,12 @@
 
 #![forbid(unsafe_code)]
 
+pub mod backend_int;
 pub mod bytes;
 pub mod calib;
 pub mod dot;
 pub mod hessian;
+pub mod intfunc;
 pub mod io;
 pub mod packing;
 pub mod pipeline;
@@ -46,6 +54,7 @@ pub mod relax;
 pub mod scheme;
 pub mod uniform;
 
+pub use backend_int::{IntegerBackend, WeightQubCache};
 pub use bytes::{ByteError, ByteErrorKind, ByteReader};
 pub use calib::{Collector, Coverage, Operand, ParamKey, SampleSet};
 pub use dot::{accumulator_value, dot_decoded, matmul_nt_qub, requantize};

@@ -13,9 +13,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use quq_accel::{IntegerBackend, WeightQubCache};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
-use quq_core::QuqMethod;
+use quq_core::{IntegerBackend, QuqMethod, WeightQubCache};
 use quq_vit::{synthetic_image, Dataset, Fp32Backend, ModelConfig, VitModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

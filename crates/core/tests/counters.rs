@@ -5,9 +5,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use quq_accel::{IntegerBackend, WeightQubCache};
 use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
-use quq_core::{QubCodec, QuqMethod, QuqParams, SpaceLayout};
+use quq_core::{IntegerBackend, QubCodec, QuqMethod, QuqParams, SpaceLayout, WeightQubCache};
 use quq_tensor::linalg::isa::{self, Isa};
 use quq_tensor::Tensor;
 use quq_vit::{

@@ -1,8 +1,10 @@
 //! Property-based tests of the QUQ core invariants.
 
 use proptest::prelude::*;
+use quq_core::intfunc::{i_gelu, i_layer_norm, i_softmax, ONE};
 use quq_core::{relax, Pra, PraConfig, QubCodec, QuqParams, SpaceLayout};
 use quq_tensor::linalg::isa::{self, Isa};
+use quq_tensor::{nn, IntTensor, Tensor};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tests that pin `QUQ_FORCE_ISA` hold this lock while they do, and put
@@ -204,7 +206,7 @@ proptest! {
     fn wire_roundtrip_preserves_tensors(values in sample_strategy(), bits in 4u32..=8) {
         let params = Pra::new(bits, PraConfig::default()).run(&values).params;
         let n = values.len();
-        let t = quq_tensor::Tensor::from_vec(values.clone(), &[n]).unwrap();
+        let t = Tensor::from_vec(values.clone(), &[n]).unwrap();
         let qt = QubCodec::new(params).encode_tensor(&t);
         let mut buf = Vec::new();
         quq_core::write_qub_tensor(&mut buf, &qt);
@@ -240,7 +242,7 @@ proptest! {
         )
         .expect("valid layout");
         let n = values.len();
-        let t = quq_tensor::Tensor::from_vec(values.clone(), &[n]).unwrap();
+        let t = Tensor::from_vec(values.clone(), &[n]).unwrap();
         let qt = QubCodec::new(params).encode_tensor(&t);
         let mut buf = Vec::new();
         quq_core::write_qub_tensor(&mut buf, &qt);
@@ -445,7 +447,6 @@ fn encoder_runs_the_kernel_of_the_pinned_isa() {
 fn encoder_operands_match_bytes_then_decode_on_every_isa() {
     use quq_core::qub::{preshift_lut, QubTensor};
     use quq_tensor::linalg::PackedB;
-    use quq_tensor::Tensor;
 
     let _pin = pin_env();
     for bits in 2..=8 {
@@ -606,6 +607,124 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+// Error bounds of the integer SFU kernels against their float references,
+// across scales, row widths and the extreme codes `±(2^bits − 1)` of every
+// bit-width: an SFU precision regression fails `cargo test` without an
+// ImageNet-style evaluation.
+
+/// Sampled codes spanning a `bits`-wide signed range, with the two extreme
+/// values `±(2^bits − 1)` always present.
+fn codes_with_extremes(raw: &[i32], bits: u32) -> Vec<i32> {
+    let lim = (1i32 << bits) - 1;
+    let mut codes: Vec<i32> = raw.iter().map(|&v| v.clamp(-lim, lim)).collect();
+    codes[0] = lim;
+    codes[1] = -lim;
+    codes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn i_softmax_tracks_float_softmax(
+        raw in prop::collection::vec(-255i32..=255, 4..96),
+        bits in 4u32..=8,
+        scale in 0.002f32..0.08,
+    ) {
+        let codes = codes_with_extremes(&raw, bits);
+        let cols = codes.len();
+        let x = IntTensor::from_vec(codes, &[1, cols]).unwrap();
+        let probs = i_softmax(&x, scale);
+        let want = nn::softmax(&x.to_f32(scale)).unwrap();
+        let mut sum = 0i64;
+        for (p, w) in probs.data().iter().zip(want.data()) {
+            let got = *p as f32 / ONE as f32;
+            prop_assert!((got - w).abs() < 0.02, "p {got} vs {w}");
+            sum += *p as i64;
+        }
+        // The fixed-point row still normalizes to ≈ 1.
+        prop_assert!((sum - ONE).abs() < ONE / 50, "row sum {sum}");
+    }
+
+    #[test]
+    fn i_gelu_tracks_float_gelu(
+        raw in prop::collection::vec(-255i32..=255, 4..96),
+        bits in 4u32..=8,
+        scale in 0.002f32..0.08,
+    ) {
+        let codes = codes_with_extremes(&raw, bits);
+        let n = codes.len();
+        let x = IntTensor::from_vec(codes, &[n]).unwrap();
+        let got = i_gelu(&x, scale).to_f32(scale);
+        let want = x.to_f32(scale).map(nn::gelu);
+        for (g, w) in got.data().iter().zip(want.data()) {
+            // Budget: sigmoid-GELU approximation (≈0.02 absolute near the
+            // knee, vanishing in both tails), fixed-point sigmoid error
+            // scaled by |x| ≤ ~3 where it matters, and one output code.
+            prop_assert!((g - w).abs() < 0.05 + scale, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn i_layer_norm_tracks_float_layer_norm(
+        raw in prop::collection::vec(-255i32..=255, 8..96),
+        bits in 4u32..=8,
+        scale in 0.002f32..0.08,
+        g_seed in prop::collection::vec(0.2f32..2.0, 96),
+        b_seed in prop::collection::vec(-1.0f32..1.0, 96),
+    ) {
+        let codes = codes_with_extremes(&raw, bits);
+        let cols = codes.len();
+        // Skip near-constant rows: a code-domain std below ~2 makes the
+        // integer sqrt granularity dominate (and real LN inputs never have
+        // every channel within a couple of codes of the mean).
+        let mean = codes.iter().map(|&v| v as f64).sum::<f64>() / cols as f64;
+        let var = codes.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / cols as f64;
+        prop_assume!(var.sqrt() >= 2.0);
+        let x = IntTensor::from_vec(codes, &[1, cols]).unwrap();
+        let gamma = Tensor::from_vec(g_seed[..cols].to_vec(), &[cols]).unwrap();
+        let beta = Tensor::from_vec(b_seed[..cols].to_vec(), &[cols]).unwrap();
+        // Same output-scale policy as IntegerBackend::layer_norm.
+        let g_max = gamma.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+        let b_max = beta.data().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+        let out_scale = ((4.0 * g_max + b_max) / 127.0).max(1e-6);
+        let got = i_layer_norm(&x, &gamma, &beta, out_scale).to_f32(out_scale);
+        let want = nn::layer_norm(&x.to_f32(scale), &gamma, &beta, 1e-6).unwrap();
+        for (g, w) in got.data().iter().zip(want.data()) {
+            prop_assert!(
+                (g - w).abs() < 0.1 + 0.05 * w.abs(),
+                "{g} vs {w} (cols {cols}, out_scale {out_scale})"
+            );
+        }
+    }
+
+    #[test]
+    fn i_layer_norm_is_exact_on_two_level_rows(
+        lo in -255i32..=255,
+        hi in -255i32..=255,
+        half in 2usize..48,
+    ) {
+        // Rows alternating between two values have closed-form statistics:
+        // normalized values are exactly ±1, so the kernel's only error is
+        // output rounding. This pins the small-magnitude bias fixed in the
+        // exact-variance rewrite (truncating (d/n)² accumulation zeroed the
+        // variance whenever |v − mean| < n).
+        prop_assume!(lo != hi);
+        let cols = half * 2;
+        let codes: Vec<i32> = (0..cols).map(|i| if i % 2 == 0 { hi } else { lo }).collect();
+        let x = IntTensor::from_vec(codes, &[1, cols]).unwrap();
+        let gamma = Tensor::from_vec(vec![1.0; cols], &[cols]).unwrap();
+        let beta = Tensor::from_vec(vec![0.0; cols], &[cols]).unwrap();
+        let out_scale = 0.02f32;
+        let got = i_layer_norm(&x, &gamma, &beta, out_scale).to_f32(out_scale);
+        let sign = if hi > lo { 1.0f32 } else { -1.0 };
+        for (i, g) in got.data().iter().enumerate() {
+            let want = if i % 2 == 0 { sign } else { -sign };
+            prop_assert!((g - want).abs() <= out_scale + 1e-6, "col {i}: {g} vs {want}");
         }
     }
 }

@@ -2,9 +2,8 @@
 //! error `Fp32Backend` returns for the same shapes — checked before any
 //! encode — instead of panicking a serving worker.
 
-use quq_accel::IntegerBackend;
 use quq_core::pipeline::{calibrate, PtqConfig};
-use quq_core::QuqMethod;
+use quq_core::{IntegerBackend, QuqMethod};
 use quq_tensor::Tensor;
 use quq_vit::backend::Result;
 use quq_vit::{Backend, BackendError, Dataset, Fp32Backend, ModelConfig, OpKind, OpSite, VitModel};

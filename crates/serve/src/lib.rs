@@ -110,5 +110,6 @@ pub use protocol::{
 pub use registry::DEFAULT_MODEL;
 pub use sched::{Admission, Admitted, Batch, PushError, SchedConfig, Scheduler};
 pub use server::{
-    artifact_state, BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server,
+    artifact_state, state_from_artifact, BackendProvider, Fp32Provider, ModelState, ServeConfig,
+    Server,
 };

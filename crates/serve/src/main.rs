@@ -1,13 +1,14 @@
 //! The `quq-serve` binary: serve one or more models over TCP and drain
-//! gracefully on stdin EOF (or a line of input). Models come from one of
-//! three paths:
+//! gracefully on stdin EOF (or a line of input). Every served model is
+//! built from a QUQM artifact, which comes from one of two paths:
 //!
-//! * default: synthesize + calibrate in-process (slow start);
 //! * `--model-path [NAME=]FILE.quqm` (repeatable): **cold start** from
 //!   saved artifacts — no synthesis, no calibration, weight QUBs
-//!   pre-decoded from disk. The first occurrence is the default model;
+//!   read from disk. The first occurrence is the default model;
 //!   later ones register under their `NAME=` prefix;
-//! * `--save-model FILE.quqm`: synthesize + calibrate, save the artifact,
+//! * default: synthesize + calibrate `--model` in process and save the
+//!   artifact: into memory, and serve it through the same reader as a
+//!   file (slow start), or with `--save-model FILE.quqm` to that file,
 //!   and exit (pair with a later `--model-path` run).
 //!
 //! ```text
@@ -25,7 +26,7 @@
 //! * `--max-resident-bytes N` — registry budget: LRU models are evicted
 //!   (lazily reloaded on demand) beyond it (default 0 = unbounded)
 //! * `--save-model FILE`  — calibrate, save a QUQM artifact, and exit
-//! * `--codec NAME`       — chunk codec policy for `--save-model`:
+//! * `--codec NAME`       — chunk codec policy of the saved artifact:
 //!   `auto` (default: `byte-shuffle → rc` on f32 chunks, `rc` on QUB
 //!   records, each kept only if it saves ≥2%), `raw`, or a forced stack
 //!   (`lz`, `rc`, `shuffle-lz`, `shuffle-rc`; `rc` is the static rANS
@@ -43,9 +44,10 @@
 //!   agreement (`shadow.agree` / `shadow.disagree`)
 //! * `--metrics`          — enable the `quq-obs` recorder and print a
 //!   summary (`serve.*` counters, slowest op sites) after the drain
-//! * `--metrics-json FILE` — write the drained metrics window as JSON to
-//!   `FILE` (implies the recorder is enabled); `tests/cli.rs` asserts
-//!   `sched.*` / `shadow.*` coverage against it
+//! * `--metrics-json FILE` — write the metrics window (from before the
+//!   model is built to the drain) as JSON to `FILE` (implies the recorder
+//!   is enabled); `tests/cli.rs` asserts `store.*` / `sched.*` /
+//!   `shadow.*` coverage against it
 //! * `--list-isas`        — print the GEMM/SFU kernel ISAs this host
 //!   supports, one per line (always including `scalar`), and exit; the
 //!   per-ISA test matrix in `scripts/check.sh` loops over them
@@ -67,14 +69,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use quq_core::pipeline::{calibrate, PtqConfig, PtqTables};
+use quq_core::pipeline::{calibrate, PtqConfig};
 use quq_core::QuqMethod;
-use quq_serve::server::artifact_state;
-use quq_serve::{
-    AdminOp, BackendProvider, Fp32Provider, IntegerProvider, ModelState, ServeConfig, Server,
-    ShadowCmd,
-};
-use quq_store::{ArtifactWriter, CodecChoice, WriteOptions};
+use quq_serve::{state_from_artifact, AdminOp, ServeConfig, Server, ShadowCmd};
+use quq_store::{Artifact, ArtifactWriter, CodecChoice, MemStorage, WriteOptions};
 use quq_vit::{Dataset, ModelConfig, ModelId, VitModel};
 
 fn arg_value(name: &str) -> Option<String> {
@@ -216,81 +214,77 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ServeConfig::default()
     };
 
-    let model_paths = arg_values("--model-path");
-    let state: Arc<ModelState> = if let Some((_, path)) =
-        model_paths.first().map(|v| split_model_path(v))
-    {
-        // Cold start: everything (weights, tables, weight QUBs) comes from
-        // the artifact — no synthesis, no calibration.
-        let t0 = Instant::now();
-        let state = artifact_state(Path::new(path), &backend)?;
-        eprintln!(
-            "cold start from {path}: {} ready in {:.1} ms",
-            state.model.config().id,
-            t0.elapsed().as_secs_f64() * 1e3
-        );
-        Arc::new(state)
-    } else {
-        let model_cfg = match model_name.as_str() {
-            "test" => ModelConfig::test_config(),
-            "vits" => ModelConfig::eval_scale(ModelId::VitS),
-            other => return Err(format!("unknown --model {other}").into()),
-        };
-        eprintln!("synthesizing {model_name} model…");
-        let model = Arc::new(VitModel::synthesize(model_cfg, 5));
-
-        let calibrated = |model: &VitModel| -> Result<PtqTables, Box<dyn std::error::Error>> {
-            eprintln!("calibrating W8/A8 full quantization…");
-            let calib = Dataset::calibration(model.config(), 8, 1);
-            Ok(calibrate(
-                &QuqMethod::without_optimization(),
-                model,
-                &calib,
-                PtqConfig::full_w8a8(),
-            )?)
-        };
-
-        if let Some(path) = arg_value("--save-model") {
-            // Save mode: calibrate (whatever the backend), write the
-            // artifact, and exit — the serving run cold-starts from it.
-            let tables = calibrated(&model)?;
-            let codec = arg_value("--codec").unwrap_or_else(|| "auto".into());
-            let options = WriteOptions {
-                codec: CodecChoice::from_name(&codec)
-                    .ok_or_else(|| format!("unknown --codec {codec}"))?,
-            };
-            let report = ArtifactWriter::save_with(&model, &tables, Path::new(&path), &options)?;
-            println!(
-                "saved {model_name} artifact to {path} ({} bytes, codec {codec})",
-                report.total_bytes
-            );
-            for chunk in &report.chunks {
-                if !chunk.stack.is_raw() {
-                    eprintln!(
-                        "  {}: {} -> {} bytes ({})",
-                        chunk.key,
-                        chunk.raw_len,
-                        chunk.stored_len,
-                        chunk.stack.describe()
-                    );
-                }
-            }
-            return Ok(());
-        }
-
-        let provider: Arc<dyn BackendProvider> = match backend.as_str() {
-            "fp32" => Arc::new(Fp32Provider),
-            "int" => Arc::new(IntegerProvider::new(Arc::new(calibrated(&model)?))),
-            other => return Err(format!("unknown --backend {other}").into()),
-        };
-        Arc::new(ModelState::new(model, provider))
+    let codec = arg_value("--codec").unwrap_or_else(|| "auto".into());
+    let options = WriteOptions {
+        codec: CodecChoice::from_name(&codec).ok_or_else(|| format!("unknown --codec {codec}"))?,
     };
-
+    // The window opens before the model is built, so it holds the loads
+    // of the artifact the model is built from.
     quq_obs::set_enabled(metrics);
     let before = quq_obs::snapshot();
-    let server = Server::start_with_state(state, config, addr.as_str())?;
-    if let Some((_, default_path)) = model_paths.first().map(|v| split_model_path(v)) {
-        // The default model came from an artifact: give the registry its
+
+    // Every served model is built from an artifact: a file, or one that
+    // is calibrated and saved into memory here.
+    let model_paths = arg_values("--model-path");
+    let default_path = model_paths.first().map(|v| split_model_path(v).1);
+    let t0 = Instant::now();
+    let (artifact, source) = match default_path {
+        Some(path) => (Artifact::open(Path::new(path))?, path),
+        None => {
+            let model_cfg = match model_name.as_str() {
+                "test" => ModelConfig::test_config(),
+                "vits" => ModelConfig::eval_scale(ModelId::VitS),
+                other => return Err(format!("unknown --model {other}").into()),
+            };
+            eprintln!("synthesizing {model_name} model…");
+            let model = VitModel::synthesize(model_cfg, 5);
+            eprintln!("calibrating W8/A8 full quantization…");
+            let calib = Dataset::calibration(model.config(), 8, 1);
+            let tables = calibrate(
+                &QuqMethod::without_optimization(),
+                &model,
+                &calib,
+                PtqConfig::full_w8a8(),
+            )?;
+            if let Some(path) = arg_value("--save-model") {
+                // Save mode: write the artifact and exit; the serving run
+                // cold-starts from it.
+                let report =
+                    ArtifactWriter::save_with(&model, &tables, Path::new(&path), &options)?;
+                println!(
+                    "saved {model_name} artifact to {path} ({} bytes, codec {codec})",
+                    report.total_bytes
+                );
+                for chunk in &report.chunks {
+                    if !chunk.stack.is_raw() {
+                        eprintln!(
+                            "  {}: {} -> {} bytes ({})",
+                            chunk.key,
+                            chunk.raw_len,
+                            chunk.stored_len,
+                            chunk.stack.describe()
+                        );
+                    }
+                }
+                return Ok(());
+            }
+            let memory = Arc::new(MemStorage::new());
+            ArtifactWriter::save_on_with(&model, &tables, &*memory, &model_name, &options)?;
+            (Artifact::open_on(memory, &model_name)?, "memory")
+        }
+    };
+    let state = state_from_artifact(&artifact, &backend)?;
+    // The state owns all it serves; the artifact's bytes can go.
+    drop(artifact);
+    eprintln!(
+        "{} from {source} ready in {:.1} ms",
+        state.model.config().id,
+        t0.elapsed().as_secs_f64() * 1e3
+    );
+
+    let server = Server::start_with_state(Arc::new(state), config, addr.as_str())?;
+    if let Some(default_path) = default_path {
+        // The default model came from a file: give the registry its
         // source so it is evictable and lazily reloadable like the rest.
         server.set_default_source(Path::new(default_path));
     }

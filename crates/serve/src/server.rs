@@ -49,8 +49,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use quq_accel::{IntegerBackend, WeightQubCache};
 use quq_core::pipeline::PtqTables;
+use quq_core::{IntegerBackend, WeightQubCache};
 use quq_obs::SiteKey;
 use quq_store::{Artifact, StoreError};
 use quq_tensor::Tensor;
@@ -93,29 +93,12 @@ impl BackendProvider for Fp32Provider {
 }
 
 /// Provider for the fully-integer QUQ backend: owns the calibrated tables
-/// and the weight-decode cache every worker shares, so each model weight
-/// is QUB-encoded and panel-decoded once per process, not once per worker.
-pub struct IntegerProvider {
+/// and the weight cache every worker shares, filled from the artifact's
+/// QUB records, so each weight is decoded once per model, not once per
+/// worker.
+pub(crate) struct IntegerProvider {
     tables: Arc<PtqTables>,
     cache: Arc<WeightQubCache>,
-}
-
-impl IntegerProvider {
-    /// Wraps calibrated tables with a fresh shared weight cache.
-    pub fn new(tables: Arc<PtqTables>) -> Self {
-        Self::with_cache(tables, Arc::new(WeightQubCache::new()))
-    }
-
-    /// Wraps calibrated tables with a pre-populated weight cache (e.g. one
-    /// built from a stored artifact's QUB records, skipping every encode).
-    pub fn with_cache(tables: Arc<PtqTables>, cache: Arc<WeightQubCache>) -> Self {
-        Self { tables, cache }
-    }
-
-    /// The shared weight-decode cache (for inspection in tests).
-    pub fn cache(&self) -> &Arc<WeightQubCache> {
-        &self.cache
-    }
 }
 
 impl BackendProvider for IntegerProvider {
@@ -279,23 +262,33 @@ impl ModelState {
 /// Builds a [`ModelState`] by opening the QUQM artifact at `path` — the
 /// cold-start path: no synthesis, no calibration, no weight encoding.
 ///
+/// # Errors
+///
+/// As [`state_from_artifact`], plus the errors of opening the file.
+pub fn artifact_state(path: &Path, backend: &str) -> Result<ModelState, StoreError> {
+    state_from_artifact(&Artifact::open(path)?, backend)
+}
+
+/// Builds a [`ModelState`] from an open artifact: the one way a served
+/// model is built, whether the artifact is a file or was just calibrated
+/// into memory.
+///
 /// `backend` selects the provider: `"fp32"` serves the restored FP32
 /// weights; `"int"` / `"quq-int"` serves the fully-integer backend with its
-/// weight cache pre-populated from the artifact's stored QUB records.
+/// weight cache filled from the artifact's stored QUB records.
 ///
 /// # Errors
 ///
-/// Propagates [`StoreError`] from opening or loading the artifact, and
-/// rejects unknown backend names with [`StoreError::Unsupported`].
-pub fn artifact_state(path: &Path, backend: &str) -> Result<ModelState, StoreError> {
-    let artifact = Artifact::open(path)?;
+/// Propagates [`StoreError`] from loading the artifact, and rejects
+/// unknown backend names with [`StoreError::Unsupported`].
+pub fn state_from_artifact(artifact: &Artifact, backend: &str) -> Result<ModelState, StoreError> {
     let (model, tables) = artifact.load_all()?;
     let provider: Arc<dyn BackendProvider> = match backend {
         "fp32" => Arc::new(Fp32Provider),
-        "int" | "quq-int" => {
-            let cache = Arc::new(WeightQubCache::from_artifact(&artifact)?);
-            Arc::new(IntegerProvider::with_cache(Arc::new(tables), cache))
-        }
+        "int" | "quq-int" => Arc::new(IntegerProvider {
+            tables: Arc::new(tables),
+            cache: Arc::new(WeightQubCache::from_artifact(artifact)?),
+        }),
         other => {
             return Err(StoreError::Unsupported(format!(
                 "unknown backend {other:?} (want \"fp32\" or \"int\")"

@@ -1,9 +1,10 @@
 //! The `quq-serve` binary driven the way an operator drives it:
 //! `--save-model` writes an artifact under every codec policy,
 //! `--model-path` cold-starts from them, a flipped byte stops the server
-//! from starting, `--max-resident-bytes` evicts and reloads, and the SLO
-//! flags (`--tenant-quota`, `--shadow`, `--metrics-json`) show in what the
-//! server does and reports. Two server processes in all.
+//! from starting, `--max-resident-bytes` evicts and reloads, a `--model
+//! test` start-up serves what `--save-model` saves on either backend, and
+//! the SLO flags (`--tenant-quota`, `--shadow`, `--metrics-json`) show in
+//! what the server does and reports. Four server processes in all.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -13,11 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use quq_accel::IntegerBackend;
+use quq_core::IntegerBackend;
 use quq_serve::{Class, Client, InferOptions, InferResponse};
 use quq_store::{Artifact, ArtifactWriter};
 use quq_tensor::Tensor;
-use quq_vit::{Dataset, ModelConfig, VitModel};
+use quq_vit::{Dataset, Fp32Backend, ModelConfig, VitModel};
 
 const BIN: &str = env!("CARGO_BIN_EXE_quq-serve");
 
@@ -41,13 +42,15 @@ fn wait_ok(mut child: Child, what: &str) {
     assert!(child.wait().unwrap().success(), "{what} failed");
 }
 
-/// An artifact's integer logits for `img`, computed in this process.
-fn artifact_logits(path: &Path, img: &Tensor) -> Vec<f32> {
+/// An artifact's logits for `img` on `backend` (`int` or `fp32`),
+/// computed in this process.
+fn artifact_logits(path: &Path, img: &Tensor, backend: &str) -> Vec<f32> {
     let (model, tables) = Artifact::open(path).unwrap().load_all().unwrap();
-    let logits = model
-        .forward(img, &mut IntegerBackend::new(&tables))
-        .unwrap();
-    logits.data().to_vec()
+    let logits = match backend {
+        "fp32" => model.forward(img, &mut Fp32Backend::new()),
+        _ => model.forward(img, &mut IntegerBackend::new(&tables)),
+    };
+    logits.unwrap().data().to_vec()
 }
 
 /// A running `quq-serve` on an ephemeral port.
@@ -134,8 +137,8 @@ fn saved_artifacts_serve_bit_exactly_under_every_codec_and_across_evictions() {
         assert_ne!(bytes, raw_bytes, "--codec {codec} wrote the raw artifact");
     }
     let img = ModelConfig::test_config().dummy_image(0.3);
-    let want = artifact_logits(raw, &img);
-    let want_b = artifact_logits(&b_path, &img);
+    let want = artifact_logits(raw, &img, "int");
+    let want_b = artifact_logits(&b_path, &img, "int");
     assert_ne!(want, want_b, "the two models must be told apart");
 
     // A budget that holds one raw model and never two, so every switch
@@ -249,7 +252,7 @@ fn quota_and_shadow_flags_shield_the_compliant_tenant_and_reach_the_metrics() {
         &metrics_arg,
     ]);
     let img = ModelConfig::test_config().dummy_image(0.3);
-    let want = artifact_logits(&artifact, &img);
+    let want = artifact_logits(&artifact, &img, "int");
     let hog_opts = InferOptions {
         class: Class::Batch,
         tenant: "hog".into(),
@@ -340,6 +343,40 @@ fn quota_and_shadow_flags_shield_the_compliant_tenant_and_reach_the_metrics() {
         assert!(
             waits.iter().any(|e| e.contains(tenant)),
             "no serve.queue_wait site for {tenant}: {waits:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&artifact);
+    let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
+fn model_test_start_ups_serve_the_bits_of_the_saved_artifact() {
+    let artifact = temp("test.quqm");
+    wait_ok(spawn_save(&artifact, "auto"), "--save-model --model test");
+    let img = ModelConfig::test_config().dummy_image(0.3);
+    let metrics = temp("test-metrics.json");
+    let metrics_arg = metrics.display().to_string();
+    for backend in ["int", "fp32"] {
+        let server = serve(&[
+            "--model",
+            "test",
+            "--backend",
+            backend,
+            "--metrics-json",
+            &metrics_arg,
+        ]);
+        let mut client = Client::connect(server.addr).unwrap();
+        let logits = expect_ok(client.infer(&img).unwrap(), backend);
+        let want = artifact_logits(&artifact, &img, backend);
+        assert_eq!(logits, want, "--backend {backend}: logits not bit-exact");
+        drop(client);
+        server.drain();
+        // The model was built through the artifact reader, in memory.
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        let loads = entries(&json, "store.chunk_loads");
+        assert!(
+            loads.iter().any(|e| field(e, "value") > 0),
+            "--backend {backend}: no store.chunk_loads in {json}"
         );
     }
     let _ = std::fs::remove_file(&artifact);

@@ -21,7 +21,7 @@ use quq_serve::protocol::{
 };
 use quq_serve::{
     artifact_state, AdminOp, BackendProvider, Class, Client, Fp32Provider, FrameDecoder,
-    InferOptions, InferResponse, IntegerProvider, ServeConfig, ServeError, Server,
+    InferOptions, InferResponse, ServeConfig, ServeError, Server,
 };
 use quq_store::ArtifactWriter;
 use quq_vit::{Backend, Fp32Backend, ModelConfig, Observed, Op, OpSite, Tap, Tapped, VitModel};
@@ -107,41 +107,6 @@ fn concurrent_clients_are_batched_and_all_answered() {
     for c in clients {
         c.join().unwrap();
     }
-    server.shutdown();
-}
-
-#[test]
-fn integer_backend_serves_the_same_bits_as_offline() {
-    let model = test_model();
-    let calib = quq_vit::Dataset::calibration(model.config(), 4, 1);
-    let tables = quq_core::pipeline::calibrate(
-        &quq_core::QuqMethod::without_optimization(),
-        &model,
-        &calib,
-        quq_core::pipeline::PtqConfig::full_w8a8(),
-    )
-    .unwrap();
-    let tables = Arc::new(tables);
-    let provider = Arc::new(IntegerProvider::new(Arc::clone(&tables)));
-    let cache = Arc::clone(provider.cache());
-    let server = Server::start(
-        Arc::clone(&model),
-        provider,
-        ServeConfig::default(),
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let imgs = images(&model, 3, 5);
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for img in &imgs {
-        let mut be = quq_accel::IntegerBackend::new(&tables);
-        let offline = model.forward(img, &mut be).unwrap();
-        match client.infer(img).unwrap() {
-            InferResponse::Ok { logits, .. } => assert_eq!(logits, offline.data()),
-            other => panic!("expected Ok, got {other:?}"),
-        }
-    }
-    assert!(!cache.is_empty(), "serving must populate the shared cache");
     server.shutdown();
 }
 
@@ -337,7 +302,7 @@ fn cold_start_from_artifact_serves_bit_identical_logits() {
     let imgs = images(&model, 3, 5);
     let mut client = Client::connect(server.local_addr()).unwrap();
     for img in &imgs {
-        let mut be = quq_accel::IntegerBackend::new(&tables);
+        let mut be = quq_core::IntegerBackend::new(&tables);
         let offline = model.forward(img, &mut be).unwrap();
         match client.infer(img).unwrap() {
             InferResponse::Ok { logits, .. } => assert_eq!(
@@ -359,11 +324,11 @@ fn reload_hot_swaps_between_artifacts_under_concurrent_load() {
 
     let img = images(&model_a, 1, 8).remove(0);
     let logits_a = {
-        let mut be = quq_accel::IntegerBackend::new(&tables_a);
+        let mut be = quq_core::IntegerBackend::new(&tables_a);
         model_a.forward(&img, &mut be).unwrap().data().to_vec()
     };
     let logits_b = {
-        let mut be = quq_accel::IntegerBackend::new(&tables_b);
+        let mut be = quq_core::IntegerBackend::new(&tables_b);
         model_b.forward(&img, &mut be).unwrap().data().to_vec()
     };
     assert_ne!(logits_a, logits_b, "the two models must be distinguishable");
@@ -683,11 +648,11 @@ fn load_unload_list_admin_ops_over_the_wire() {
     let (model_b, tables_b, path_b) = saved_artifact(77, "admin-b");
     let img = images(&model_a, 1, 13).remove(0);
     let logits_a = {
-        let mut be = quq_accel::IntegerBackend::new(&tables_a);
+        let mut be = quq_core::IntegerBackend::new(&tables_a);
         model_a.forward(&img, &mut be).unwrap().data().to_vec()
     };
     let logits_b = {
-        let mut be = quq_accel::IntegerBackend::new(&tables_b);
+        let mut be = quq_core::IntegerBackend::new(&tables_b);
         model_b.forward(&img, &mut be).unwrap().data().to_vec()
     };
     assert_ne!(logits_a, logits_b);
@@ -781,7 +746,7 @@ fn registry_hammer_evicts_and_lazily_reloads_with_bit_identical_logits() {
 
     let img = images(&model_a, 1, 17).remove(0);
     let offline = |model: &Arc<VitModel>, tables: &Arc<quq_core::pipeline::PtqTables>| {
-        let mut be = quq_accel::IntegerBackend::new(tables);
+        let mut be = quq_core::IntegerBackend::new(tables);
         model.forward(&img, &mut be).unwrap().data().to_vec()
     };
     let logits_a = offline(&model_a, &tables_a);
@@ -1298,11 +1263,11 @@ fn shadow_mirrors_deterministically_and_promotes_the_candidate() {
     let (model_b, tables_b, path_b) = saved_artifact(77, "shadow-b");
     let img = images(&model_a, 1, 37).remove(0);
     let logits_a = {
-        let mut be = quq_accel::IntegerBackend::new(&tables_a);
+        let mut be = quq_core::IntegerBackend::new(&tables_a);
         model_a.forward(&img, &mut be).unwrap().data().to_vec()
     };
     let logits_b = {
-        let mut be = quq_accel::IntegerBackend::new(&tables_b);
+        let mut be = quq_core::IntegerBackend::new(&tables_b);
         model_b.forward(&img, &mut be).unwrap().data().to_vec()
     };
     assert_ne!(logits_a, logits_b);

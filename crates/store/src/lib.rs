@@ -31,8 +31,8 @@
 //! * [`Artifact::load_site`] reads one chunk, verifying its checksum
 //!   before decoding it. [`Artifact::load_all`] rebuilds the model and the
 //!   quantizer-only `PtqTables` and reads no QUB record; the integer
-//!   backend's weight cache reads those (`WeightQubCache::from_artifact`
-//!   in `quq-accel`).
+//!   backend's weight cache reads those through `&Artifact`'s iterator of
+//!   verified records ([`quq_core::WeightQubCache::from_artifact`]).
 //!
 //! Every load path is hardened against corrupt or hostile files: all
 //! structural fields are covered by a checksum, every block is parsed
@@ -65,7 +65,7 @@ pub use codec::{Codec, CodecSpec, CodecStack};
 pub use crc32::crc32;
 pub use format::{ChunkInfo, ChunkKind, MAGIC, VERSION};
 pub use mmap::{Mapping, MmapStorage};
-pub use reader::{Artifact, Chunk};
+pub use reader::{Artifact, Chunk, QubRecords};
 pub use storage::{ByteView, FsStorage, MemStorage, Storage};
 pub use writer::{ArtifactWriter, CodecChoice, SaveReport, WriteOptions};
 

@@ -569,7 +569,7 @@ impl Artifact {
     /// bit-identical to the calibrated in-memory pair on every backend.
     /// No QUB record is read: the tables hold quantizers only, and the
     /// integer backend's weight cache reads the records itself
-    /// (`quq_accel::WeightQubCache::from_artifact`).
+    /// ([`quq_core::WeightQubCache::from_artifact`] over `&Artifact`).
     pub fn load_all(&self) -> Result<(VitModel, PtqTables), StoreError> {
         let _span = quq_obs::span("store.load_all");
         if self.method != "QUQ" {
@@ -599,6 +599,37 @@ impl Artifact {
             wparams.into_iter().map(|(s, p)| (s, boxed(p))).collect(),
         );
         Ok((VitModel::from_weights(self.config.clone(), weights), tables))
+    }
+}
+
+/// The artifact's QUB records, each verified and parsed on first touch,
+/// as `(site, record)` in manifest order: what
+/// [`quq_core::WeightQubCache::from_artifact`] fills its cache from.
+impl<'a> IntoIterator for &'a Artifact {
+    type Item = Result<(OpSite, QubTensor), StoreError>;
+    type IntoIter = QubRecords<'a>;
+
+    fn into_iter(self) -> QubRecords<'a> {
+        QubRecords {
+            artifact: self,
+            sites: self.qub_sites().into_iter(),
+        }
+    }
+}
+
+/// Iterator over an [`Artifact`]'s QUB records (`&Artifact` into
+/// iterator).
+pub struct QubRecords<'a> {
+    artifact: &'a Artifact,
+    sites: std::vec::IntoIter<OpSite>,
+}
+
+impl Iterator for QubRecords<'_> {
+    type Item = Result<(OpSite, QubTensor), StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let site = self.sites.next()?;
+        Some(self.artifact.load_qub(site).map(|qub| (site, qub)))
     }
 }
 

@@ -32,14 +32,14 @@ impl Lanes for Ymm {
 
     #[inline(always)]
     unsafe fn load(b: *const i16) -> Self::Cols {
-        // SAFETY: the caller guarantees 32 readable `i16` at `b`: two
-        // unaligned 16-element loads.
-        unsafe {
-            [
-                _mm256_loadu_si256(b.cast()),
-                _mm256_loadu_si256(b.add(16).cast()),
-            ]
-        }
+        // SAFETY: the caller guarantees 32 readable `i16` at `b`; the
+        // first 16, unaligned.
+        let lo = unsafe { _mm256_loadu_si256(b.cast()) };
+        // SAFETY: `b + 16` is still inside those 32.
+        let b = unsafe { b.add(16) };
+        // SAFETY: the last 16 of them, unaligned.
+        let hi = unsafe { _mm256_loadu_si256(b.cast()) };
+        [lo, hi]
     }
 
     #[inline(always)]
@@ -53,11 +53,12 @@ impl Lanes for Ymm {
     #[inline(always)]
     unsafe fn spill(acc: Self::Acc) -> [i32; BLOCK] {
         let mut lanes = [0i32; BLOCK];
-        // SAFETY: `lanes` holds 16 `i32`, two unaligned `ymm`.
-        unsafe {
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(8).cast(), acc[1]);
-        }
+        // SAFETY: `lanes` holds 16 `i32`; the first 8, one unaligned `ymm`.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]) };
+        // SAFETY: lane 8 is inside `lanes`.
+        let high = unsafe { lanes.as_mut_ptr().add(8) };
+        // SAFETY: the last 8 lanes, one unaligned `ymm`.
+        unsafe { _mm256_storeu_si256(high.cast(), acc[1]) };
         lanes
     }
 
@@ -71,10 +72,10 @@ impl Lanes for Ymm {
         ];
         for (quarter, lanes) in wide.chunks_exact_mut(BLOCK / 4).zip(quarters) {
             // SAFETY: each quarter holds 4 `i64`, one unaligned `ymm`.
-            unsafe {
-                let sum = _mm256_add_epi64(_mm256_loadu_si256(quarter.as_ptr().cast()), lanes);
-                _mm256_storeu_si256(quarter.as_mut_ptr().cast(), sum);
-            }
+            let held = unsafe { _mm256_loadu_si256(quarter.as_ptr().cast()) };
+            let sum = _mm256_add_epi64(held, lanes);
+            // SAFETY: the same 4 `i64`, stored back.
+            unsafe { _mm256_storeu_si256(quarter.as_mut_ptr().cast(), sum) };
         }
     }
 }
@@ -184,8 +185,10 @@ pub(crate) fn encode_qub<T: Code>(plan: &EncodePlan, src: &[f32], dst: &mut [T])
     let mut i = 0usize;
     while i < n {
         debug_assert!(i + 8 <= src.len() && i + 8 <= dst.len());
-        // SAFETY: `i + 8 <= n <= src.len()`; unaligned load.
-        let x = unsafe { _mm256_loadu_ps(src.as_ptr().add(i)) };
+        // SAFETY: `i + 8 <= n <= src.len()`, so element `i` is in `src`.
+        let at = unsafe { src.as_ptr().add(i) };
+        // SAFETY: and 8 `f32` are readable there; unaligned load.
+        let x = unsafe { _mm256_loadu_ps(at) };
         let neg = _mm256_cmp_ps::<_CMP_LT_OQ>(x, zero);
         let (cf, ef, mf) = encode_candidate(x, neg, &plan.neg.fine, &plan.pos.fine);
         let (cc, ec, mc) = encode_candidate(x, neg, &plan.neg.coarse, &plan.pos.coarse);

@@ -81,10 +81,10 @@ impl<const VNNI: bool> Lanes for Zmm<VNNI> {
         for (half, lanes) in [lo, hi].into_iter().zip(halves) {
             debug_assert_eq!(half.len(), BLOCK / 2);
             // SAFETY: each half holds 8 `i64`, one unaligned `zmm`.
-            unsafe {
-                let sum = _mm512_add_epi64(_mm512_loadu_si512(half.as_ptr().cast()), lanes);
-                _mm512_storeu_si512(half.as_mut_ptr().cast(), sum);
-            }
+            let held = unsafe { _mm512_loadu_si512(half.as_ptr().cast()) };
+            let sum = _mm512_add_epi64(held, lanes);
+            // SAFETY: the same 8 `i64`, stored back.
+            unsafe { _mm512_storeu_si512(half.as_mut_ptr().cast(), sum) };
         }
     }
 }
@@ -332,18 +332,22 @@ fn encode_groups<T: Code>(
     let mut i = 0usize;
     while i < n {
         debug_assert!(i + 16 <= src.len() && i + 16 <= dst.len());
-        // SAFETY: `i + 16 <= n <= src.len()`; unaligned load.
-        let out = group(unsafe { _mm512_loadu_ps(src.as_ptr().add(i)) });
+        // SAFETY: `i + 16 <= n <= src.len()`, so element `i` is in `src`.
+        let from = unsafe { src.as_ptr().add(i) };
+        // SAFETY: and 16 `f32` are readable there; unaligned load.
+        let out = group(unsafe { _mm512_loadu_ps(from) });
         let at = dst.as_mut_ptr().wrapping_add(i);
         if T::OPERAND {
+            let codes = _mm512_cvtepi32_epi16(out);
             // SAFETY: `T` is `i16` (`Code` is sealed, and only `i16` is an
             // operand) and `i + 16 <= n <= dst.len()`: an unaligned 32-byte
             // store of sixteen `i16`.
-            unsafe { _mm256_storeu_si256(at.cast(), _mm512_cvtepi32_epi16(out)) };
+            unsafe { _mm256_storeu_si256(at.cast(), codes) };
         } else {
+            let codes = _mm512_cvtepi32_epi8(out);
             // SAFETY: `T` is `u8` and `i + 16 <= n <= dst.len()`: an
             // unaligned 16-byte store.
-            unsafe { _mm_storeu_si128(at.cast(), _mm512_cvtepi32_epi8(out)) };
+            unsafe { _mm_storeu_si128(at.cast(), codes) };
         }
         i += 16;
     }

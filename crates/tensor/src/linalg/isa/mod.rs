@@ -406,12 +406,9 @@ unsafe fn mac_pairs<L: Lanes, const R: usize, const C: usize>(
             std::array::from_fn(|i| {
                 debug_assert!(arow[i] + 2 * p + 2 <= g.a.len());
                 // SAFETY: `2p + 2 ≤ k`, so both elements lie in row `i`.
-                unsafe {
-                    g.a.as_ptr()
-                        .add(arow[i] + 2 * p)
-                        .cast::<[i16; 2]>()
-                        .read_unaligned()
-                }
+                let at = unsafe { g.a.as_ptr().add(arow[i] + 2 * p) };
+                // SAFETY: and so two `i16` are readable at `at`.
+                unsafe { at.cast::<[i16; 2]>().read_unaligned() }
             })
         } else {
             // Odd `k`: the last pair holds A's final element alone (B's
@@ -423,7 +420,9 @@ unsafe fn mac_pairs<L: Lanes, const R: usize, const C: usize>(
             debug_assert!(off + 2 * BLOCK <= g.b.len());
             // SAFETY: `p < hi ≤ pairs()`, so the 32 elements of pair `p`
             // lie inside block `at.blk + c`, which `nest` checked exists.
-            unsafe { L::load(g.b.as_ptr().add(off)) }
+            let pair = unsafe { g.b.as_ptr().add(off) };
+            // SAFETY: those 32 elements are readable at `pair`.
+            unsafe { L::load(pair) }
         });
         for (row, &pair) in acc.iter_mut().zip(&pair) {
             // SAFETY: target features, as above.
@@ -534,21 +533,27 @@ unsafe fn nest<L: Lanes, E: Epilogue, const MR: usize, const NB: usize>(
         while row < rows {
             let full = rows - row >= MR;
             let at = At { row, blk };
-            // SAFETY: the caller vouches for the target features; the
+            // Every arm: the caller vouches for the target features; the
             // tile's rows (`MR` or 1 from `row`) and blocks (`nb` from
             // `blk`) are in bounds by the loop limits and the assertions
             // above.
-            unsafe {
-                match (full, nb) {
-                    (true, 4) => tile::<L, E, MR, 4>(g, epi, first_row, at, out),
-                    (true, 3) => tile::<L, E, MR, 3>(g, epi, first_row, at, out),
-                    (true, 2) => tile::<L, E, MR, 2>(g, epi, first_row, at, out),
-                    (true, _) => tile::<L, E, MR, 1>(g, epi, first_row, at, out),
-                    (false, 4) => tile::<L, E, 1, 4>(g, epi, first_row, at, out),
-                    (false, 3) => tile::<L, E, 1, 3>(g, epi, first_row, at, out),
-                    (false, 2) => tile::<L, E, 1, 2>(g, epi, first_row, at, out),
-                    (false, _) => tile::<L, E, 1, 1>(g, epi, first_row, at, out),
-                }
+            match (full, nb) {
+                // SAFETY: as above.
+                (true, 4) => unsafe { tile::<L, E, MR, 4>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (true, 3) => unsafe { tile::<L, E, MR, 3>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (true, 2) => unsafe { tile::<L, E, MR, 2>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (true, _) => unsafe { tile::<L, E, MR, 1>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (false, 4) => unsafe { tile::<L, E, 1, 4>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (false, 3) => unsafe { tile::<L, E, 1, 3>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (false, 2) => unsafe { tile::<L, E, 1, 2>(g, epi, first_row, at, out) },
+                // SAFETY: as above.
+                (false, _) => unsafe { tile::<L, E, 1, 1>(g, epi, first_row, at, out) },
             }
             row += if full { MR } else { 1 };
         }

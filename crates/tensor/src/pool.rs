@@ -432,11 +432,11 @@ pub fn parallel_chunks_mut<T: Send>(
     let grain = grain.max(1);
     let base = out.as_mut_ptr() as usize;
     parallel_for(len, grain, |range| {
+        // SAFETY: `range.start <= len`: inside `out` or one past its end.
+        let start = unsafe { (base as *mut T).add(range.start) };
         // SAFETY: `parallel_for` hands out disjoint ranges of `0..len`, so
         // each reconstructed slice is exclusively owned by this chunk.
-        let chunk = unsafe {
-            std::slice::from_raw_parts_mut((base as *mut T).add(range.start), range.len())
-        };
+        let chunk = unsafe { std::slice::from_raw_parts_mut(start, range.len()) };
         f(range.start, chunk);
     });
 }
@@ -459,14 +459,11 @@ pub fn parallel_rows_mut<T: Send>(
     let rows = out.len().checked_div(cols).unwrap_or(0);
     let base = out.as_mut_ptr() as usize;
     parallel_for(rows, grain_rows.max(1), |range| {
+        // SAFETY: `range.start <= rows`: inside `out` or one past its end.
+        let start = unsafe { (base as *mut T).add(range.start * cols) };
         // SAFETY: `parallel_for` hands out disjoint row ranges, so each
         // reconstructed block of rows is exclusively owned by this chunk.
-        let block = unsafe {
-            std::slice::from_raw_parts_mut(
-                (base as *mut T).add(range.start * cols),
-                range.len() * cols,
-            )
-        };
+        let block = unsafe { std::slice::from_raw_parts_mut(start, range.len() * cols) };
         f(range.start, block);
     });
 }

@@ -11,9 +11,8 @@
 //! evaluation and a per-op breakdown (span time per site, GEMM work,
 //! decode-cache hits) is printed afterwards.
 
-use quq_accel::IntegerBackend;
 use quq_core::pipeline::{calibrate, PtqConfig};
-use quq_core::QuqMethod;
+use quq_core::{IntegerBackend, QuqMethod};
 use quq_vit::{evaluate, Dataset, Fp32Backend, ModelConfig, ModelId, Observed, Tapped, VitModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -40,8 +40,21 @@ if grep -rPzl --include='*.rs' 'try_into\(\)\s*\.expect\(' \
     exit 1
 fi
 
-step "cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks"
-cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
+step "cargo clippy: -D warnings, one documented unsafe operation per block"
+cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks \
+    -D clippy::multiple_unsafe_ops_per_block
+
+step "the serving binary links the runtime, not the hardware models"
+# The integer runtime lives in quq-core; quq-accel holds the evaluation
+# models (cost, memory, simulator) and needs no artifact store.
+serve_deps="$(cargo tree --offline -e normal -p quq-serve)"
+accel_deps="$(cargo tree --offline -e normal -p quq-accel)"
+case "$serve_deps" in *quq-accel*)
+    echo "quq-serve depends on quq-accel" >&2; exit 1;;
+esac
+case "$accel_deps" in *quq-store*)
+    echo "quq-accel depends on quq-store" >&2; exit 1;;
+esac
 
 step "rustdoc: no broken or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
@@ -75,9 +88,9 @@ for isa in $isas; do
     QUQ_FORCE_ISA="$isa" cargo test -q -p quq-core --test proptests -- encoder_
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-core --test proptests -- encoder_
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-tensor --lib -- linalg::
-    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --lib -- intfunc:: backend_int::
-    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test batch_identity -- golden
-    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-accel --test counters
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-core --lib -- intfunc:: backend_int::
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-core --test batch_identity -- golden
+    QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-core --test counters
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-bench --test goldens --test store_e2e
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-store --lib -- crc32::
 done
@@ -86,7 +99,7 @@ step "tier-2: packed GEMM and batched-forward bit-identity under a 4-worker pool
 QUQ_THREADS=4 cargo test -q -p quq-core --lib -- dot::
 QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-vit --test proptests
-QUQ_THREADS=4 cargo test -q -p quq-accel --test batch_identity
+QUQ_THREADS=4 cargo test -q -p quq-core --test batch_identity
 
 step "tier-2: benchmark builds against the crates and its quick runs pass"
 # `benchmark/` is its own package, so tier-1 never compiles it: this is the

@@ -15,9 +15,9 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
-use quq_accel::IntegerBackend;
 use quq_core::pipeline::{calibrate, PtqConfig};
 use quq_core::quantizer::QuqMethod;
+use quq_core::IntegerBackend;
 use quq_store::{Artifact, ArtifactWriter, CodecChoice, MemStorage, Storage, WriteOptions};
 use quq_vit::{Dataset, Fp32Backend, ModelConfig, VitModel};
 
