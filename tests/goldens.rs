@@ -1,8 +1,11 @@
 //! Golden bits of the fp32-side paths, on `test_config` (model seed 33):
 //! the activation quantizers calibration fits and the fake-quant logits
 //! they give, for QUQ and every baseline at both coverages, and the
-//! activations the Fig. 3 capture records. The integer logits are pinned
-//! separately (`crates/accel/tests/batch_identity.rs`).
+//! activations the Fig. 3 capture records; and the FP32 logits themselves,
+//! on `test_config`, `test_swin_config` and two eval-scale ViT-S images
+//! (the widths, k = 96 and 384, that the FP32 GEMM runs at in the
+//! benchmark). The integer logits are pinned separately
+//! (`crates/core/tests/batch_identity.rs`).
 //!
 //! Every value is hashed with FNV-1a 64 over its bytes: a quantizer over
 //! its operand key, its `Debug` form (which prints every `f32` so that it
@@ -125,6 +128,39 @@ fn calibration_and_fake_quant_match_golden_bits() {
             want.0, want.1, got.2, got.3
         );
     }
+}
+
+/// `(model, FP32 logits)`: each model synthesized with seed 33, two
+/// images drawn from `StdRng` seed 7, both forwards hashed in order.
+const GOLDEN_FP32: [(&str, u64); 3] = [
+    ("test", 0x5e8f_fe93_a33d_adf1),
+    ("test-swin", 0xfe6d_5582_4598_120f),
+    ("vits-eval", 0x7858_3542_77c1_c3ec),
+];
+
+/// Plain `Fp32Backend` forwards: every linear, `Q·Kᵀ` and `P·V` through
+/// the FP32 GEMM, at every width the goldens above do not reach.
+#[test]
+fn fp32_logits_match_golden_bits() {
+    let mut got = Vec::new();
+    for (name, _) in GOLDEN_FP32 {
+        let config = match name {
+            "test" => ModelConfig::test_config(),
+            "test-swin" => ModelConfig::test_swin_config(),
+            _ => ModelConfig::eval_scale(ModelId::VitS),
+        };
+        let model = VitModel::synthesize(config, 33);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut h = Fnv::new();
+        for _ in 0..2 {
+            let img = synthetic_image(model.config(), &mut rng);
+            let logits = model.forward(&img, &mut Fp32Backend::new()).unwrap();
+            h.floats(logits.data());
+        }
+        got.push((name, h.0));
+    }
+    let hex: Vec<String> = got.iter().map(|(n, h)| format!("{n} {h:#018x}")).collect();
+    assert_eq!(GOLDEN_FP32[..], got[..], "got {hex:?}");
 }
 
 const GOLDEN_FIG3: u64 = 0x32c9_8d59_bba5_9faf;
