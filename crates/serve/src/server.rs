@@ -269,31 +269,47 @@ pub fn artifact_state(path: &Path, backend: &str) -> Result<ModelState, StoreErr
     state_from_artifact(&Artifact::open(path)?, backend)
 }
 
+/// Reads a backend name: `"fp32"` (`Ok(false)`) serves the restored FP32
+/// weights, `"int"` / `"quq-int"` (`Ok(true)`) the fully-integer backend.
+/// The one list of names: [`state_from_artifact`] and the `--backend`
+/// flag both read them here.
+///
+/// # Errors
+///
+/// Names any other value and the names it accepts.
+pub fn is_integer_backend(name: &str) -> Result<bool, String> {
+    match name {
+        "fp32" => Ok(false),
+        "int" | "quq-int" => Ok(true),
+        other => Err(format!(
+            "unknown backend {other:?} (want \"fp32\" or \"int\")"
+        )),
+    }
+}
+
 /// Builds a [`ModelState`] from an open artifact: the one way a served
 /// model is built, whether the artifact is a file or was just calibrated
 /// into memory.
 ///
-/// `backend` selects the provider: `"fp32"` serves the restored FP32
-/// weights; `"int"` / `"quq-int"` serves the fully-integer backend with its
-/// weight cache filled from the artifact's stored QUB records.
+/// `backend` selects the provider, as [`is_integer_backend`] reads it;
+/// the integer backend's weight cache is filled from the artifact's
+/// stored QUB records.
 ///
 /// # Errors
 ///
-/// Propagates [`StoreError`] from loading the artifact, and rejects
-/// unknown backend names with [`StoreError::Unsupported`].
+/// Rejects unknown backend names with [`StoreError::Unsupported`] before
+/// loading anything, and propagates [`StoreError`] from loading the
+/// artifact.
 pub fn state_from_artifact(artifact: &Artifact, backend: &str) -> Result<ModelState, StoreError> {
+    let integer = is_integer_backend(backend).map_err(StoreError::Unsupported)?;
     let (model, tables) = artifact.load_all()?;
-    let provider: Arc<dyn BackendProvider> = match backend {
-        "fp32" => Arc::new(Fp32Provider),
-        "int" | "quq-int" => Arc::new(IntegerProvider {
+    let provider: Arc<dyn BackendProvider> = if integer {
+        Arc::new(IntegerProvider {
             tables: Arc::new(tables),
             cache: Arc::new(WeightQubCache::from_artifact(artifact)?),
-        }),
-        other => {
-            return Err(StoreError::Unsupported(format!(
-                "unknown backend {other:?} (want \"fp32\" or \"int\")"
-            )))
-        }
+        })
+    } else {
+        Arc::new(Fp32Provider)
     };
     Ok(ModelState::new(Arc::new(model), provider))
 }

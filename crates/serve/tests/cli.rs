@@ -4,7 +4,8 @@
 //! from starting, `--max-resident-bytes` evicts and reloads, a `--model
 //! test` start-up serves what `--save-model` saves on either backend, and
 //! the SLO flags (`--tenant-quota`, `--shadow`, `--metrics-json`) show in
-//! what the server does and reports. Four server processes in all.
+//! what the server does and reports, and an unknown `--backend` is refused
+//! before any work. Four server processes in all.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -381,4 +382,34 @@ fn model_test_start_ups_serve_the_bits_of_the_saved_artifact() {
     }
     let _ = std::fs::remove_file(&artifact);
     let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
+fn unknown_backend_is_refused_before_any_work() {
+    let out = Command::new(BIN)
+        .args([
+            "--model",
+            "test",
+            "--backend",
+            "bogus",
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--backend bogus was served");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("calibrating"),
+        "work before refusing: {stderr}"
+    );
+    assert!(
+        stderr.contains("bogus"),
+        "the error names the value: {stderr}"
+    );
+    assert!(
+        !stderr.contains("Unsupported("),
+        "a Debug-form error: {stderr}"
+    );
 }
