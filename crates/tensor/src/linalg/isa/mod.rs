@@ -34,7 +34,8 @@
 //! travels down to the thread pool as a plain `GemmFn` pointer — workers
 //! never re-query CPUID or the environment.
 //!
-//! Loops with no hand-written kernel — the integer SFU rows — are written
+//! Loops with no hand-written kernel — the FP32 GEMM tile of
+//! [`crate::linalg::matmul_nt`] and the integer SFU rows — are written
 //! once as a [`Vectorized`] body and compiled by
 //! [`vectorize`] into one `#[target_feature]` entry per ISA, where the
 //! compiler vectorizes them for that instruction set. A body has no
@@ -181,8 +182,8 @@ pub fn vectorize(isa: Isa, body: impl Vectorized) {
     }
 }
 
-/// Output columns per packed `B` block: 16 `i32` lanes, one `zmm` or two
-/// `ymm`.
+/// Output columns per packed `B` block: 16 lanes (`i32` in the integer
+/// kernels, `f32` in the FP32 tile), one `zmm` or two `ymm`.
 pub(crate) const BLOCK: usize = 16;
 
 /// One `A[m,k] · B[n,k]ᵀ` as the kernels see it.

@@ -71,10 +71,11 @@ step "tier-2: kernel matrix (per-ISA bit-identity, scalar always included)"
 # pinned kernel, the encoder tests both at the dev profile and in the
 # release build that ships. Then, in a release build where they are
 # vectorized: the GEMM kernels and their f32 epilogue against the i64
-# result rescaled, the SFU row bodies against the per-element oracles, the
-# lockstep reference backend, the golden integer logits, the work
-# counters (one encode per operand, and the region path's share of the
-# encoder's groups), the fp32-side and saved-artifact goldens, the
+# result rescaled, the FP32 tile against the sequential sum, the SFU row
+# bodies against the per-element oracles, the lockstep reference backend,
+# the golden integer logits, the work counters (one encode per operand,
+# and the region path's share of the encoder's groups), the fp32-side
+# (fake-quant, capture and plain FP32 logits) and saved-artifact goldens, the
 # store's fresh-process identity and every CRC-32 kernel against the
 # bytewise reference. `--list-isas` always reports scalar, so the portable
 # kernels are always in the matrix even on fully-featured hosts.
@@ -95,8 +96,9 @@ for isa in $isas; do
     QUQ_FORCE_ISA="$isa" cargo test -q --release -p quq-store --lib -- crc32::
 done
 
-step "tier-2: packed GEMM and batched-forward bit-identity under a 4-worker pool"
+step "tier-2: packed GEMM, FP32 GEMM and batched-forward bit-identity under a 4-worker pool"
 QUQ_THREADS=4 cargo test -q -p quq-core --lib -- dot::
+QUQ_THREADS=4 cargo test -q -p quq-tensor --lib -- linalg::
 QUQ_THREADS=4 cargo test -q -p quq-core --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-vit --test proptests
 QUQ_THREADS=4 cargo test -q -p quq-core --test batch_identity
