@@ -337,7 +337,7 @@ impl Tensor {
 
     /// Views the tensor as a matrix by flattening all leading axes.
     ///
-    /// A `[b, n, d]` tensor becomes `[b * n, d]`.
+    /// A `[b, n, d]` tensor becomes `[b * n, d]`, also when `d` is 0.
     ///
     /// # Errors
     ///
@@ -349,9 +349,8 @@ impl Tensor {
                 actual: 0,
             });
         }
-        let cols = *self.shape.last().expect("non-empty shape");
-        let rows = self.len() / cols.max(1);
-        Ok((rows, cols))
+        let (&cols, lead) = self.shape.split_last().expect("non-empty shape");
+        Ok((lead.iter().product(), cols))
     }
 
     /// Returns the `i`-th slice along the leading axis as a new tensor.
@@ -570,6 +569,14 @@ mod tests {
         let r = t.reshape(&[2, 6]).unwrap();
         assert_eq!(r.data(), t.data());
         assert!(t.reshape(&[5, 5]).is_err());
+    }
+
+    #[test]
+    fn as_matrix_keeps_rows_of_zero_width() {
+        assert_eq!(Tensor::zeros(&[2, 3, 4]).as_matrix().unwrap(), (6, 4));
+        assert_eq!(Tensor::zeros(&[2, 3, 0]).as_matrix().unwrap(), (6, 0));
+        assert_eq!(Tensor::zeros(&[0]).as_matrix().unwrap(), (1, 0));
+        assert!(Tensor::zeros(&[]).as_matrix().is_err());
     }
 
     #[test]
